@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil, comb
 
-from . import linalg
 from .apolar import (apolar_apply, apolar_hilbert, apolar_ideal, catalecticant,
                      essential_variables)
 from .cubics import (CubicKind, CubicType, LinearChange, NeedsFieldExtension,
@@ -25,6 +24,7 @@ from .cubics import (CubicKind, CubicType, LinearChange, NeedsFieldExtension,
 from .ideals import (HilbertFunction, HomogeneousIdeal, graded_basis,
                      hilbert_function, ideal_colon, ideal_contains, ideal_equal,
                      ideal_sum, poly_to_row, monomial_index)
+from .linalg import RowSpan, mat_vec
 from .poly import AmbientMismatchError, LinearForm, Polynomial, parse, substitute
 
 _GENERIC_EXCEPTIONS = {(3, 4): 8, (4, 2): 6, (4, 3): 10, (4, 4): 15}
@@ -267,20 +267,15 @@ def _same_span(a: list[Polynomial], b: list[Polynomial], degree: int) -> bool:
         return True
     nvars = (a or b)[0].nvars
     _, index = monomial_index(nvars, degree)
-    def rows(polys):
-        dense = []
+    reduced = []
+    for polys in (a, b):
+        if any(p.is_zero() or p.homogeneous_degree() != degree for p in polys):
+            return False
+        span = RowSpan(len(index))
         for p in polys:
-            if p.is_zero() or p.homogeneous_degree() != degree:
-                return None
-            row = poly_to_row(p, index)
-            dense.append([row.get(i, Fraction(0)) for i in range(len(index))])
-        return dense
-    ra, rb = rows(a), rows(b)
-    if ra is None or rb is None:
-        return False
-    reduced_a, _ = linalg.rref(ra)
-    reduced_b, _ = linalg.rref(rb)
-    return reduced_a == reduced_b
+            span.insert(poly_to_row(p, index))
+        reduced.append(span.canonical_rows())
+    return reduced[0] == reduced[1]
 
 
 def _strip_linear(p: Polynomial, var: int) -> Polynomial | None:
@@ -326,11 +321,8 @@ class RankReport:
 def _transported_slicer(form: Polynomial, to_split: LinearChange) -> Polynomial:
     """The linear operator playing the role of d3 (d2 when n = 2) for a form
     equal to the split normal form in the coordinates given by to_split."""
-    nv = form.nvars
-    col = 3 if nv >= 4 else 2
-    coeffs = [to_split.matrix[i][col] for i in range(nv)]
-    return Polynomial(nv, {tuple(int(k == i) for k in range(nv)): c
-                           for i, c in enumerate(coeffs) if c})
+    col = 3 if form.nvars >= 4 else 2
+    return LinearForm(row[col] for row in to_split.matrix).to_polynomial()
 
 
 def rank_report(rc: ReducibleCubic) -> RankReport:
@@ -388,25 +380,14 @@ def rank_report(rc: ReducibleCubic) -> RankReport:
         notes.append(f"compressed from {nv} to {e} essential variables")
     if e == 1:
         coef = next(iter(compressed.terms.values()))
-        dec = WaringDecomposition.assemble(3, nv, [
-            (coef, LinearForm([Fraction(int(i == 0)) for i in range(nv)]))])
-        dec = dec.compose(change.inverse())
-        ok, _ = verify_decomposition(form, dec)
-        if not ok:
-            raise RuntimeError("internal: rank-one witness failed verification")
+        dec = _lift(form, [(coef, LinearForm([1]))], change, "rank-one")
         return RankReport(form, ctype, ess, cat, 1, "catalecticant", 1, dec,
                           gen, None, tuple(notes))
     if e == 2:
         bd = decompose_binary(compressed)
         witness = None
         if bd.decomposition is not None:
-            lifted = WaringDecomposition.assemble(3, nv, [
-                (c, LinearForm(f.coeffs + (Fraction(0),) * (nv - 2)))
-                for c, f in bd.decomposition.terms])
-            witness = lifted.compose(change.inverse())
-            ok, _ = verify_decomposition(form, witness)
-            if not ok:
-                raise RuntimeError("internal: lifted binary witness failed verification")
+            witness = _lift(form, bd.decomposition.terms, change, "binary")
         else:
             notes.append("exact rank from apolar generator degrees; the relevant "
                          "generator does not split rationally, so no explicit "
@@ -419,22 +400,13 @@ def rank_report(rc: ReducibleCubic) -> RankReport:
     sub = rank_report(sub_rc)
     witness = None
     if sub.witness is not None:
-        lifted = WaringDecomposition.assemble(3, nv, [
-            (c, LinearForm(f.coeffs + (Fraction(0),) * (nv - e)))
-            for c, f in sub.witness.terms])
-        witness = lifted.compose(change.inverse())
-        ok, _ = verify_decomposition(form, witness)
-        if not ok:
-            raise RuntimeError("internal: lifted cone witness failed verification")
+        witness = _lift(form, sub.witness.terms, change, "cone")
     avoidance = None
     if sub.avoidance is not None:
         # re-derive the certificate in the full ambient: pad the compressed
         # slicer and push it through the compression change
-        vec = _linear_coeffs(sub.avoidance.hyperplane) + [Fraction(0)] * (nv - e)
-        coeffs = [sum(change.matrix[i][j] * vec[j] for j in range(nv))
-                  for i in range(nv)]
-        lifted_slicer = Polynomial(nv, {tuple(int(k == i) for k in range(nv)): c
-                                        for i, c in enumerate(coeffs) if c})
+        vec = _pad(LinearForm.from_polynomial(sub.avoidance.hyperplane), nv)
+        lifted_slicer = LinearForm(mat_vec(change.matrix, vec)).to_polynomial()
         avoidance = avoidance_lower_bound(form, lifted_slicer)
         if avoidance.hilbert.values != sub.avoidance.hilbert.values:
             raise RuntimeError("internal: lifted avoidance certificate is off")
@@ -443,11 +415,22 @@ def rank_report(rc: ReducibleCubic) -> RankReport:
                       sub.upper, witness, gen, avoidance, tuple(notes))
 
 
-def _linear_coeffs(operator: Polynomial) -> list[Fraction]:
-    coeffs = [Fraction(0)] * operator.nvars
-    for exps, c in operator.terms.items():
-        coeffs[exps.index(1)] = c
-    return coeffs
+def _pad(linear: LinearForm, nvars: int) -> tuple[Fraction, ...]:
+    """Coefficients of a form in the leading coordinates of a larger ambient."""
+    return linear.coeffs + (Fraction(0),) * (nvars - linear.nvars)
+
+
+def _lift(form: Polynomial, terms, change: LinearChange,
+          what: str) -> WaringDecomposition:
+    """Carry a witness of the compressed form back to the full ambient
+    through the compression change, and verify it against the form."""
+    lifted = WaringDecomposition.assemble(
+        3, form.nvars, [(c, LinearForm(_pad(f, form.nvars))) for c, f in terms])
+    witness = lifted.compose(change.inverse())
+    ok, _ = verify_decomposition(form, witness)
+    if not ok:
+        raise RuntimeError(f"internal: lifted {what} witness failed verification")
+    return witness
 
 
 def _compression_change(form: Polynomial) -> tuple[LinearChange, int]:
@@ -458,8 +441,10 @@ def _compression_change(form: Polynomial) -> tuple[LinearChange, int]:
     e = nv - len(kernel_cols)
     if not kernel_cols:
         return LinearChange.identity(nv), e
-    _, pivots = linalg.rref([list(v) for v in kernel_cols])
-    pivot_set = set(pivots)
+    span = RowSpan(nv)
+    for v in kernel_cols:
+        span.insert(v)
+    pivot_set = set(span.pivot_columns())
     cols = [[Fraction(int(i == r)) for i in range(nv)]
             for r in range(nv) if r not in pivot_set]
     cols.extend(kernel_cols)

@@ -22,7 +22,7 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 from . import linalg
 from .apolar import apolar_ideal, essential_variables
@@ -199,13 +199,11 @@ class WaringDecomposition:
 
     def identity_string(self, name: str = "F", prefix: str = "x") -> str:
         """Integer-cleared identity like '6*F = (x0 + x2)^3 + ...'."""
-        lcm = 1
-        for coef, _ in self.terms:
-            lcm = lcm * coef.denominator // _gcd(lcm, coef.denominator)
-        lhs = name if lcm == 1 else f"{lcm}*{name}"
+        scale = lcm(*(coef.denominator for coef, _ in self.terms))
+        lhs = name if scale == 1 else f"{scale}*{name}"
         pieces = []
         for coef, form in self.terms:
-            k = coef * lcm
+            k = coef * scale
             mag = abs(k)
             body = f"({form.to_string(prefix)})^{self.degree}"
             if mag != 1:
@@ -232,12 +230,6 @@ class WaringDecomposition:
         terms = [(Fraction(t["coefficient"]), LinearForm(Fraction(v) for v in t["form"]))
                  for t in data["terms"]]
         return cls.assemble(degree, nvars, terms)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def verify_decomposition(form: Polynomial,
@@ -276,10 +268,8 @@ def normal_form(n: int) -> Polynomial:
 def normal_form_pair(n: int) -> ReducibleCubic:
     """The normal form as an explicit (hyperplane, quadric) pair."""
     nf = normal_form(n)
-    nv = n + 1
-    x0 = Polynomial.variable(nv, 0)
-    quadric = Polynomial(nv, {e[:0] + (e[0] - 1,) + e[1:]: c
-                              for e, c in nf.terms.items()})
+    quadric = Polynomial(n + 1, {(e[0] - 1,) + e[1:]: c
+                                 for e, c in nf.terms.items()})
     return ReducibleCubic(LinearForm([1] + [0] * n), quadric)
 
 
@@ -699,10 +689,8 @@ def _rational_distinct_roots(g: Polynomial) -> list[LinearForm] | None:
 
 
 def _one_rational_root(p: list[Fraction]) -> Fraction | None:
-    lcm = 1
-    for c in p:
-        lcm = lcm * c.denominator // _gcd(lcm, c.denominator)
-    ints = [int(c * lcm) for c in p]
+    scale = lcm(*(c.denominator for c in p))
+    ints = [int(c * scale) for c in p]
     lead, const = ints[-1], ints[0]
     if const == 0:
         return Fraction(0)

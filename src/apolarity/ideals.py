@@ -240,10 +240,7 @@ def ideal_colon(ideal: HomogeneousIdeal, divisor: Polynomial) -> HomogeneousIdea
     spans = _colon_spans(ideal, divisor, top)
     if spans[0].dimension:
         raise ValueError("divisor lies in the ideal; the colon is the unit ideal")
-    components = []
-    for i in range(top + 1):
-        monos, _ = monomial_index(ideal.nvars, i)
-        components.append(spans[i].canonical_rows())
+    components = [span.canonical_rows() for span in spans]
     gens = _generators_from_components(components, ideal.nvars)
     return HomogeneousIdeal(gens, ideal.nvars, truncation_bound=b)
 

@@ -1,48 +1,44 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals, on one elimination engine.
 
-Dense routines (rref, kernel, inverse, det) work on lists of Fraction rows and
-stay small.  RowSpan is the workhorse for graded ideal components: it keeps a
-sparse integer row basis (denominators cleared, rows primitive) and supports
-incremental insertion, reduction, and extraction of the canonical RREF.
+RowSpan is the only place where rows are eliminated.  It keeps a sparse,
+fraction-free integer basis: rows enter with their denominators cleared,
+every elimination step combines two rows with coprime multipliers, and each
+row it produces is divided by its content, so entries stay as small as the
+span allows.  canonical_rows() back-substitutes to the reduced row echelon
+form (RREF), which is unique; rref, rank, kernel_basis, inverse and solve are
+read off it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 Row = list[Fraction]
 SparseRow = dict[int, int]
 
 
+def _span(rows) -> RowSpan:
+    span = RowSpan(len(rows[0]) if rows else 0)
+    for row in rows:
+        span.insert(row)
+    return span
+
+
 def rref(rows: list[Row]) -> tuple[list[Row], list[int]]:
     """Reduced row echelon form. Returns (nonzero rows, pivot column list)."""
-    mat = [list(r) for r in rows]
-    if not mat:
-        return [], []
-    ncols = len(mat[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, len(mat)) if mat[i][c]), None)
-        if pivot_row is None:
-            continue
-        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        inv = Fraction(1) / mat[r][c]
-        mat[r] = [v * inv for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return mat[:r], pivots
+    span = _span(rows)
+    out = []
+    for row in span.canonical_rows():
+        dense = [Fraction(0)] * span.ncols
+        for c, v in row.items():
+            dense[c] = v
+        out.append(dense)
+    return out, span.pivot_columns()
 
 
 def rank(rows: list[Row]) -> int:
-    return len(rref(rows)[0])
+    return _span(rows).dimension
 
 
 def kernel_basis(rows: list[Row], ncols: int) -> list[Row]:
@@ -64,33 +60,11 @@ def kernel_basis(rows: list[Row], ncols: int) -> list[Row]:
 def inverse(mat: list[Row]) -> list[Row] | None:
     """Matrix inverse, or None if singular."""
     n = len(mat)
-    aug = [list(map(Fraction, mat[i])) + [Fraction(int(i == j)) for j in range(n)]
-           for i in range(n)]
+    aug = [list(mat[i]) + [int(i == j) for j in range(n)] for i in range(n)]
     red, pivots = rref(aug)
     if pivots != list(range(n)):
         return None
     return [row[n:] for row in red]
-
-
-def det(mat: list[Row]) -> Fraction:
-    """Determinant by fraction Gaussian elimination."""
-    n = len(mat)
-    m = [list(map(Fraction, row)) for row in mat]
-    result = Fraction(1)
-    for c in range(n):
-        pivot_row = next((i for i in range(c, n) if m[i][c]), None)
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != c:
-            m[c], m[pivot_row] = m[pivot_row], m[c]
-            result = -result
-        result *= m[c][c]
-        inv = Fraction(1) / m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c]:
-                f = m[i][c] * inv
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    return result
 
 
 def mat_vec(mat: list[Row], vec: Row) -> Row:
@@ -112,29 +86,42 @@ def solve(rows: list[Row], rhs: Row) -> Row | None:
     return x
 
 
+def _primitive(row: SparseRow) -> SparseRow:
+    """Divide out the content; the leading entry becomes positive."""
+    if not row:
+        return row
+    g = gcd(*row.values())
+    if row[min(row)] < 0:
+        g = -g
+    return {c: v // g for c, v in row.items()} if g != 1 else row
+
+
 def _to_sparse_int(row) -> SparseRow:
-    """Clear denominators and divide by content; accepts dense or sparse input."""
-    if isinstance(row, dict):
-        items = [(c, Fraction(v)) for c, v in row.items() if v]
-    else:
-        items = [(c, Fraction(v)) for c, v in enumerate(row) if v]
-    if not items:
-        return {}
-    lcm = 1
-    for _, v in items:
-        lcm = lcm * v.denominator // gcd(lcm, v.denominator)
-    ints = {c: int(v * lcm) for c, v in items}
-    g = 0
-    for v in ints.values():
-        g = gcd(g, v)
-    return {c: v // g for c, v in ints.items()}
+    """Primitive integer multiple of a dense or sparse rational row."""
+    items = row.items() if isinstance(row, dict) else enumerate(row)
+    fracs = {c: Fraction(v) for c, v in items if v}
+    scale = lcm(*(v.denominator for v in fracs.values()))
+    return _primitive({c: int(v * scale) for c, v in fracs.items()})
+
+
+def _cancel(row: SparseRow, pivot: SparseRow, col: int) -> SparseRow:
+    """Primitive multiple of a*row - b*pivot, with a and b coprime and
+    chosen so that the entry at col cancels."""
+    g = gcd(pivot[col], row[col])
+    a, b = pivot[col] // g, row[col] // g
+    out: SparseRow = {}
+    for c in row.keys() | pivot.keys():
+        v = a * row.get(c, 0) - b * pivot.get(c, 0)
+        if v:
+            out[c] = v
+    return _primitive(out)
 
 
 class RowSpan:
     """Row space of sparse integer vectors with incremental insertion.
 
-    Rows are kept forward-eliminated: at most one stored row leads at any
-    column.  canonical_rows() back-substitutes to the unique RREF.
+    Rows are kept forward-eliminated and primitive: at most one stored row
+    leads at any column.  canonical_rows() back-substitutes to the unique RREF.
     """
 
     def __init__(self, ncols: int):
@@ -151,33 +138,15 @@ class RowSpan:
             pivot = self._pivot_rows.get(lead)
             if pivot is None:
                 return row
-            a, b = pivot[lead], row[lead]
-            new: SparseRow = {}
-            for c in set(row) | set(pivot):
-                v = a * row.get(c, 0) - b * pivot.get(c, 0)
-                if v:
-                    new[c] = v
-            row = new
+            row = _cancel(row, pivot, lead)
         return row
-
-    @staticmethod
-    def _primitive(row: SparseRow) -> SparseRow:
-        g = 0
-        for v in row.values():
-            g = gcd(g, v)
-        if g == 0:
-            return row
-        lead = min(row)
-        if row[lead] < 0:
-            g = -g
-        return {c: v // g for c, v in row.items()}
 
     def reduce(self, row) -> SparseRow:
         """Residual of a row after elimination (primitive integer form)."""
-        return self._primitive(self._eliminate(_to_sparse_int(row)))
+        return self._eliminate(_to_sparse_int(row))
 
     def contains(self, row) -> bool:
-        return not self._eliminate(_to_sparse_int(row))
+        return not self.reduce(row)
 
     def insert(self, row) -> SparseRow | None:
         """Insert a row; returns the primitive residual if it enlarged the
@@ -194,18 +163,10 @@ class RowSpan:
         reduced: dict[int, SparseRow] = {}
         for lead in reversed(order):
             row = self._pivot_rows[lead]
-            for other_lead in sorted(c for c in row if c != lead and c in reduced):
-                pivot = reduced.get(other_lead)
-                if pivot is None or other_lead not in row:
-                    continue
-                a, b = pivot[other_lead], row[other_lead]
-                merged: SparseRow = {}
-                for c in set(row) | set(pivot):
-                    v = a * row.get(c, 0) - b * pivot.get(c, 0)
-                    if v:
-                        merged[c] = v
-                row = merged
-            reduced[lead] = self._primitive(row)
+            # cancelling one later pivot column leaves the others untouched
+            for col in sorted(c for c in row if c in reduced):
+                row = _cancel(row, reduced[col], col)
+            reduced[lead] = row
         out = []
         for lead in order:
             row = reduced[lead]

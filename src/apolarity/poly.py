@@ -22,6 +22,10 @@ Scalar = Fraction | int
 
 _TOKEN_RE = re.compile(r"\s*(?:(?P<var>[xd]_?(?P<idx>\d+))|(?P<int>\d+)|(?P<op>[-+*^()/]))")
 
+# Deepest parenthesis nesting the parser accepts.  Each level costs five
+# Python frames, so this keeps well inside the interpreter's recursion limit.
+MAX_NESTING = 100
+
 
 class PolynomialSyntaxError(ValueError):
     """Raised for malformed polynomial text; carries the offending position."""
@@ -387,6 +391,7 @@ class _Parser:
         self.nvars = nvars
         self.textlen = textlen
         self.prefixes: set[str] = set()
+        self.depth = 0
 
     def peek(self) -> str | None:
         return self.tokens[self.i][0] if self.i < len(self.tokens) else None
@@ -454,11 +459,16 @@ class _Parser:
                     f"variable index {idx} exceeds ambient of {self.nvars} variables", at)
             return Polynomial.variable(self.nvars, idx)
         if kind == "(":
-            self.take()
+            _, _, at = self.take()
+            if self.depth == MAX_NESTING:
+                raise PolynomialSyntaxError(
+                    f"parentheses nested deeper than {MAX_NESTING}", at)
+            self.depth += 1
             p = self.expr()
             if self.peek() != ")":
                 raise PolynomialSyntaxError("expected ')'", self.pos())
             self.take()
+            self.depth -= 1
             return p
         raise PolynomialSyntaxError("expected a literal, variable, or '('", self.pos())
 

@@ -91,13 +91,6 @@ def bareiss_rank(matrix) -> int:
     return rank
 
 
-def det3(m) -> Fraction:
-    """Cofactor determinant of a 3x3 matrix."""
-    return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
-
-
 def _gcd(a: int, b: int) -> int:
     while b:
         a, b = b, a % b

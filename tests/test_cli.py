@@ -113,6 +113,14 @@ def test_parse_error_exit_code(capsys):
     assert code == 2
 
 
+def test_deep_nesting_is_an_input_error(capsys):
+    text = "(" * 3000 + "x0" + ")" * 3000
+    code, out, err = run(capsys, "apolar", text)
+    assert code == 2
+    assert out == ""
+    assert "nested deeper" in err
+
+
 def test_missing_file_exit_code(capsys):
     code, _, err = run(capsys, "verify", "x0^3", "/nonexistent/dec.json")
     assert code == 2

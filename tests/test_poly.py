@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from apolarity.poly import (AmbientMismatchError, LinearChange, LinearForm,
-                            Polynomial, PolynomialSyntaxError, monomials,
-                            parse, substitute)
+from apolarity.poly import (MAX_NESTING, AmbientMismatchError, LinearChange,
+                            LinearForm, Polynomial, PolynomialSyntaxError,
+                            monomials, parse, substitute)
 from oracles import dim_forms, expand_power
 
 
@@ -42,6 +42,14 @@ def test_parse_reports_error_position():
         parse("x0 x1")
     with pytest.raises(PolynomialSyntaxError):
         parse("1/0*x0")
+
+
+def test_parse_nesting_bound():
+    deepest = "(" * MAX_NESTING + "x0 + 1" + ")" * MAX_NESTING
+    assert parse(deepest) == parse("x0 + 1")
+    with pytest.raises(PolynomialSyntaxError) as err:
+        parse("2*(" + deepest + ")")
+    assert err.value.position == 2 + MAX_NESTING  # the innermost "("
 
 
 def test_parse_rejects_mixed_prefixes():
