@@ -27,7 +27,7 @@ from math import isqrt, lcm
 from . import linalg
 from .apolar import apolar_ideal, essential_variables
 from .poly import (AmbientMismatchError, LinearChange, LinearForm, Polynomial,
-                   substitute)
+                   _compose_rows, substitute)
 
 
 class NeedsFieldExtension(Exception):
@@ -104,18 +104,10 @@ def _linear_divides(linear: LinearForm, p: Polynomial) -> bool:
     n = p.nvars
     coeffs = linear.coeffs
     k = next(i for i, c in enumerate(coeffs) if c)
-    images = [Polynomial.variable(n, j) for j in range(n)]
-    images[k] = Polynomial(n, {
-        tuple(1 if t == j else 0 for t in range(n)): -coeffs[j] / coeffs[k]
-        for j in range(n) if j != k and coeffs[j]})
-    acc = Polynomial.zero(n)
-    for exps, coef in p.terms.items():
-        term = Polynomial.constant(n, coef)
-        for i, e in enumerate(exps):
-            if e:
-                term = term * images[i] ** e
-        acc = acc + term
-    return acc.is_zero()
+    # x_k = -sum_{j != k} (coeffs[j] / coeffs[k]) x_j parametrizes the hyperplane
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    rows[k] = [0 if j == k else -c / coeffs[k] for j, c in enumerate(coeffs)]
+    return _compose_rows(p, rows).is_zero()
 
 
 def classify(rc: ReducibleCubic) -> CubicType:
@@ -130,14 +122,15 @@ def classify(rc: ReducibleCubic) -> CubicType:
     ess = essential_variables(rc.form())
     if ess < nv:
         return CubicType(CubicKind.CONE, ess)
-    m = quadric_matrix(rc.quadric)
-    r = linalg.rank(m)
+    # one reduction of [M | l]: its pivots left of column nv give rank(M),
+    # and when M is invertible the last column becomes M^-1 l
+    l = rc.linear.coeffs
+    red, pivots = linalg.rref([row + [c] for row, c in
+                               zip(quadric_matrix(rc.quadric), l)])
+    r = sum(1 for c in pivots if c < nv)
     if r == nv:
-        inv = linalg.inverse(m)
-        l = list(rc.linear.coeffs)
-        tangency = sum(l[i] * inv[i][j] * l[j]
-                       for i in range(nv) for j in range(nv))
-        # l^T adj(M) l differs from this by the nonzero factor det(M)
+        tangency = sum(c * row[nv] for c, row in zip(l, red))
+        # l^T adj(M) l differs from l^T M^-1 l by the nonzero factor det(M)
         return CubicType(CubicKind.TYPE_C if tangency == 0 else CubicKind.TYPE_A)
     if r == nv - 1:
         return CubicType(CubicKind.TYPE_B)
@@ -181,10 +174,17 @@ class WaringDecomposition:
         return len(self.terms)
 
     def expand(self) -> Polynomial:
-        acc = Polynomial.zero(self.nvars)
-        for coef, form in self.terms:
-            acc = acc + form.to_polynomial() ** self.degree * coef
-        return acc
+        """sum c_i * y_i^degree in one variable per term, composed with the
+        rows L_i."""
+        k = len(self.terms)
+        if not k:
+            return Polynomial.zero(self.nvars)
+        power_sum: dict[tuple[int, ...], Fraction] = {}
+        for i, (coef, _) in enumerate(self.terms):
+            exps = tuple(self.degree if j == i else 0 for j in range(k))
+            power_sum[exps] = power_sum.get(exps, Fraction(0)) + coef
+        return _compose_rows(Polynomial(k, power_sum),
+                             [form.coeffs for _, form in self.terms])
 
     def compose(self, change: LinearChange) -> WaringDecomposition:
         """Decomposition of the substituted form: each L_i becomes L_i o change."""

@@ -99,7 +99,10 @@ def _primitive(row: SparseRow) -> SparseRow:
 def _to_sparse_int(row) -> SparseRow:
     """Primitive integer multiple of a dense or sparse rational row."""
     items = row.items() if isinstance(row, dict) else enumerate(row)
-    fracs = {c: Fraction(v) for c, v in items if v}
+    nonzero = {c: v for c, v in items if v}
+    if all(type(v) is int for v in nonzero.values()):
+        return _primitive(nonzero)
+    fracs = {c: Fraction(v) for c, v in nonzero.items()}
     scale = lcm(*(v.denominator for v in fracs.values()))
     return _primitive({c: int(v * scale) for c, v in fracs.items()})
 

@@ -7,6 +7,10 @@ length.  Text form uses ``x0, x1, ...`` (or ``d0, d1, ...`` for operators in
 the dual ring); the canonical term order is graded lexicographic, highest
 degree first.
 
+Every linear substitution (substitute, WaringDecomposition.expand, the
+divisibility test of cubics.classify) runs in one integer kernel,
+_compose_rows, on packed exponent keys.
+
 Everything here is exact.  No floats enter at any point.
 """
 
@@ -15,7 +19,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from itertools import combinations_with_replacement
+from math import comb, lcm
+from typing import Iterable, Iterator, Mapping, Sequence
 
 Exponent = tuple[int, ...]
 Scalar = Fraction | int
@@ -25,6 +31,11 @@ _TOKEN_RE = re.compile(r"\s*(?:(?P<var>[xd]_?(?P<idx>\d+))|(?P<int>\d+)|(?P<op>[
 # Deepest parenthesis nesting the parser accepts.  Each level costs five
 # Python frames, so this keeps well inside the interpreter's recursion limit.
 MAX_NESTING = 100
+
+# Most exponent entries (monomials times variables, about 100 MB of tuples)
+# that monomials() lists for one degree.  Dense work on a degree that large
+# would exhaust memory long before it ended.
+MAX_MONOMIAL_ENTRIES = 10 ** 7
 
 
 class PolynomialSyntaxError(ValueError):
@@ -45,13 +56,25 @@ def grlex_key(exps: Exponent) -> tuple:
 
 
 def monomials(nvars: int, degree: int) -> list[Exponent]:
-    """All exponent tuples of the given total degree, descending lex."""
-    if nvars == 0:
-        return [()] if degree == 0 else []
+    """All exponent tuples of the given total degree, descending lex.
+
+    Stars and bars: a sorted choice of `degree` variables, with repetition,
+    is one monomial, and choices in ascending lex order give the exponent
+    tuples in descending lex order.  Raises ValueError past
+    MAX_MONOMIAL_ENTRIES exponent entries instead of exhausting memory.
+    """
+    if degree < 0:
+        return []
+    count = comb(nvars + degree - 1, degree) if nvars else int(degree == 0)
+    if count * nvars > MAX_MONOMIAL_ENTRIES:
+        raise ValueError(f"{count} monomials of degree {degree} in {nvars} "
+                         "variables are too many to list")
     out: list[Exponent] = []
-    for first in range(degree, -1, -1):
-        for rest in monomials(nvars - 1, degree - first):
-            out.append((first,) + rest)
+    for choice in combinations_with_replacement(range(nvars), degree):
+        exps = [0] * nvars
+        for i in choice:
+            exps[i] += 1
+        out.append(tuple(exps))
     return out
 
 
@@ -342,18 +365,68 @@ def substitute(p: Polynomial, change: LinearChange) -> Polynomial:
     if p.nvars != change.nvars:
         raise AmbientMismatchError(
             f"polynomial has {p.nvars} variables, change has {change.nvars}")
-    n = p.nvars
-    images = [Polynomial(n, {tuple(1 if k == j else 0 for k in range(n)): c
-                             for j, c in enumerate(change.matrix[i]) if c})
-              for i in range(n)]
-    result = Polynomial.zero(n)
+    return _compose_rows(p, change.matrix)
+
+
+def _compose_rows(p: Polynomial, rows: Sequence[Sequence[Scalar]]) -> Polynomial:
+    """p with each variable i replaced by the linear form sum_j rows[i][j] * x_j.
+
+    rows is any p.nvars x m matrix, square or not, invertible or not; the
+    result lives in m variables.  The work is done in integers: the matrix
+    and the coefficients of p are cleared of denominators once, and each
+    output exponent tuple is packed into one int, sum e_j * base**j with
+    base = deg(p) + 1.  No exponent of a product reaches base, so adding two
+    keys multiplies the two monomials.  A term of degree k < deg(p) is scaled
+    by D**(deg(p) - k), where D is the common denominator of the matrix, so
+    every term shares the denominator of the top degree.
+    """
+    if len(rows) != p.nvars:
+        raise AmbientMismatchError(
+            f"polynomial has {p.nvars} variables, {len(rows)} rows given")
+    m = len(rows[0])
+    top = p.degree()
+    if top < 0:
+        return Polynomial.zero(m)
+    if any(len(row) != m for row in rows):
+        raise ValueError("rows of a substitution must have equal length")
+    den = lcm(*(c.denominator for row in rows for c in row))
+    base = top + 1
+    packed_rows = [{base ** j: c.numerator * (den // c.denominator)
+                    for j, c in enumerate(row) if c} for row in rows]
+    powers: list[list[dict[int, int]]] = [[{0: 1}] for _ in rows]
+    coef_den = lcm(*(c.denominator for c in p._terms.values()))
+    acc: dict[int, int] = {}
     for exps, coef in p._terms.items():
-        term = Polynomial.constant(n, coef)
+        prod = {0: coef.numerator * (coef_den // coef.denominator)
+                * den ** (top - sum(exps))}
         for i, e in enumerate(exps):
             if e:
-                term = term * images[i] ** e
-        result = result + term
-    return result
+                cached = powers[i]
+                while len(cached) <= e:
+                    cached.append(_packed_mul(cached[-1], packed_rows[i]))
+                prod = _packed_mul(prod, cached[e])
+        for key, v in prod.items():
+            acc[key] = acc.get(key, 0) + v
+    scale = coef_den * den ** top
+    terms = {}
+    for key, v in acc.items():
+        if v:
+            exps = []
+            for _ in range(m):
+                key, e = divmod(key, base)
+                exps.append(e)
+            terms[tuple(exps)] = Fraction(v, scale)
+    return Polynomial(m, terms)
+
+
+def _packed_mul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    """Product of two polynomials held as {packed exponent key: integer}."""
+    out: dict[int, int] = {}
+    for ka, va in a.items():
+        for kb, vb in b.items():
+            k = ka + kb
+            out[k] = out.get(k, 0) + va * vb
+    return out
 
 
 # -- parsing ---------------------------------------------------------------

@@ -55,6 +55,29 @@ def expand_power(coeffs, degree: int) -> dict:
     return out
 
 
+def evaluate(terms: dict, point) -> Fraction:
+    """Value of a polynomial, given by its term dict, at a rational point."""
+    total = Fraction(0)
+    for exps, coef in terms.items():
+        value = Fraction(coef)
+        for x, e in zip(point, exps):
+            value *= Fraction(x) ** e
+        total += value
+    return total
+
+
+def monomials_recursive(nvars: int, degree: int) -> list:
+    """Exponent tuples of one degree in descending lex order, by recursion
+    on the first exponent."""
+    if nvars == 0:
+        return [()] if degree == 0 else []
+    out = []
+    for first in range(degree, -1, -1):
+        for rest in monomials_recursive(nvars - 1, degree - first):
+            out.append((first,) + rest)
+    return out
+
+
 def dim_forms(nvars: int, degree: int) -> int:
     return len(list(itertools.combinations_with_replacement(range(nvars), degree)))
 

@@ -121,6 +121,12 @@ def test_deep_nesting_is_an_input_error(capsys):
     assert "nested deeper" in err
 
 
+def test_huge_variable_index_is_handled(capsys):
+    code, _, err = run(capsys, "apolar", "x1500^3")
+    assert code in (0, 1, 2, 3)
+    assert code == 0 or "error" in err
+
+
 def test_missing_file_exit_code(capsys):
     code, _, err = run(capsys, "verify", "x0^3", "/nonexistent/dec.json")
     assert code == 2

@@ -60,6 +60,23 @@ def test_classify_tangency_is_exact():
         is CubicKind.TYPE_A
 
 
+def test_classify_is_invariant_under_dense_changes():
+    rng = random.Random(61)
+    fixtures = [("x0", "x0*x1 + x2*x3", CubicKind.TYPE_C),
+                ("x0", "x0*x1 + x2^2 + x3^2", CubicKind.TYPE_C),
+                ("x0", "x1*x2 + x3^2", CubicKind.TYPE_B),
+                ("x1", "x0^2 + x1^2 + x2^2 - x3^2", CubicKind.TYPE_A),
+                ("x0 + x3", "x0*x1 + x1*x3", CubicKind.DEGENERATE_PRODUCT)]
+    for linear, quadric, kind in fixtures:
+        rc = _product(linear, quadric, 4)
+        for _ in range(3):
+            change = _random_change(rng, 4)
+            moved = ReducibleCubic.from_polynomials(
+                substitute(rc.linear.to_polynomial(), change),
+                substitute(rc.quadric, change))
+            assert classify(moved).kind is kind
+
+
 def test_classify_repeated_factor_beats_cone():
     # x0^3 uses one essential variable but is a repeated-factor product first
     t = classify(_product("x0", "x0^2", 3))

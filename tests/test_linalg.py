@@ -2,8 +2,8 @@ import random
 from fractions import Fraction
 from math import gcd
 
-from apolarity.linalg import (RowSpan, inverse, kernel_basis, mat_vec, rank,
-                              rref, solve)
+from apolarity.linalg import (RowSpan, _to_sparse_int, inverse, kernel_basis,
+                              mat_vec, rank, rref, solve)
 from oracles import bareiss_rank
 
 
@@ -105,6 +105,18 @@ def test_rowspan_canonical_rows_against_bareiss():
         # stored rows have their content divided out and a positive lead
         for row in span.basis_rows():
             assert gcd(*row.values()) == 1 and row[min(row)] > 0
+
+
+def test_integer_rows_enter_like_rational_rows():
+    rng = random.Random(71)
+    assert _to_sparse_int([0, -4, 6]) == {1: 2, 2: -3}
+    assert _to_sparse_int({3: 5, 1: 0}) == {3: 1}
+    assert _to_sparse_int([0, 0]) == {}
+    for _ in range(20):
+        ints = [rng.randint(-3, 3) * rng.choice((1, 6)) for _ in range(6)]
+        expected = _to_sparse_int([Fraction(v, 5) for v in ints])
+        assert _to_sparse_int(ints) == expected
+        assert _to_sparse_int(dict(enumerate(ints))) == expected
 
 
 def test_rowspan_membership():

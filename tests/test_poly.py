@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from apolarity.cubics import WaringDecomposition
 from apolarity.poly import (MAX_NESTING, AmbientMismatchError, LinearChange,
                             LinearForm, Polynomial, PolynomialSyntaxError,
-                            monomials, parse, substitute)
-from oracles import dim_forms, expand_power
+                            _compose_rows, monomials, parse, substitute)
+from oracles import dim_forms, evaluate, expand_power, monomials_recursive
 
 
 def test_parse_round_trip():
@@ -113,6 +114,19 @@ def test_monomials_enumeration():
         assert all(monos[i] > monos[i + 1] for i in range(len(monos) - 1))
 
 
+def test_monomials_match_recursive_order():
+    for nv in range(6):
+        for d in range(-1, 6):
+            assert monomials(nv, d) == monomials_recursive(nv, d)
+
+
+def test_monomials_refuse_huge_degrees():
+    # 1501 variables: degree 1 is listed, degree 2 would be ~1.7e9 entries
+    assert len(monomials(1501, 1)) == 1501
+    with pytest.raises(ValueError):
+        monomials(1501, 2)
+
+
 def test_string_term_order():
     assert parse("x1^2 - x0^2").to_string() == "-x0^2 + x1^2"
     assert parse("x2 + x0 + x1").to_string() == "x0 + x1 + x2"
@@ -158,6 +172,107 @@ def test_substitute_fixture():
     change = LinearChange([[1, 1], [0, 1]])
     assert substitute(parse("x0^2", nvars=2), change) == parse("x0^2 + 2*x0*x1 + x1^2")
     assert substitute(parse("x1", nvars=2), change) == parse("x1", nvars=2)
+
+
+def _rational(rng, span=6, den=7):
+    return Fraction(rng.randint(-span, span), rng.randint(1, den))
+
+
+def _random_polynomial(rng, nv, degrees, nterms):
+    terms = {}
+    for _ in range(nterms):
+        exps = [0] * nv
+        for _ in range(rng.choice(degrees)):
+            exps[rng.randrange(nv)] += 1
+        terms[tuple(exps)] = _rational(rng)
+    return Polynomial(nv, terms)
+
+
+def _random_rational_change(rng, nv):
+    while True:
+        try:
+            return LinearChange([[_rational(rng) for _ in range(nv)]
+                                 for _ in range(nv)])
+        except ValueError:
+            continue
+
+
+def _assert_composes(p, rows, image, rng, points=3):
+    """p(rows . y) == image(y) at random rational points y."""
+    m = len(rows[0])
+    assert image.nvars == m
+    for _ in range(points):
+        y = [_rational(rng, 9, 5) for _ in range(m)]
+        x = [sum(Fraction(c) * v for c, v in zip(row, y)) for row in rows]
+        assert evaluate(image.terms, y) == evaluate(p.terms, x)
+
+
+def test_substitute_dense_rational_changes():
+    rng = random.Random(31)
+    for nv in (2, 3, 4):
+        for _ in range(4):
+            change = _random_rational_change(rng, nv)
+            assert any(c.denominator > 1 for row in change.matrix for c in row)
+            p = _random_polynomial(rng, nv, [3], 8)
+            _assert_composes(p, change.matrix, substitute(p, change), rng)
+
+
+def test_substitute_non_homogeneous_zero_and_constant():
+    rng = random.Random(37)
+    change = _random_rational_change(rng, 3)
+    for _ in range(4):
+        p = _random_polynomial(rng, 3, [0, 1, 2, 3, 4], 10)
+        assert not p.is_homogeneous()
+        _assert_composes(p, change.matrix, substitute(p, change), rng)
+    assert substitute(Polynomial.zero(3), change) == Polynomial.zero(3)
+    const = Polynomial.constant(3, Fraction(-5, 3))
+    assert substitute(const, change) == const
+
+
+def test_substitute_one_and_many_variables():
+    rng = random.Random(41)
+    one = LinearChange([[Fraction(-3, 7)]])
+    p = parse("x0^4 - 2*x0 + 1/2")
+    assert substitute(p, one) == parse("81/2401*x0^4 + 6/7*x0 + 1/2")
+    _assert_composes(p, one.matrix, substitute(p, one), rng)
+    for nv in (8, 9):
+        change = _random_rational_change(rng, nv)
+        p = _random_polynomial(rng, nv, [1, 3], 12)
+        _assert_composes(p, change.matrix, substitute(p, change), rng, points=2)
+
+
+def test_compose_rows_rectangular_and_rank_deficient():
+    rng = random.Random(43)
+    p = _random_polynomial(rng, 4, [2, 3], 10)
+    # four variables onto two: every row a multiple of (1, -2/3), rank 1
+    thin = [[Fraction(k, 2), Fraction(-k, 3)] for k in (1, -2, 3, 0)]
+    _assert_composes(p, thin, _compose_rows(p, thin), rng)
+    # four variables onto five, rank 2
+    wide = [[1, 0, Fraction(1, 2), 0, 3], [0, 1, 0, Fraction(-2, 5), 0],
+            [1, 1, Fraction(1, 2), Fraction(-2, 5), 3], [0, 0, 0, 0, 0]]
+    _assert_composes(p, wide, _compose_rows(p, wide), rng)
+    # x0^2 - x1^2 vanishes when both variables become the same form
+    same = [[Fraction(2, 3), 5], [Fraction(2, 3), 5]]
+    assert _compose_rows(parse("x0^2 - x1^2"), same).is_zero()
+    with pytest.raises(AmbientMismatchError):
+        _compose_rows(p, thin[:3])
+
+
+def test_expand_matches_multinomial_oracle():
+    rng = random.Random(47)
+    for _ in range(12):
+        nv, d, k = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 5)
+        raw = [(_rational(rng), [_rational(rng, 3, 3) for _ in range(nv)])
+               for _ in range(k)]
+        raw = [(c, f) for c, f in raw if any(f)]
+        expected: dict = {}
+        for c, f in raw:
+            for exps, v in expand_power(f, d).items():
+                expected[exps] = expected.get(exps, Fraction(0)) + c * v
+        dec = WaringDecomposition.assemble(
+            d, nv, [(c, LinearForm(f)) for c, f in raw])
+        assert dec.expand().terms == {e: v for e, v in expected.items() if v}
+    assert WaringDecomposition(3, 2, ()).expand() == Polynomial.zero(2)
 
 
 def test_linear_change_validation():
