@@ -83,9 +83,14 @@ def essential_variables(form: Polynomial) -> int:
 
 
 def apolar_hilbert(form: Polynomial) -> HilbertFunction:
-    """Hilbert function of the apolar quotient, via catalecticant ranks."""
+    """Hilbert function of the apolar quotient, via catalecticant ranks.
+
+    Cat_{d-i} is the transpose of Cat_i up to nonzero factorial scalings of
+    its rows and columns, so only the ranks for i <= d/2 are computed.
+    """
     d = form.homogeneous_degree()
-    return HilbertFunction(tuple(catalecticant(form, i).rank() for i in range(d + 1)))
+    ranks = [catalecticant(form, i).rank() for i in range(d // 2 + 1)]
+    return HilbertFunction(tuple(ranks[min(i, d - i)] for i in range(d + 1)))
 
 
 def _top_degree_generators(form: Polynomial) -> list[Polynomial]:

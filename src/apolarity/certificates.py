@@ -14,13 +14,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil, comb
 
-from .apolar import (apolar_apply, apolar_hilbert, apolar_ideal, catalecticant,
-                     essential_variables)
+from .apolar import apolar_apply, apolar_hilbert, apolar_ideal, catalecticant
 from .cubics import (CubicKind, CubicType, LinearChange, NeedsFieldExtension,
                      ReducibleCubic, WaringDecomposition, classify,
-                     decompose_binary, decompose_type_c,
-                     normalize_tangent_product, split_change,
-                     verify_decomposition)
+                     decompose_binary, decompose_type_c_normal,
+                     normalize_tangent_product, verify_decomposition)
 from .ideals import (HilbertFunction, HomogeneousIdeal, graded_basis,
                      hilbert_function, ideal_colon, ideal_contains, ideal_equal,
                      ideal_sum, poly_to_row, monomial_index)
@@ -318,20 +316,14 @@ class RankReport:
         return self.lower == self.upper
 
 
-def _transported_slicer(form: Polynomial, to_split: LinearChange) -> Polynomial:
-    """The linear operator playing the role of d3 (d2 when n = 2) for a form
-    equal to the split normal form in the coordinates given by to_split."""
-    col = 3 if form.nvars >= 4 else 2
-    return LinearForm(row[col] for row in to_split.matrix).to_polynomial()
-
-
 def rank_report(rc: ReducibleCubic) -> RankReport:
     """Best certified rank bracket for a product of a hyperplane and a quadric,
     with an explicit verified power sum whenever a constructor applies."""
     form = rc.form()
     nv = rc.nvars
-    cat = catalecticant_lower_bound(form)
-    ess = essential_variables(form)
+    hf = apolar_hilbert(form)
+    cat = max(hf.values)
+    ess = hf.values[1]
     gen = generic_rank(nv - 1, 3)
     notes: list[str] = []
 
@@ -352,9 +344,11 @@ def rank_report(rc: ReducibleCubic) -> RankReport:
                          "is expected to be the true value but is not certified")
             try:
                 to_pinch = normalize_tangent_product(rc)
-                witness = decompose_type_c(rc, change=to_pinch)
-                avoidance = avoidance_lower_bound(
-                    form, _transported_slicer(form, to_pinch.compose(split_change(n))))
+                witness = _lift(form, decompose_type_c_normal(n).terms,
+                                to_pinch, "tangent")
+                # the pinch form's slicer d1 in the form's coordinates
+                slicer = LinearForm(row[1] for row in to_pinch.matrix)
+                avoidance = avoidance_lower_bound(form, slicer.to_polynomial())
                 if avoidance.hilbert.values != (1, n, n, 0):
                     raise RuntimeError("internal: transported slice Hilbert "
                                        "function is off")
@@ -422,8 +416,8 @@ def _pad(linear: LinearForm, nvars: int) -> tuple[Fraction, ...]:
 
 def _lift(form: Polynomial, terms, change: LinearChange,
           what: str) -> WaringDecomposition:
-    """Carry a witness of the compressed form back to the full ambient
-    through the compression change, and verify it against the form."""
+    """Carry a witness of substitute(form, change), padded when it uses
+    fewer variables, back to the form through the change, and verify it."""
     lifted = WaringDecomposition.assemble(
         3, form.nvars, [(c, LinearForm(_pad(f, form.nvars))) for c, f in terms])
     witness = lifted.compose(change.inverse())

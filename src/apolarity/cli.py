@@ -2,9 +2,10 @@
 
 Forms are written in the variables x0..xn and differential operators in
 d0..dn; either prefix parses, the ambient is inferred from the largest index
-seen unless --vars pins it.  Exit codes: 0 success, 1 a verification or
-certificate failed, 2 bad input, 3 the construction would need an
-irrational change of coordinates.
+seen unless --vars pins it.  Text that starts with "-" would be taken for
+an option, so pass it after a "--" separator: apolarity hilbert -- "-x0^3".
+Exit codes: 0 success, 1 a verification or certificate failed, 2 bad input,
+3 the construction would need an irrational change of coordinates.
 """
 
 from __future__ import annotations

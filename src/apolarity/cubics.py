@@ -13,7 +13,9 @@ plus Cone (the product uses fewer than n+1 essential variables) and
 DegenerateProduct (L divides Q).  The tangent class TypeC is the interesting
 one: it admits the pinch normal form x0*(x0*x1 + x2*x3 + x4^2 + ... + xn^2)
 (x0*(x0*x1 + x2^2) when n = 2), and this module builds explicit rational
-power sums of 2n+1 cubes for it.
+power sums of 2n+1 cubes for it from one closed-form identity: a shifted
+x1 block of three cubes plus two cubes (x0 +- w)^3 for each square w^2 of
+the quadric (see decompose_type_c_normal).
 """
 
 from __future__ import annotations
@@ -237,15 +239,14 @@ def verify_decomposition(form: Polynomial,
     """Expand the decomposition exactly and compare; returns (ok, residual).
 
     ok also requires the forms to be pairwise independent, which assembled
-    decompositions guarantee by construction.
+    decompositions guarantee by construction: two nonzero forms are
+    proportional exactly when their monic representatives coincide.
     """
     if form.nvars != dec.nvars:
         raise AmbientMismatchError("form and decomposition ambients differ")
     residual = form - dec.expand()
-    independent = True
-    for (_, f1), (_, f2) in itertools.combinations(dec.terms, 2):
-        if f1.proportional_to(f2):
-            independent = False
+    keys = [f.monic()[1].coeffs for _, f in dec.terms if not f.is_zero()]
+    independent = len(set(keys)) == len(keys)
     return independent and residual.is_zero(), residual
 
 
@@ -331,65 +332,39 @@ def split_change(n: int) -> LinearChange:
 def decompose_type_c_normal(n: int) -> WaringDecomposition:
     """Explicit 2n+1 cubes for the tangent normal form, all rational.
 
-    The n = 2 seed comes from the two-cube identity
-    (1/6)[(a+b)^3 + (a-b)^3] = (1/3)a^3 + a*b^2 applied after the shear that
-    turns the form into (1/3)a^3 + a^2*c + a*b^2; larger n peel two cubes for
-    the y0^2*y1 block and recurse on the leftover in one fewer variable.
+    Write F = x0^2*x1 + x0*sum_k s_k*w_k^2, with the single pair
+    (s, w) = (1, x2) when n = 2, and the pairs (1, (x2+x3)/2),
+    (-1, (x2-x3)/2) and (1, x_i) for i = 4..n otherwise.  With
+    u = x1 - (sum_k s_k / 3)*x0 the identity
+
+      F = (1/6)(x0+u)^3 - (1/6)(x0-u)^3 - (1/3)u^3
+          + sum_k (s_k/6)[(x0+w_k)^3 + (x0-w_k)^3]
+
+    follows from (1/6)[(a+b)^3 - (a-b)^3] = a^2*b + (1/3)b^3 and
+    (1/6)[(a+b)^3 + (a-b)^3] = (1/3)a^3 + a*b^2: 3 + 2(n-1) = 2n+1 cubes.
     """
     F = normal_form(n)
     nv = n + 1
     if n == 2:
-        # shear: x0 = a, x1 = a/3 + c, x2 = b turns F into (1/3)a^3 + a^2 c + a b^2
-        shear = LinearChange([[1, 0, 0], [Fraction(1, 3), 0, 1], [0, 1, 0]])
-        seed = WaringDecomposition.assemble(3, 3, [
-            (Fraction(1, 6), LinearForm([1, 1, 0])),
-            (Fraction(1, 6), LinearForm([1, -1, 0])),
-            (Fraction(1, 6), LinearForm([1, 0, 1])),
-            (Fraction(-1, 6), LinearForm([1, 0, -1])),
-            (Fraction(-1, 3), LinearForm([0, 0, 1])),
-        ])
-        dec = seed.compose(shear.inverse())
+        squares = [(1, _unit(nv, 2))]
     else:
-        # split the hyperbolic pair: x2 = y0 + y2, x3 = y0 - y2
-        split = split_change(n)
-        fy = substitute(F, split)
-        assert fy == split_normal_form(n)
-        peel = [
-            (Fraction(1, 6), LinearForm([1, 1] + [0] * (nv - 2))),
-            (Fraction(1, 6), LinearForm([-1, 1] + [0] * (nv - 2))),
-        ]  # (1/6)[(y1+y0)^3 + (y1-y0)^3] = y0^2*y1 + (1/3)*y1^3
-        if n == 3:
-            leftover_terms = [
-                (Fraction(-1, 6), LinearForm([0, 1, 1, 0])),
-                (Fraction(-1, 6), LinearForm([0, 1, -1, 0])),
-                (Fraction(1, 6), LinearForm([0, 1, 0, 1])),
-                (Fraction(-1, 6), LinearForm([0, 1, 0, -1])),
-                (Fraction(-1, 3), LinearForm([0, 0, 0, 1])),
-            ]
-            leftover = WaringDecomposition.assemble(3, nv, leftover_terms)
-        else:
-            inner = decompose_type_c_normal(n - 1)
-            embedded = WaringDecomposition.assemble(3, nv, [
-                (c, LinearForm(f.coeffs + (Fraction(0),))) for c, f in inner.terms])
-            # express the leftover through the smaller normal form: shear the
-            # y3 slot, pair -y2^2 with the lowest remaining square y4
-            crows = [_unit(nv, 1)]
-            row1 = _unit(nv, 3)
-            row1[1] = Fraction(-1, 3)
-            crows.append(row1)
-            row2 = _unit(nv, 4)
-            row2[2] = Fraction(-1)
-            crows.append(row2)
-            row3 = _unit(nv, 4)
-            row3[2] = Fraction(1)
-            crows.append(row3)
-            crows.extend(_unit(nv, j + 1) for j in range(4, nv - 1))
-            crows.append(_unit(nv, 0))
-            leftover = embedded.compose(LinearChange(crows))
-        expected_leftover = fy - WaringDecomposition.assemble(3, nv, peel).expand()
-        assert leftover.expand() == expected_leftover
-        dec_y = WaringDecomposition.assemble(3, nv, peel + list(leftover.terms))
-        dec = dec_y.compose(split.inverse())
+        half = Fraction(1, 2)
+        squares = [(1, [0, 0, half, half] + [0] * (nv - 4)),
+                   (-1, [0, 0, half, -half] + [0] * (nv - 4))]
+        squares.extend((1, _unit(nv, i)) for i in range(4, nv))
+    x0 = _unit(nv, 0)
+    u = _unit(nv, 1)
+    u[0] = Fraction(-sum(s for s, _ in squares), 3)
+
+    def shifted(w, sign):
+        return LinearForm(a + sign * b for a, b in zip(x0, w))
+
+    terms = [(Fraction(1, 6), shifted(u, 1)), (Fraction(-1, 6), shifted(u, -1)),
+             (Fraction(-1, 3), LinearForm(u))]
+    for s, w in squares:
+        terms.append((Fraction(s, 6), shifted(w, 1)))
+        terms.append((Fraction(s, 6), shifted(w, -1)))
+    dec = WaringDecomposition.assemble(3, nv, terms)
     ok, _ = verify_decomposition(F, dec)
     if not ok:
         raise RuntimeError("internal: normal-form decomposition failed verification")

@@ -8,7 +8,7 @@ from apolarity.apolar import (apolar_apply, apolar_hilbert, apolar_ideal,
 from apolarity.ideals import (HomogeneousIdeal, hilbert_function, ideal_equal,
                               ring_dimension)
 from apolarity.poly import AmbientMismatchError, Polynomial, parse
-from oracles import apply_operator
+from oracles import apply_operator, bareiss_rank
 
 
 def _random_form(rng, nvars, degree, density=0.6):
@@ -75,6 +75,28 @@ def test_catalecticant_rank_symmetry():
         form = _random_form(rng, nv, d)
         ranks = [catalecticant(form, i).rank() for i in range(d + 1)]
         assert ranks == ranks[::-1]
+
+
+def test_apolar_hilbert_against_bareiss():
+    """apolar_hilbert ranks only Cat_0..Cat_{d//2} and mirrors the rest;
+    every value must still equal the oracle rank of its own catalecticant,
+    for dense forms and for short power sums whose ranks stay low."""
+    rng = random.Random(41)
+    for d in range(2, 7):
+        for nv in range(2, 5):
+            dense = _random_form(rng, nv, d)
+            powers = Polynomial.zero(nv)
+            for _ in range(rng.randint(1, 3)):
+                ell = Polynomial(nv, {tuple(int(j == k) for j in range(nv)):
+                                      Fraction(rng.randint(-3, 3))
+                                      for k in range(nv)})
+                powers = powers + ell ** d
+            for form in (dense, powers):
+                if form.is_zero():
+                    continue
+                oracle = [bareiss_rank(catalecticant(form, i).entries)
+                          for i in range(d + 1)]
+                assert apolar_hilbert(form).values == tuple(oracle)
 
 
 def test_essential_variables():

@@ -203,6 +203,12 @@ def test_hilbert_plain_and_modified(capsys):
     assert data["values"] == [1, 2, 1, 0] and data["total"] == 4
 
 
+def test_double_dash_passes_a_leading_minus_form(capsys):
+    code, out, _ = run(capsys, "hilbert", "--json", "--", "-x0^3")
+    assert code == 0
+    assert json.loads(out)["values"] == [1, 1, 1, 1]
+
+
 def test_apolar_listing(capsys):
     code, out, _ = run(capsys, "apolar", "x0*x1*x2")
     assert code == 0

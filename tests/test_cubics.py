@@ -140,7 +140,7 @@ def test_normal_form_decomposition_frozen_n2():
 
 
 def test_normal_form_decomposition_all_sizes():
-    for n in range(2, 8):
+    for n in range(2, 13):
         dec = decompose_type_c_normal(n)
         assert len(dec) == 2 * n + 1
         ok, _ = verify_decomposition(normal_form(n), dec)
@@ -194,6 +194,35 @@ def test_identity_string_frozen():
         " - 64*(x0 - 3/4*x1)^3 + 2*(x0 - 3*x1)^3")
 
 
+# identity strings recorded from the earlier recursive construction, which
+# checks the closed form independently; n = 5, 6, 7 have different x1 blocks
+FROZEN_IDENTITIES = {
+    5: (
+        "162*F = (x0 + 3*x1)^3 + 27*(x0 + 1/2*x2 + 1/2*x3)^3"
+        " - 27*(x0 + 1/2*x2 - 1/2*x3)^3 + 27*(x0 + x4)^3 + 27*(x0 + x5)^3"
+        " + 27*(x0 - x5)^3 + 27*(x0 - x4)^3 - 27*(x0 - 1/2*x2 + 1/2*x3)^3"
+        " + 27*(x0 - 1/2*x2 - 1/2*x3)^3 - 125*(x0 - 3/5*x1)^3"
+        " + 16*(x0 - 3/2*x1)^3"),
+    6: (
+        "6*F = (x0 + 1/2*x2 + 1/2*x3)^3 - (x0 + 1/2*x2 - 1/2*x3)^3"
+        " + (x0 + x4)^3 + (x0 + x5)^3 + (x0 + x6)^3 + (x0 - x6)^3"
+        " + (x0 - x5)^3 + (x0 - x4)^3 - (x0 - 1/2*x2 + 1/2*x3)^3"
+        " + (x0 - 1/2*x2 - 1/2*x3)^3 - 8*(x0 - 1/2*x1)^3 + 2*(x0 - x1)^3"
+        " + (x1)^3"),
+    7: (
+        "162*F = 27*(x0 + 1/2*x2 + 1/2*x3)^3 - 27*(x0 + 1/2*x2 - 1/2*x3)^3"
+        " + 27*(x0 + x4)^3 + 27*(x0 + x5)^3 + 27*(x0 + x6)^3 + 27*(x0 + x7)^3"
+        " + 27*(x0 - x7)^3 + 27*(x0 - x6)^3 + 27*(x0 - x5)^3 + 27*(x0 - x4)^3"
+        " - 27*(x0 - 1/2*x2 + 1/2*x3)^3 + 27*(x0 - 1/2*x2 - 1/2*x3)^3"
+        " - 343*(x0 - 3/7*x1)^3 + 128*(x0 - 3/4*x1)^3 - (x0 - 3*x1)^3"),
+}
+
+
+@pytest.mark.parametrize("n", sorted(FROZEN_IDENTITIES))
+def test_identity_string_frozen_larger_n(n):
+    assert decompose_type_c_normal(n).identity_string() == FROZEN_IDENTITIES[n]
+
+
 def test_decomposition_json_round_trip():
     dec = decompose_type_c_normal(2)
     data = json.loads(json.dumps(dec.to_json_dict()))
@@ -209,6 +238,18 @@ def test_verify_decomposition_failure():
     assert residual == F - parse("x0^3", nvars=3)
     with pytest.raises(AmbientMismatchError):
         verify_decomposition(parse("x0^3", nvars=2), wrong)
+
+
+def test_verify_decomposition_rejects_proportional_forms():
+    # built directly, so assemble cannot merge the two proportional forms:
+    # (1/2)(x0+x1)^3 + (1/16)(2x0+2x1)^3 = (x0+x1)^3 exactly
+    dec = WaringDecomposition(3, 2, (
+        (Fraction(1, 2), LinearForm([1, 1])),
+        (Fraction(1, 16), LinearForm([2, 2])),
+    ))
+    ok, residual = verify_decomposition(parse("(x0 + x1)^3"), dec)
+    assert residual.is_zero()
+    assert ok is False
 
 
 def test_decompose_type_c_with_explicit_change():
