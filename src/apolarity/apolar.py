@@ -6,6 +6,12 @@ alpha! * C(beta, alpha) * x^(beta-alpha) when beta >= alpha and to zero
 otherwise, which is exactly d^alpha/dx^alpha.  The annihilator of a form is
 its apolar ideal; its graded components are kernels of catalecticant
 matrices, and no computation here ever leaves the rationals.
+
+Only a power of a linear form has an apolar generator of degree d+1 (d >= 1).
+Such generators are h = ell*F with ell * dF/dx_j = mu_j * F for all j.  If
+dF/dx_{j0} != 0, mu_{j0} = 0 forces ell = 0 and then mu = 0, so the solutions
+form a line at most; a nonzero one makes every dF/dx_j proportional to F/ell,
+so F = c*L^d.
 """
 
 from __future__ import annotations
@@ -13,11 +19,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import perm
+from typing import Iterator
 
 from .ideals import (HilbertFunction, HomogeneousIdeal, monomial_index,
                      _generators_from_components)
-from .linalg import RowSpan, kernel_basis, rank
-from .poly import AmbientMismatchError, Exponent, Polynomial
+from .linalg import kernel_basis, rank
+from .poly import AmbientMismatchError, Exponent, Polynomial, grlex_key
+
+
+def _images(alpha: Exponent, terms) -> Iterator[tuple[Exponent, Fraction | int]]:
+    """d^alpha applied to each term c*x^beta with beta >= alpha:
+    (beta - alpha, c * prod_k perm(beta_k, alpha_k))."""
+    for beta, c in terms:
+        if all(b >= a for b, a in zip(beta, alpha)):
+            for b, a in zip(beta, alpha):
+                c *= perm(b, a)
+            yield tuple(b - a for b, a in zip(beta, alpha)), c
 
 
 def apolar_apply(op: Polynomial, form: Polynomial) -> Polynomial:
@@ -27,13 +44,8 @@ def apolar_apply(op: Polynomial, form: Polynomial) -> Polynomial:
             f"operator in {op.nvars} variables, form in {form.nvars}")
     terms: dict[Exponent, Fraction] = {}
     for alpha, c in op.terms.items():
-        for beta, a in form.terms.items():
-            if all(b >= g for b, g in zip(beta, alpha)):
-                exps = tuple(b - g for b, g in zip(beta, alpha))
-                scale = 1
-                for b, g in zip(beta, alpha):
-                    scale *= perm(b, g)
-                terms[exps] = terms.get(exps, Fraction(0)) + c * a * scale
+        for exps, v in _images(alpha, form.terms.items()):
+            terms[exps] = terms.get(exps, Fraction(0)) + c * v
     return Polynomial(form.nvars, terms)
 
 
@@ -45,7 +57,7 @@ class CatalecticantMatrix:
     source dual monomials (degree i), both in canonical order.
     """
 
-    entries: tuple[tuple[Fraction, ...], ...]
+    entries: tuple[tuple[int | Fraction, ...], ...]
     row_monomials: tuple[Exponent, ...]
     col_monomials: tuple[Exponent, ...]
     source_degree: int
@@ -60,18 +72,21 @@ class CatalecticantMatrix:
 
 
 def catalecticant(form: Polynomial, i: int) -> CatalecticantMatrix:
-    """The i-th catalecticant of a nonzero form."""
+    """The i-th catalecticant of a nonzero form.  Column alpha holds d^alpha F,
+    filled term by term by _images; entries are ints where F's coefficients are.
+    """
     d = form.homogeneous_degree()
     if not 0 <= i <= d:
         raise ValueError(f"catalecticant index {i} outside 0..{d}")
     n = form.nvars
     cols, _ = monomial_index(n, i)
     rows, row_index = monomial_index(n, d - i)
-    entries = [[Fraction(0)] * len(cols) for _ in rows]
-    for c, alpha in enumerate(cols):
-        image = apolar_apply(Polynomial.monomial(n, alpha), form)
-        for exps, coef in image.terms.items():
-            entries[row_index[exps]][c] = coef
+    terms = [(beta, c.numerator if c.denominator == 1 else c)
+             for beta, c in form.terms.items()]
+    entries = [[0] * len(cols) for _ in rows]
+    for col, alpha in enumerate(cols):
+        for exps, v in _images(alpha, terms):
+            entries[row_index[exps]][col] = v
     return CatalecticantMatrix(tuple(tuple(r) for r in entries),
                                rows, cols, i, d)
 
@@ -93,46 +108,32 @@ def apolar_hilbert(form: Polynomial) -> HilbertFunction:
     return HilbertFunction(tuple(ranks[min(i, d - i)] for i in range(d + 1)))
 
 
-def _top_degree_generators(form: Polynomial) -> list[Polynomial]:
-    """Minimal apolar generators of degree d+1.
+def _top_degree_generators(form: Polynomial,
+                           components: list[list[dict[int, Fraction]]]) -> list[Polynomial]:
+    """Minimal apolar generators of degree d+1; components[1] is ker Cat_1.
 
-    By the perfect pairing these correspond to degree-(d+1) forms h with every
-    partial of h proportional to the form; Euler's identity forces h to be a
-    linear multiple ell*F, so it is enough to solve the small system
-    ell * dF/dx_j = mu_j * F for the coefficients of ell.
+    By the perfect pairing and Euler's identity they are h = ell*F with
+    ell * dF/dx_j = mu_j * F for all j.  If dF/dx_{j0} != 0, mu_{j0} = 0 forces
+    ell = 0 and then mu = 0, so there is at most one h; it exists iff F = c*L^d,
+    i.e. (for d >= 1) iff rank Cat_1 = 1, and then h = L^{d+1} with leading
+    coefficient 1, L being any nonzero (d-1)-th partial of F.  For d = 0 every
+    ell solves, and the generators are the variables.  Such h lie outside
+    T_1 * (annihilator)_d: the factorial-weighted Gram matrix of the h's is
+    positive definite.
     """
     d = form.homogeneous_degree()
     n = form.nvars
-    monos_d, index_d = monomial_index(n, d)
-    width = 2 * n  # t_0..t_{n-1}, mu_0..mu_{n-1} for n variables
-    rows: list[list[Fraction]] = []
-    partials = [form.differentiate(j) for j in range(n)]
-    for j in range(n):
-        block = [[Fraction(0)] * width for _ in monos_d]
-        for k in range(n):
-            prod = Polynomial.variable(n, k) * partials[j]
-            for exps, coef in prod.terms.items():
-                block[index_d[exps]][k] = coef
-        for exps, coef in form.terms.items():
-            block[index_d[exps]][n + j] = -coef
-        rows.extend(block)
-    out: list[Polynomial] = []
-    monos_top, index_top = monomial_index(n, d + 1)
-    span = RowSpan(len(monos_top))
-    for vec in kernel_basis(rows, width):
-        ell = Polynomial(n, {tuple(1 if i == k else 0 for i in range(n)): vec[k]
-                             for k in range(n) if vec[k]})
-        h = ell * form
-        residual = span.insert({index_top[e]: c for e, c in h.terms.items()})
-        if residual is None:
-            continue
-        # gradient-dual operator: independent of T_1 * (annihilator)_d because
-        # the factorial-weighted Gram matrix of the h's is positive definite
-        lead = min(residual)
-        scale = Fraction(1, residual[lead])
-        out.append(Polynomial(n, {monos_top[c]: v * scale
-                                  for c, v in residual.items()}))
-    return out
+    if d == 0:
+        return [Polynomial.variable(n, k) for k in range(n)]
+    if len(components[1]) != n - 1:
+        return []
+    # a variable that occurs in F = c*L^d has a nonzero coefficient in L
+    j = next(k for k, e in enumerate(next(iter(form.terms))) if e)
+    linear = form
+    for _ in range(d - 1):
+        linear = linear.differentiate(j)
+    power = linear ** (d + 1)
+    return [power.scale(1 / power.terms[min(power.terms, key=grlex_key)])]
 
 
 def apolar_ideal(form: Polynomial) -> HomogeneousIdeal:
@@ -148,11 +149,8 @@ def apolar_ideal(form: Polynomial) -> HomogeneousIdeal:
     n = form.nvars
     components: list[list[dict[int, Fraction]]] = [[]]
     for i in range(1, d + 1):
-        cat = catalecticant(form, i)
-        comp = []
-        for vec in cat.kernel():
-            comp.append({c: v for c, v in enumerate(vec) if v})
-        components.append(comp)
+        components.append([{c: v for c, v in enumerate(vec) if v}
+                           for vec in catalecticant(form, i).kernel()])
     gens = _generators_from_components(components, n)
-    gens.extend(_top_degree_generators(form))
+    gens.extend(_top_degree_generators(form, components))
     return HomogeneousIdeal(gens, n, truncation_bound=d + 1)

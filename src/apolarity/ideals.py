@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from math import comb
 
 from .linalg import RowSpan, kernel_basis
@@ -82,37 +83,46 @@ class HomogeneousIdeal:
         return f"HomogeneousIdeal(<{gens}>, nvars={self.nvars}, bound={self.truncation_bound})"
 
 
-def _shift_row(row: dict[int, int], monos_prev: tuple[Exponent, ...],
-               index_cur: dict[Exponent, int], var: int) -> dict[int, int]:
-    """Multiply a degree-(i-1) row by variable ``var``, landing in degree i."""
-    out = {}
-    for col, val in row.items():
-        e = monos_prev[col]
-        bumped = e[:var] + (e[var] + 1,) + e[var + 1:]
-        out[index_cur[bumped]] = val
-    return out
+@lru_cache(maxsize=None)
+def _shift_table(nvars: int, degree: int) -> tuple[tuple[int, ...], ...]:
+    """[c][j]: the column of x_j times the c-th monomial of degree - 1."""
+    below, _ = monomial_index(nvars, degree - 1)
+    _, index = monomial_index(nvars, degree)
+    return tuple(tuple(index[e[:j] + (e[j] + 1,) + e[j + 1:]] for j in range(nvars))
+                 for e in below)
+
+
+def _component(prev: RowSpan, nvars: int, degree: int, rows,
+               full: int) -> tuple[RowSpan, list[dict[int, int]]]:
+    """Span of T_1 times ``prev`` (the component one degree lower; RowSpan(0)
+    for none) plus ``rows``, with the residuals by which ``rows`` enlarged
+    it.  Insertion stops once the span has dimension ``full``, since every
+    later row would reduce to zero."""
+    span = RowSpan(ring_dimension(nvars, degree))
+    shift = _shift_table(nvars, degree)
+    shifted = ({shift[c][j]: v for c, v in row.items()}
+               for row in prev.basis_rows() for j in range(nvars))
+    residuals = []
+    for given, row in chain(((False, r) for r in shifted), ((True, r) for r in rows)):
+        if span.dimension == full:
+            break
+        residual = span.insert(row)
+        if given and residual is not None:
+            residuals.append(residual)
+    return span, residuals
 
 
 def _graded_spans(ideal: HomogeneousIdeal, top: int) -> list[RowSpan]:
     """Row spans of the ideal's graded components for degrees 0..top."""
     spans: list[RowSpan] = []
-    prev: RowSpan | None = None
-    prev_monos: tuple[Exponent, ...] | None = None
     for i in range(top + 1):
         monos, index = monomial_index(ideal.nvars, i)
-        span = RowSpan(len(monos))
         if ideal.truncation_bound is not None and i >= ideal.truncation_bound:
-            for c in range(len(monos)):
-                span.insert({c: 1})
+            prev, rows = RowSpan(0), ({c: 1} for c in range(len(monos)))
         else:
-            if prev is not None:
-                for row in prev.basis_rows():
-                    for j in range(ideal.nvars):
-                        span.insert(_shift_row(row, prev_monos, index, j))
-            for g in ideal.generators_of_degree(i):
-                span.insert(poly_to_row(g, index))
-        spans.append(span)
-        prev, prev_monos = span, monos
+            prev = spans[-1] if spans else RowSpan(0)
+            rows = (poly_to_row(g, index) for g in ideal.generators_of_degree(i))
+        spans.append(_component(prev, ideal.nvars, i, rows, len(monos))[0])
     return spans
 
 
@@ -165,25 +175,16 @@ def ideal_sum(a: HomogeneousIdeal, b: HomogeneousIdeal) -> HomogeneousIdeal:
 def _generators_from_components(components: list[list[dict[int, Fraction]]],
                                 nvars: int) -> list[Polynomial]:
     """Minimal generators of an ideal whose degree-i component is spanned by
-    components[i].  Each component must contain T_1 times the previous one."""
+    components[i].  Each component must contain T_1 times the previous one,
+    and its rows must be independent: a degree is complete once its span
+    has len(components[i]) rows, and nothing after that is reduced."""
     gens: list[Polynomial] = []
-    prev: RowSpan | None = None
-    prev_monos: tuple[Exponent, ...] | None = None
+    span = RowSpan(0)
     for i, rows in enumerate(components):
-        monos, index = monomial_index(nvars, i)
-        span = RowSpan(len(monos))
-        if prev is not None:
-            for row in prev.basis_rows():
-                for j in range(nvars):
-                    span.insert(_shift_row(row, prev_monos, index, j))
-        for row in rows:
-            residual = span.insert(row)
-            if residual is not None:
-                lead = min(residual)
-                scale = Fraction(1, residual[lead])
-                gens.append(Polynomial(
-                    nvars, {monos[c]: v * scale for c, v in residual.items()}))
-        prev, prev_monos = span, monos
+        monos, _ = monomial_index(nvars, i)
+        span, residuals = _component(span, nvars, i, rows, len(rows))
+        gens.extend(row_to_poly(r, monos, nvars).scale(Fraction(1, r[min(r)]))
+                    for r in residuals)
     return gens
 
 
@@ -200,27 +201,24 @@ def _colon_spans(ideal: HomogeneousIdeal, divisor: Polynomial,
         monos_i, _ = monomial_index(n, i)
         monos_t, index_t = monomial_index(n, i + e)
         dim_i, dim_t = len(monos_i), len(monos_t)
-        span = RowSpan(dim_i)
         bound = ideal.truncation_bound
         if bound is not None and i + e >= bound:
-            for c in range(dim_i):
-                span.insert({c: 1})
-            out.append(span)
-            continue
-        basis = ideal_spans[i + e].canonical_rows()
-        # kernel of [ mult-by-divisor | -ideal-basis ] gives the preimage
-        width = dim_i + len(basis)
-        rows = [[Fraction(0)] * width for _ in range(dim_t)]
-        for c, mono in enumerate(monos_i):
-            prod = divisor * Polynomial.monomial(n, mono)
-            for exps, coef in prod.terms.items():
-                rows[index_t[exps]][c] = coef
-        for k, brow in enumerate(basis):
-            for col, val in brow.items():
-                rows[col][dim_i + k] = -val
-        for vec in kernel_basis(rows, width):
-            span.insert({c: vec[c] for c in range(dim_i) if vec[c]})
-        out.append(span)
+            preimage = ({c: 1} for c in range(dim_i))
+        else:
+            basis = ideal_spans[i + e].canonical_rows()
+            # kernel of [ mult-by-divisor | -ideal-basis ] gives the preimage
+            width = dim_i + len(basis)
+            rows = [[Fraction(0)] * width for _ in range(dim_t)]
+            for c, mono in enumerate(monos_i):
+                prod = divisor * Polynomial.monomial(n, mono)
+                for exps, coef in prod.terms.items():
+                    rows[index_t[exps]][c] = coef
+            for k, brow in enumerate(basis):
+                for col, val in brow.items():
+                    rows[col][dim_i + k] = -val
+            preimage = ({c: vec[c] for c in range(dim_i) if vec[c]}
+                        for vec in kernel_basis(rows, width))
+        out.append(_component(RowSpan(0), n, i, preimage, dim_i)[0])
     return out
 
 

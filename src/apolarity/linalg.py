@@ -6,7 +6,7 @@ every elimination step combines two rows with coprime multipliers, and each
 row it produces is divided by its content, so entries stay as small as the
 span allows.  canonical_rows() back-substitutes to the reduced row echelon
 form (RREF), which is unique; rref, rank, kernel_basis, inverse and solve are
-read off it.
+read off it.  A full span takes no more rows, so tall matrices stop early.
 """
 
 from __future__ import annotations
@@ -153,7 +153,9 @@ class RowSpan:
 
     def insert(self, row) -> SparseRow | None:
         """Insert a row; returns the primitive residual if it enlarged the
-        span, else None."""
+        span, else None (at once, when the span is already full)."""
+        if len(self._pivot_rows) == self.ncols:
+            return None
         residual = self.reduce(row)
         if not residual:
             return None

@@ -8,7 +8,8 @@ from apolarity.apolar import (apolar_apply, apolar_hilbert, apolar_ideal,
 from apolarity.ideals import (HomogeneousIdeal, hilbert_function, ideal_equal,
                               ring_dimension)
 from apolarity.poly import AmbientMismatchError, Polynomial, parse
-from oracles import apply_operator, bareiss_rank
+from oracles import (apply_operator, bareiss_rank, expand_power,
+                     top_degree_generators)
 
 
 def _random_form(rng, nvars, degree, density=0.6):
@@ -162,6 +163,50 @@ def test_top_degree_generator_appears_only_when_needed():
     assert max(g.homogeneous_degree() for g in with_top.generators) == 4
     without = apolar_ideal(parse("x0^2*x2 + x0*x1^2"))
     assert max(g.homogeneous_degree() for g in without.generators) == 3
+
+
+def test_catalecticant_entries_are_exact_derivatives():
+    """Entries are ints for integer forms, and every column alpha equals
+    d^alpha F by naive differentiation, for integer and rational forms."""
+    rng = random.Random(34)
+    for _ in range(20):
+        nv, d = rng.randint(1, 4), rng.randint(1, 4)
+        rational = _random_form(rng, nv, d)
+        integer = Polynomial(nv, {e: c.numerator for e, c in rational.terms.items()})
+        for form in (integer, rational):
+            for i in range(d + 1):
+                cat = catalecticant(form, i)
+                if form is integer:
+                    assert all(type(v) is int for row in cat.entries for v in row)
+                for c, alpha in enumerate(cat.col_monomials):
+                    column = {m: cat.entries[r][c]
+                              for r, m in enumerate(cat.row_monomials)
+                              if cat.entries[r][c]}
+                    assert column == apply_operator({alpha: 1}, form.terms)
+
+
+def test_top_degree_generators_match_the_linear_system():
+    """apolar_ideal's degree-(d+1) generators equal those of the (ell, mu)
+    system, on powers c*L^d of dense rational L (which have one) and on
+    sums of two powers (which have one only when they are a power)."""
+    rng = random.Random(35)
+    with_generator = 0
+    for nv in range(1, 6):
+        for d in range(0, 6):
+            for k in range(12 if nv * d <= 12 else 4):  # the oracle is slow
+                form = Polynomial.zero(nv)
+                for _ in range(1 + k % 2):
+                    coeffs = [Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                              for _ in range(nv)]
+                    c = Fraction(rng.choice((-3, -1, 1, 2, 5)), rng.randint(1, 3))
+                    form = form + Polynomial(nv, expand_power(coeffs, d)).scale(c)
+                if form.is_zero():
+                    continue
+                expected = top_degree_generators(form.terms, nv, d)
+                got = apolar_ideal(form).generators_of_degree(d + 1)
+                assert [g.terms for g in got] == expected, form
+                with_generator += bool(expected)
+    assert with_generator > 80
 
 
 def test_ring_dimension_consistency():

@@ -74,6 +74,10 @@ CASES: list[tuple[str, list[str]]] = [
                             "+ x2^3 - x0*x3^2 + 5*x1*x2*x3"]),
     ("apolar-dense-cubic-5", ["apolar", DENSE_CUBIC]),
     ("apolar-quartic", ["apolar", "x0^4 + x0*x1^3 + 2*x1^2*x2^2 - x2^4"]),
+    # the three forms below have an apolar generator of degree d+1
+    ("apolar-power-of-linear", ["apolar", "(x0+2*x1-x2)^3"]),
+    ("apolar-constant", ["apolar", "7"]),
+    ("apolar-power-vars-3", ["apolar", "--vars", "3", "x1^4"]),
     ("hilbert-plain", ["hilbert", PLANE]),
     ("hilbert-plus", ["hilbert", PLANE, "--plus", "d2"]),
     ("hilbert-colon", ["hilbert", PLANE, "--colon", "d1"]),

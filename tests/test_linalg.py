@@ -142,3 +142,42 @@ def test_rowspan_basis_rows_span_inserted_rows():
     for r in rows:
         assert span.contains(dict(r))
     assert len(span.basis_rows()) == span.dimension == 2
+
+
+def test_full_rowspan_takes_no_more_rows():
+    span = RowSpan(3)
+    for row in ({0: 2, 1: 1}, {1: 3, 2: -1}, {2: 5}):
+        assert span.insert(row) is not None
+    before = span.basis_rows()
+    assert span.insert({0: 1, 1: 7, 2: -2}) is None
+    assert span.insert({1: Fraction(1, 3)}) is None
+    assert span.basis_rows() == before and span.dimension == 3
+
+
+def test_tall_matrices_match_bareiss():
+    """rank, rref and kernel_basis of tall matrices: a full-rank prefix then
+    dependent rows (where elimination stops early), and rank-deficient
+    input (where it cannot)."""
+    rng = random.Random(11)
+    for _ in range(30):
+        ncols = rng.randint(1, 5)
+        prefix = _random_matrix(rng, ncols, ncols)
+        if bareiss_rank(prefix) < ncols:
+            continue
+        extra = [[sum(rng.randint(-2, 2) * row[j] for row in prefix)
+                  for j in range(ncols)] for _ in range(rng.randint(1, 6))]
+        basis = _random_matrix(rng, rng.randint(0, ncols - 1), ncols)
+        deficient = [[sum(rng.randint(-2, 2) * row[j] for row in basis)
+                      for j in range(ncols)]
+                     for _ in range(ncols + rng.randint(1, 4))]
+        for m, r in ((prefix + extra, ncols), (deficient, bareiss_rank(deficient))):
+            assert rank(m) == bareiss_rank(m) == r
+            rows, pivots = rref(m)
+            assert len(rows) == len(pivots) == r
+            assert bareiss_rank(m + rows) == r
+            kernel = kernel_basis(m, ncols)
+            assert len(kernel) == ncols - r
+            for v in kernel:
+                assert all(sum(row[j] * v[j] for j in range(ncols)) == 0 for row in m)
+        # the RREF is unique, so stopping after the prefix changes nothing
+        assert rref(prefix + extra) == rref(prefix)
