@@ -56,6 +56,7 @@ CASES: list[tuple[str, list[str]]] = [
     ("analyze-cone-binary-witness", ["analyze", "x0 + x2",
                                      "(x0 + x2)^2 + 3*(x1 - x2)^2"]),
     ("analyze-repeated-factor", ["analyze", "--vars", "3", "x0", "x0*x1"]),
+    ("analyze-degenerate-vars-4", ["analyze", "--vars", "4", "x0", "x0*x1"]),
     ("analyze-rank-one", ["analyze", "x0 + x1", "x0^2 + 2*x0*x1 + x1^2 + 0*x2"]),
     ("analyze-binary", ["analyze", "x0 + x1", "x0^2 + x1^2"]),
     ("decompose-normal-2", ["decompose", "--normal-form", "2"]),
@@ -66,6 +67,15 @@ CASES: list[tuple[str, list[str]]] = [
     ("decompose-binary", ["decompose", "x0", "x0^2 + 3*x1^2"]),
     ("decompose-binary-irrational", ["decompose", "x0", "x0^2 - 2*x1^2"]),
     ("decompose-obstructed", ["decompose", "x0", "x0*x1 + x2*x3 + 2*x4^2"]),
+    # binary generators: a root at infinity, two rational roots, a root
+    # search over 3-digit divisors, and a non-squarefree lower generator
+    ("decompose-binary-power", ["decompose", "--vars", "2", "x0", "x0^2"]),
+    ("decompose-binary-two-roots", ["decompose", "x0 + x1",
+                                    "x0^2 + x0*x1 + x1^2"]),
+    # (x0 + 12*x1)^3 + (x0 - 345*x1)^3
+    ("decompose-binary-large-roots", ["decompose", "2*x0 - 333*x1",
+                                      "x0^2 - 333*x0*x1 + 123309*x1^2"]),
+    ("decompose-binary-repeated", ["decompose", "x0", "x0*x1"]),
     ("verify-ok", ["verify", "x0^2*x1 + x0*x2*x3 + x0*x4^2", "{dir}/nf4.json"]),
     ("verify-wrong", ["verify", "x0^3", "--vars", "5", "{dir}/nf4.json"]),
     ("apolar-plane", ["apolar", PLANE]),
