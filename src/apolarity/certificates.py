@@ -16,12 +16,12 @@ from math import ceil, comb
 
 from .apolar import apolar_apply, apolar_hilbert, apolar_ideal, catalecticant
 from .cubics import (CubicKind, CubicType, LinearChange, NeedsFieldExtension,
-                     ReducibleCubic, WaringDecomposition, classify,
+                     ReducibleCubic, WaringDecomposition, _lift, _pad, classify,
                      decompose_binary, decompose_type_c_normal,
-                     normalize_tangent_product, verify_decomposition)
+                     normalize_tangent_product)
 from .ideals import (HilbertFunction, HomogeneousIdeal, graded_basis,
                      hilbert_function, ideal_colon, ideal_contains, ideal_equal,
-                     ideal_sum, poly_to_row, monomial_index)
+                     ideal_sum)
 from .linalg import RowSpan, mat_vec
 from .poly import AmbientMismatchError, LinearForm, Polynomial, parse, substitute
 
@@ -202,17 +202,13 @@ def tangent_plane_certificate(form: Polynomial | None = None) -> ClaimChainCerti
         "slicing the apolar ideal with d2 gives Hilbert function (1, 2, 2, 0)",
         holds, detail=f"computed {hf_slice}"))
 
-    actual_q = graded_basis(ideal, 2)
-    holds = _same_span(actual_q, quadrics, 2)
+    holds = graded_basis(ideal, 2) == graded_basis(HomogeneousIdeal(quadrics), 2)
     claims.append(CertificateClaim(
         "quadrics",
         "the degree-2 part of the apolar ideal is spanned by the three quadrics",
         holds))
 
-    in_ideal = ideal_contains(ideal, d2 * d2) and ideal_contains(ideal, d1 * d2)
-    quotients_ok = _strip_linear(d2 * d2, 2) is not None \
-        and _strip_linear(d1 * d2, 2) is not None
-    holds = in_ideal and quotients_ok
+    holds = ideal_contains(ideal, d2 * d2) and ideal_contains(ideal, d1 * d2)
     claims.append(CertificateClaim(
         "pencil",
         "the pencil <d2^2, d1*d2> lies in the ideal and has fixed line d2 = 0",
@@ -258,32 +254,6 @@ def tangent_plane_certificate(form: Polynomial | None = None) -> ClaimChainCerti
         statement = f"inconclusive: claims failed ({failed})"
     return ClaimChainCertificate(form=form, claims=chain, bound=bound,
                                  statement=statement)
-
-
-def _same_span(a: list[Polynomial], b: list[Polynomial], degree: int) -> bool:
-    if not a and not b:
-        return True
-    nvars = (a or b)[0].nvars
-    _, index = monomial_index(nvars, degree)
-    reduced = []
-    for polys in (a, b):
-        if any(p.is_zero() or p.homogeneous_degree() != degree for p in polys):
-            return False
-        span = RowSpan(len(index))
-        for p in polys:
-            span.insert(poly_to_row(p, index))
-        reduced.append(span.canonical_rows())
-    return reduced[0] == reduced[1]
-
-
-def _strip_linear(p: Polynomial, var: int) -> Polynomial | None:
-    """Divide by the coordinate `var` when possible."""
-    out = {}
-    for e, c in p.terms.items():
-        if e[var] == 0:
-            return None
-        out[e[:var] + (e[var] - 1,) + e[var + 1:]] = c
-    return Polynomial(p.nvars, out)
 
 
 # -- the combined report -------------------------------------------------------
@@ -407,24 +377,6 @@ def rank_report(rc: ReducibleCubic) -> RankReport:
     notes.extend(sub.notes)
     return RankReport(form, ctype, ess, cat, max(cat, sub.lower), sub.lower_kind,
                       sub.upper, witness, gen, avoidance, tuple(notes))
-
-
-def _pad(linear: LinearForm, nvars: int) -> tuple[Fraction, ...]:
-    """Coefficients of a form in the leading coordinates of a larger ambient."""
-    return linear.coeffs + (Fraction(0),) * (nvars - linear.nvars)
-
-
-def _lift(form: Polynomial, terms, change: LinearChange,
-          what: str) -> WaringDecomposition:
-    """Carry a witness of substitute(form, change), padded when it uses
-    fewer variables, back to the form through the change, and verify it."""
-    lifted = WaringDecomposition.assemble(
-        3, form.nvars, [(c, LinearForm(_pad(f, form.nvars))) for c, f in terms])
-    witness = lifted.compose(change.inverse())
-    ok, _ = verify_decomposition(form, witness)
-    if not ok:
-        raise RuntimeError(f"internal: lifted {what} witness failed verification")
-    return witness
 
 
 def _compression_change(form: Polynomial) -> tuple[LinearChange, int]:

@@ -113,7 +113,14 @@ def _linear_divides(linear: LinearForm, p: Polynomial) -> bool:
 
 
 def classify(rc: ReducibleCubic) -> CubicType:
-    """Projective class of the product, decided by exact invariants."""
+    """Projective class of the product, decided by one reduction of [M | l].
+
+    When L does not divide Q, d_v(L*Q) = (l.v)*Q + 2*L*(Mv)^T x vanishes
+    exactly when l.v = 0 and Mv = 0, so the number of essential variables
+    is the rank of [M; l^T], which is rank [M | l] because M is symmetric.
+    Dropping the column l lowers that rank by at most one, so a product
+    with all variables essential has rank(M) = n+1 or n.
+    """
     if rc.nvars < 3:
         raise ValueError("the projective classification needs at least 3 "
                          "variables; binary forms go through decompose_binary")
@@ -121,23 +128,17 @@ def classify(rc: ReducibleCubic) -> CubicType:
         return CubicType(CubicKind.DEGENERATE_PRODUCT,
                          essential_variables(rc.form()))
     nv = rc.nvars
-    ess = essential_variables(rc.form())
-    if ess < nv:
-        return CubicType(CubicKind.CONE, ess)
-    # one reduction of [M | l]: its pivots left of column nv give rank(M),
-    # and when M is invertible the last column becomes M^-1 l
     l = rc.linear.coeffs
     red, pivots = linalg.rref([row + [c] for row, c in
                                zip(quadric_matrix(rc.quadric), l)])
-    r = sum(1 for c in pivots if c < nv)
-    if r == nv:
-        tangency = sum(c * row[nv] for c, row in zip(l, red))
+    if len(pivots) < nv:
+        return CubicType(CubicKind.CONE, len(pivots))
+    if pivots[-1] < nv:
+        # M is invertible and the last column has become M^-1 l;
         # l^T adj(M) l differs from l^T M^-1 l by the nonzero factor det(M)
+        tangency = sum(c * row[nv] for c, row in zip(l, red))
         return CubicType(CubicKind.TYPE_C if tangency == 0 else CubicKind.TYPE_A)
-    if r == nv - 1:
-        return CubicType(CubicKind.TYPE_B)
-    raise ValueError("quadric rank below n for a non-cone product; "
-                     "this contradicts the essential-variable count")
+    return CubicType(CubicKind.TYPE_B)
 
 
 # -- power-sum decompositions -----------------------------------------------
@@ -253,25 +254,19 @@ def verify_decomposition(form: Polynomial,
 def normal_form(n: int) -> Polynomial:
     """The tangent (pinch) normal form x0*(x0*x1 + x2*x3 + x4^2 + ... + xn^2);
     for n = 2 the degenerate-pair version x0*(x0*x1 + x2^2)."""
-    if n < 2:
-        raise ValueError("the normal form needs ambient dimension n >= 2")
-    nv = n + 1
-    q = {_pair_exps(nv, 0, 1): Fraction(1)}
-    if n == 2:
-        q[_pair_exps(nv, 2, 2)] = Fraction(1)
-    else:
-        q[_pair_exps(nv, 2, 3)] = Fraction(1)
-        for i in range(4, nv):
-            q[_pair_exps(nv, i, i)] = Fraction(1)
-    return Polynomial.variable(nv, 0) * Polynomial(nv, q)
+    return normal_form_pair(n).form()
 
 
 def normal_form_pair(n: int) -> ReducibleCubic:
     """The normal form as an explicit (hyperplane, quadric) pair."""
-    nf = normal_form(n)
-    quadric = Polynomial(n + 1, {(e[0] - 1,) + e[1:]: c
-                                 for e, c in nf.terms.items()})
-    return ReducibleCubic(LinearForm([1] + [0] * n), quadric)
+    if n < 2:
+        raise ValueError("the normal form needs ambient dimension n >= 2")
+    nv = n + 1
+    x = [Polynomial.variable(nv, i) for i in range(nv)]
+    quadric = x[0] * x[1] + (x[2] ** 2 if n == 2 else x[2] * x[3])
+    for xi in x[4:]:
+        quadric = quadric + xi ** 2
+    return ReducibleCubic(LinearForm(_unit(nv, 0)), quadric)
 
 
 def split_normal_form(n: int) -> Polynomial:
@@ -280,36 +275,18 @@ def split_normal_form(n: int) -> Polynomial:
     and y0^2*y2 + y0*y1^2 for n = 2."""
     if n < 2:
         raise ValueError("the split form needs ambient dimension n >= 2")
-    nv = n + 1
+    y = [Polynomial.variable(n + 1, i) for i in range(n + 1)]
     if n == 2:
-        terms = {(2, 0, 1): Fraction(1), (1, 2, 0): Fraction(1)}
-        return Polynomial(3, terms)
-    terms = {}
-    terms[_tuple_exps(nv, {0: 2, 1: 1})] = Fraction(1)
-    terms[_tuple_exps(nv, {1: 1, 2: 2})] = Fraction(-1)
-    terms[_tuple_exps(nv, {1: 2, 3: 1})] = Fraction(1)
-    for i in range(4, nv):
-        terms[_tuple_exps(nv, {1: 1, i: 2})] = Fraction(1)
-    return Polynomial(nv, terms)
+        return y[0] ** 2 * y[2] + y[0] * y[1] ** 2
+    form = y[0] ** 2 * y[1] - y[1] * y[2] ** 2 + y[1] ** 2 * y[3]
+    for yi in y[4:]:
+        form = form + y[1] * yi ** 2
+    return form
 
 
-def _pair_exps(nv: int, i: int, j: int) -> tuple[int, ...]:
-    e = [0] * nv
-    e[i] += 1
-    e[j] += 1
-    return tuple(e)
-
-
-def _tuple_exps(nv: int, entries: dict[int, int]) -> tuple[int, ...]:
-    e = [0] * nv
-    for i, v in entries.items():
-        e[i] = v
-    return tuple(e)
-
-
-def _unit(nv: int, i: int, scale=1) -> list[Fraction]:
+def _unit(nv: int, i: int) -> list[Fraction]:
     row = [Fraction(0)] * nv
-    row[i] = Fraction(scale)
+    row[i] = Fraction(1)
     return row
 
 
@@ -508,18 +485,11 @@ def normalize_tangent_product(rc: ReducibleCubic) -> LinearChange:
     """
     nv = rc.nvars
     n = nv - 1
-    lc = list(rc.linear.coeffs)
+    lc = rc.linear.coeffs
     k = next(i for i, c in enumerate(lc) if c)
-    # columns of the straightening: first column maps x0-dual onto L
-    cols = [[Fraction(int(i == k)) / lc[k] for i in range(nv)]]
-    for j in range(nv):
-        if j == k:
-            continue
-        col = [Fraction(0)] * nv
-        col[j] = Fraction(1)
-        col[k] = -lc[j] / lc[k]
-        cols.append(col)
-    straighten = LinearChange([[cols[j][i] for j in range(nv)] for i in range(nv)])
+    # the inverse of y0 = L(x), y_j = x_j (j != k): L becomes y0
+    straighten = LinearChange(
+        [lc] + [_unit(nv, j) for j in range(nv) if j != k]).inverse()
     q1 = substitute(rc.quadric, straighten)
     m = quadric_matrix(q1)
     msub = [row[1:] for row in m[1:]]
@@ -537,7 +507,8 @@ def normalize_tangent_product(rc: ReducibleCubic) -> LinearChange:
     u1 = [v / (2 * lam) for v in p]
     r0 = [m[i][0] for i in range(nv)]
     vbasis = [[Fraction(0)] + w for w in linalg.kernel_basis([r0[1:]], n)]
-    qv = [[_bilinear(m, w1, w2) for w2 in vbasis] for w1 in vbasis]
+    # the Gram matrix V^T m V of the columns vbasis, as q1 restricted to them
+    qv = quadric_matrix(_compose_rows(q1, list(zip(*vbasis))))
     block = _congruence_to_block(qv, hyperbolic=(n >= 3))
     ucols = [u0, u1]
     for col in block:
@@ -570,11 +541,24 @@ def decompose_type_c(rc: ReducibleCubic,
             raise InvalidChange("the change does not carry the cubic to the normal form")
     else:
         change = normalize_tangent_product(rc)
-    dec = decompose_type_c_normal(n).compose(change.inverse())
-    ok, _ = verify_decomposition(form, dec)
+    return _lift(form, decompose_type_c_normal(n).terms, change, "tangent")
+
+
+def _pad(linear: LinearForm, nvars: int) -> tuple[Fraction, ...]:
+    """Coefficients of a form in the leading coordinates of a larger ambient."""
+    return linear.coeffs + (Fraction(0),) * (nvars - linear.nvars)
+
+
+def _lift(form: Polynomial, terms, change: LinearChange,
+          what: str) -> WaringDecomposition:
+    """Carry a witness of substitute(form, change), padded when it uses
+    fewer variables, back to the form through the change, and verify it."""
+    padded = tuple((c, LinearForm(_pad(f, form.nvars))) for c, f in terms)
+    witness = WaringDecomposition(3, form.nvars, padded).compose(change.inverse())
+    ok, _ = verify_decomposition(form, witness)
     if not ok:
-        raise RuntimeError("internal: transported decomposition failed verification")
-    return dec
+        raise RuntimeError(f"internal: lifted {what} witness failed verification")
+    return witness
 
 
 # -- binary forms ------------------------------------------------------------
@@ -598,101 +582,61 @@ def _binary_coeffs(g: Polynomial) -> list[Fraction]:
     return out
 
 
-def _poly_divmod(num: list[Fraction], den: list[Fraction]):
-    num = num[:]
-    q = [Fraction(0)] * max(len(num) - len(den) + 1, 0)
-    while len(num) >= len(den) and any(num):
-        while num and num[-1] == 0:
-            num.pop()
-        if len(num) < len(den):
-            break
-        f = num[-1] / den[-1]
-        shift = len(num) - len(den)
-        q[shift] = f
-        for i, c in enumerate(den):
-            num[shift + i] -= f * c
-        num.pop()
-    while num and num[-1] == 0:
-        num.pop()
-    return q, num
+def _squarefree(p: list[Fraction]) -> bool:
+    """Whether p (coefficients from the constant up, leading one nonzero) is
+    squarefree.  gcd(p, p') is constant exactly when the resultant of p and
+    p' is nonzero, i.e. when their (2m-1)-square Sylvester matrix has full
+    rank, m being the degree of p."""
+    m = len(p) - 1
+    if m < 1:
+        return True
+    dp = [c * i for i, c in enumerate(p) if i]
+    rows = [[0] * i + p + [0] * (m - 2 - i) for i in range(m - 1)]
+    rows += [[0] * i + dp + [0] * (m - 1 - i) for i in range(m)]
+    return linalg.rank(rows) == 2 * m - 1
 
 
-def _univariate_gcd_is_constant(p: list[Fraction]) -> bool:
-    """gcd(p, p') constant, i.e. p squarefree."""
-    dp = [c * (i + 1) for i, c in enumerate(p[1:])]
-    a, b = p, dp
-    while b and any(b):
-        _, r = _poly_divmod(a, b)
-        a, b = b, r
-    return len(a) == 1
-
-
-def _squarefree_binary(g: Polynomial) -> bool:
+def _split(g: Polynomial) -> tuple[bool, list[LinearForm] | None]:
+    """(squarefree, forms) for a binary operator g: forms are pairwise
+    independent linear forms dual to its roots when g is squarefree and
+    splits over Q, else None."""
     coeffs = _binary_coeffs(g)
+    d = len(coeffs) - 1
     lo = next(i for i, c in enumerate(coeffs) if c)
     hi = max(i for i, c in enumerate(coeffs) if c)
-    d = len(coeffs) - 1
-    if lo > 1 or d - hi > 1:
-        return False
     core = coeffs[lo:hi + 1]
-    return len(core) == 1 or _univariate_gcd_is_constant(core)
-
-
-def _rational_distinct_roots(g: Polynomial) -> list[LinearForm] | None:
-    """Pairwise independent linear forms dual to the roots of a squarefree
-    binary operator that splits over Q; None otherwise."""
-    if not _squarefree_binary(g):
-        return None
-    coeffs = _binary_coeffs(g)
-    d = len(coeffs) - 1
-    lo = next(i for i, c in enumerate(coeffs) if c)
-    hi = max(i for i, c in enumerate(coeffs) if c)
+    if lo > 1 or d - hi > 1 or not _squarefree(core):
+        return False, None
     forms = []
     if lo == 1:
         forms.append(LinearForm([0, 1]))  # the operator d0 kills powers of x1
     if d - hi == 1:
         forms.append(LinearForm([1, 0]))
-    core = coeffs[lo:hi + 1]
-    while len(core) > 1:
-        root = _one_rational_root(core)
-        if root is None:
-            return None
-        forms.append(LinearForm([root, 1]))  # factor (d0 - root*d1) kills (root*x0 + x1)^d
-        core, rem = _deflate(core, root)
-        assert not rem
-    return forms
+    if len(core) > 1:
+        roots = _rational_roots(core)
+        if len(roots) < len(core) - 1:
+            return True, None
+        # the factor (d0 - root*d1) kills (root*x0 + x1)^d
+        forms.extend(LinearForm([root, 1]) for root in roots)
+    return True, forms
 
 
-def _one_rational_root(p: list[Fraction]) -> Fraction | None:
+def _rational_roots(p: list[Fraction]) -> list[Fraction]:
+    """Rational roots of p, ascending, when p(0) != 0: each is +-a/b with a
+    dividing the cleared constant and b the cleared leading coefficient."""
     scale = lcm(*(c.denominator for c in p))
     ints = [int(c * scale) for c in p]
-    lead, const = ints[-1], ints[0]
-    if const == 0:
-        return Fraction(0)
-    cands = set()
-    for pnum in _divisors(abs(const)):
-        for pden in _divisors(abs(lead)):
-            cands.add(Fraction(pnum, pden))
-            cands.add(Fraction(-pnum, pden))
-    for cand in sorted(cands):
-        if sum(c * cand ** i for i, c in enumerate(p)) == 0:
-            return cand
-    return None
+    m = len(ints) - 1
+    cands = {Fraction(sign * a, b) for a in _divisors(abs(ints[0]))
+             for b in _divisors(abs(ints[-1])) for sign in (1, -1)}
+    return [r for r in sorted(cands)
+            if not sum(c * r.numerator ** i * r.denominator ** (m - i)
+                       for i, c in enumerate(ints))]
 
 
 def _divisors(v: int) -> list[int]:
     out = [i for i in range(1, isqrt(v) + 1) if v % i == 0]
     return sorted(set(out + [v // i for i in out]))
-
-
-def _deflate(p: list[Fraction], root: Fraction):
-    """Synthetic division of p by (t - root), Horner from the top."""
-    q = [Fraction(0)] * (len(p) - 1)
-    q[-1] = p[-1]
-    for i in range(len(p) - 2, 0, -1):
-        q[i - 1] = p[i] + q[i] * root
-    rem = p[0] + q[0] * root
-    return q, rem
 
 
 def decompose_binary(form: Polynomial) -> BinaryDecomposition:
@@ -712,11 +656,12 @@ def decompose_binary(form: Polynomial) -> BinaryDecomposition:
     da, db = ga.homogeneous_degree(), gb.homogeneous_degree()
     if da + db != d + 2:
         raise RuntimeError("internal: apolar generator degrees are inconsistent")
-    lower_ok = _squarefree_binary(ga)
-    rank = da if lower_ok else db
-    candidate = ga if lower_ok else gb
+    lower_ok, forms = _split(ga)
+    rank = da
+    if not lower_ok:
+        rank = db
+        _, forms = _split(gb)
     decomposition = None
-    forms = _rational_distinct_roots(candidate)
     if forms is not None:
         monos = [(i, d - i) for i in range(d, -1, -1)]
         powers = [f.to_polynomial() ** d for f in forms]

@@ -5,14 +5,16 @@ package: differentiation is repeated single-variable term surgery, powers of
 linear forms go through the multinomial formula, matrix rank uses
 fraction-free Bareiss elimination on integers, and kernels use fraction-free
 Gauss-Jordan elimination.  top_degree_generators keeps the linear system
-that the package once solved for the apolar generators of degree d+1.
+that the package once solved for the apolar generators of degree d+1, and
+squarefree_euclid and rational_roots_by_deflation keep the polynomial
+Euclid and the root-by-root deflation it once ran on binary generators.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import factorial
+from math import factorial, isqrt
 
 
 def diff_once(terms: dict, var: int) -> dict:
@@ -196,3 +198,64 @@ def top_degree_generators(terms: dict, nvars: int, degree: int) -> list:
         lead = next(m for m in order if m in h)
         out.append({e: c / h[lead] for e, c in h.items()})
     return out
+
+
+def _poly_divmod(num: list, den: list) -> tuple[list, list]:
+    """Quotient and remainder of univariate polynomials given by their
+    coefficients from the constant up; den has a nonzero leading entry."""
+    num = [Fraction(c) for c in num]
+    q = [Fraction(0)] * max(len(num) - len(den) + 1, 0)
+    while num and num[-1] == 0:
+        num.pop()
+    while len(num) >= len(den):
+        f = num[-1] / den[-1]
+        shift = len(num) - len(den)
+        q[shift] = f
+        for i, c in enumerate(den):
+            num[shift + i] -= f * c
+        num.pop()
+        while num and num[-1] == 0:
+            num.pop()
+    return q, num
+
+
+def squarefree_euclid(p: list) -> bool:
+    """gcd(p, p') is constant, by the Euclidean algorithm over Q."""
+    a = [Fraction(c) for c in p]
+    b = [c * i for i, c in enumerate(a) if i]
+    while b and any(b):
+        _, r = _poly_divmod(a, b)
+        a, b = b, r
+    return len(a) == 1
+
+
+def _divisors(v: int) -> list:
+    small = [i for i in range(1, isqrt(v) + 1) if v % i == 0]
+    return sorted(set(small) | {v // i for i in small})
+
+
+def rational_roots_by_deflation(p: list) -> list | None:
+    """The rational roots of p (coefficients from the constant up, p(0) != 0)
+    found one at a time, smallest first, each followed by synthetic division;
+    None as soon as a deflated factor has no rational root."""
+    core = [Fraction(c) for c in p]
+    roots = []
+    while len(core) > 1:
+        scale = 1
+        for c in core:
+            scale = scale * c.denominator // _gcd(scale, c.denominator)
+        ints = [int(c * scale) for c in core]
+        cands = sorted({Fraction(s * a, b) for a in _divisors(abs(ints[0]))
+                        for b in _divisors(abs(ints[-1])) for s in (1, -1)})
+        root = next((r for r in cands
+                     if sum(c * r ** i for i, c in enumerate(core)) == 0), None)
+        if root is None:
+            return None
+        roots.append(root)
+        quotient = [Fraction(0)] * (len(core) - 1)
+        quotient[-1] = core[-1]
+        for i in range(len(core) - 2, 0, -1):
+            quotient[i - 1] = core[i] + quotient[i] * root
+        assert core[0] + quotient[0] * root == 0
+        core = quotient
+    return roots

@@ -6,14 +6,18 @@ import pytest
 
 from apolarity.cubics import (CubicKind, InvalidChange,
                               NeedsFieldExtension, ReducibleCubic,
-                              WaringDecomposition, classify, decompose_binary,
+                              WaringDecomposition, _split, _squarefree,
+                              classify, decompose_binary,
                               decompose_type_c, decompose_type_c_normal,
                               normal_form, normal_form_pair,
                               normalize_tangent_product, quadric_matrix,
                               split_change, split_normal_form,
                               verify_decomposition)
 from apolarity.poly import (AmbientMismatchError, LinearChange, LinearForm,
-                            Polynomial, parse, substitute)
+                            Polynomial, monomials, parse, substitute)
+
+from oracles import (bareiss_rank, diff_once, rational_roots_by_deflation,
+                     squarefree_euclid)
 
 
 def _product(linear, quadric, nvars=None):
@@ -77,6 +81,50 @@ def test_classify_is_invariant_under_dense_changes():
             assert classify(moved).kind is kind
 
 
+def _cat1_rank(form):
+    """Rank of Cat_1 as the rank of the first partials, by Bareiss."""
+    index = {m: i for i, m in enumerate(monomials(form.nvars, 2))}
+    rows = []
+    for j in range(form.nvars):
+        row = [Fraction(0)] * len(index)
+        for exps, c in diff_once(form.terms, j).items():
+            row[index[exps]] = c
+        rows.append(row)
+    return bareiss_rank(rows)
+
+
+def test_classify_essential_matches_bareiss_rank():
+    rng = random.Random(2718)
+    kinds = set()
+    for nv in range(3, 8):
+        for _ in range(12):
+            # k < nv plants a cone before the dense change
+            k = rng.choice((nv, nv, rng.randint(1, nv)))
+            used = rng.sample(range(k), rng.randint(1, k))
+            linear = [Fraction(rng.randint(-2, 2)) if i in used else 0
+                      for i in range(nv)]
+            if not any(linear):
+                linear[used[0]] = Fraction(1)
+            terms = {m: Fraction(rng.randint(-3, 3)) for m in monomials(nv, 2)
+                     if not any(m[k:]) and rng.random() < 0.5}
+            terms = {m: c for m, c in terms.items() if c} or {
+                tuple(2 * int(i == used[-1]) for i in range(nv)): Fraction(1)}
+            rc = ReducibleCubic(LinearForm(linear), Polynomial(nv, terms))
+            if rng.random() < 0.7:
+                change = _random_change(rng, nv, span=2)
+                rc = ReducibleCubic.from_polynomials(
+                    substitute(rc.linear.to_polynomial(), change),
+                    substitute(rc.quadric, change))
+            ctype = classify(rc)
+            kinds.add(ctype.kind)
+            rank = _cat1_rank(rc.form())
+            if ctype.kind in (CubicKind.CONE, CubicKind.DEGENERATE_PRODUCT):
+                assert ctype.essential == rank
+            else:
+                assert ctype.essential is None and rank == nv
+    assert CubicKind.CONE in kinds and CubicKind.TYPE_A in kinds
+
+
 def test_classify_repeated_factor_beats_cone():
     # x0^3 uses one essential variable but is a repeated-factor product first
     t = classify(_product("x0", "x0^2", 3))
@@ -101,6 +149,15 @@ def test_reducible_cubic_validation():
 
 
 def test_normal_forms():
+    for n in range(2, 13):
+        squares = "".join(f" + x0*x{i}^2" for i in range(4, n + 1))
+        pinch = "x0^2*x1 + " + ("x0*x2^2" if n == 2 else "x0*x2*x3" + squares)
+        assert normal_form(n) == parse(pinch)
+        assert normal_form_pair(n).form() == normal_form(n)
+        if n >= 3:
+            split = "x0^2*x1 - x1*x2^2 + x1^2*x3" + "".join(
+                f" + x1*x{i}^2" for i in range(4, n + 1))
+            assert split_normal_form(n) == parse(split)
     assert normal_form(2) == parse("x0^2*x1 + x0*x2^2")
     assert normal_form(3) == parse("x0^2*x1 + x0*x2*x3")
     assert normal_form(4) == parse("x0^2*x1 + x0*x2*x3 + x0*x4^2")
@@ -354,3 +411,115 @@ def test_binary_rank_never_exceeds_degree():
             ok, _ = verify_decomposition(F, result.decomposition)
             assert ok
             assert len(result.decomposition) == result.rank
+
+
+def _times(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _seeded_generators(rng, count):
+    """Binary operators sum_e c_e*d0^e*d1^(d-e) of degree 1..7, built from
+    distinct and repeated rational roots, irreducible quadratics, and roots
+    at 0 (factors d0) and at infinity (factors d1); returned as coefficient
+    lists indexed by the exponent of d0."""
+    out = []
+    while len(out) < count:
+        degree = rng.randint(1, 7)
+        coeffs = [Fraction(rng.randint(1, 5), rng.randint(1, 3))
+                  * rng.choice((1, -1))]
+        roots = []
+        while len(coeffs) - 1 < degree:
+            room = degree - (len(coeffs) - 1)
+            pick = rng.random()
+            if pick < 0.1:
+                coeffs = coeffs + [Fraction(0)]        # a root at infinity
+            elif pick < 0.2:
+                coeffs = [Fraction(0)] + coeffs        # a root at 0
+            elif pick < 0.35 and roots:
+                coeffs = _times(coeffs, [-rng.choice(roots), 1])   # repeated
+            elif pick < 0.5 and room >= 2:
+                b = rng.randint(-4, 4)
+                c = Fraction(b * b, 4) + rng.randint(1, 6)  # no real root
+                coeffs = _times(coeffs, [c, b, 1])
+            elif pick < 0.55 and room >= 2:
+                coeffs = _times(coeffs, [-rng.choice((2, 3, 5)), 0, 1])  # +-sqrt
+            else:
+                root = Fraction(rng.randint(-12, 12), rng.randint(1, 4))
+                roots.append(root)
+                coeffs = _times(coeffs, [-root, 1])
+        out.append(coeffs)
+    return out
+
+
+def _binary_operator(coeffs):
+    d = len(coeffs) - 1
+    return Polynomial(2, {(e, d - e): c for e, c in enumerate(coeffs) if c})
+
+
+def _expected_split(coeffs):
+    d = len(coeffs) - 1
+    lo = next(i for i, c in enumerate(coeffs) if c)
+    hi = max(i for i, c in enumerate(coeffs) if c)
+    core = coeffs[lo:hi + 1]
+    if lo > 1 or d - hi > 1 or not squarefree_euclid(core):
+        return False, None
+    roots = rational_roots_by_deflation(core)
+    if roots is None:
+        return True, None
+    forms = [(0, 1)] * (lo == 1) + [(1, 0)] * (d - hi == 1)
+    return True, forms + [(r, 1) for r in roots]
+
+
+def test_split_matches_the_euclid_and_deflation_oracles():
+    rng = random.Random(4242)
+    seen = set()
+    for coeffs in _seeded_generators(rng, 400):
+        squarefree, forms = _split(_binary_operator(coeffs))
+        got = None if forms is None else [f.coeffs for f in forms]
+        assert (squarefree, got) == _expected_split(coeffs), coeffs
+        seen.add((len(coeffs) - 1, squarefree, forms is not None))
+    # every degree 1..7 occurs, with split, unsplit and repeated generators
+    assert {d for d, _, _ in seen} == set(range(1, 8))
+    assert {(sf, split) for _, sf, split in seen} == {
+        (True, True), (True, False), (False, False)}
+
+
+def test_squarefree_matches_euclid_on_random_polynomials():
+    rng = random.Random(99)
+    for _ in range(300):
+        p = [Fraction(rng.randint(-3, 3)) for _ in range(rng.randint(1, 8))]
+        if not p[-1]:
+            p[-1] = Fraction(1)
+        assert _squarefree(p) == squarefree_euclid(p), p
+
+
+def test_split_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    a, b, t = sympy.symbols("a b t")
+    rng = random.Random(4243)
+    for coeffs in _seeded_generators(rng, 120):
+        d = len(coeffs) - 1
+        rational = [sympy.Rational(c.numerator, c.denominator) for c in coeffs]
+        form = sum(c * a ** e * b ** (d - e) for e, c in enumerate(rational))
+        _, factors = sympy.sqf_list(form)
+        expect_squarefree = all(mult == 1 for _, mult in factors)
+        squarefree, forms = _split(_binary_operator(coeffs))
+        assert squarefree == expect_squarefree, coeffs
+        if not squarefree:
+            continue
+        lo = next(i for i, c in enumerate(coeffs) if c)
+        hi = max(i for i, c in enumerate(coeffs) if c)
+        core = sum(c * t ** i for i, c in enumerate(rational[lo:hi + 1]))
+        roots = sympy.roots(sympy.Poly(core, t), filter="Q") if hi > lo else {}
+        if sum(roots.values()) < hi - lo:
+            assert forms is None
+            continue
+        expected = {(0, 1)} if lo == 1 else set()
+        if d - hi == 1:
+            expected.add((1, 0))
+        expected |= {(Fraction(int(r.p), int(r.q)), 1) for r in roots}
+        assert {f.coeffs for f in forms} == expected, coeffs

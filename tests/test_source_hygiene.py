@@ -1,0 +1,79 @@
+"""Source hygiene of the package, checked on its syntax trees.
+
+Every module of src/apolarity other than __init__.py must use each name it
+imports, and every module-level private function or class (a name starting
+with one underscore) must be referenced somewhere in src/ outside its own
+definition.  Leftovers of a refactor show up here before they drift.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "apolarity"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TREES = {p.name: ast.parse(p.read_text(), filename=str(p))
+         for p in PACKAGE.glob("*.py")}
+
+
+def _used_names(node: ast.AST, skip: ast.AST | None = None) -> set[str]:
+    """Names read anywhere under node (attributes and imported names
+    included), leaving out the subtree skip."""
+    names: set[str] = set()
+    stack = [node]
+    while stack:
+        current = stack.pop()
+        if current is skip:
+            continue
+        if isinstance(current, ast.Name):
+            names.add(current.id)
+        elif isinstance(current, ast.Attribute):
+            names.add(current.attr)
+        elif isinstance(current, ast.ImportFrom):
+            names.update(alias.name for alias in current.names)
+        stack.extend(ast.iter_child_nodes(current))
+    return names
+
+
+def _bound_imports(tree: ast.Module) -> list[tuple[str, int]]:
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out.extend(((a.asname or a.name.split(".")[0]), node.lineno)
+                       for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            out.extend((a.asname or a.name, node.lineno) for a in node.names)
+    return out
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    tree = TREES[path.name]
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    unused = [f"{name} (line {line})" for name, line in _bound_imports(tree)
+              if name not in read]
+    assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_private_definitions_are_referenced(path):
+    dead = []
+    for node in TREES[path.name].body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        name = node.name
+        if not name.startswith("_") or name.startswith("__"):
+            continue
+        if not any(name in _used_names(tree, skip=node if module == path.name
+                                       else None)
+                   for module, tree in TREES.items()):
+            dead.append(name)
+    assert not dead, f"{path.name} defines private names nothing uses: {dead}"
+
+
+def test_the_checks_see_every_module():
+    assert {p.name for p in MODULES} >= {"cubics.py", "certificates.py",
+                                         "poly.py", "linalg.py"}
