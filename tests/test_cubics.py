@@ -16,8 +16,8 @@ from apolarity.cubics import (CubicKind, InvalidChange,
 from apolarity.poly import (AmbientMismatchError, LinearChange, LinearForm,
                             Polynomial, monomials, parse, substitute)
 
-from oracles import (bareiss_rank, diff_once, rational_roots_by_deflation,
-                     squarefree_euclid)
+from oracles import (bareiss_rank, diff_once, monomials_recursive,
+                     rational_roots_by_deflation, squarefree_euclid)
 
 
 def _product(linear, quadric, nvars=None):
@@ -83,7 +83,7 @@ def test_classify_is_invariant_under_dense_changes():
 
 def _cat1_rank(form):
     """Rank of Cat_1 as the rank of the first partials, by Bareiss."""
-    index = {m: i for i, m in enumerate(monomials(form.nvars, 2))}
+    index = {m: i for i, m in enumerate(monomials_recursive(form.nvars, 2))}
     rows = []
     for j in range(form.nvars):
         row = [Fraction(0)] * len(index)
