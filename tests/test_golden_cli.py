@@ -67,6 +67,9 @@ CASES: list[tuple[str, list[str]]] = [
     ("decompose-binary", ["decompose", "x0", "x0^2 + 3*x1^2"]),
     ("decompose-binary-irrational", ["decompose", "x0", "x0^2 - 2*x1^2"]),
     ("decompose-obstructed", ["decompose", "x0", "x0*x1 + x2*x3 + 2*x4^2"]),
+    # a definite block (anisotropic over R), and one anisotropic at p = 3
+    ("decompose-definite-block", ["decompose", "x0", "x0*x1 + x2^2 + 2*x3^2"]),
+    ("decompose-obstructed-at-3", ["decompose", "x0", "x0*x1 + x2^2 - 3*x3^2"]),
     # binary generators: a root at infinity, two rational roots, a root
     # search over 3-digit divisors, and a non-squarefree lower generator
     ("decompose-binary-power", ["decompose", "--vars", "2", "x0", "x0^2"]),
