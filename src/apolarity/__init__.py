@@ -11,11 +11,12 @@ from .certificates import (AvoidanceCertificate, CertificateClaim,
                            generic_rank, rank_report,
                            tangent_plane_certificate)
 from .cubics import (BinaryDecomposition, CubicKind, CubicType, InvalidChange,
-                     NeedsFieldExtension, ReducibleCubic, WaringDecomposition,
-                     classify, decompose_binary, decompose_type_c,
-                     decompose_type_c_normal, normal_form, normal_form_pair,
-                     normalize_tangent_product, quadric_matrix, split_change,
-                     split_normal_form, verify_decomposition)
+                     NeedsFieldExtension, NormalizationUndecided, ReducibleCubic,
+                     WaringDecomposition, classify, decompose_binary,
+                     decompose_type_c, decompose_type_c_normal, normal_form,
+                     normal_form_pair, normalize_tangent_product,
+                     quadric_matrix, split_change, split_normal_form,
+                     verify_decomposition)
 from .ideals import (HilbertFunction, HomogeneousIdeal, graded_basis,
                      hilbert_function, ideal_colon, ideal_contains,
                      ideal_equal, ideal_sum, is_nonzerodivisor, ring_dimension)
@@ -29,6 +30,7 @@ __all__ = [
     "CatalecticantMatrix", "CertificateClaim", "ClaimChainCertificate",
     "CubicKind", "CubicType", "HilbertFunction", "HomogeneousIdeal",
     "InvalidChange", "LinearChange", "LinearForm", "NeedsFieldExtension",
+    "NormalizationUndecided",
     "Polynomial", "PolynomialSyntaxError", "RankReport", "ReducibleCubic",
     "WaringDecomposition", "apolar_apply", "apolar_hilbert", "apolar_ideal",
     "avoidance_lower_bound", "catalecticant", "catalecticant_lower_bound",

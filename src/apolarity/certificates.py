@@ -16,7 +16,7 @@ from math import ceil, comb
 
 from .apolar import apolar_apply, apolar_hilbert, apolar_ideal, catalecticant
 from .cubics import (CubicKind, CubicType, LinearChange, NeedsFieldExtension,
-                     ReducibleCubic, WaringDecomposition, _lift, _pad, classify,
+                     NormalizationUndecided, ReducibleCubic, WaringDecomposition, _lift, _pad, classify,
                      decompose_binary, decompose_type_c_normal,
                      normalize_tangent_product)
 from .ideals import (HilbertFunction, HomogeneousIdeal, graded_basis,
@@ -90,19 +90,46 @@ class AvoidanceCertificate:
         return f"rank >= {self.total_bound} ({', '.join(parts)})"
 
 
-def avoidance_lower_bound(form: Polynomial, hyperplane: Polynomial) -> AvoidanceCertificate:
+def _slice_hilbert(form_hilbert: HilbertFunction, residual: Polynomial,
+                   length: int) -> HilbertFunction:
+    """HF of T/(F_perp + <l>) from catalecticant ranks alone, given
+    form_hilbert = HF_F and residual = l o F.
+
+    Multiplication by l gives the exact sequence
+    0 -> T/(F_perp : l)(-1) -> T/F_perp -> T/(F_perp + <l>) -> 0, and
+    (F_perp : l) = (l o F)_perp, so HF(i) = HF_F(i) - HF_{l o F}(i - 1); the
+    second term vanishes when l o F = 0.  Values are padded with zeros to
+    the given length.
+    """
+    hf = form_hilbert
+    shifted = (0,) + (apolar_hilbert(residual).values if not residual.is_zero() else ())
+    values = [v - (shifted[i] if i < len(shifted) else 0)
+              for i, v in enumerate(hf.values)]
+    return HilbertFunction(tuple(values + [0] * (length - len(values))))
+
+
+def avoidance_lower_bound(form: Polynomial, hyperplane: Polynomial,
+                          form_hilbert: HilbertFunction | None = None
+                          ) -> AvoidanceCertificate:
     """Length certificate from the hyperplane section of the apolar scheme.
 
-    Requires the linear operator not to annihilate the form; each summand of
-    the Hilbert function of T/(F_perp + <hyperplane>) then counts toward any
-    apolar point set that avoids the hyperplane.
+    Requires the linear operator l not to annihilate the form; each summand
+    of the Hilbert function of T/(F_perp + <l>) then counts toward any
+    apolar point set that avoids the hyperplane.  That Hilbert function
+    comes from the exact sequence
+    0 -> T/(F_perp : l)(-1) -> T/F_perp -> T/(F_perp + <l>) -> 0 with
+    (F_perp : l) = (l o F)_perp: HF(i) = HF_F(i) - HF_{l o F}(i - 1), two
+    lists of catalecticant ranks.  form_hilbert, when given, must be
+    apolar_hilbert(form); callers that have it save recomputing it.
     """
     _check_dual_linear(form, hyperplane)
-    if apolar_apply(hyperplane, form).is_zero():
+    residual = apolar_apply(hyperplane, form)
+    if residual.is_zero():
         raise ValueError("the hyperplane operator annihilates the form; "
                          "the avoidance bound does not apply")
-    total = ideal_sum(apolar_ideal(form), HomogeneousIdeal([hyperplane]))
-    hf = hilbert_function(total)
+    if form_hilbert is None:
+        form_hilbert = apolar_hilbert(form)
+    hf = _slice_hilbert(form_hilbert, residual, len(form_hilbert.values))
     return AvoidanceCertificate(
         hyperplane=hyperplane,
         hilbert=hf,
@@ -116,14 +143,25 @@ def colon_refinement(form: Polynomial, hyperplane: Polynomial,
                      removed_points: int | None = None) -> AvoidanceCertificate:
     """Refined certificate: points killed by the divisor are removed from the
     scheme before slicing, and credited back via removed_points when the
-    caller has certified how many there are (rank >= sum HF + removed)."""
+    caller has certified how many there are (rank >= sum HF + removed).
+
+    (F_perp : g) = (g o F)_perp, so the slice is that of g o F, padded to
+    the length deg F + 1 of F's own Hilbert function.
+    """
     _check_dual_linear(form, hyperplane)
     if apolar_apply(hyperplane, form).is_zero():
         raise ValueError("the hyperplane operator annihilates the form; "
                          "the avoidance bound does not apply")
-    refined = ideal_colon(apolar_ideal(form), divisor)
-    total = ideal_sum(refined, HomogeneousIdeal([hyperplane]))
-    hf = hilbert_function(total)
+    d = form.homogeneous_degree()
+    if divisor.nvars != form.nvars:
+        raise AmbientMismatchError("divisor ambient differs from the ideal's")
+    if divisor.is_zero() or not divisor.is_homogeneous():
+        raise ValueError("divisor must be a nonzero homogeneous element")
+    residual = apolar_apply(divisor, form)
+    if residual.is_zero():
+        raise ValueError("divisor lies in the ideal; the colon is the unit ideal")
+    hf = _slice_hilbert(apolar_hilbert(residual), apolar_apply(hyperplane, residual),
+                        d + 1)
     return AvoidanceCertificate(
         hyperplane=hyperplane,
         hilbert=hf,
@@ -318,7 +356,7 @@ def rank_report(rc: ReducibleCubic) -> RankReport:
                                 to_pinch, "tangent")
                 # the pinch form's slicer d1 in the form's coordinates
                 slicer = LinearForm(row[1] for row in to_pinch.matrix)
-                avoidance = avoidance_lower_bound(form, slicer.to_polynomial())
+                avoidance = avoidance_lower_bound(form, slicer.to_polynomial(), hf)
                 if avoidance.hilbert.values != (1, n, n, 0):
                     raise RuntimeError("internal: transported slice Hilbert "
                                        "function is off")
@@ -326,8 +364,10 @@ def rank_report(rc: ReducibleCubic) -> RankReport:
                              "it applies to decompositions avoiding the recorded "
                              "hyperplane")
             except NeedsFieldExtension as exc:
-                notes.append(f"no rational normalization found ({exc}); "
+                notes.append(f"no rational normalization exists ({exc}); "
                              "upper bound kept from the class table")
+            except NormalizationUndecided as exc:
+                notes.append(f"{exc}; upper bound kept from the class table")
         else:
             notes.append("class table gives the exact rank 2n; no constructor "
                          "is attached to this class here")
@@ -371,7 +411,7 @@ def rank_report(rc: ReducibleCubic) -> RankReport:
         # slicer and push it through the compression change
         vec = _pad(LinearForm.from_polynomial(sub.avoidance.hyperplane), nv)
         lifted_slicer = LinearForm(mat_vec(change.matrix, vec)).to_polynomial()
-        avoidance = avoidance_lower_bound(form, lifted_slicer)
+        avoidance = avoidance_lower_bound(form, lifted_slicer, hf)
         if avoidance.hilbert.values != sub.avoidance.hilbert.values:
             raise RuntimeError("internal: lifted avoidance certificate is off")
     notes.extend(sub.notes)

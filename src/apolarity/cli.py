@@ -4,8 +4,10 @@ Forms are written in the variables x0..xn and differential operators in
 d0..dn; either prefix parses, the ambient is inferred from the largest index
 seen unless --vars pins it.  Text that starts with "-" would be taken for
 an option, so pass it after a "--" separator: apolarity hilbert -- "-x0^3".
-Exit codes: 0 success, 1 a verification or certificate failed, 2 bad input,
-3 the construction would need an irrational change of coordinates.
+Exit codes: 0 success, 1 a verification or certificate failed or a
+normalization bound ran out before the question was decided, 2 bad input,
+3 the construction provably needs an irrational change of coordinates (the
+message names the local invariant that proves it).
 """
 
 from __future__ import annotations
@@ -13,12 +15,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 from .apolar import apolar_hilbert, apolar_ideal
 from .certificates import (avoidance_lower_bound, colon_refinement,
                            rank_report, tangent_plane_certificate)
-from .cubics import (NeedsFieldExtension, ReducibleCubic, WaringDecomposition,
-                     decompose_binary, decompose_type_c,
+from .cubics import (NeedsFieldExtension, NormalizationUndecided, ReducibleCubic,
+                     WaringDecomposition, decompose_binary, decompose_type_c,
                      decompose_type_c_normal, normal_form,
                      verify_decomposition)
 from .ideals import HomogeneousIdeal, hilbert_function, ideal_colon, ideal_sum
@@ -260,7 +263,10 @@ def _cmd_apolar(args) -> int:
     return EXIT_OK
 
 
+@lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and then reused: parsing
+    leaves it unchanged."""
     top = argparse.ArgumentParser(
         prog="apolarity",
         description="Waring decompositions and apolarity certificates "
@@ -338,6 +344,9 @@ def main(argv: list[str] | None = None) -> int:
     except NeedsFieldExtension as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_EXTENSION
+    except NormalizationUndecided as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VERIFY
     except (ValueError, AmbientMismatchError, OSError,
             KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -20,10 +20,10 @@ the quadric (see decompose_type_c_normal).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt, lcm
 
 from . import linalg
@@ -33,7 +33,13 @@ from .poly import (AmbientMismatchError, LinearChange, LinearForm, Polynomial,
 
 
 class NeedsFieldExtension(Exception):
-    """Raised when a construction would require irrational scalings."""
+    """Raised when no rational change of coordinates reaches the normal
+    form; the message names the local invariant that proves it."""
+
+
+class NormalizationUndecided(Exception):
+    """Raised when a factoring or search bound ran out before the rational
+    normalization of a tangent product was decided either way."""
 
 
 class InvalidChange(ValueError):
@@ -306,6 +312,7 @@ def split_change(n: int) -> LinearChange:
     return LinearChange(rows)
 
 
+@lru_cache(maxsize=None)
 def decompose_type_c_normal(n: int) -> WaringDecomposition:
     """Explicit 2n+1 cubes for the tangent normal form, all rational.
 
@@ -319,6 +326,7 @@ def decompose_type_c_normal(n: int) -> WaringDecomposition:
 
     follows from (1/6)[(a+b)^3 - (a-b)^3] = a^2*b + (1/3)b^3 and
     (1/6)[(a+b)^3 + (a-b)^3] = (1/3)a^3 + a*b^2: 3 + 2(n-1) = 2n+1 cubes.
+    The result is immutable and cached per n.
     """
     F = normal_form(n)
     nv = n + 1
@@ -350,138 +358,16 @@ def decompose_type_c_normal(n: int) -> WaringDecomposition:
 
 # -- normalization of a general tangent product ------------------------------
 
-def _sqrt_fraction(q: Fraction) -> Fraction | None:
-    if q <= 0:
-        return None
-    rn, rd = isqrt(q.numerator), isqrt(q.denominator)
-    if rn * rn == q.numerator and rd * rd == q.denominator:
-        return Fraction(rn, rd)
-    return None
-
-
-def _diagonalize_symmetric(m: list[list[Fraction]]):
-    """Congruence diagonalization: returns (diag, basis columns B) with
-    B^T m B diagonal.  Requires a nondegenerate symmetric matrix."""
-    size = len(m)
-    a = [row[:] for row in m]
-    basis = [[Fraction(int(i == j)) for j in range(size)] for i in range(size)]
-
-    def add_col(dst, src, f):
-        for i in range(size):
-            a[i][dst] += f * a[i][src]
-        for j in range(size):
-            a[dst][j] += f * a[src][j]
-        for i in range(size):
-            basis[i][dst] += f * basis[i][src]
-
-    def swap_col(i, j):
-        for r in range(size):
-            a[r][i], a[r][j] = a[r][j], a[r][i]
-        a[i], a[j] = a[j], a[i]
-        for r in range(size):
-            basis[r][i], basis[r][j] = basis[r][j], basis[r][i]
-
-    for t in range(size):
-        if a[t][t] == 0:
-            swap = next((j for j in range(t + 1, size) if a[j][j]), None)
-            if swap is not None:
-                swap_col(t, swap)
-            else:
-                off = next((j for j in range(t + 1, size) if a[t][j]), None)
-                if off is None:
-                    raise ValueError("degenerate block in congruence diagonalization")
-                add_col(t, off, Fraction(1))
-        for j in range(t + 1, size):
-            if a[t][j]:
-                add_col(j, t, -a[t][j] / a[t][t])
-    diag = [a[t][t] for t in range(size)]
-    cols = [[basis[i][j] for i in range(size)] for j in range(size)]
-    return diag, cols
-
-
-def _bilinear(m, u, v) -> Fraction:
-    return sum(u[i] * m[i][j] * v[j] for i in range(len(m)) for j in range(len(m)))
-
-
-def _small_isotropic_vector(m) -> list[Fraction] | None:
-    size = len(m)
-    if size > 10:
-        return None
-    radius = 2 if size <= 5 else 1
-    for cand in itertools.product(range(radius, -radius - 1, -1), repeat=size):
-        if not any(cand):
-            continue
-        vec = [Fraction(c) for c in cand]
-        if _bilinear(m, vec, vec) == 0:
-            return vec
-    return None
-
-
-def _congruence_to_block(m: list[list[Fraction]], hyperbolic: bool):
-    """Columns C with C^T m C equal to [[0,1/2],[1/2,0]] + identity when
-    hyperbolic, or the identity otherwise.  Raises NeedsFieldExtension when
-    no such rational scaling is found."""
-    size = len(m)
-    diag, cols = _diagonalize_symmetric(m)
-    if not hyperbolic:
-        out = []
-        for t in range(size):
-            s = _sqrt_fraction(diag[t])
-            if s is None:
-                raise NeedsFieldExtension(
-                    f"need an irrational scaling sqrt({diag[t]}) to reach the normal form")
-            out.append([v / s for v in cols[t]])
-        return out
-
-    def scaled(col, s):
-        return [v / s for v in col]
-
-    for i, j in itertools.combinations(range(size), 2):
-        s = _sqrt_fraction(-diag[i] * diag[j])
-        if s is None:
-            continue
-        rest = [k for k in range(size) if k not in (i, j)]
-        roots = [_sqrt_fraction(diag[k]) for k in rest]
-        if any(r is None for r in roots):
-            continue
-        a, b = diag[i], diag[j]
-        f2 = [cols[i][r] + (s / b) * cols[j][r] for r in range(size)]
-        f3 = [cols[i][r] / (4 * a) - (s / (4 * a * b)) * cols[j][r] for r in range(size)]
-        return [f2, f3] + [scaled(cols[k], r) for k, r in zip(rest, roots)]
-
-    iso = _small_isotropic_vector(m)
-    if iso is not None:
-        partner = next((t for t in range(size)
-                        if _bilinear(m, iso, [Fraction(int(r == t)) for r in range(size)])),
-                       None)
-        if partner is not None:
-            u = [Fraction(int(r == partner)) for r in range(size)]
-            bval = _bilinear(m, iso, u)
-            qU = _bilinear(m, u, u)
-            uprime = [u[r] - (qU / (2 * bval)) * iso[r] for r in range(size)]
-            f3 = [v / (2 * bval) for v in uprime]
-            rows = [[sum(m[r][cidx] * vec[cidx] for cidx in range(size)) for r in range(size)]
-                    for vec in (iso, uprime)]
-            comp = linalg.kernel_basis(rows, size)
-            sub = [[_bilinear(m, u1, u2) for u2 in comp] for u1 in comp]
-            inner = _congruence_to_block(sub, hyperbolic=False)
-            out = [iso, f3]
-            for col in inner:
-                out.append([sum(col[k] * comp[k][r] for k in range(len(comp)))
-                            for r in range(size)])
-            return out
-    raise NeedsFieldExtension(
-        "no rational hyperbolic pair and square scaling was found; "
-        "pass an explicit change of coordinates")
-
-
 def normalize_tangent_product(rc: ReducibleCubic) -> LinearChange:
     """A rational change carrying a TypeC product to the pinch normal form.
 
-    Best effort: the linear factor is straightened to x0, the tangency point
-    of the quadric section is placed at x1, and the residual quadratic block
-    is scaled by rational congruence.  Raises NeedsFieldExtension when the
-    block cannot be scaled rationally.
+    The linear factor is straightened to x0, the tangency point of the
+    quadric section is placed at x1, and the residual quadratic block B is
+    carried by rational congruence onto c*N, N the pinch block (see
+    quadratic.pinch_similarity).  x0 -> x0/c with x1 -> c^2*x1 then removes
+    c.  Raises NeedsFieldExtension, naming the local invariant, only when
+    no rational change exists, and NormalizationUndecided when a factoring
+    or search bound runs out first.
     """
     nv = rc.nvars
     n = nv - 1
@@ -509,8 +395,19 @@ def normalize_tangent_product(rc: ReducibleCubic) -> LinearChange:
     vbasis = [[Fraction(0)] + w for w in linalg.kernel_basis([r0[1:]], n)]
     # the Gram matrix V^T m V of the columns vbasis, as q1 restricted to them
     qv = quadric_matrix(_compose_rows(q1, list(zip(*vbasis))))
-    block = _congruence_to_block(qv, hyperbolic=(n >= 3))
-    ucols = [u0, u1]
+    # the number theory is loaded on first use, so that no import of the
+    # package pays for compiling it
+    from .quadratic import BudgetExceeded, NotSimilar, pinch_similarity
+    try:
+        c, block = pinch_similarity(qv)
+    except NotSimilar as exc:
+        raise NeedsFieldExtension(
+            "no rational change reaches the pinch form: the quadric's residual "
+            f"block is not similar to the pinch block, {exc}") from None
+    except BudgetExceeded as exc:
+        raise NormalizationUndecided(
+            f"normalization undecided, a search bound ran out: {exc}") from None
+    ucols = [[v / c for v in u0], [v * c * c for v in u1]]
     for col in block:
         ucols.append([sum(col[r] * vbasis[r][i] for r in range(len(vbasis)))
                       for i in range(nv)])
@@ -525,8 +422,8 @@ def decompose_type_c(rc: ReducibleCubic,
                      change: LinearChange | None = None) -> WaringDecomposition:
     """Power-sum decomposition of a tangent product, via the normal form.
 
-    When no change of coordinates is supplied one is searched for over the
-    rationals (NeedsFieldExtension when that fails); a supplied change must
+    When no change of coordinates is supplied one is constructed over the
+    rationals (NeedsFieldExtension when none exists); a supplied change must
     carry the cubic exactly onto the normal form.
     """
     ctype = classify(rc)

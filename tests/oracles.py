@@ -8,6 +8,11 @@ Gauss-Jordan elimination.  top_degree_generators keeps the linear system
 that the package once solved for the apolar generators of degree d+1, and
 squarefree_euclid and rational_roots_by_deflation keep the polynomial
 Euclid and the root-by-root deflation it once ran on binary generators.
+certificate_by_ideals is the one exception to the rule above: it keeps the
+route the avoidance and colon certificates once took through the package's
+own ideal calculus (apolar ideal, colon, sum, graded spans), so it checks
+the rank-based slice formula against a different computation, not against
+different code.
 """
 
 from __future__ import annotations
@@ -259,3 +264,26 @@ def rational_roots_by_deflation(p: list) -> list | None:
         assert core[0] + quotient[0] * root == 0
         core = quotient
     return roots
+
+
+def certificate_by_ideals(form, hyperplane, divisor=None):
+    """(hilbert values, bound) of the avoidance certificate, or of its colon
+    refinement when a divisor is given, computed as the package once did:
+    the Hilbert function of T/(F_perp + <l>) or T/((F_perp : g) + <l>) from
+    graded spans of the ideals, after the same input checks."""
+    from apolarity.apolar import apolar_apply, apolar_ideal
+    from apolarity.ideals import (HomogeneousIdeal, hilbert_function,
+                                  ideal_colon, ideal_sum)
+    from apolarity.poly import AmbientMismatchError
+    if hyperplane.nvars != form.nvars:
+        raise AmbientMismatchError("hyperplane and form ambients differ")
+    if hyperplane.is_zero() or hyperplane.homogeneous_degree() != 1:
+        raise ValueError("the hyperplane must be a nonzero linear operator")
+    if apolar_apply(hyperplane, form).is_zero():
+        raise ValueError("the hyperplane operator annihilates the form; "
+                         "the avoidance bound does not apply")
+    ideal = apolar_ideal(form)
+    if divisor is not None:
+        ideal = ideal_colon(ideal, divisor)
+    hf = hilbert_function(ideal_sum(ideal, HomogeneousIdeal([hyperplane])))
+    return hf.values, hf.total()

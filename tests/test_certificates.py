@@ -176,9 +176,11 @@ def test_rank_report_exact_classes():
 
 
 def test_rank_report_tangent_without_rational_witness():
-    report = rank_report(_product("x0", "x0*x1 + 2*x2^2"))
+    # the residual block x2^2 + 2*x3^2 is definite, hence not similar to the
+    # hyperbolic pinch block x2*x3 over Q
+    report = rank_report(_product("x0", "x0*x1 + x2^2 + 2*x3^2"))
     assert report.classification.kind is CubicKind.TYPE_C
-    assert (report.lower, report.upper) == (4, 5)
+    assert (report.lower, report.upper) == (6, 7)
     assert report.witness is None and report.avoidance is None
     assert any("no rational normalization" in note for note in report.notes)
 

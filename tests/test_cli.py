@@ -99,9 +99,10 @@ def test_decompose_requires_arguments(capsys):
 
 
 def test_field_extension_exit_code(capsys):
-    code, _, err = run(capsys, "decompose", "x0", "x0*x1 + 2*x2^2")
+    code, _, err = run(capsys, "decompose", "x0", "x0*x1 + x2^2 + 2*x3^2")
     assert code == 3
     assert "error" in err
+    assert "anisotropic over R" in err
 
 
 def test_parse_error_exit_code(capsys):

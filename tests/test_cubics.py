@@ -343,8 +343,19 @@ def test_normalize_scaled_square():
 
 
 def test_normalize_needs_extension():
-    with pytest.raises(NeedsFieldExtension):
-        decompose_type_c(_product("x0", "x0*x1 + 2*x2^2"))
+    # x2^2 - 3*x3^2 is anisotropic over Q_2 and Q_3: no rational change
+    # reaches the pinch form x0*(x0*x1 + x2*x3)
+    with pytest.raises(NeedsFieldExtension, match="anisotropic over Q_2 and Q_3"):
+        decompose_type_c(_product("x0", "x0*x1 + x2^2 - 3*x3^2"))
+
+
+def test_normalize_similar_block():
+    # x0 -> x0/2, x1 -> 4*x1 carries x0*(x0*x1 + 2*x2^2) onto the pinch form
+    rc = _product("x0", "x0*x1 + 2*x2^2")
+    assert substitute(rc.form(), normalize_tangent_product(rc)) == normal_form(2)
+    dec = decompose_type_c(rc)
+    ok, _ = verify_decomposition(rc.form(), dec)
+    assert ok and len(dec) == 5
 
 
 def test_normalize_isotropic_fallback():

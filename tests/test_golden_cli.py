@@ -21,6 +21,7 @@ from pathlib import Path
 
 import pytest
 
+from apolarity import WaringDecomposition, parse, verify_decomposition
 from apolarity.cli import main
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")
@@ -66,7 +67,11 @@ CASES: list[tuple[str, list[str]]] = [
     ("decompose-binary-cubes", ["decompose", "x0 + x1", "x0^2 - x0*x1 + x1^2"]),
     ("decompose-binary", ["decompose", "x0", "x0^2 + 3*x1^2"]),
     ("decompose-binary-irrational", ["decompose", "x0", "x0^2 - 2*x1^2"]),
+    # similar to the pinch form, not isometric: x0 -> x0/c, x1 -> c^2*x1
+    # carries x0*(x0*x1 + c*N) onto it (c = 2, 3, 3)
     ("decompose-obstructed", ["decompose", "x0", "x0*x1 + x2*x3 + 2*x4^2"]),
+    ("decompose-similar-2", ["decompose", "x0", "x0*x1 + 3*x2^2"]),
+    ("decompose-similar-4", ["decompose", "x0", "x0*x1 + 3*x2*x3 + 3*x4^2"]),
     # a definite block (anisotropic over R), and one anisotropic at p = 3
     ("decompose-definite-block", ["decompose", "x0", "x0*x1 + x2^2 + 2*x3^2"]),
     ("decompose-obstructed-at-3", ["decompose", "x0", "x0*x1 + x2^2 - 3*x3^2"]),
@@ -138,6 +143,17 @@ def test_golden_output(recorded, name):
     golden = json.loads(GOLDEN.read_text())[name]
     assert recorded[name]["exit"] == golden["exit"]
     assert recorded[name]["stdout"] == golden["stdout"]
+
+
+
+@pytest.mark.parametrize("name", ["decompose-obstructed", "decompose-similar-2",
+                                  "decompose-similar-4"])
+def test_similar_block_witness_verifies(recorded, name):
+    assert recorded[name]["exit"] == 0
+    payload = json.loads(recorded[name]["stdout"])
+    ok, _ = verify_decomposition(parse(payload["form"]),
+                                 WaringDecomposition.from_json_dict(payload))
+    assert ok and payload["verified"] is True
 
 
 if __name__ == "__main__":

@@ -3,12 +3,15 @@
 Every module of src/apolarity other than __init__.py must use each name it
 imports, and every module-level private function or class (a name starting
 with one underscore) must be referenced somewhere in src/ outside its own
-definition.  Leftovers of a refactor show up here before they drift.
+definition.  Leftovers of a refactor show up here before they drift.  And
+every module, __init__.py included, may import only the standard library
+and the package itself: the tests may lean on sympy, the runtime may not.
 """
 
 from __future__ import annotations
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -74,6 +77,25 @@ def test_private_definitions_are_referenced(path):
     assert not dead, f"{path.name} defines private names nothing uses: {dead}"
 
 
+def _imported_packages(tree: ast.Module) -> list[tuple[str, int]]:
+    """Top-level package of every absolute import, with its line."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out.extend((a.name.split(".")[0], node.lineno) for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            out.append((node.module.split(".")[0], node.lineno))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(TREES))
+def test_imports_stay_in_the_standard_library(name):
+    outside = [f"{package} (line {line})"
+               for package, line in _imported_packages(TREES[name])
+               if package not in sys.stdlib_module_names and package != "apolarity"]
+    assert not outside, f"{name} imports from outside the standard library: {outside}"
+
+
 def test_the_checks_see_every_module():
     assert {p.name for p in MODULES} >= {"cubics.py", "certificates.py",
-                                         "poly.py", "linalg.py"}
+                                         "poly.py", "linalg.py", "quadratic.py"}
