@@ -16,9 +16,9 @@ from math import ceil, comb
 
 from .apolar import apolar_apply, apolar_hilbert, apolar_ideal, catalecticant
 from .cubics import (CubicKind, CubicType, LinearChange, NeedsFieldExtension,
-                     NormalizationUndecided, ReducibleCubic, WaringDecomposition, _lift, _pad, classify,
-                     decompose_binary, decompose_type_c_normal,
-                     normalize_tangent_product)
+                     NormalizationUndecided, ReducibleCubic, WaringDecomposition,
+                     _lift, _pad, classify, decompose_binary,
+                     decompose_type_c_normal, normalize_tangent_product)
 from .ideals import (HilbertFunction, HomogeneousIdeal, graded_basis,
                      hilbert_function, ideal_colon, ideal_contains, ideal_equal,
                      ideal_sum)
@@ -101,10 +101,9 @@ def _slice_hilbert(form_hilbert: HilbertFunction, residual: Polynomial,
     second term vanishes when l o F = 0.  Values are padded with zeros to
     the given length.
     """
-    hf = form_hilbert
     shifted = (0,) + (apolar_hilbert(residual).values if not residual.is_zero() else ())
     values = [v - (shifted[i] if i < len(shifted) else 0)
-              for i, v in enumerate(hf.values)]
+              for i, v in enumerate(form_hilbert.values)]
     return HilbertFunction(tuple(values + [0] * (length - len(values))))
 
 

@@ -14,9 +14,9 @@ from fractions import Fraction
 
 import pytest
 
-from apolarity import (LinearForm, NeedsFieldExtension, Polynomial, ReducibleCubic,
-                       normal_form, normalize_tangent_product, parse, rank_report,
-                       substitute)
+from apolarity import (LinearChange, LinearForm, NeedsFieldExtension, Polynomial,
+                       ReducibleCubic, normal_form, normalize_tangent_product,
+                       parse, rank_report, substitute)
 from apolarity import quadratic
 from apolarity.cli import main
 from apolarity.linalg import rank
@@ -158,17 +158,11 @@ def test_true_obstructions_name_their_invariant(quadric, invariant):
     with pytest.raises(NeedsFieldExtension, match=invariant):
         normalize_tangent_product(rc)
     # the same block after a dense change of coordinates
-    rng = random.Random(3)
-    mat = _dense_change(rng, q.nvars)
+    change = LinearChange(_dense_change(random.Random(3), q.nvars))
     moved = ReducibleCubic.from_polynomials(
-        substitute(rc.linear.to_polynomial(), _change(mat)), substitute(q, _change(mat)))
+        substitute(rc.linear.to_polynomial(), change), substitute(q, change))
     with pytest.raises(NeedsFieldExtension, match="not similar"):
         normalize_tangent_product(moved)
-
-
-def _change(mat):
-    from apolarity import LinearChange
-    return LinearChange(mat)
 
 
 def test_scaled_blocks_reach_the_pinch_form():
