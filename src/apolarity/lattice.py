@@ -73,6 +73,7 @@ def split_power(a: int, p: int) -> tuple[int, int]:
 
 
 def legendre_symbol(u: int, p: int) -> int:
+    """(u/p) for an odd prime p not dividing u, by Euler's criterion."""
     return 1 if pow(u % p, (p - 1) // 2, p) == 1 else -1
 
 
@@ -97,7 +98,6 @@ def sqrt_mod_prime(a: int, p: int) -> int:
         b = pow(c, 1 << (m - i - 1), p)
         m, c, t, r = i, b * b % p, t * b * b % p, r * b % p
     return r
-
 
 
 def _kernel_mod(g: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
@@ -317,8 +317,9 @@ def reduced_basis(m: list[list[Fraction]], det: Fraction,
                      for p in primes_of(part)})
     g, cols = _minimize([[int(v * scale) for v in row] for row in m], primes)
     # LLL under the majorant sum |d_t| * y_t^2 of g = sum d_t * y_t^2, the
-    # y_t being the coordinates of a diagonal basis: a basis short for it has
-    # |minors of g| at most 2^(k(k-1)/2) * |det g|
+    # y_t being the coordinates of a diagonal basis: by Cauchy-Binet each
+    # leading minor of g is at most the majorant's in absolute value, and
+    # the majorant's stay small in an LLL-reduced basis
     diag, w = diagonalize([[Fraction(v) for v in row] for row in g])
     winv = inverse([list(row) for row in zip(*w)])
     k = len(g)
