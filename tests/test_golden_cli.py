@@ -5,9 +5,11 @@ and exit code each call produced when it was recorded.  A refactor that
 claims "same behaviour" must leave every entry byte-identical.  When an
 output change is intended, regenerate the file with
 
-    PYTHONPATH=src python tests/test_golden_cli.py
+    PYTHONPATH=src python tests/test_golden_cli.py [NAME ...]
 
-and say in CHANGES.md which entries moved and why.
+which re-records only the named entries, leaving every other one byte for
+byte, or the whole file when no name is given; and say in CHANGES.md which
+entries moved and why.
 """
 
 from __future__ import annotations
@@ -38,6 +40,20 @@ DENSE_CUBIC = ("3*x0^2*x1 + x0^2*x2 + 3*x0^2*x3 + 3*x0^2*x4 + x0*x1*x3 "
                "- 3*x1*x2^2 - x1*x2*x4 - 2*x1*x3^2 - 3*x1*x3*x4 + x1*x4^2 "
                "+ 3*x2^3 + 2*x2^2*x3 + 2*x2^2*x4 - 3*x2*x3^2 + x2*x3*x4 "
                "+ 2*x3^2*x4 + 2*x3*x4^2 + x4^3")
+# pinch products for n = 5 and n = 7 after dense changes with entries in
+# {-1, 0, 1}; a plain diagonalization of their residual blocks does not show
+# the similarity, so normalization runs through minimization and LLL
+LATTICE_5 = ("-x0 - x2 + x3",
+             "2*x0^2 + x0*x1 + 2*x0*x2 - 2*x0*x3 - 2*x0*x4 - x0*x5 + 2*x1^2 "
+             "+ 5*x1*x2 - 2*x1*x3 - 2*x1*x4 + 3*x1*x5 + 3*x2^2 - x2*x3 "
+             "- 2*x2*x4 + 2*x2*x5 + x3*x4 + x4^2 - 3*x4*x5 + x5^2")
+LATTICE_7 = ("-x2 + x4",
+             "2*x0^2 - 4*x0*x1 + x0*x2 - 4*x0*x3 + x0*x4 + x0*x5 - 2*x0*x6 "
+             "+ 3*x0*x7 + 4*x1^2 + x1*x2 + 4*x1*x3 - x1*x4 - x1*x5 - x1*x7 "
+             "+ 2*x2*x3 - 3*x2*x4 + 2*x2*x5 + x2*x6 + x2*x7 + 5*x3^2 "
+             "- 4*x3*x4 + x3*x5 + 6*x3*x6 - 5*x3*x7 + 5*x4^2 - 5*x4*x5 "
+             "- x4*x6 + 2*x4*x7 + 4*x5^2 - x5*x6 - x5*x7 + 2*x6^2 - 3*x6*x7 "
+             "+ 2*x7^2")
 
 # Every call gets --json except the "text-" cases, which freeze the printed
 # identities.  {dir} is replaced by a per-run temporary directory; calls run
@@ -48,6 +64,8 @@ CASES: list[tuple[str, list[str]]] = [
     ("analyze-normal-4", ["analyze", "x0", "x0*x1 + x2*x3 + x4^2"]),
     ("analyze-normal-5", ["analyze", "x0", "x0*x1 + x2*x3 + x4^2 + x5^2"]),
     ("analyze-dense-tangent", ["analyze", DENSE_LINEAR, DENSE_QUADRIC]),
+    ("analyze-dense-lattice-5", ["analyze", *LATTICE_5]),
+    ("analyze-dense-lattice-7", ["analyze", *LATTICE_7]),
     ("analyze-type-a", ["analyze", "x0", "x0^2 + x1^2 + x2^2"]),
     ("analyze-type-b", ["analyze", "x0", "x1*x2 + x3^2"]),
     ("analyze-cone-essential-3", ["analyze", "--vars", "5", "x0", "x0*x1 + x2^2"]),
@@ -157,5 +175,11 @@ def test_similar_block_witness_verifies(recorded, name):
 
 
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps(run_corpus(), indent=1, sort_keys=True) + "\n")
-    sys.exit(0)
+    names = sys.argv[1:]
+    unknown = sorted(set(names) - {name for name, _ in CASES})
+    if unknown:
+        sys.exit(f"no such case: {', '.join(unknown)}")
+    corpus = run_corpus()
+    golden = json.loads(GOLDEN.read_text()) if names else {}
+    golden.update({name: corpus[name] for name in names or corpus})
+    GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
