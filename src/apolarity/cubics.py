@@ -29,7 +29,7 @@ from math import isqrt, lcm
 from . import linalg
 from .apolar import apolar_ideal, essential_variables
 from .poly import (AmbientMismatchError, LinearChange, LinearForm, Polynomial,
-                   _compose_rows, substitute)
+                   _compose_rows)
 
 
 class NeedsFieldExtension(Exception):
@@ -358,28 +358,47 @@ def decompose_type_c_normal(n: int) -> WaringDecomposition:
 
 # -- normalization of a general tangent product ------------------------------
 
-def normalize_tangent_product(rc: ReducibleCubic) -> LinearChange:
-    """A rational change carrying a TypeC product to the pinch normal form.
+@lru_cache(maxsize=None)
+def _pinch_matrix(n: int) -> list[list[Fraction]]:
+    return quadric_matrix(normal_form_pair(n).quadric)
 
-    The linear factor is straightened to x0, the tangency point of the
-    quadric section is placed at x1, and the residual quadratic block B is
-    carried by rational congruence onto c*N, N the pinch block (see
-    quadratic.pinch_similarity).  x0 -> x0/c with x1 -> c^2*x1 then removes
-    c.  Raises NeedsFieldExtension, naming the local invariant, only when
-    no rational change exists, and NormalizationUndecided when a factoring
-    or search bound runs out first.
-    """
+
+def _carries_to_pinch_form(rc: ReducibleCubic, cols) -> bool:
+    """Whether the change with columns C carries L*Q onto the normal form
+    x0*P: l^T C = a*e_0^T with a != 0, and C^T M C = P/a.  This is exactly
+    substitute(L*Q, C) == normal_form(n): x0 divides (L o C)*(Q o C) and
+    cannot divide Q o C = x0*L', for P = (L o C)*L' would then be
+    reducible, while P has rank n+1 >= 3; so L o C = a*x0 and Q o C = P/a."""
+    a, *rest = [sum(c * v for c, v in zip(rc.linear.coeffs, col)) for col in cols]
+    if a == 0 or any(rest):
+        return False
+    gram = linalg.gram(quadric_matrix(rc.quadric), cols)
+    return [[a * v for v in row] for row in gram] == _pinch_matrix(len(cols) - 1)
+
+
+def normalize_tangent_product(rc: ReducibleCubic) -> LinearChange:
+    """A rational change carrying a TypeC product to the pinch normal form,
+    built on M, the matrix of Q.  S, the inverse of y0 = L(x) with the other
+    coordinates kept, straightens L; in m = S^T M S the tangency point of
+    the quadric section goes to y1, and the residual block V^T m V goes to
+    c*N, N the pinch block (quadratic.pinch_similarity); y0 -> y0/c with
+    y1 -> c^2*y1 removes c.  So C = S*U, U the columns of these steps, has
+    l^T C = e_0^T/c and C^T M C = c*P, P the pinch matrix.  Raises
+    NeedsFieldExtension, naming the local invariant, only when no rational
+    change exists; NormalizationUndecided when a bound runs out first."""
     nv = rc.nvars
     n = nv - 1
     lc = rc.linear.coeffs
     k = next(i for i, c in enumerate(lc) if c)
-    # the inverse of y0 = L(x), y_j = x_j (j != k): L becomes y0
-    straighten = LinearChange(
-        [lc] + [_unit(nv, j) for j in range(nv) if j != k]).inverse()
-    q1 = substitute(rc.quadric, straighten)
-    m = quadric_matrix(q1)
-    msub = [row[1:] for row in m[1:]]
-    ker = linalg.kernel_basis(msub, n)
+
+    def straighten(u):
+        # S*u: y1..yn are the x_j, j != k, in order, and l_j = 0 for j < k
+        xk = (u[0] - sum(c * v for c, v in zip(lc[k + 1:], u[k + 1:]))) / lc[k]
+        return [*u[1:k + 1], xk, *u[k + 1:]]
+
+    m = linalg.gram(quadric_matrix(rc.quadric),
+                    [straighten(_unit(nv, r)) for r in range(nv)])
+    ker = linalg.kernel_basis([row[1:] for row in m[1:]], n)
     if len(ker) != 1:
         raise ValueError("the hyperplane section is not a corank-one quadric; "
                          "the product is not of tangent type")
@@ -391,15 +410,12 @@ def normalize_tangent_product(rc: ReducibleCubic) -> LinearChange:
     a00 = m[0][0]
     u0 = [Fraction(int(r == 0)) - (a00 / (2 * lam)) * p[r] for r in range(nv)]
     u1 = [v / (2 * lam) for v in p]
-    r0 = [m[i][0] for i in range(nv)]
-    vbasis = [[Fraction(0)] + w for w in linalg.kernel_basis([r0[1:]], n)]
-    # the Gram matrix V^T m V of the columns vbasis, as q1 restricted to them
-    qv = quadric_matrix(_compose_rows(q1, list(zip(*vbasis))))
+    vbasis = [[Fraction(0)] + w for w in linalg.kernel_basis([m[0][1:]], n)]
     # the number theory is loaded on first use, so that no import of the
     # package pays for compiling it
     from .quadratic import BudgetExceeded, NotSimilar, pinch_similarity
     try:
-        c, block = pinch_similarity(qv)
+        c, block = pinch_similarity(linalg.gram(m, vbasis))
     except NotSimilar as exc:
         raise NeedsFieldExtension(
             "no rational change reaches the pinch form: the quadric's residual "
@@ -411,11 +427,10 @@ def normalize_tangent_product(rc: ReducibleCubic) -> LinearChange:
     for col in block:
         ucols.append([sum(col[r] * vbasis[r][i] for r in range(len(vbasis)))
                       for i in range(nv)])
-    mix = LinearChange([[ucols[j][i] for j in range(nv)] for i in range(nv)])
-    change = straighten.compose(mix)
-    if substitute(rc.form(), change) != normal_form(n):
+    cols = [straighten(u) for u in ucols]
+    if not _carries_to_pinch_form(rc, cols):
         raise RuntimeError("internal: normalization self-check failed")
-    return change
+    return LinearChange(zip(*cols))
 
 
 def decompose_type_c(rc: ReducibleCubic,
@@ -429,16 +444,15 @@ def decompose_type_c(rc: ReducibleCubic,
     ctype = classify(rc)
     if ctype.kind is not CubicKind.TYPE_C:
         raise ValueError(f"decomposition by normal form needs TypeC, got {ctype}")
-    form = rc.form()
     n = rc.nvars - 1
     if change is not None:
         if change.nvars != rc.nvars:
             raise InvalidChange("change of coordinates has the wrong size")
-        if substitute(form, change) != normal_form(n):
+        if not _carries_to_pinch_form(rc, list(zip(*change.matrix))):
             raise InvalidChange("the change does not carry the cubic to the normal form")
     else:
         change = normalize_tangent_product(rc)
-    return _lift(form, decompose_type_c_normal(n).terms, change, "tangent")
+    return _lift(rc.form(), decompose_type_c_normal(n).terms, change, "tangent")
 
 
 def _pad(linear: LinearForm, nvars: int) -> tuple[Fraction, ...]:

@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Callable
 
-from .linalg import inverse
+from .linalg import gram, inverse
 
 
 def diagonalize(m: list[list[Fraction]]):
@@ -176,30 +176,6 @@ def _isotropic_mod(a: list[list[int]], p: int) -> list[int] | None:
     raise RuntimeError("internal: no isotropic vector of a ternary form mod p")
 
 
-def gram(g, vectors):
-    """The Gram matrix of the vectors under g."""
-    images = [[sum(x * y for x, y in zip(row, v) if y) for row in g] for v in vectors]
-    return [[sum(x * y for x, y in zip(u, gv) if x) for gv in images] for u in vectors]
-
-
-def _det(g: list[list[int]]) -> int:
-    """Determinant of an integer matrix by fraction-free (Bareiss) elimination."""
-    a = [row[:] for row in g]
-    k, sign, prev = len(a), 1, 1
-    for t in range(k - 1):
-        if a[t][t] == 0:
-            swap = next((i for i in range(t + 1, k) if a[i][t]), None)
-            if swap is None:
-                return 0
-            a[t], a[swap] = a[swap], a[t]
-            sign = -sign
-        for i in range(t + 1, k):
-            for j in range(t + 1, k):
-                a[i][j] = (a[i][j] * a[t][t] - a[i][t] * a[t][j]) // prev
-        prev = a[t][t]
-    return sign * a[-1][-1]
-
-
 def _rebase(g, cols, new, p: int = 1):
     """The form and the basis columns on the lattice spanned by the integer
     rows of new (coordinates in the current basis), with the last row taken
@@ -215,16 +191,16 @@ def _rebase(g, cols, new, p: int = 1):
     return h, cols
 
 
-def _minimize(g: list[list[int]], primes) -> tuple[list[list[int]], list[list[Fraction]]]:
+def _minimize(g: list[list[int]], det: int,
+              primes) -> tuple[list[list[int]], list[list[Fraction]]]:
     """(h, cols): a rational basis, as columns, of a lattice on which a
-    rational multiple h of the form g is integral, with the square factors
-    of det g removed wherever the local structure at p allows: where g
-    vanishes mod p on a lattice, divide by p; where it has an isotropic
-    vector x mod p^2 inside its kernel mod p, adjoin x/p.  primes must
-    contain every prime factor of det g."""
+    rational multiple h of the form g (of determinant det) is integral, with
+    the square factors of det removed wherever the local structure at p
+    allows: where g vanishes mod p on a lattice, divide by p; where it has
+    an isotropic vector x mod p^2 inside its kernel mod p, adjoin x/p.
+    primes must contain every prime factor of det."""
     k = len(g)
     cols = [[Fraction(int(i == j)) for i in range(k)] for j in range(k)]
-    det = _det(g)
     for p in primes:
         while split_power(det, p)[0] >= 2:
             ker, free = _kernel_mod(g, p)
@@ -241,7 +217,7 @@ def _minimize(g: list[list[int]], primes) -> tuple[list[list[int]], list[list[Fr
                 g = [[v // p for v in row] for row in g]
                 det //= p ** (2 * r - k)
                 continue
-            a = [[gram(g, [u, v])[0][1] // p for v in ker] for u in ker]
+            a = [[v // p for v in row] for row in gram(g, ker)]
             c = _isotropic_mod(a, p)
             if c is None:
                 break
@@ -315,7 +291,8 @@ def reduced_basis(m: list[list[Fraction]], det: Fraction,
     # det(scale * m) = scale^k * det: its primes without factoring it whole
     primes = sorted({p for part in (scale, det.numerator, det.denominator)
                      for p in primes_of(part)})
-    g, cols = _minimize([[int(v * scale) for v in row] for row in m], primes)
+    g, cols = _minimize([[int(v * scale) for v in row] for row in m],
+                        int(scale ** len(m) * det), primes)
     # LLL under the majorant sum |d_t| * y_t^2 of g = sum d_t * y_t^2, the
     # y_t being the coordinates of a diagonal basis: by Cauchy-Binet each
     # leading minor of g is at most the majorant's in absolute value, and

@@ -71,6 +71,12 @@ def mat_vec(mat: list[Row], vec: Row) -> Row:
     return [sum(a * b for a, b in zip(row, vec)) for row in mat]
 
 
+def gram(g, vectors):
+    """The Gram matrix [u^T g v] of the vectors under g."""
+    images = [[sum(x * y for x, y in zip(row, v) if y) for row in g] for v in vectors]
+    return [[sum(x * y for x, y in zip(u, gv) if x) for gv in images] for u in vectors]
+
+
 def solve(rows: list[Row], rhs: Row) -> Row | None:
     """One solution of rows * x = rhs (free variables set to 0), or None."""
     if not rows:

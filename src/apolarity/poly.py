@@ -8,8 +8,7 @@ the dual ring); the canonical term order is graded lexicographic, highest
 degree first.
 
 Every linear substitution (substitute, WaringDecomposition.expand, the
-divisibility test of cubics.classify, the Gram matrix of
-cubics.normalize_tangent_product) runs in one integer kernel,
+divisibility test of cubics.classify) runs in one integer kernel,
 _compose_rows, on packed exponent keys.
 
 Everything here is exact.  No floats enter at any point.

@@ -52,8 +52,9 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd, isqrt, prod
 
-from .lattice import (diagonalize, gram, legendre_symbol, reduced_basis,
-                      split_power, sqrt_mod_prime)
+from .lattice import (diagonalize, legendre_symbol, reduced_basis, split_power,
+                      sqrt_mod_prime)
+from .linalg import gram
 
 FACTOR_BUDGET = 200_000
 PRIME_SEARCH = 100_000

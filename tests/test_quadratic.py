@@ -19,6 +19,7 @@ from apolarity import (LinearChange, LinearForm, NeedsFieldExtension, Polynomial
                        parse, rank_report, substitute)
 from apolarity import quadratic
 from apolarity.cli import main
+from apolarity.cubics import _carries_to_pinch_form
 from apolarity.linalg import rank
 
 SMALL = [1, -1, 2, -2, 3, -3, 5, -5, 6, -6, 7, 10, -14, 15, -21, 30]
@@ -134,14 +135,58 @@ def _dense_change(rng: random.Random, nv: int):
 @pytest.mark.parametrize("n", range(2, 11))
 def test_no_false_failures_on_dense_changes(n):
     """ROADMAP acceptance: 50 seeded dense changes of the pinch form, the
-    quadric block scaled by c, each normalize exactly (the self-check inside
-    normalize_tangent_product compares with normal_form(n))."""
+    quadric block scaled by c, each normalize exactly, checked here by
+    substituting the cubic, independently of the matrix self-check inside
+    normalize_tangent_product."""
     rng = random.Random(1000 + n)
     for _ in range(50):
         c = rng.choice([1, 1, 2, 3, -1, 5, 6, -7, 10, 1 / Fraction(3)])
         rc = _scaled_pinch_product(n, c, _dense_change(rng, n + 1))
+        assert substitute(rc.form(), normalize_tangent_product(rc)) == normal_form(n)
+
+
+def _pinch_isometry(n: int, t: int) -> LinearChange:
+    """A change of coordinates that maps the pinch quadric onto itself and
+    moves x0, so that it does not fix the normal form:
+    x0 -> x0 - t^2*x1 - 2t*x2, x2 -> x2 + t*x1 for n = 2, and
+    x0 -> x0 + t*x2, x3 -> x3 - t*x1 otherwise."""
+    e = [[int(i == j) for j in range(n + 1)] for i in range(n + 1)]
+    if n == 2:
+        e[0][1], e[0][2], e[2][1] = -t * t, -2 * t, t
+    else:
+        e[0][2], e[3][1] = t, -t
+    return LinearChange(e)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_pinch_form_test_matches_substitution(n):
+    """cubics._carries_to_pinch_form against the reference
+    substitute(L*Q, C) == normal_form(n): on normalizations, on the same
+    changes with one entry perturbed, composed with a perturbed identity
+    (which keeps L o C = a*x0) or with an isometry of the pinch quadric
+    moving x0 (which keeps C^T M C = P/a), and on L*Q refactored as
+    (a*L)*(Q/a)."""
+    rng = random.Random(2000 + n)
+    outcomes = []
+    for _ in range(3):
+        c = rng.choice([1, 2, -3, 1 / Fraction(5)])
+        rc = _scaled_pinch_product(n, c, _dense_change(rng, n + 1))
         change = normalize_tangent_product(rc)
-        assert change.nvars == n + 1
+        perturbed = [list(row) for row in change.matrix]
+        perturbed[rng.randrange(n + 1)][rng.randrange(n + 1)] += 1
+        step = [[int(i == j) for j in range(n + 1)] for i in range(n + 1)]
+        step[rng.randrange(1, n + 1)][rng.randrange(n + 1)] += 1
+        a = rng.choice([2, -1, Fraction(3, 7)])
+        rescaled = ReducibleCubic(LinearForm(a * v for v in rc.linear.coeffs),
+                                  rc.quadric * (1 / Fraction(a)))
+        for cubic, moved in [(rc, change), (rc, LinearChange(perturbed)),
+                             (rc, change.compose(LinearChange(step))),
+                             (rc, change.compose(_pinch_isometry(n, rng.randint(1, 3)))),
+                             (rescaled, change)]:
+            expected = substitute(cubic.form(), moved) == normal_form(n)
+            assert _carries_to_pinch_form(cubic, list(zip(*moved.matrix))) == expected
+            outcomes.append(expected)
+    assert outcomes[:5] == [True, False, False, False, True]
 
 
 @pytest.mark.parametrize("quadric, invariant", [

@@ -6,11 +6,14 @@ with one underscore) must be referenced somewhere in src/ outside its own
 definition.  Leftovers of a refactor show up here before they drift.  And
 every module, __init__.py included, may import only the standard library
 and the package itself: the tests may lean on sympy, the runtime may not.
+Importing the package and its CLI leaves the number theory unloaded.
 """
 
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -99,3 +102,15 @@ def test_imports_stay_in_the_standard_library(name):
 def test_the_checks_see_every_module():
     assert {p.name for p in MODULES} >= {"cubics.py", "certificates.py",
                                          "poly.py", "linalg.py", "quadratic.py"}
+
+
+def test_number_theory_is_imported_lazily():
+    """quadratic and lattice load on the first tangent normalization: the
+    benchmark compiles the package in every process, and an eager import
+    cost about 15 ms of setup_s and about 1 MB of peak RSS."""
+    probe = ("import sys, apolarity, apolarity.cli; print(sorted(m for m in "
+             "('apolarity.quadratic', 'apolarity.lattice') if m in sys.modules))")
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            env=dict(os.environ, PYTHONPATH=path), check=True)
+    assert result.stdout.strip() == "[]"
