@@ -54,6 +54,16 @@ LATTICE_7 = ("-x2 + x4",
              "- 4*x3*x4 + x3*x5 + 6*x3*x6 - 5*x3*x7 + 5*x4^2 - 5*x4*x5 "
              "- x4*x6 + 2*x4*x7 + 4*x5^2 - x5*x6 - x5*x7 + 2*x6^2 - 3*x6*x7 "
              "+ 2*x7^2")
+# cones after dense changes with entries in {-1, 0, 1}: the pinch form with
+# n = 4 in six variables, and the TypeB product x0*(x1*x2 + x3^2) in five
+# (both factors negated, so that no argument starts with "-")
+CONE_TANGENT_6 = ("x1 - x0 - x2 - x4",
+                  "x0^2 - x0*x1 + x0*x2 + 2*x0*x3 + 4*x0*x4 - 2*x0*x5 + x1*x2 "
+                  "- x1*x3 - 2*x1*x5 + 2*x2*x3 + 2*x2*x4 - x2*x5 + x3^2 "
+                  "+ 3*x3*x4 - 3*x3*x5 + x4^2 + x4*x5")
+CONE_TYPE_B_5 = ("x0 + x1 + x2 + x4",
+                 "3*x0*x2 - x0*x3 + 2*x0*x4 - x1^2 + x1*x2 - x1*x3 - 2*x1*x4 "
+                 "- x2^2 - x2*x4 - x3*x4 - 2*x4^2")
 
 # Every call gets --json except the "text-" cases, which freeze the printed
 # identities.  {dir} is replaced by a per-run temporary directory; calls run
@@ -72,6 +82,8 @@ CASES: list[tuple[str, list[str]]] = [
     ("analyze-cone-tangent", ["analyze", "--vars", "5", "x0", "x0*x1 + x2*x3"]),
     ("analyze-cone-dense", ["analyze", "x0 + x4",
                             "(x0 + x4)*(x1 + 2*x4) + x2*x3"]),
+    ("analyze-cone-dense-tangent-6", ["analyze", *CONE_TANGENT_6]),
+    ("analyze-cone-dense-type-b-5", ["analyze", *CONE_TYPE_B_5]),
     ("analyze-cone-binary-witness", ["analyze", "x0 + x2",
                                      "(x0 + x2)^2 + 3*(x1 - x2)^2"]),
     ("analyze-repeated-factor", ["analyze", "--vars", "3", "x0", "x0*x1"]),
