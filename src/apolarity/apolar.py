@@ -24,7 +24,7 @@ from typing import Iterator
 from .ideals import (HilbertFunction, HomogeneousIdeal, monomial_index,
                      _generators_from_components)
 from .linalg import kernel_basis, rank
-from .poly import AmbientMismatchError, Exponent, Polynomial, grlex_key
+from .poly import AmbientMismatchError, Exponent, LinearForm, Polynomial
 
 
 def _images(alpha: Exponent, terms) -> Iterator[tuple[Exponent, Fraction | int]]:
@@ -132,8 +132,8 @@ def _top_degree_generators(form: Polynomial,
     linear = form
     for _ in range(d - 1):
         linear = linear.differentiate(j)
-    power = linear ** (d + 1)
-    return [power.scale(1 / power.terms[min(power.terms, key=grlex_key)])]
+    _, monic = LinearForm.from_polynomial(linear).monic()
+    return [monic.to_polynomial() ** (d + 1)]
 
 
 def apolar_ideal(form: Polynomial) -> HomogeneousIdeal:

@@ -14,15 +14,16 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil, comb
 
-from .apolar import apolar_apply, apolar_hilbert, apolar_ideal, catalecticant
+from .apolar import apolar_apply, apolar_hilbert, apolar_ideal
 from .cubics import (CubicKind, CubicType, LinearChange, NeedsFieldExtension,
                      NormalizationUndecided, ReducibleCubic, WaringDecomposition,
                      _lift, _pad, classify, decompose_binary,
-                     decompose_type_c_normal, normalize_tangent_product)
+                     decompose_type_c_normal, normalize_tangent_product,
+                     quadric_matrix)
 from .ideals import (HilbertFunction, HomogeneousIdeal, graded_basis,
                      hilbert_function, ideal_colon, ideal_contains, ideal_equal,
                      ideal_sum)
-from .linalg import RowSpan, mat_vec
+from .linalg import RowSpan, kernel_basis, mat_vec
 from .poly import AmbientMismatchError, LinearForm, Polynomial, parse, substitute
 
 _GENERIC_EXCEPTIONS = {(3, 4): 8, (4, 2): 6, (4, 3): 10, (4, 4): 15}
@@ -325,7 +326,12 @@ class RankReport:
 
 def rank_report(rc: ReducibleCubic) -> RankReport:
     """Best certified rank bracket for a product of a hyperplane and a quadric,
-    with an explicit verified power sum whenever a constructor applies."""
+    with an explicit verified power sum whenever a constructor applies.
+
+    Cones, repeated-factor products and binary input are compressed once to
+    their essential core.  A core in three or more variables uses them all,
+    so it is TypeA, TypeB or TypeC and runs the branch of an uncompressed
+    product; its witness and slicer are carried back through the change."""
     form = rc.form()
     nv = rc.nvars
     hf = apolar_hilbert(form)
@@ -340,92 +346,79 @@ def rank_report(rc: ReducibleCubic) -> RankReport:
         ctype = None
         notes.append("binary ambient; ranks are exact by the two-generator rule")
 
-    if ctype is not None and ctype.kind in (CubicKind.TYPE_A, CubicKind.TYPE_B,
-                                            CubicKind.TYPE_C):
-        n = nv - 1
-        lo, hi = classified_rank_bounds(ctype, n)
-        witness = None
-        avoidance = None
-        if ctype.kind is CubicKind.TYPE_C:
-            notes.append("tangent class: the bracket is [2n, 2n+1]; the top end "
-                         "is expected to be the true value but is not certified")
-            try:
-                to_pinch = normalize_tangent_product(rc)
-                witness = _lift(form, decompose_type_c_normal(n).terms,
-                                to_pinch, "tangent")
-                # the pinch form's slicer d1 in the form's coordinates
-                slicer = LinearForm(row[1] for row in to_pinch.matrix)
-                avoidance = avoidance_lower_bound(form, slicer.to_polynomial(), hf)
-                if avoidance.hilbert.values != (1, n, n, 0):
-                    raise RuntimeError("internal: transported slice Hilbert "
-                                       "function is off")
-                notes.append(f"conditional bound {avoidance.total_bound} attached; "
-                             "it applies to decompositions avoiding the recorded "
-                             "hyperplane")
-            except NeedsFieldExtension as exc:
-                notes.append(f"no rational normalization exists ({exc}); "
-                             "upper bound kept from the class table")
-            except NormalizationUndecided as exc:
-                notes.append(f"{exc}; upper bound kept from the class table")
-        else:
-            notes.append("class table gives the exact rank 2n; no constructor "
-                         "is attached to this class here")
-        if witness is not None:
-            hi = min(hi, len(witness))
-        kind = "catalecticant" if cat > lo else "table"
-        return RankReport(form, ctype, ess, cat, max(cat, lo), kind, hi, witness,
-                          gen, avoidance, tuple(notes))
+    core, core_form, core_type, change = rc, form, ctype, None
+    if ctype is None or ctype.kind in (CubicKind.CONE,
+                                       CubicKind.DEGENERATE_PRODUCT):
+        change, e = _compression_change(rc)
+        core = _compressed_product(rc, change, e)
+        core_form = core.form()
+        if ctype is not None:
+            notes.append(f"compressed from {nv} to {e} essential variables")
+        if e == 1:
+            coef = next(iter(core_form.terms.values()))
+            dec = _lift(form, [(coef, LinearForm([1]))], change, "rank-one")
+            return RankReport(form, ctype, ess, cat, 1, "catalecticant", 1, dec,
+                              gen, None, tuple(notes))
+        if e == 2:
+            bd = decompose_binary(core_form)
+            witness = None
+            if bd.decomposition is not None:
+                witness = _lift(form, bd.decomposition.terms, change, "binary")
+            else:
+                notes.append("exact rank from apolar generator degrees; the "
+                             "relevant generator does not split rationally, so "
+                             "no explicit forms are attached")
+            return RankReport(form, ctype, ess, cat, bd.rank, "binary-apolar",
+                              bd.rank, witness, gen, None, tuple(notes))
+        core_type = classify(core)
 
-    # cones, repeated-factor products, and binary input: compress and settle
-    change, e = _compression_change(form)
-    compressed = _reindex(substitute(form, change), e)
-    if ctype is not None:
-        notes.append(f"compressed from {nv} to {e} essential variables")
-    if e == 1:
-        coef = next(iter(compressed.terms.values()))
-        dec = _lift(form, [(coef, LinearForm([1]))], change, "rank-one")
-        return RankReport(form, ctype, ess, cat, 1, "catalecticant", 1, dec,
-                          gen, None, tuple(notes))
-    if e == 2:
-        bd = decompose_binary(compressed)
-        witness = None
-        if bd.decomposition is not None:
-            witness = _lift(form, bd.decomposition.terms, change, "binary")
-        else:
-            notes.append("exact rank from apolar generator degrees; the relevant "
-                         "generator does not split rationally, so no explicit "
-                         "forms are attached")
-        return RankReport(form, ctype, ess, cat, bd.rank, "binary-apolar",
-                          bd.rank, witness, gen, None, tuple(notes))
-
-    # e >= 3: the compressed product is an honest reducible cubic again
-    sub_rc = _compressed_product(rc, change, e)
-    sub = rank_report(sub_rc)
-    witness = None
-    if sub.witness is not None:
-        witness = _lift(form, sub.witness.terms, change, "cone")
-    avoidance = None
-    if sub.avoidance is not None:
-        # re-derive the certificate in the full ambient: pad the compressed
-        # slicer and push it through the compression change
-        vec = _pad(LinearForm.from_polynomial(sub.avoidance.hyperplane), nv)
-        lifted_slicer = LinearForm(mat_vec(change.matrix, vec)).to_polynomial()
-        avoidance = avoidance_lower_bound(form, lifted_slicer, hf)
-        if avoidance.hilbert.values != sub.avoidance.hilbert.values:
-            raise RuntimeError("internal: lifted avoidance certificate is off")
-    notes.extend(sub.notes)
-    return RankReport(form, ctype, ess, cat, max(cat, sub.lower), sub.lower_kind,
-                      sub.upper, witness, gen, avoidance, tuple(notes))
+    n = core.nvars - 1
+    lo, hi = classified_rank_bounds(core_type, n)
+    witness = avoidance = None
+    if core_type.kind is CubicKind.TYPE_C:
+        notes.append("tangent class: the bracket is [2n, 2n+1]; the top end "
+                     "is expected to be the true value but is not certified")
+        try:
+            to_pinch = normalize_tangent_product(core)
+            witness = _lift(core_form, decompose_type_c_normal(n).terms,
+                            to_pinch, "tangent")
+            # the pinch form's slicer d1 in the core's coordinates
+            slicer = [row[1] for row in to_pinch.matrix]
+            if change is not None:
+                witness = _lift(form, witness.terms, change, "cone")
+                slicer = mat_vec(change.matrix, _pad(LinearForm(slicer), nv))
+            avoidance = avoidance_lower_bound(
+                form, LinearForm(slicer).to_polynomial(), hf)
+            if avoidance.hilbert.values != (1, n, n, 0):
+                raise RuntimeError("internal: transported slice Hilbert "
+                                   "function is off")
+            notes.append(f"conditional bound {avoidance.total_bound} attached; "
+                         "it applies to decompositions avoiding the recorded "
+                         "hyperplane")
+        except NeedsFieldExtension as exc:
+            notes.append(f"no rational normalization exists ({exc}); "
+                         "upper bound kept from the class table")
+        except NormalizationUndecided as exc:
+            notes.append(f"{exc}; upper bound kept from the class table")
+    else:
+        notes.append("class table gives the exact rank 2n; no constructor "
+                     "is attached to this class here")
+    if witness is not None:
+        hi = min(hi, len(witness))
+    kind = "catalecticant" if cat > lo else "table"
+    return RankReport(form, ctype, ess, cat, max(cat, lo), kind, hi, witness,
+                      gen, avoidance, tuple(notes))
 
 
-def _compression_change(form: Polynomial) -> tuple[LinearChange, int]:
-    """Invertible change whose trailing variables are killed by the form:
-    substitute(form, change) uses only the first e = essential coordinates."""
-    nv = form.nvars
-    kernel_cols = catalecticant(form, 1).kernel()
+def _compression_change(rc: ReducibleCubic) -> tuple[LinearChange, int]:
+    """Invertible change whose trailing variables are killed by the product:
+    substitute(L*Q, change) uses only the first e = essential coordinates.
+    d_v(L*Q) = 0 exactly when l.v = 0 and Mv = 0 (see classify), so the
+    trailing columns, the canonical basis of ker [M; l^T], span ker Cat_1."""
+    nv = rc.nvars
+    rows = quadric_matrix(rc.quadric) + [list(rc.linear.coeffs)]
+    kernel_cols = kernel_basis(rows, nv)
     e = nv - len(kernel_cols)
-    if not kernel_cols:
-        return LinearChange.identity(nv), e
     span = RowSpan(nv)
     for v in kernel_cols:
         span.insert(v)
@@ -436,18 +429,15 @@ def _compression_change(form: Polynomial) -> tuple[LinearChange, int]:
     return LinearChange([[cols[j][i] for j in range(nv)] for i in range(nv)]), e
 
 
-def _reindex(p: Polynomial, e: int) -> Polynomial:
-    terms = {}
-    for exps, c in p.terms.items():
-        if any(exps[e:]):
-            raise RuntimeError("internal: compression left a trailing variable")
-        terms[exps[:e]] = c
-    return Polynomial(e, terms)
-
-
 def _compressed_product(rc: ReducibleCubic, change: LinearChange,
                         e: int) -> ReducibleCubic:
-    lin = substitute(rc.linear.to_polynomial(), change)
-    quad = substitute(rc.quadric, change)
-    return ReducibleCubic(LinearForm.from_polynomial(_reindex(lin, e)),
-                          _reindex(quad, e))
+    """Both factors after the change, in its first e coordinates."""
+    factors = []
+    for p in (rc.linear.to_polynomial(), rc.quadric):
+        terms = {}
+        for exps, c in substitute(p, change).terms.items():
+            if any(exps[e:]):
+                raise RuntimeError("internal: compression left a trailing variable")
+            terms[exps[:e]] = c
+        factors.append(Polynomial(e, terms))
+    return ReducibleCubic.from_polynomials(*factors)

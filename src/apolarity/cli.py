@@ -35,7 +35,7 @@ EXIT_EXTENSION = 3
 
 
 def _parse_together(texts: list[str], override: int | None) -> list[Polynomial]:
-    """Parse several polynomials into one common ambient."""
+    """Parse several polynomials into one common ambient, each once if it can."""
     inferred = [parse(t) for t in texts]
     nv = max(p.nvars for p in inferred)
     if override is not None:
@@ -43,7 +43,8 @@ def _parse_together(texts: list[str], override: int | None) -> list[Polynomial]:
             raise ValueError(f"--vars {override} is smaller than an index used "
                              "in the input")
         nv = override
-    return [parse(t, nvars=nv) for t in texts]
+    return [p if p.nvars == nv else parse(t, nvars=nv)
+            for t, p in zip(texts, inferred)]
 
 
 def _product(args) -> ReducibleCubic:

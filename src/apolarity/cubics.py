@@ -27,7 +27,7 @@ from functools import lru_cache
 from math import isqrt, lcm
 
 from . import linalg
-from .apolar import apolar_ideal, essential_variables
+from .apolar import apolar_ideal
 from .poly import (AmbientMismatchError, LinearChange, LinearForm, Polynomial,
                    _compose_rows)
 
@@ -121,22 +121,25 @@ def _linear_divides(linear: LinearForm, p: Polynomial) -> bool:
 def classify(rc: ReducibleCubic) -> CubicType:
     """Projective class of the product, decided by one reduction of [M | l].
 
-    When L does not divide Q, d_v(L*Q) = (l.v)*Q + 2*L*(Mv)^T x vanishes
-    exactly when l.v = 0 and Mv = 0, so the number of essential variables
-    is the rank of [M; l^T], which is rank [M | l] because M is symmetric.
-    Dropping the column l lowers that rank by at most one, so a product
-    with all variables essential has rank(M) = n+1 or n.
+    d_v(L*Q) vanishes exactly when l.v = 0 and Mv = 0.  If L does not divide
+    Q, d_v(L*Q) = (l.v)*Q + 2*L*(Mv)^T x, zero only if l.v = 0 (else L would
+    divide Q) and then Mv = 0.  If Q = L*L', d_v(L*Q) =
+    L*(2*(l.v)*L' + (l'.v)*L) and 2*Mv = (l'.v)*l + (l.v)*l' both vanish iff
+    l.v = l'.v = 0 when l' is not proportional to l, and iff l.v = 0 when
+    l' = a*l.  So the number of essential variables is the rank of [M; l^T],
+    which is rank [M | l] because M is symmetric.  Dropping the column l
+    lowers that rank by at most one, so a product with all variables
+    essential has rank(M) = n+1 or n.
     """
     if rc.nvars < 3:
         raise ValueError("the projective classification needs at least 3 "
                          "variables; binary forms go through decompose_binary")
-    if _linear_divides(rc.linear, rc.quadric):
-        return CubicType(CubicKind.DEGENERATE_PRODUCT,
-                         essential_variables(rc.form()))
     nv = rc.nvars
     l = rc.linear.coeffs
     red, pivots = linalg.rref([row + [c] for row, c in
                                zip(quadric_matrix(rc.quadric), l)])
+    if _linear_divides(rc.linear, rc.quadric):
+        return CubicType(CubicKind.DEGENERATE_PRODUCT, len(pivots))
     if len(pivots) < nv:
         return CubicType(CubicKind.CONE, len(pivots))
     if pivots[-1] < nv:
@@ -372,8 +375,14 @@ def _carries_to_pinch_form(rc: ReducibleCubic, cols) -> bool:
     a, *rest = [sum(c * v for c, v in zip(rc.linear.coeffs, col)) for col in cols]
     if a == 0 or any(rest):
         return False
-    gram = linalg.gram(quadric_matrix(rc.quadric), cols)
-    return [[a * v for v in row] for row in gram] == _pinch_matrix(len(cols) - 1)
+    # C^T M C = G/(d_m*d_c^2), G the Gram product of d_m*M and d_c*C in ints
+    m = quadric_matrix(rc.quadric)
+    d_m = lcm(*(v.denominator for row in m for v in row))
+    d_c = lcm(*(v.denominator for col in cols for v in col))
+    gram = linalg.gram([[int(v * d_m) for v in row] for row in m],
+                       [[int(v * d_c) for v in col] for col in cols])
+    scale = a / (d_m * d_c * d_c)
+    return [[scale * v for v in row] for row in gram] == _pinch_matrix(len(cols) - 1)
 
 
 def normalize_tangent_product(rc: ReducibleCubic) -> LinearChange:

@@ -23,6 +23,8 @@ from itertools import combinations_with_replacement
 from math import comb, lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
+from . import linalg
+
 Exponent = tuple[int, ...]
 Scalar = Fraction | int
 
@@ -318,8 +320,6 @@ class LinearChange:
         n = len(rows)
         if any(len(row) != n for row in rows):
             raise ValueError("change of coordinates must be square")
-        from . import linalg  # local import keeps module load order flexible
-
         inv = linalg.inverse([list(row) for row in rows])
         if inv is None:
             raise ValueError("change of coordinates is singular")

@@ -1,10 +1,13 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from apolarity.apolar import apolar_apply, apolar_ideal
-from apolarity.certificates import (avoidance_lower_bound,
+from apolarity import apolar, certificates
+from apolarity.apolar import apolar_apply, apolar_ideal, catalecticant
+from apolarity.certificates import (_compressed_product, _compression_change,
+                                    avoidance_lower_bound,
                                     catalecticant_lower_bound,
                                     classified_rank_bounds, colon_refinement,
                                     generic_rank, rank_report,
@@ -14,8 +17,8 @@ from apolarity.cubics import (CubicKind, CubicType, LinearForm, ReducibleCubic,
                               normal_form, normal_form_pair,
                               verify_decomposition)
 from apolarity.ideals import HomogeneousIdeal, hilbert_function, ideal_sum
-from apolarity.poly import (AmbientMismatchError, Polynomial, monomials,
-                            parse)
+from apolarity.poly import (AmbientMismatchError, LinearChange, Polynomial,
+                            monomials, parse, substitute)
 
 
 def _product(linear, quadric, nvars=None):
@@ -342,3 +345,115 @@ def test_rank_report_bracket_ordered_on_random_products():
             assert ok
             assert report.catalecticant_bound <= len(report.witness)
         checked += 1
+
+
+# -- compression of cones, repeated factors and binary input -------------------
+
+def _dense_change(rng, nvars):
+    while True:
+        try:
+            return LinearChange([[rng.randint(-2, 2) for _ in range(nvars)]
+                                 for _ in range(nvars)])
+        except ValueError:
+            continue
+
+
+def _pushed(rng, rc, nvars):
+    """rc, written in the leading coordinates of nvars variables, after a
+    dense change of all of them."""
+    change = _dense_change(rng, nvars)
+    lin = parse(rc.linear.to_string(), nvars=nvars)
+    quad = parse(rc.quadric.to_string(), nvars=nvars)
+    return ReducibleCubic.from_polynomials(substitute(lin, change),
+                                           substitute(quad, change))
+
+
+def _class_representative(kind, e):
+    """A product of the given class that uses all e of its variables."""
+    squares = " + ".join(f"x{i}^2" for i in range(1, e))
+    if kind is CubicKind.TYPE_A:
+        return _product("x0", f"x0^2 + {squares}", e)
+    if kind is CubicKind.TYPE_B:
+        return _product("x0", squares, e)
+    return normal_form_pair(e - 1)
+
+
+@pytest.mark.parametrize("kind", [CubicKind.TYPE_A, CubicKind.TYPE_B,
+                                  CubicKind.TYPE_C])
+@pytest.mark.parametrize("e", [3, 4, 5, 6])
+def test_cone_report_agrees_with_its_core(kind, e):
+    rng = random.Random(100 * e + len(kind.value))
+    for nv in (e + 1, e + 2):
+        rc = _pushed(rng, _class_representative(kind, e), nv)
+        report = rank_report(rc)
+        core = rank_report(_compressed_product(rc, *_compression_change(rc)))
+        assert report.classification == CubicType(CubicKind.CONE, e)
+        assert core.classification.kind is kind
+        assert (report.lower, report.upper, report.lower_kind) == \
+            (core.lower, core.upper, core.lower_kind)
+        assert report.notes[0] == f"compressed from {nv} to {e} essential variables"
+        assert report.notes[1:] == core.notes
+        if kind is CubicKind.TYPE_C:
+            assert report.avoidance.hilbert.values == core.avoidance.hilbert.values
+            assert report.avoidance.total_bound == core.avoidance.total_bound == 2 * e - 1
+            assert not apolar_apply(report.avoidance.hyperplane,
+                                    report.form).is_zero()
+            assert len(report.witness) == len(core.witness) == 2 * e - 1
+            ok, _ = verify_decomposition(report.form, report.witness)
+            assert ok and report.witness.nvars == nv
+        else:
+            assert report.avoidance is core.avoidance is None
+            assert report.witness is core.witness is None
+
+
+def _compression_inputs():
+    rng = random.Random(4242)
+    inputs = []
+    for kind in (CubicKind.TYPE_A, CubicKind.TYPE_B, CubicKind.TYPE_C):
+        for e in (3, 4):
+            inputs.append(_pushed(rng, _class_representative(kind, e), e + 2))
+    for _ in range(6):
+        # binary products, some with a repeated factor
+        lin = [rng.randint(-3, 3) or 1, rng.randint(-3, 3)]
+        quad = {m: Fraction(rng.randint(-3, 3)) for m in monomials(2, 2)}
+        quad = {m: c for m, c in quad.items() if c} or {(2, 0): Fraction(1)}
+        inputs.append(ReducibleCubic(LinearForm(lin), Polynomial(2, quad)))
+    inputs.append(_product("x0", "x1^2", 2))
+    for nv in (3, 4, 5):
+        # Q = L*L', with l' proportional to l and not
+        lin = LinearForm([rng.randint(-2, 2) or 1 for _ in range(nv)])
+        other = LinearForm([rng.randint(-2, 2) for _ in range(nv - 1)] + [1])
+        for second in (other, LinearForm([-2 * c for c in lin.coeffs])):
+            inputs.append(ReducibleCubic(
+                lin, lin.to_polynomial() * second.to_polynomial()))
+    return inputs
+
+
+def test_compression_kernel_is_the_catalecticant_kernel():
+    for rc in _compression_inputs():
+        change, e = _compression_change(rc)
+        kernel = catalecticant(rc.form(), 1).kernel()
+        assert e == rc.nvars - len(kernel)
+        assert [list(col) for col in zip(*change.matrix)][e:] == kernel
+
+
+def test_cone_report_runs_once(monkeypatch):
+    # the golden input analyze-cone-dense: a dense TypeC cone, n = 3 at its core
+    calls = Counter()
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(certificates, "rank_report")
+    counted(certificates, "avoidance_lower_bound")
+    counted(apolar, "catalecticant")
+    report = certificates.rank_report(
+        _product("x0 + x4", "(x0 + x4)*(x1 + 2*x4) + x2*x3"))
+    assert report.avoidance.hilbert.values == (1, 3, 3, 0)
+    assert calls["rank_report"] == calls["avoidance_lower_bound"] == 1
+    assert calls["catalecticant"] <= 4

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -235,3 +236,13 @@ def test_output_is_deterministic(capsys):
     assert runs[0] == runs[1]
     runs = [run(capsys, "apolar", "x0^2*x2 + x0*x1^2") for _ in range(2)]
     assert runs[0] == runs[1]
+
+
+def test_apolar_of_a_high_power_is_quick(capsys):
+    # the generator of degree d+1 is L^{d+1} with L monic, so its
+    # coefficients stay small however large d is
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "apolar", "x0^2000")
+    assert time.perf_counter() - start < 10
+    assert code == 0
+    assert out.splitlines()[1] == "  [2001] d0^2001"

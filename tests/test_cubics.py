@@ -122,6 +122,18 @@ def test_classify_essential_matches_bareiss_rank():
                 assert ctype.essential == rank
             else:
                 assert ctype.essential is None and rank == nv
+    # repeated-factor products Q = L*L', with l' proportional to l and not
+    rng = random.Random(1618)
+    for nv in range(3, 8):
+        linear = LinearForm([rng.randint(-2, 2) for _ in range(nv - 1)] + [1])
+        other = LinearForm([1] + [rng.randint(-2, 2) for _ in range(nv - 1)])
+        for second in (other, LinearForm([3 * c for c in linear.coeffs])):
+            rc = ReducibleCubic(linear,
+                                linear.to_polynomial() * second.to_polynomial())
+            ctype = classify(rc)
+            kinds.add(ctype.kind)
+            assert ctype.kind is CubicKind.DEGENERATE_PRODUCT
+            assert ctype.essential == _cat1_rank(rc.form())
     assert CubicKind.CONE in kinds and CubicKind.TYPE_A in kinds
 
 

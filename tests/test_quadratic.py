@@ -18,6 +18,7 @@ from apolarity import (LinearChange, LinearForm, NeedsFieldExtension, Polynomial
                        ReducibleCubic, normal_form, normalize_tangent_product,
                        parse, rank_report, substitute)
 from apolarity import quadratic
+from apolarity.lattice import _isotropic_mod
 from apolarity.cli import main
 from apolarity.cubics import _carries_to_pinch_form
 from apolarity.linalg import rank
@@ -233,3 +234,26 @@ def test_exhausted_budget_is_not_an_obstruction(monkeypatch):
         code = main(["decompose", "x0", quadric])
     assert code == 1
     assert "search bound ran out" in err.getvalue()
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_isotropic_mod_against_brute_force(p):
+    rng = random.Random(p)
+    for r in range(1, 5):
+        for _ in range(40):
+            a = [[0] * r for _ in range(r)]
+            for i in range(r):
+                for j in range(i, r):
+                    a[i][j] = a[j][i] = rng.randint(-2 * p, 2 * p)
+
+            def value(c):
+                return sum(c[i] * a[i][j] * c[j]
+                           for i in range(r) for j in range(r)) % p
+
+            exists = any(value(c) == 0 for c in itertools.product(range(p), repeat=r)
+                         if any(c))
+            c = _isotropic_mod(a, p)
+            if exists:
+                assert c is not None and any(v % p for v in c) and value(c) == 0
+            else:
+                assert c is None
