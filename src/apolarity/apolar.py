@@ -12,19 +12,42 @@ Such generators are h = ell*F with ell * dF/dx_j = mu_j * F for all j.  If
 dF/dx_{j0} != 0, mu_{j0} = 0 forces ell = 0 and then mu = 0, so the solutions
 form a line at most; a nonzero one makes every dF/dx_j proportional to F/ell,
 so F = c*L^d.
+
+Minimal generators in degrees 1..d follow from Macaulay duality
+(Iarrobino-Kanev, Power Sums, Gorenstein Algebras, and Determinantal Loci,
+LNM 1721).  Write I for the apolar ideal, HF(i) = rank Cat_i, and P_i for the
+span of the (d-i)-th partials of F: then I_i is the orthogonal of P_i and
+dim P_i = HF(i).  The orthogonal of T_1 * I_{i-1} is
+V_i = {G in S_i : d_jG in P_{i-1} for all j}, so degree i has exactly
+dim V_i - HF(i) new generators.  Since G is determined by its partials,
+dim V_i is the nullity of a linear system: its unknowns a_{jk} write
+d_jG = sum_k a_{jk} * b_k over a basis b of P_{i-1} (n * HF(i-1) of them), and
+its equations are d_m d_jG = d_j d_mG.  V_i contains P_i, so the system has
+rank at most n * HF(i-1) - HF(i) over Q; modulo a prime its rank is at most
+its rank over Q.  Hence
+
+    rank mod PRIME <= rank over Q <= n * HF(i-1) - HF(i),
+
+and a rank mod PRIME that reaches the bound proves that degree i has no new
+generator.  Every other outcome, a prime that divides a denominator, a basis
+of P_{i-1} whose columns are dependent modulo the prime, or a rank short of
+the bound, leaves the degree unproven, never wrongly decided.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import perm
+from functools import lru_cache
+from math import perm, prod
 from typing import Iterator
 
 from .ideals import (HilbertFunction, HomogeneousIdeal, monomial_index,
-                     _generators_from_components)
-from .linalg import kernel_basis, rank
+                     ring_dimension, _generators_from_components)
+from .linalg import ModularSpan, RowSpan, kernel_basis, rank
 from .poly import AmbientMismatchError, Exponent, LinearForm, Polynomial
+
+PRIME = 2**31 - 1  # the modulus of the ranks that prove "no new generator"
 
 
 def _images(alpha: Exponent, terms) -> Iterator[tuple[Exponent, Fraction | int]]:
@@ -71,22 +94,62 @@ class CatalecticantMatrix:
         return kernel_basis([list(r) for r in self.entries], len(self.col_monomials))
 
 
+@lru_cache(maxsize=4096)
+def _splits(beta: Exponent, i: int) -> tuple[int, ...]:
+    """Every alpha <= beta with |alpha| = i, flattened into triples
+    (column, row, w): alpha's index among the degree-i monomials, that of
+    beta - alpha among the degree-(|beta|-i) ones, and the weight w with
+    d^alpha x^beta = w * x^(beta - alpha)."""
+    n = len(beta)
+    _, col_index = monomial_index(n, i)
+    _, row_index = monomial_index(n, sum(beta) - i)
+    support = [k for k, b in enumerate(beta) if b]
+    # heads: the choices of alpha on the support so far, with what is left of
+    # i; room: the most that the later support positions can still take
+    heads: list[tuple[tuple[int, ...], int]] = [((), i)]
+    room = sum(beta)
+    for k in support:
+        room -= beta[k]
+        heads = [(head + (a,), left - a) for head, left in heads
+                 for a in range(max(0, left - room), min(beta[k], left) + 1)]
+    out: list[int] = []
+    for head, left in heads:
+        if left:
+            continue
+        alpha = list(beta)
+        for k, a in zip(support, head):
+            alpha[k] = a
+        out += (col_index[tuple(alpha)],
+                row_index[tuple(b - a for b, a in zip(beta, alpha))],
+                prod(perm(beta[k], a) for k, a in zip(support, head)))
+    return tuple(out)
+
+
+def _entries(form: Polynomial, i: int) -> Iterator[tuple[int, int, int | Fraction]]:
+    """The nonzero entries of Cat_i as (column, row, v): d^alpha F, alpha the
+    column's monomial, has coefficient v at the row's monomial.  A term
+    c*x^beta gives one entry per alpha <= beta, so the work is the number of
+    entries; v is an int where c is."""
+    for beta, c in form.terms.items():
+        c = c.numerator if c.denominator == 1 else c
+        flat = _splits(beta, i)
+        for t in range(0, len(flat), 3):
+            yield flat[t], flat[t + 1], c * flat[t + 2]
+
+
 def catalecticant(form: Polynomial, i: int) -> CatalecticantMatrix:
     """The i-th catalecticant of a nonzero form.  Column alpha holds d^alpha F,
-    filled term by term by _images; entries are ints where F's coefficients are.
-    """
+    filled term by term by _entries; entries are ints where F's coefficients
+    are."""
     d = form.homogeneous_degree()
     if not 0 <= i <= d:
         raise ValueError(f"catalecticant index {i} outside 0..{d}")
     n = form.nvars
     cols, _ = monomial_index(n, i)
-    rows, row_index = monomial_index(n, d - i)
-    terms = [(beta, c.numerator if c.denominator == 1 else c)
-             for beta, c in form.terms.items()]
+    rows, _ = monomial_index(n, d - i)
     entries = [[0] * len(cols) for _ in rows]
-    for col, alpha in enumerate(cols):
-        for exps, v in _images(alpha, terms):
-            entries[row_index[exps]][col] = v
+    for col, row, v in _entries(form, i):
+        entries[row][col] = v
     return CatalecticantMatrix(tuple(tuple(r) for r in entries),
                                rows, cols, i, d)
 
@@ -97,35 +160,108 @@ def essential_variables(form: Polynomial) -> int:
     return catalecticant(form, 1).rank()
 
 
-def apolar_hilbert(form: Polynomial) -> HilbertFunction:
-    """Hilbert function of the apolar quotient, via catalecticant ranks.
+def _catalecticant_span(form: Polynomial, i: int) -> RowSpan:
+    """The row span of Cat_i, eliminated once: its dimension is rank Cat_i,
+    and its kernel_rows are primitive integer multiples of the canonical
+    basis of ker Cat_i."""
+    cat = catalecticant(form, i)
+    span = RowSpan(len(cat.col_monomials))
+    for row in cat.entries:
+        span.insert(row)
+    return span
 
-    Cat_{d-i} is the transpose of Cat_i up to nonzero factorial scalings of
-    its rows and columns, so only the ranks for i <= d/2 are computed.
-    """
+
+def _hilbert_and_spans(form: Polynomial) -> tuple[HilbertFunction, list[RowSpan]]:
+    """The Hilbert function with the spans of Cat_0..Cat_{d//2} it was read
+    from.  Cat_{d-i} is the transpose of Cat_i up to nonzero factorial
+    scalings of its rows and columns, so only the ranks for i <= d/2 are
+    computed."""
     d = form.homogeneous_degree()
-    ranks = [catalecticant(form, i).rank() for i in range(d // 2 + 1)]
-    return HilbertFunction(tuple(ranks[min(i, d - i)] for i in range(d + 1)))
+    spans = [_catalecticant_span(form, i) for i in range(d // 2 + 1)]
+    return HilbertFunction(tuple(spans[min(i, d - i)].dimension
+                                 for i in range(d + 1))), spans
 
 
-def _top_degree_generators(form: Polynomial,
-                           components: list[list[dict[int, Fraction]]]) -> list[Polynomial]:
-    """Minimal apolar generators of degree d+1; components[1] is ker Cat_1.
+def apolar_hilbert(form: Polynomial) -> HilbertFunction:
+    """Hilbert function of the apolar quotient, via catalecticant ranks."""
+    return _hilbert_and_spans(form)[0]
+
+
+def _partials_mod_prime(form: Polynomial, j: int) -> list[dict[int, int]] | None:
+    """The nonzero j-th partials d^alpha F reduced modulo PRIME, keyed by the
+    index of their monomials, or None when PRIME divides a denominator of F."""
+    columns: dict[int, dict[int, int]] = {}
+    for col, row, v in _entries(form, j):
+        if type(v) is not int:
+            if v.denominator % PRIME == 0:
+                return None
+            v = v.numerator * pow(v.denominator, -1, PRIME)
+        v %= PRIME
+        if v:
+            columns.setdefault(col, {})[row] = v
+    return list(columns.values())
+
+
+def _no_generator_in_degree(form: Polynomial, hf: tuple[int, ...], i: int) -> bool:
+    """True only when the Macaulay-dual system of degree i (module docstring)
+    reaches rank n * HF(i-1) - HF(i) modulo PRIME, which proves that T_1 times
+    the degree-(i-1) component of the apolar ideal spans its degree-i
+    component; False means unproven.  The basis of P_{i-1} is the first
+    HF(i-1) partials of order d-i+1 that are independent modulo PRIME, hence
+    over Q; the elimination stops once the bound is reached, at once when the
+    bound is 0."""
+    n, h = form.nvars, hf[i - 1]
+    target = n * h - hf[i]
+    if target <= 0:
+        return True
+    columns = _partials_mod_prime(form, form.homogeneous_degree() - i + 1)
+    if columns is None:
+        return False
+    monos, _ = monomial_index(n, i - 1)
+    picked, chosen = ModularSpan(len(monos), PRIME), []
+    for column in columns:
+        if len(chosen) < h and picked.insert(column):
+            chosen.append(column)
+    if len(chosen) < h:
+        return False
+    basis = [{monos[g]: v for g, v in b.items()} for b in chosen]
+    # derivative[m][k] = d_m b_k, in degree i-2
+    derivative = [[{g[:m] + (g[m] - 1,) + g[m + 1:]: v * g[m] % PRIME
+                    for g, v in b.items() if g[m]} for b in basis]
+                  for m in range(n)]
+    span = ModularSpan(n * h, PRIME)
+    for j in range(n):
+        for m in range(j + 1, n):
+            # sum_k a_{jk} d_m b_k - sum_k a_{mk} d_j b_k = 0, one row per monomial
+            equations: dict[Exponent, dict[int, int]] = {}
+            for k in range(h):
+                for g, v in derivative[m][k].items():
+                    equations.setdefault(g, {})[j * h + k] = v
+                for g, v in derivative[j][k].items():
+                    equations.setdefault(g, {})[m * h + k] = PRIME - v
+            for row in equations.values():
+                if span.insert(row) and span.dimension == target:
+                    return True
+    return False
+
+
+def _top_degree_generators(form: Polynomial, hf: HilbertFunction) -> list[Polynomial]:
+    """Minimal apolar generators of degree d+1.
 
     By the perfect pairing and Euler's identity they are h = ell*F with
     ell * dF/dx_j = mu_j * F for all j.  If dF/dx_{j0} != 0, mu_{j0} = 0 forces
     ell = 0 and then mu = 0, so there is at most one h; it exists iff F = c*L^d,
-    i.e. (for d >= 1) iff rank Cat_1 = 1, and then h = L^{d+1} with leading
-    coefficient 1, L being any nonzero (d-1)-th partial of F.  For d = 0 every
-    ell solves, and the generators are the variables.  Such h lie outside
-    T_1 * (annihilator)_d: the factorial-weighted Gram matrix of the h's is
-    positive definite.
+    i.e. (for d >= 1) iff HF(1) = rank Cat_1 = 1, and then h = L^{d+1} with
+    leading coefficient 1, L being any nonzero (d-1)-th partial of F.  For
+    d = 0 every ell solves, and the generators are the variables.  Such h lie
+    outside T_1 * (annihilator)_d: the factorial-weighted Gram matrix of the
+    h's is positive definite.
     """
     d = form.homogeneous_degree()
     n = form.nvars
     if d == 0:
         return [Polynomial.variable(n, k) for k in range(n)]
-    if len(components[1]) != n - 1:
+    if hf.values[1] != 1:
         return []
     # a variable that occurs in F = c*L^d has a nonzero coefficient in L
     j = next(k for k, e in enumerate(next(iter(form.terms))) if e)
@@ -141,16 +277,43 @@ def apolar_ideal(form: Polynomial) -> HomogeneousIdeal:
 
     Degree-i generators are the part of the i-th catalecticant kernel not
     already generated below; everything is canonicalized through reduced row
-    echelon form.  The returned ideal carries truncation bound d+1.
+    echelon form.  The returned ideal carries truncation bound d+1 and its
+    Hilbert function, read off catalecticant ranks, which hilbert_function
+    returns.
+
+    Let i0 be the lowest degree with HF(i0) < dim S_i0.  Degree i0 needs every
+    vector of ker Cat_i0 as a generator, and by Macaulay duality each degree
+    i0 < i <= d needs dim V_i - HF(i) more (module docstring).  When a rank
+    modulo PRIME proves that number 0 for every such i, by reaching the bound
+    in rank mod PRIME <= rank over Q <= n * HF(i-1) - HF(i), the generators
+    below degree d+1 are the residuals of ker Cat_i0 inserted into an empty
+    span, which is what the sweep over all kernels produces.  Otherwise the
+    exact sweep runs over every kernel: when some degree has new generators
+    (binary forms, cones, most monomials), and when the proof is out of reach
+    modulo PRIME (a denominator divisible by PRIME, partials dependent modulo
+    PRIME, a rank short of the bound).  Neither case can give a wrong answer,
+    and both routes give the same generators.
     """
     if form.is_zero():
         raise ValueError("the zero form has no apolar ideal in this toolkit")
     d = form.homogeneous_degree()
     n = form.nvars
-    components: list[list[dict[int, Fraction]]] = [[]]
-    for i in range(1, d + 1):
-        components.append([{c: v for c, v in enumerate(vec) if v}
-                           for vec in catalecticant(form, i).kernel()])
+    hf, spans = _hilbert_and_spans(form)
+
+    def kernel(i: int) -> list[dict[int, int]]:
+        span = spans[i] if i < len(spans) else _catalecticant_span(form, i)
+        return [vec for _, vec in span.kernel_rows()]
+
+    low = next((i for i in range(1, d + 1) if hf.values[i] < ring_dimension(n, i)),
+               None)
+    components: list[list[dict[int, int]]] = [[]]
+    if low is not None:
+        components = [[] for _ in range(low)] + [kernel(low)]
+        if not all(_no_generator_in_degree(form, hf.values, i)
+                   for i in range(low + 1, d + 1)):
+            components += [kernel(i) for i in range(low + 1, d + 1)]
     gens = _generators_from_components(components, n)
-    gens.extend(_top_degree_generators(form, components))
-    return HomogeneousIdeal(gens, n, truncation_bound=d + 1)
+    gens.extend(_top_degree_generators(form, hf))
+    ideal = HomogeneousIdeal(gens, n, truncation_bound=d + 1)
+    ideal._hilbert = hf
+    return ideal

@@ -431,13 +431,11 @@ def _compression_change(rc: ReducibleCubic) -> tuple[LinearChange, int]:
 
 def _compressed_product(rc: ReducibleCubic, change: LinearChange,
                         e: int) -> ReducibleCubic:
-    """Both factors after the change, in its first e coordinates."""
-    factors = []
-    for p in (rc.linear.to_polynomial(), rc.quadric):
-        terms = {}
-        for exps, c in substitute(p, change).terms.items():
-            if any(exps[e:]):
-                raise RuntimeError("internal: compression left a trailing variable")
-            terms[exps[:e]] = c
-        factors.append(Polynomial(e, terms))
-    return ReducibleCubic.from_polynomials(*factors)
+    """Both factors after the change, in its first e coordinates: L o change
+    is the row l^T * change, and only the quadric is substituted."""
+    linear = mat_vec([list(col) for col in zip(*change.matrix)], list(rc.linear.coeffs))
+    quadric = substitute(rc.quadric, change)
+    if any(linear[e:]) or any(any(exps[e:]) for exps in quadric.terms):
+        raise RuntimeError("internal: compression left a trailing variable")
+    return ReducibleCubic(LinearForm(linear[:e]),
+                          Polynomial(e, {exps[:e]: c for exps, c in quadric.terms.items()}))

@@ -251,7 +251,7 @@ def _cmd_hilbert(args) -> int:
 def _cmd_apolar(args) -> int:
     [form] = _parse_together([args.form], args.vars)
     ideal = apolar_ideal(form)
-    hf = apolar_hilbert(form)
+    hf = hilbert_function(ideal)
     payload = {
         "generators": [g.to_string("d") for g in ideal.generators],
         "hilbert": list(hf.values),

@@ -47,10 +47,13 @@ class HomogeneousIdeal:
     """Immutable homogeneous ideal given by generators and a truncation bound.
 
     truncation_bound=None means no certificate that the ideal eventually fills
-    whole degrees; such ideals cannot be fed to hilbert_function.
+    whole degrees; such ideals cannot be fed to hilbert_function.  apolar_ideal
+    stores the Hilbert function it read off catalecticant ranks in _hilbert,
+    and hilbert_function returns it; every other ideal, those of the
+    constructor, ideal_sum and ideal_colon included, carries None.
     """
 
-    __slots__ = ("generators", "nvars", "truncation_bound")
+    __slots__ = ("generators", "nvars", "truncation_bound", "_hilbert")
 
     def __init__(self, generators, nvars: int | None = None,
                  truncation_bound: int | None = None):
@@ -70,6 +73,7 @@ class HomogeneousIdeal:
         self.generators = gens
         self.nvars = nvars
         self.truncation_bound = truncation_bound
+        self._hilbert: HilbertFunction | None = None
 
     @property
     def max_generator_degree(self) -> int:
@@ -154,11 +158,14 @@ class HilbertFunction:
 
 
 def hilbert_function(ideal: HomogeneousIdeal) -> HilbertFunction:
-    """Hilbert function of the quotient by a truncation-bounded ideal."""
+    """Hilbert function of the quotient by a truncation-bounded ideal: the
+    values an apolar ideal carries, else by elimination degree by degree."""
     b = ideal.truncation_bound
     if b is None:
         raise ValueError("ideal carries no truncation certificate; "
                          "Hilbert function would not be a finite computation")
+    if ideal._hilbert is not None:
+        return ideal._hilbert
     spans = _graded_spans(ideal, b - 1)
     return HilbertFunction(tuple(
         ring_dimension(ideal.nvars, i) - spans[i].dimension for i in range(b)))
@@ -172,7 +179,7 @@ def ideal_sum(a: HomogeneousIdeal, b: HomogeneousIdeal) -> HomogeneousIdeal:
                             min(bounds) if bounds else None)
 
 
-def _generators_from_components(components: list[list[dict[int, Fraction]]],
+def _generators_from_components(components: list[list[dict[int, Fraction | int]]],
                                 nvars: int) -> list[Polynomial]:
     """Minimal generators of an ideal whose degree-i component is spanned by
     components[i].  Each component must contain T_1 times the previous one,
@@ -183,8 +190,10 @@ def _generators_from_components(components: list[list[dict[int, Fraction]]],
     for i, rows in enumerate(components):
         monos, _ = monomial_index(nvars, i)
         span, residuals = _component(span, nvars, i, rows, len(rows))
-        gens.extend(row_to_poly(r, monos, nvars).scale(Fraction(1, r[min(r)]))
-                    for r in residuals)
+        for r in residuals:
+            lead = r[min(r)]
+            gens.append(row_to_poly({c: Fraction(v, lead) for c, v in r.items()},
+                                    monos, nvars))
     return gens
 
 

@@ -7,6 +7,11 @@ row it produces is divided by its content, so entries stay as small as the
 span allows.  canonical_rows() back-substitutes to the reduced row echelon
 form (RREF), which is unique; rref, rank, kernel_basis, inverse and solve are
 read off it.  A full span takes no more rows, so tall matrices stop early.
+
+ModularSpan is not exact over the rationals and never stands in for
+RowSpan: it bounds ranks from below.  A matrix with entries in Z localized at
+p has rank modulo p at most its rank over Q, so a rank modulo p that reaches
+a known upper bound proves the rank over Q.
 """
 
 from __future__ import annotations
@@ -42,18 +47,17 @@ def rank(rows: list[Row]) -> int:
 
 
 def kernel_basis(rows: list[Row], ncols: int) -> list[Row]:
-    """Canonical kernel basis from the RREF: one vector per free column."""
-    red, pivots = rref(rows)
-    pivot_set = set(pivots)
+    """Canonical kernel basis from the RREF: one vector per free column,
+    which holds 1 (RowSpan.kernel_rows scaled back)."""
+    span = RowSpan(ncols)
+    for row in rows:
+        span.insert(row)
     basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        vec = [Fraction(0)] * ncols
-        vec[free] = Fraction(1)
-        for row, pc in zip(red, pivots):
-            vec[pc] = -row[free]
-        basis.append(vec)
+    for free, vec in span.kernel_rows():
+        dense = [Fraction(0)] * ncols
+        for c, v in vec.items():
+            dense[c] = Fraction(v, vec[free])
+        basis.append(dense)
     return basis
 
 
@@ -168,8 +172,8 @@ class RowSpan:
         self._pivot_rows[min(residual)] = residual
         return residual
 
-    def canonical_rows(self) -> list[dict[int, Fraction]]:
-        """The unique RREF of the span, rows ordered by pivot column."""
+    def _reduced(self) -> list[SparseRow]:
+        """Primitive integer multiples of the RREF rows, by pivot column."""
         order = sorted(self._pivot_rows)
         reduced: dict[int, SparseRow] = {}
         for lead in reversed(order):
@@ -178,11 +182,31 @@ class RowSpan:
             for col in sorted(c for c in row if c in reduced):
                 row = _cancel(row, reduced[col], col)
             reduced[lead] = row
+        return [reduced[lead] for lead in order]
+
+    def canonical_rows(self) -> list[dict[int, Fraction]]:
+        """The unique RREF of the span, rows ordered by pivot column."""
         out = []
-        for lead in order:
-            row = reduced[lead]
-            scale = Fraction(1, row[lead])
+        for row in self._reduced():
+            scale = Fraction(1, row[min(row)])
             out.append({c: v * scale for c, v in sorted(row.items())})
+        return out
+
+    def kernel_rows(self) -> list[tuple[int, SparseRow]]:
+        """(free column, primitive integer multiple of its canonical kernel
+        vector) for each column without a pivot, in order.  The canonical
+        vector has 1 at its free column, 0 at the others and minus the RREF
+        entry of that column at each pivot column."""
+        reduced = [(min(row), row) for row in self._reduced()]
+        out = []
+        for free in range(self.ncols):
+            if free in self._pivot_rows:
+                continue
+            used = [(lead, row[lead], row[free]) for lead, row in reduced if free in row]
+            scale = lcm(*(a for _, a, _ in used))
+            vec = {lead: -b * (scale // a) for lead, a, b in used}
+            vec[free] = scale
+            out.append((free, _primitive(dict(sorted(vec.items())))))
         return out
 
     def pivot_columns(self) -> list[int]:
@@ -191,3 +215,39 @@ class RowSpan:
     def basis_rows(self) -> list[SparseRow]:
         """Current (forward-eliminated, primitive integer) basis rows."""
         return [self._pivot_rows[c] for c in sorted(self._pivot_rows)]
+
+
+class ModularSpan:
+    """Row space over GF(prime) of sparse integer rows with columns
+    0..ncols-1.  A row is reduced in a dense accumulator, taken modulo the
+    prime only where a leading entry is read; stored rows lead with 1 and
+    keep only their later nonzero entries."""
+
+    def __init__(self, ncols: int, prime: int):
+        self.ncols = ncols
+        self.prime = prime
+        self._pivot_rows: dict[int, list[tuple[int, int]]] = {}  # lead -> tail
+
+    @property
+    def dimension(self) -> int:
+        return len(self._pivot_rows)
+
+    def insert(self, row: dict[int, int]) -> bool:
+        """Insert a row; True if it enlarged the span."""
+        p, ncols = self.prime, self.ncols
+        acc = [0] * ncols
+        for c, v in row.items():
+            acc[c] = v
+        for c in range(min(row, default=ncols), ncols):
+            x = acc[c] % p
+            if not x:
+                continue
+            tail = self._pivot_rows.get(c)
+            if tail is None:
+                inv = pow(x, -1, p)
+                self._pivot_rows[c] = [(k, v * inv % p) for k in range(c + 1, ncols)
+                                       if (v := acc[k] % p)]
+                return True
+            for k, v in tail:
+                acc[k] -= x * v
+        return False

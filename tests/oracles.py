@@ -4,7 +4,8 @@ Everything here is deliberately naive and shares no code paths with the
 package: differentiation is repeated single-variable term surgery, powers of
 linear forms go through the multinomial formula, matrix rank uses
 fraction-free Bareiss elimination on integers, and kernels use fraction-free
-Gauss-Jordan elimination.  top_degree_generators keeps the linear system
+Gauss-Jordan elimination; ranks modulo a prime use dense Gaussian
+elimination with Fermat inverses.  top_degree_generators keeps the linear system
 that the package once solved for the apolar generators of degree d+1, and
 squarefree_euclid and rational_roots_by_deflation keep the polynomial
 Euclid and the root-by-root deflation it once ran on binary generators.
@@ -120,6 +121,26 @@ def bareiss_rank(matrix) -> int:
         prev = a[rank][col]
         rank += 1
         col += 1
+    return rank
+
+
+def rank_mod_prime(matrix, p: int) -> int:
+    """Rank over GF(p) of an integer matrix, by dense Gaussian elimination
+    with inverses from Fermat's little theorem."""
+    a = [[x % p for x in row] for row in matrix]
+    rank = 0
+    for col in range(len(a[0]) if a else 0):
+        pivot = next((r for r in range(rank, len(a)) if a[r][col]), None)
+        if pivot is None:
+            continue
+        a[rank], a[pivot] = a[pivot], a[rank]
+        inv = pow(a[rank][col], p - 2, p)
+        a[rank] = [x * inv % p for x in a[rank]]
+        for r in range(len(a)):
+            if r != rank and a[r][col]:
+                f = a[r][col]
+                a[r] = [(x - f * y) % p for x, y in zip(a[r], a[rank])]
+        rank += 1
     return rank
 
 
@@ -287,3 +308,20 @@ def certificate_by_ideals(form, hyperplane, divisor=None):
         ideal = ideal_colon(ideal, divisor)
     hf = hilbert_function(ideal_sum(ideal, HomogeneousIdeal([hyperplane])))
     return hf.values, hf.total()
+
+
+def apolar_generators_by_sweep(form) -> list:
+    """Term dicts of the minimal apolar generators as the package once found
+    them: the kernels of Cat_1..Cat_d swept bottom-up by the package's own
+    _generators_from_components, so every degree is checked by elimination,
+    then the degree-(d+1) generators of the (ell, mu) system.  Like
+    certificate_by_ideals, this keeps a route of the package's, not an
+    independent computation."""
+    from apolarity.apolar import catalecticant
+    from apolarity.ideals import _generators_from_components
+    d, n = form.homogeneous_degree(), form.nvars
+    components = [[]] + [[{c: v for c, v in enumerate(vec) if v}
+                          for vec in catalecticant(form, i).kernel()]
+                         for i in range(1, d + 1)]
+    return ([g.terms for g in _generators_from_components(components, n)]
+            + top_degree_generators(form.terms, n, d))

@@ -3,13 +3,15 @@ from fractions import Fraction
 
 import pytest
 
+from apolarity import apolar, ideals
 from apolarity.apolar import (apolar_apply, apolar_hilbert, apolar_ideal,
                               catalecticant, essential_variables)
-from apolarity.ideals import (HomogeneousIdeal, hilbert_function, ideal_equal,
-                              ring_dimension)
-from apolarity.poly import AmbientMismatchError, Polynomial, parse
-from oracles import (apply_operator, bareiss_rank, expand_power,
-                     top_degree_generators)
+from apolarity.ideals import (HomogeneousIdeal, hilbert_function, ideal_colon,
+                              ideal_equal, ideal_sum, ring_dimension)
+from apolarity.poly import (AmbientMismatchError, LinearChange, Polynomial,
+                            monomials, parse, substitute)
+from oracles import (apolar_generators_by_sweep, apply_operator, bareiss_rank,
+                     expand_power, top_degree_generators)
 
 
 def _random_form(rng, nvars, degree, density=0.6):
@@ -146,8 +148,33 @@ def test_apolar_ideal_annihilates_and_is_complete():
         assert ideal.truncation_bound == d + 1
         for g in ideal.generators:
             assert apolar_apply(g, form).is_zero()
-        # degreewise dimensions agree with the catalecticant ranks
-        assert hilbert_function(ideal) == apolar_hilbert(form)
+        # the carried values equal the dimensions found by elimination
+        plain = HomogeneousIdeal(ideal.generators, truncation_bound=d + 1)
+        assert hilbert_function(ideal) == hilbert_function(plain)
+        # a sum and a colon build new ideals and carry nothing over: with a
+        # linear l that does not kill the form, both differ from the apolar
+        # values, and both equal their own elimination
+        ell = next(parse(f"d{k}", nvars=nv) for k in range(nv)
+                   if not apolar_apply(parse(f"d{k}", nvars=nv), form).is_zero())
+        extra = HomogeneousIdeal([ell])
+        summed = hilbert_function(ideal_sum(ideal, extra))
+        assert summed == hilbert_function(ideal_sum(plain, extra))
+        assert summed != hilbert_function(ideal)
+        colon = hilbert_function(ideal_colon(ideal, ell))
+        assert colon == hilbert_function(ideal_colon(plain, ell))
+        assert colon != hilbert_function(ideal)
+
+
+def test_hilbert_function_of_an_apolar_ideal_is_carried(monkeypatch):
+    """hilbert_function returns the values apolar_ideal read off its
+    catalecticants, with no second elimination."""
+    ideal = apolar_ideal(parse("x0^2*x2 + x0*x1^2"))
+
+    def no_elimination(*args):
+        raise AssertionError("the carried Hilbert function was eliminated again")
+
+    monkeypatch.setattr(ideals, "_graded_spans", no_elimination)
+    assert hilbert_function(ideal).values == (1, 3, 3, 1)
 
 
 def test_apolar_ideal_needs_honest_input():
@@ -169,9 +196,19 @@ def test_catalecticant_entries_are_exact_derivatives():
     """Entries are ints for integer forms, and every column alpha equals
     d^alpha F by naive differentiation, for integer and rational forms."""
     rng = random.Random(34)
+    forms = []
     for _ in range(20):
         nv, d = rng.randint(1, 4), rng.randint(1, 4)
-        rational = _random_form(rng, nv, d)
+        forms.append((nv, d, _random_form(rng, nv, d)))
+    # sparse forms, a few monomials each, in up to 7 variables
+    for _ in range(20):
+        nv, d = rng.randint(1, 7), rng.randint(1, 5)
+        monos = monomials(nv, d)
+        picked = rng.sample(monos, min(len(monos), rng.randint(1, 3)))
+        forms.append((nv, d, Polynomial(nv, {m: Fraction(rng.choice((-7, -1, 2, 5)),
+                                                         rng.randint(1, 3))
+                                             for m in picked})))
+    for nv, d, rational in forms:
         integer = Polynomial(nv, {e: c.numerator for e, c in rational.terms.items()})
         for form in (integer, rational):
             for i in range(d + 1):
@@ -215,3 +252,81 @@ def test_ring_dimension_consistency():
     cat = catalecticant(F, 2)
     assert len(cat.col_monomials) == ring_dimension(4, 2) == 10
     assert len(cat.row_monomials) == ring_dimension(4, 1) == 4
+
+
+def _agreement_inputs(rng):
+    """(label, form) pairs for the comparison with the kernel sweep."""
+    def dense(nv, d):
+        return Polynomial(nv, {m: rng.choice((-1, 1)) * rng.randint(1, 9)
+                               for m in monomials(nv, d)})
+
+    def sparse(nv, d):
+        monos = monomials(nv, d)
+        return Polynomial(nv, {m: Fraction(rng.choice((-1, 1)) * rng.randint(1, 9),
+                                           rng.randint(1, 2))
+                               for m in rng.sample(monos, min(len(monos),
+                                                              rng.randint(2, 4)))})
+
+    def change(nv):
+        while True:
+            try:
+                return LinearChange([[rng.randint(-2, 2) for _ in range(nv)]
+                                     for _ in range(nv)])
+            except ValueError:
+                pass
+
+    for d, top in ((3, 8), (4, 6), (5, 4)):
+        for nv in range(2, top + 1):
+            yield "dense", dense(nv, d)
+    for d in (3, 4, 5):
+        for nv in range(2, 9):
+            yield "sparse", sparse(nv, d)
+    for d in (3, 4, 5):
+        for essential in (2, 3):
+            for nv in range(essential + 1, 7 if d < 5 else 5):
+                core = dense(essential, d) if d < 5 else sparse(essential, d)
+                padded = Polynomial(nv, {m + (0,) * (nv - essential): c
+                                         for m, c in core.terms.items()})
+                yield "cone", substitute(padded, change(nv))
+    for d in (3, 4, 5):
+        for nv in range(2, 7):
+            coeffs = [rng.randint(-3, 3) for _ in range(nv)]
+            if any(coeffs):
+                yield "power", Polynomial(nv, expand_power(coeffs, d)).scale(
+                    Fraction(rng.choice((-2, 1, 3)), rng.randint(1, 3)))
+            yield "monomial", Polynomial(nv, {rng.choice(monomials(nv, d)): 1})
+    for text in ("x0^3 + x1^3", "x0^2*x1", "x0^3 + 3*x0*x1^2", "x0^4 + x1^4",
+                 "x0^4 - 6*x0^2*x1^2 + x1^4", "x0^5 + x1^5", "x0^3*x1^2",
+                 "x0^5 - 2*x0*x1^4"):
+        yield "binary", parse(text, nvars=2)
+    for nv, d in ((2, 3), (3, 3), (4, 3), (3, 4), (3, 5)):
+        yield "times-prime", dense(nv, d).scale(apolar.PRIME)
+
+
+def test_apolar_ideal_agrees_with_the_kernel_sweep(monkeypatch):
+    """apolar_ideal, whether every degree is proven free of new generators
+    modulo the prime or the exact sweep runs, gives the generators of the
+    sweep over every catalecticant kernel, and carries apolar_hilbert.  The
+    proof succeeds exactly when the generators below degree d+1 share one
+    degree, except on forms scaled by the prime, which must fall back."""
+    verdicts = []
+    proves = apolar._no_generator_in_degree
+
+    def recorded(form, hf, i):
+        verdicts.append(proves(form, hf, i))
+        return verdicts[-1]
+
+    monkeypatch.setattr(apolar, "_no_generator_in_degree", recorded)
+    rng = random.Random(36)
+    taken = {True: 0, False: 0}
+    for label, form in _agreement_inputs(rng):
+        verdicts.clear()
+        ideal = apolar_ideal(form)
+        assert [g.terms for g in ideal.generators] == apolar_generators_by_sweep(form), form
+        assert hilbert_function(ideal) == apolar_hilbert(form)
+        d = form.homogeneous_degree()
+        degrees = {g.homogeneous_degree() for g in ideal.generators} - {d + 1}
+        proven = all(verdicts)
+        assert proven == (len(degrees) <= 1 and label != "times-prime"), (label, form)
+        taken[proven] += 1
+    assert taken[True] >= 30 and taken[False] >= 30

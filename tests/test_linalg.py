@@ -2,9 +2,9 @@ import random
 from fractions import Fraction
 from math import gcd
 
-from apolarity.linalg import (RowSpan, _to_sparse_int, inverse, kernel_basis,
-                              mat_vec, rank, rref, solve)
-from oracles import bareiss_rank
+from apolarity.linalg import (ModularSpan, RowSpan, _to_sparse_int, inverse,
+                              kernel_basis, mat_vec, rank, rref, solve)
+from oracles import bareiss_rank, kernel, rank_mod_prime
 
 
 def _random_matrix(rng, nrows, ncols, span=4):
@@ -41,6 +41,8 @@ def test_kernel_vectors_annihilate():
         assert len(basis) == ncols - rank(m)
         for v in basis:
             assert all(sum(row[j] * v[j] for j in range(ncols)) == 0 for row in m)
+        # the canonical basis, with 1 at its free column, is unique
+        assert basis == kernel(m, ncols)
 
 
 def test_inverse():
@@ -181,3 +183,24 @@ def test_tall_matrices_match_bareiss():
                 assert all(sum(row[j] * v[j] for j in range(ncols)) == 0 for row in m)
         # the RREF is unique, so stopping after the prefix changes nothing
         assert rref(prefix + extra) == rref(prefix)
+
+
+def test_modular_span_rank_is_the_rank_mod_p_and_bounds_the_rank_over_q():
+    """ModularSpan's dimension is the rank modulo the prime (a dense oracle),
+    never above the rank over Q, and it drops where the prime divides
+    minors.  Rows may hold any integers; only residues count."""
+    rng = random.Random(12)
+    for p in (2, 3, 7, 2**31 - 1):
+        for _ in range(30):
+            nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
+            m = [[rng.choice((0, 0, 1, -1, p, 2 * p + 1, rng.randint(-50, 50)))
+                  for _ in range(ncols)] for _ in range(nrows)]
+            span = ModularSpan(ncols, p)
+            for row in m:
+                span.insert({c: v for c, v in enumerate(row) if v})
+            assert span.dimension == rank_mod_prime(m, p) <= bareiss_rank(m)
+    span = ModularSpan(2, 5)
+    assert not span.insert({})
+    assert span.insert({0: 1})
+    assert not span.insert({0: 3, 1: 10})  # 3 times the first row, mod 5
+    assert span.insert({0: 2, 1: 4}) and span.dimension == 2
