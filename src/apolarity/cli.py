@@ -2,8 +2,9 @@
 
 Forms are written in the variables x0..xn and differential operators in
 d0..dn; either prefix parses, the ambient is inferred from the largest index
-seen unless --vars pins it.  Text that starts with "-" would be taken for
-an option, so pass it after a "--" separator: apolarity hilbert -- "-x0^3".
+seen unless --vars pins it.  A form or operator may start with "-": a word
+that starts with "-" followed by a digit, "(" or a variable is a value,
+never an option, so apolarity hilbert "-x0^3" --plus -d0 works as written.
 Exit codes: 0 success, 1 a verification or certificate failed or a
 normalization bound ran out before the question was decided, 2 bad input,
 3 the construction provably needs an irrational change of coordinates (the
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from functools import lru_cache
 
@@ -32,6 +34,10 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_INPUT = 2
 EXIT_EXTENSION = 3
+
+# A word argparse must read as a value although it starts with "-": a form
+# or operator with a leading minus.  No option of the parser has this shape.
+_LEADING_MINUS = re.compile(r"-(?:\d|\(|[xd]_?\d)")
 
 
 def _parse_together(texts: list[str], override: int | None) -> list[Polynomial]:
@@ -264,11 +270,23 @@ def _cmd_apolar(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that takes a word matching _LEADING_MINUS for a
+    value.  argparse reads such a word as a value only when it matches the
+    parser's negative-number pattern and no option looks like a negative
+    number, so the pattern is widened here; subcommand parsers are built
+    from this class too."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _LEADING_MINUS
+
+
 @lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and then reused: parsing
     leaves it unchanged."""
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="apolarity",
         description="Waring decompositions and apolarity certificates "
                     "for reducible cubics, over the rationals.")

@@ -24,12 +24,13 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 
 from . import linalg
 from .apolar import apolar_ideal
 from .poly import (AmbientMismatchError, LinearChange, LinearForm, Polynomial,
-                   _compose_rows)
+                   _cleared, _cleared_rows, _compose_packed, _compose_rows,
+                   _pack, _unpacked)
 
 
 class NeedsFieldExtension(Exception):
@@ -166,18 +167,26 @@ class WaringDecomposition:
 
     @classmethod
     def assemble(cls, degree: int, nvars: int, raw_terms) -> WaringDecomposition:
+        return cls._from_rows(degree, nvars, (
+            (Fraction(coef), *_cleared(form.coeffs)) for coef, form in raw_terms))
+
+    @classmethod
+    def _from_rows(cls, degree: int, nvars: int, rows) -> WaringDecomposition:
+        """Normalized terms from triples (c, row, den), each the term
+        c * ((row/den) . x)^degree for an integer row: the monic form is
+        row/lead, lead its first nonzero entry, and the coefficient takes
+        the factor (lead/den)^degree."""
         merged: dict[tuple[Fraction, ...], Fraction] = {}
-        for coef, form in raw_terms:
-            coef = Fraction(coef)
+        for coef, row, den in rows:
             if coef == 0:
                 continue
-            if form.is_zero():
+            lead = next((v for v in row if v), 0)
+            if not lead:
                 raise ValueError("decomposition term uses the zero form")
-            if form.nvars != nvars:
+            if len(row) != nvars:
                 raise AmbientMismatchError("term ambient differs from the decomposition's")
-            scale, monic = form.monic()
-            key = monic.coeffs
-            merged[key] = merged.get(key, Fraction(0)) + coef * scale ** degree
+            key = tuple(Fraction(v, lead) for v in row)
+            merged[key] = merged.get(key, 0) + coef * Fraction(lead, den) ** degree
         terms = tuple((merged[key], LinearForm(key))
                       for key in sorted(merged, reverse=True) if merged[key])
         return cls(degree, nvars, terms)
@@ -185,29 +194,42 @@ class WaringDecomposition:
     def __len__(self) -> int:
         return len(self.terms)
 
+    def _power_sum(self, base: int) -> tuple[dict[int, int], int, int]:
+        """(acc, scale, m): sum c_i * L_i^degree is the packed polynomial
+        acc/scale in m variables, keys packed with the given base, which
+        must exceed the degree."""
+        if self.degree < 0:
+            raise ValueError(f"a power sum needs a degree >= 0, got {self.degree}")
+        if not self.terms:
+            return {}, 1, self.nvars
+        coefs, coef_den = _cleared(c for c, _ in self.terms)
+        rows, den = _cleared_rows([form.coeffs for _, form in self.terms])
+        k, d = len(rows), self.degree
+        power_sum = (((0,) * i + (d,) + (0,) * (k - 1 - i), v)
+                     for i, v in enumerate(coefs))
+        acc = _compose_packed(power_sum, rows, den, d, base)
+        return acc, coef_den * den ** d, len(rows[0])
+
     def expand(self) -> Polynomial:
-        """sum c_i * y_i^degree in one variable per term, composed with the
-        rows L_i."""
-        k = len(self.terms)
-        if not k:
-            return Polynomial.zero(self.nvars)
-        power_sum: dict[tuple[int, ...], Fraction] = {}
-        for i, (coef, _) in enumerate(self.terms):
-            exps = tuple(self.degree if j == i else 0 for j in range(k))
-            power_sum[exps] = power_sum.get(exps, Fraction(0)) + coef
-        return _compose_rows(Polynomial(k, power_sum),
-                             [form.coeffs for _, form in self.terms])
+        """sum c_i * L_i^degree, each y_i^degree composed with the row L_i
+        in the integer kernel of poly."""
+        acc, scale, m = self._power_sum(self.degree + 1)
+        return _unpacked(acc, m, self.degree + 1, scale)
 
     def compose(self, change: LinearChange) -> WaringDecomposition:
-        """Decomposition of the substituted form: each L_i becomes L_i o change."""
+        """Decomposition of the substituted form: each L_i becomes L_i o change.
+        The change is cleared to D*C in integers once, so L_i o change is
+        the integer row (d_i*L_i)^T (D*C) over d_i*D."""
         if change.nvars != self.nvars:
             raise AmbientMismatchError("change ambient differs from the decomposition's")
-        new_terms = []
+        matrix, den = _cleared_rows(change.matrix)
+        cols = list(zip(*matrix))
+        rows = []
         for coef, form in self.terms:
-            row = [sum(form.coeffs[i] * change.matrix[i][j] for i in range(self.nvars))
-                   for j in range(self.nvars)]
-            new_terms.append((coef, LinearForm(row)))
-        return WaringDecomposition.assemble(self.degree, self.nvars, new_terms)
+            ints, form_den = _cleared(form.coeffs)
+            rows.append((coef, [sum(a * b for a, b in zip(ints, col)) for col in cols],
+                         form_den * den))
+        return WaringDecomposition._from_rows(self.degree, self.nvars, rows)
 
     def identity_string(self, name: str = "F", prefix: str = "x") -> str:
         """Integer-cleared identity like '6*F = (x0 + x2)^3 + ...'."""
@@ -246,16 +268,41 @@ class WaringDecomposition:
 
 def verify_decomposition(form: Polynomial,
                          dec: WaringDecomposition) -> tuple[bool, Polynomial]:
-    """Expand the decomposition exactly and compare; returns (ok, residual).
+    """Expand the decomposition exactly and compare; returns (ok, residual)
+    with residual = form - dec.expand().
+
+    The comparison runs in integers.  With F = N/a for an integer polynomial
+    N, and dec.expand() = E/b for the integer polynomial E that the kernel
+    of poly builds from the cleared coefficients and forms, it checks
+    b*N - a*E = 0 coefficient by coefficient, monomials packed with one base
+    above both degrees.  As a, b > 0, that holds exactly when
+    form == dec.expand(); the residual (b*N - a*E)/(a*b) becomes a
+    Polynomial, which is empty when the check passes.
 
     ok also requires the forms to be pairwise independent, which assembled
     decompositions guarantee by construction: two nonzero forms are
-    proportional exactly when their monic representatives coincide.
+    proportional exactly when their cleared integer rows have the same
+    primitive representative with a positive first nonzero entry.
     """
     if form.nvars != dec.nvars:
         raise AmbientMismatchError("form and decomposition ambients differ")
-    residual = form - dec.expand()
-    keys = [f.monic()[1].coeffs for _, f in dec.terms if not f.is_zero()]
+    base = max(dec.degree, form.degree()) + 1
+    acc, scale, m = dec._power_sum(base)
+    if m != form.nvars:
+        raise AmbientMismatchError(
+            f"ambients differ: {form.nvars} vs {m} variables")
+    target, form_den = _pack(form, base)
+    diff = {key: v * scale for key, v in target.items()}
+    for key, v in acc.items():
+        diff[key] = diff.get(key, 0) - v * form_den
+    residual = _unpacked(diff, m, base, scale * form_den)
+    keys = []
+    for _, f in dec.terms:
+        row, _ = _cleared(f.coeffs)
+        lead = next((v for v in row if v), 0)
+        if lead:
+            g = gcd(*row) if lead > 0 else -gcd(*row)
+            keys.append(tuple(v // g for v in row))
     independent = len(set(keys)) == len(keys)
     return independent and residual.is_zero(), residual
 

@@ -7,9 +7,11 @@ length.  Text form uses ``x0, x1, ...`` (or ``d0, d1, ...`` for operators in
 the dual ring); the canonical term order is graded lexicographic, highest
 degree first.
 
-Every linear substitution (substitute, WaringDecomposition.expand, the
-divisibility test of cubics.classify) runs in one integer kernel,
-_compose_rows, on packed exponent keys.
+Every linear substitution runs in one integer kernel, _compose_packed, on
+packed exponent keys: substitute and the divisibility test of
+cubics.classify through _compose_rows, and WaringDecomposition.expand and
+cubics.verify_decomposition, which expand a power sum and compare it with
+a form without building a Fraction until a residual is nonzero.
 
 Everything here is exact.  No floats enter at any point.
 """
@@ -265,7 +267,8 @@ class LinearForm:
     coeffs: tuple[Fraction, ...]
 
     def __init__(self, coeffs: Iterable[Scalar]):
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in coeffs))
+        object.__setattr__(self, "coeffs", tuple(
+            c if isinstance(c, Fraction) else Fraction(c) for c in coeffs))
 
     @property
     def nvars(self) -> int:
@@ -372,13 +375,8 @@ def _compose_rows(p: Polynomial, rows: Sequence[Sequence[Scalar]]) -> Polynomial
     """p with each variable i replaced by the linear form sum_j rows[i][j] * x_j.
 
     rows is any p.nvars x m matrix, square or not, invertible or not; the
-    result lives in m variables.  The work is done in integers: the matrix
-    and the coefficients of p are cleared of denominators once, and each
-    output exponent tuple is packed into one int, sum e_j * base**j with
-    base = deg(p) + 1.  No exponent of a product reaches base, so adding two
-    keys multiplies the two monomials.  A term of degree k < deg(p) is scaled
-    by D**(deg(p) - k), where D is the common denominator of the matrix, so
-    every term shares the denominator of the top degree.
+    result lives in m variables.  The matrix and the coefficients of p are
+    cleared of denominators once and _compose_packed does the work.
     """
     if len(rows) != p.nvars:
         raise AmbientMismatchError(
@@ -387,27 +385,65 @@ def _compose_rows(p: Polynomial, rows: Sequence[Sequence[Scalar]]) -> Polynomial
     top = p.degree()
     if top < 0:
         return Polynomial.zero(m)
-    if any(len(row) != m for row in rows):
+    int_rows, den = _cleared_rows(rows)
+    coefs, coef_den = _cleared(p._terms.values())
+    acc = _compose_packed(zip(p._terms, coefs), int_rows, den, top, top + 1)
+    return _unpacked(acc, m, top + 1, coef_den * den ** top)
+
+
+def _cleared(values: Iterable[Scalar]) -> tuple[list[int], int]:
+    """Integers v_i and one common denominator D with values[i] = v_i / D."""
+    values = list(values)
+    den = lcm(*(c.denominator for c in values))
+    return [c.numerator * (den // c.denominator) for c in values], den
+
+
+def _cleared_rows(rows: Sequence[Sequence[Scalar]]) -> tuple[list[list[int]], int]:
+    """Integer rows and one common denominator D for the whole matrix; raises
+    ValueError when the rows differ in length."""
+    if any(len(row) != len(rows[0]) for row in rows):
         raise ValueError("rows of a substitution must have equal length")
     den = lcm(*(c.denominator for row in rows for c in row))
-    base = top + 1
-    packed_rows = [{base ** j: c.numerator * (den // c.denominator)
-                    for j, c in enumerate(row) if c} for row in rows]
+    return [[c.numerator * (den // c.denominator) for c in row] for row in rows], den
+
+
+def _compose_packed(terms: Iterable[tuple[Exponent, int]],
+                    rows: Sequence[Sequence[int]], den: int, top: int,
+                    base: int) -> dict[int, int]:
+    """The integer kernel of every linear substitution.
+
+    Returns sum v * den**(top - |e|) * prod_i (sum_j rows[i][j] * x_j)**e_i
+    over the terms (e, v), each output monomial packed into one int,
+    sum_j e_j * base**j.  The caller picks base above every exponent of the
+    result, so adding two keys multiplies the two monomials.  With rows
+    holding D*R for a rational matrix R, the scaling by den**(top - |e|)
+    gives every term of degree |e| <= top the denominator D**top.
+    """
+    packed_rows = [{base ** j: c for j, c in enumerate(row) if c} for row in rows]
     powers: list[list[dict[int, int]]] = [[{0: 1}] for _ in rows]
-    coef_den = lcm(*(c.denominator for c in p._terms.values()))
     acc: dict[int, int] = {}
-    for exps, coef in p._terms.items():
-        prod = {0: coef.numerator * (coef_den // coef.denominator)
-                * den ** (top - sum(exps))}
+    for exps, v in terms:
+        prod = None  # the product of the powers, a cached one left unscaled
         for i, e in enumerate(exps):
             if e:
                 cached = powers[i]
                 while len(cached) <= e:
                     cached.append(_packed_mul(cached[-1], packed_rows[i]))
-                prod = _packed_mul(prod, cached[e])
-        for key, v in prod.items():
-            acc[key] = acc.get(key, 0) + v
-    scale = coef_den * den ** top
+                prod = cached[e] if prod is None else _packed_mul(prod, cached[e])
+        _packed_mul({0: v * den ** (top - sum(exps))},
+                    {0: 1} if prod is None else prod, acc)
+    return acc
+
+
+def _pack(p: Polynomial, base: int) -> tuple[dict[int, int], int]:
+    """p as {packed exponent key: integer} over one common denominator."""
+    coefs, den = _cleared(p._terms.values())
+    keys = (sum(e * base ** j for j, e in enumerate(exps)) for exps in p._terms)
+    return dict(zip(keys, coefs)), den
+
+
+def _unpacked(acc: Mapping[int, int], m: int, base: int, scale: int) -> Polynomial:
+    """The polynomial sum v/scale * x^key over the nonzero packed entries."""
     terms = {}
     for key, v in acc.items():
         if v:
@@ -419,9 +455,12 @@ def _compose_rows(p: Polynomial, rows: Sequence[Sequence[Scalar]]) -> Polynomial
     return Polynomial(m, terms)
 
 
-def _packed_mul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-    """Product of two polynomials held as {packed exponent key: integer}."""
-    out: dict[int, int] = {}
+def _packed_mul(a: dict[int, int], b: dict[int, int],
+                out: dict[int, int] | None = None) -> dict[int, int]:
+    """Product of two polynomials held as {packed exponent key: integer},
+    added into out when it is given."""
+    if out is None:
+        out = {}
     for ka, va in a.items():
         for kb, vb in b.items():
             k = ka + kb

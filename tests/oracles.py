@@ -9,6 +9,10 @@ elimination with Fermat inverses.  top_degree_generators keeps the linear system
 that the package once solved for the apolar generators of degree d+1, and
 squarefree_euclid and rational_roots_by_deflation keep the polynomial
 Euclid and the root-by-root deflation it once ran on binary generators.
+assemble_by_fractions, compose_by_fractions, power_sum_by_fractions and
+residual_by_fractions keep the Fraction arithmetic that once normalized,
+composed, expanded and verified power sums, with expand_power in place of
+the package's substitution kernel.
 certificate_by_ideals is the one exception to the rule above: it keeps the
 route the avoidance and colon certificates once took through the package's
 own ideal calculus (apolar ideal, colon, sum, graded spans), so it checks
@@ -20,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial, isqrt
 
 
@@ -325,3 +330,74 @@ def apolar_generators_by_sweep(form) -> list:
                          for i in range(1, d + 1)]
     return ([g.terms for g in _generators_from_components(components, n)]
             + top_degree_generators(form.terms, n, d))
+
+
+def _ambient_mismatch(message: str) -> Exception:
+    from apolarity.poly import AmbientMismatchError
+    return AmbientMismatchError(message)
+
+
+def assemble_by_fractions(degree: int, nvars: int, raw_terms) -> list:
+    """Normalized terms [(coefficient, monic coefficient tuple)] of a power
+    sum: each form divided by its first nonzero coefficient, proportional
+    forms merged, zero coefficients dropped, in descending order."""
+    merged: dict = {}
+    for coef, coeffs in raw_terms:
+        coef = Fraction(coef)
+        if coef == 0:
+            continue
+        coeffs = [Fraction(c) for c in coeffs]
+        if not any(coeffs):
+            raise ValueError("decomposition term uses the zero form")
+        if len(coeffs) != nvars:
+            raise _ambient_mismatch("term ambient differs from the decomposition's")
+        lead = next(c for c in coeffs if c)
+        key = tuple(c / lead for c in coeffs)
+        merged[key] = merged.get(key, Fraction(0)) + coef * lead ** degree
+    return [(merged[key], key) for key in sorted(merged, reverse=True) if merged[key]]
+
+
+def compose_by_fractions(degree: int, nvars: int, terms, matrix) -> list:
+    """Normalized terms after substituting x_i -> sum_j matrix[i][j] x_j in
+    every form: the row of a form becomes its vector-matrix product."""
+    if len(matrix) != nvars:
+        raise _ambient_mismatch("change ambient differs from the decomposition's")
+    rows = [(coef, [sum(Fraction(coeffs[i]) * Fraction(matrix[i][j]) for i in range(nvars))
+                    for j in range(nvars)]) for coef, coeffs in terms]
+    return assemble_by_fractions(degree, nvars, rows)
+
+
+@lru_cache(maxsize=16)
+def power_sum_by_fractions(degree: int, terms: tuple) -> tuple:
+    """The terms of sum c_i * L_i^degree, each power expanded by the
+    multinomial theorem; cached, since one power sum meets many forms."""
+    acc: dict = {}
+    for coef, coeffs in terms:
+        for exps, c in expand_power(coeffs, degree).items():
+            acc[exps] = acc.get(exps, Fraction(0)) + Fraction(coef) * c
+    return tuple((e, c) for e, c in acc.items() if c)
+
+
+def residual_by_fractions(form_terms: dict, form_nvars: int, nvars: int,
+                          degree: int, terms) -> tuple:
+    """(independent, residual term dict) of form - sum c_i * L_i^degree for
+    a power sum declared in nvars variables, each power expanded by the
+    multinomial theorem; independent says that no two nonzero forms are
+    proportional.  Ambients are checked as the package once checked them:
+    the declared one, then the forms' common length against the form's."""
+    if form_nvars != nvars:
+        raise _ambient_mismatch("form and decomposition ambients differ")
+    lengths = {len(coeffs) for _, coeffs in terms}
+    if len(lengths) > 1:
+        raise ValueError("rows of a substitution must have equal length")
+    if lengths and lengths != {form_nvars}:
+        raise _ambient_mismatch("ambients differ")
+    acc = {e: Fraction(c) for e, c in form_terms.items()}
+    for exps, c in power_sum_by_fractions(degree, tuple(terms)):
+        acc[exps] = acc.get(exps, Fraction(0)) - c
+    monic = []
+    for coef, coeffs in terms:
+        if any(coeffs):
+            lead = next(Fraction(c) for c in coeffs if c)
+            monic.append(tuple(Fraction(c) / lead for c in coeffs))
+    return len(set(monic)) == len(monic), {e: c for e, c in acc.items() if c}

@@ -246,3 +246,48 @@ def test_apolar_of_a_high_power_is_quick(capsys):
     assert time.perf_counter() - start < 10
     assert code == 0
     assert out.splitlines()[1] == "  [2001] d0^2001"
+
+
+PLANE = "x0^2*x2 + x0*x1^2"
+
+
+@pytest.mark.parametrize("argv", [
+    ["hilbert", "-x0^3"],
+    ["hilbert", "-x0^3", "--json", "--vars", "3"],
+    ["hilbert", "-2*x0^3+x1^3"],
+    ["hilbert", "-x_1^3"],
+    ["hilbert", "-x0^3+"],
+    ["hilbert", PLANE, "--plus", "-d0"],
+    ["hilbert", PLANE, "--colon", "-d1", "--plus", "-d2", "--json"],
+    ["apolar", "-(x0+x1)^3"],
+    ["analyze", "x0", "-x0*x1 + x2^2"],
+    ["analyze", "x0", "-x0*x1+x2*x3", "--json"],
+    ["analyze", "-x0", "x0*x1 + x2*x3"],
+    ["decompose", "-x0", "x0*x1+4*x2^2", "--json"],
+    ["certify", PLANE, "--hyperplane", "-d2"],
+], ids=lambda argv: " ".join(argv))
+def test_a_leading_minus_is_a_value_not_an_option(capsys, argv):
+    """A word that starts with "-" and then a digit, "(" or a variable is a
+    form or an operator: the call prints what its parenthesized spelling
+    prints, with the same exit code."""
+    spelled = [f"({word})" if word[:1] == "-" and word[1:2] != "-" else word
+               for word in argv]
+    assert spelled != argv
+    code, out, _ = run(capsys, *argv)
+    assert (code, out) == run(capsys, *spelled)[:2]
+    assert code == (2 if argv[1].endswith("+") else 0)
+
+
+def test_options_keep_their_meaning_beside_a_leading_minus(capsys, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["hilbert", "-h"])
+    assert exc.value.code == 0 and "usage:" in capsys.readouterr().out
+    target = tmp_path / "dec.json"
+    code, out, _ = run(capsys, "decompose", "-x0", "x0*x1 + x2^2", "-o", str(target))
+    assert code == 0 and f"wrote {target}" in out
+    assert json.loads(target.read_text())["variables"] == 3
+    code, out, _ = run(capsys, "hilbert", "--vars", "3", "-x0^3", "--json")
+    assert code == 0 and json.loads(out)["values"] == [1, 1, 1, 1]
+    with pytest.raises(SystemExit) as exc:
+        main(["hilbert", "-q", "x0^3"])
+    assert exc.value.code == 2

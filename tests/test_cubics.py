@@ -16,8 +16,11 @@ from apolarity.cubics import (CubicKind, InvalidChange,
 from apolarity.poly import (AmbientMismatchError, LinearChange, LinearForm,
                             Polynomial, monomials, parse, substitute)
 
-from oracles import (bareiss_rank, diff_once, monomials_recursive,
-                     rational_roots_by_deflation, squarefree_euclid)
+from oracles import (assemble_by_fractions, bareiss_rank,
+                     compose_by_fractions, diff_once, monomials_recursive,
+                     power_sum_by_fractions, rational_roots_by_deflation,
+                     residual_by_fractions,
+                     squarefree_euclid)
 
 
 def _product(linear, quadric, nvars=None):
@@ -319,6 +322,130 @@ def test_verify_decomposition_rejects_proportional_forms():
     ok, residual = verify_decomposition(parse("(x0 + x1)^3"), dec)
     assert residual.is_zero()
     assert ok is False
+
+
+def _rational(rng, span=4):
+    return Fraction(rng.randint(-span, span), rng.choice((1, 1, 2, 3, 5)))
+
+
+def _rational_change(rng, nvars):
+    while True:
+        try:
+            return LinearChange([[_rational(rng, 3) for _ in range(nvars)]
+                                 for _ in range(nvars)])
+        except ValueError:
+            continue
+
+
+def _raw_power_sum(rng, degree, nvars, cancel):
+    """Rational, mostly non-monic forms with one zero coefficient and one
+    multiple of the first form, whose coefficient cancels the first term
+    exactly or merges with it."""
+    raw = []
+    for _ in range(rng.randint(1, 5)):
+        form = [_rational(rng) for _ in range(nvars)]
+        if not any(form):
+            form[rng.randrange(nvars)] = Fraction(-3, 7)
+        raw.append((_rational(rng), form))
+    coef, form = raw[0]
+    s = Fraction(rng.choice((-2, 3)), rng.choice((1, 2, 5)))
+    raw.append((-coef / s ** degree if cancel else _rational(rng) or Fraction(1),
+                [s * c for c in form]))
+    raw.append((Fraction(0), [_rational(rng) for _ in range(nvars)]))
+    rng.shuffle(raw)
+    return raw
+
+
+def _pairs(dec):
+    return [(c, f.coeffs) for c, f in dec.terms]
+
+
+def _raised(call):
+    try:
+        call()
+    except ValueError as exc:
+        return type(exc)
+    return None
+
+
+def test_integer_power_sums_match_the_fraction_reference():
+    """assemble, compose, expand and verify_decomposition against the
+    Fraction arithmetic they replaced (tests/oracles.py): degrees 1-4 in
+    1-9 variables, rational forms and changes, merged, cancelled and zero
+    terms, forms of another degree, and every ambient mismatch."""
+    rng = random.Random(1213)
+    seen = {"ok": 0, "residual": 0, "dependent": 0, "cancelled": 0,
+            "mismatch": 0}
+    for degree in range(1, 5):
+        for nvars in range(1, 10):
+            for cancel in (False, True):
+                raw = _raw_power_sum(rng, degree, nvars, cancel)
+                dec = WaringDecomposition.assemble(
+                    degree, nvars, [(c, LinearForm(f)) for c, f in raw])
+                assert _pairs(dec) == assemble_by_fractions(degree, nvars, raw)
+                seen["cancelled"] += len(dec) < len(raw) - 2
+                change = _rational_change(rng, nvars)
+                moved = dec.compose(change)
+                assert _pairs(moved) == compose_by_fractions(
+                    degree, nvars, _pairs(dec), change.matrix)
+                expansion = dict(power_sum_by_fractions(degree, tuple(_pairs(moved))))
+                assert moved.expand().terms == expansion
+                exact = Polynomial(nvars, expansion)
+                far = tuple(degree + 1 if j == nvars - 1 else 0 for j in range(nvars))
+                forms = [exact, exact + Polynomial.monomial(
+                    nvars, rng.choice(monomials(nvars, degree)), _rational(rng) or 1),
+                    exact + Polynomial.monomial(nvars, far, Fraction(2, 3)),
+                    exact + Polynomial.constant(nvars, Fraction(-5, 2)),
+                    Polynomial.zero(nvars)]
+                # built directly, so the multiple of the first form stays apart
+                unmerged = WaringDecomposition(degree, nvars, tuple(
+                    (c, LinearForm(f)) for c, f in raw if c))
+                for candidate in (moved, unmerged):
+                    for form in forms:
+                        independent, residual = residual_by_fractions(
+                            form.terms, nvars, nvars, degree, _pairs(candidate))
+                        ok, got = verify_decomposition(form, candidate)
+                        assert got.nvars == nvars and got.terms == residual
+                        assert ok is (independent and not residual)
+                        seen["ok"] += ok
+                        seen["residual"] += bool(residual)
+                        seen["dependent"] += not independent
+                bigger = LinearChange.identity(nvars + 1)
+                assert _raised(lambda: moved.compose(bigger)) is AmbientMismatchError
+                assert _raised(lambda: compose_by_fractions(
+                    degree, nvars, _pairs(moved), bigger.matrix)) is AmbientMismatchError
+                wide = Polynomial.zero(nvars + 1)
+                padded = WaringDecomposition(degree, nvars, tuple(
+                    (c, LinearForm(f.coeffs + (1,))) for c, f in moved.terms))
+                for form, candidate in ((wide, moved), (exact, padded)):
+                    raised = _raised(lambda: verify_decomposition(form, candidate))
+                    assert raised is _raised(lambda: residual_by_fractions(
+                        form.terms, form.nvars, nvars, degree, _pairs(candidate)))
+                    seen["mismatch"] += raised is AmbientMismatchError
+    assert min(seen.values()) >= 20, seen
+
+
+def test_verifying_a_witness_builds_only_its_residual(monkeypatch):
+    """The check runs in integers: verifying a correct 2n+1-cube witness of
+    a densely changed pinch form builds one Polynomial, the empty residual."""
+    rng = random.Random(3)
+    built = []
+    init = Polynomial.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    for n in range(2, 7):
+        change = _rational_change(rng, n + 1)
+        form = substitute(normal_form(n), change)
+        witness = decompose_type_c_normal(n).compose(change)
+        monkeypatch.setattr(Polynomial, "__init__", counting)
+        ok, residual = verify_decomposition(form, witness)
+        monkeypatch.setattr(Polynomial, "__init__", init)
+        assert ok and residual.is_zero() and len(witness) == 2 * n + 1
+        assert len(built) == 1, f"n = {n}: {len(built)} polynomials built"
+        built.clear()
 
 
 def test_decompose_type_c_with_explicit_change():

@@ -136,6 +136,9 @@ CASES: list[tuple[str, list[str]]] = [
     ("certify-hyperplane-colon", ["certify", PLANE, "--hyperplane", "d2",
                                   "--colon", "d1", "--removed", "1"]),
     ("bad-input", ["analyze", "x0", "x0*x1 +"]),
+    # a form and an operator with a leading minus are values, not options
+    ("analyze-leading-minus", ["analyze", "-x0", "x0*x1 + x2*x3"]),
+    ("hilbert-leading-minus", ["hilbert", "-x0^2*x2-x0*x1^2", "--plus", "-d2"]),
     ("text-analyze-dense-tangent", ["analyze", DENSE_LINEAR, DENSE_QUADRIC]),
     ("text-decompose-normal-3", ["decompose", "--normal-form", "3"]),
     ("text-decompose-binary", ["decompose", "x0", "x0^2 + 3*x1^2"]),
