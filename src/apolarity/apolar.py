@@ -45,7 +45,8 @@ from typing import Iterator
 from .ideals import (HilbertFunction, HomogeneousIdeal, monomial_index,
                      ring_dimension, _generators_from_components)
 from .linalg import ModularSpan, RowSpan, kernel_basis, rank
-from .poly import AmbientMismatchError, Exponent, LinearForm, Polynomial
+from .poly import (MAX_MONOMIAL_ENTRIES, AmbientMismatchError, Exponent,
+                   LinearForm, Polynomial)
 
 PRIME = 2**31 - 1  # the modulus of the ranks that prove "no new generator"
 
@@ -140,13 +141,17 @@ def _entries(form: Polynomial, i: int) -> Iterator[tuple[int, int, int | Fractio
 def catalecticant(form: Polynomial, i: int) -> CatalecticantMatrix:
     """The i-th catalecticant of a nonzero form.  Column alpha holds d^alpha F,
     filled term by term by _entries; entries are ints where F's coefficients
-    are."""
+    are.  Raises ValueError, before allocating, when the matrix would have
+    more than MAX_MONOMIAL_ENTRIES cells."""
     d = form.homogeneous_degree()
     if not 0 <= i <= d:
         raise ValueError(f"catalecticant index {i} outside 0..{d}")
     n = form.nvars
     cols, _ = monomial_index(n, i)
     rows, _ = monomial_index(n, d - i)
+    if len(rows) * len(cols) > MAX_MONOMIAL_ENTRIES:
+        raise ValueError(f"catalecticant Cat_{i} of {len(rows)} x {len(cols)} "
+                         "entries is too large to build")
     entries = [[0] * len(cols) for _ in rows]
     for col, row, v in _entries(form, i):
         entries[row][col] = v

@@ -566,7 +566,10 @@ def _squarefree(p: list[Fraction]) -> bool:
 def _split(g: Polynomial) -> tuple[bool, list[LinearForm] | None]:
     """(squarefree, forms) for a binary operator g: forms are pairwise
     independent linear forms dual to its roots when g is squarefree and
-    splits over Q, else None."""
+    splits over Q, else None.  The roots of the core (g with its factors
+    d0 and d1 removed) come from _rational_roots, which is called only once
+    the core is known to be squarefree: that is what ends its prime
+    search."""
     coeffs = _binary_coeffs(g)
     d = len(coeffs) - 1
     lo = next(i for i, c in enumerate(coeffs) if c)
@@ -589,21 +592,55 @@ def _split(g: Polynomial) -> tuple[bool, list[LinearForm] | None]:
 
 
 def _rational_roots(p: list[Fraction]) -> list[Fraction]:
-    """Rational roots of p, ascending, when p(0) != 0: each is +-a/b with a
-    dividing the cleared constant and b the cleared leading coefficient."""
-    scale = lcm(*(c.denominator for c in p))
-    ints = [int(c * scale) for c in p]
-    m = len(ints) - 1
-    cands = {Fraction(sign * a, b) for a in _divisors(abs(ints[0]))
-             for b in _divisors(abs(ints[-1])) for sign in (1, -1)}
-    return [r for r in sorted(cands)
-            if not sum(c * r.numerator ** i * r.denominator ** (m - i)
-                       for i, c in enumerate(ints))]
+    """Rational roots, ascending, of a squarefree p (coefficients from the
+    constant up) with p(0) != 0, by the linear-factor step of Zassenhaus
+    factorization (von zur Gathen-Gerhard, Modern Computer Algebra, ch. 15).
 
+    Let c_0..c_m be the primitive integer multiple of p and a = c_m.  A
+    root u/v in lowest terms has u | c_0 and v | a, so y = a*u/v is an
+    integer with |y| <= |c_0*a|, and a root of the monic integer polynomial
+    q(y) = a^(m-1) * c(y/a), whose coefficients are c_i * a^(m-1-i).  Take
+    the smallest prime at which every root of q in F_p is simple: q is
+    squarefree and monic, so its discriminant is a nonzero integer, and
+    every prime that does not divide it qualifies; the search ends.  Each
+    root mod p lifts, by Newton's iteration, to the one root mod p^(2^k)
+    above it, and past the modulus 2*|c_0*a| its symmetric residue is the
+    only integer of size at most |c_0*a| left; it is kept when q vanishes
+    there exactly.  An integer root of q reduces to a simple root mod p,
+    so none is missed."""
+    scale = lcm(*(v.denominator for v in p))
+    ints = [int(v * scale) for v in p]
+    content = gcd(*ints)
+    c = [v // content for v in ints]
+    m, a = len(c) - 1, c[-1]
+    q = [v * a ** (m - 1 - i) for i, v in enumerate(c[:-1])] + [1]
+    dq = [i * v for i, v in enumerate(q) if i]
 
-def _divisors(v: int) -> list[int]:
-    out = [i for i in range(1, isqrt(v) + 1) if v % i == 0]
-    return sorted(set(out + [v // i for i in out]))
+    def value(coeffs, y, mod):
+        acc = 0
+        for v in reversed(coeffs):
+            acc = (acc * y + v) % mod
+        return acc
+
+    prime = 1
+    while True:
+        prime += 1
+        if any(prime % k == 0 for k in range(2, isqrt(prime) + 1)):
+            continue
+        residues = [r for r in range(prime) if value(q, r, prime) == 0]
+        if all(value(dq, r, prime) for r in residues):
+            break
+    bound = 2 * abs(c[0] * a)
+    roots = []
+    for r in residues:
+        mod = prime
+        while mod <= bound:
+            mod *= mod
+            r = (r - value(q, r, mod) * pow(value(dq, r, mod), -1, mod)) % mod
+        y = r if 2 * r <= mod else r - mod
+        if not sum(v * y ** i for i, v in enumerate(q)):
+            roots.append(Fraction(y, a))
+    return sorted(roots)
 
 
 def decompose_binary(form: Polynomial) -> BinaryDecomposition:

@@ -18,7 +18,8 @@ from itertools import chain
 from math import comb
 
 from .linalg import RowSpan, kernel_basis
-from .poly import AmbientMismatchError, Exponent, Polynomial, monomials
+from .poly import (MAX_MONOMIAL_ENTRIES, AmbientMismatchError, Exponent,
+                   Polynomial, monomials)
 
 
 def ring_dimension(nvars: int, degree: int) -> int:
@@ -201,7 +202,8 @@ def _colon_spans(ideal: HomogeneousIdeal, divisor: Polynomial,
                  top: int) -> list[RowSpan]:
     """Row spans of (ideal : divisor) for degrees 0..top, by definition:
     the degree-i component is the preimage of the ideal under multiplication
-    by the divisor."""
+    by the divisor.  Raises ValueError, before allocating, when a preimage
+    system would have more than MAX_MONOMIAL_ENTRIES cells."""
     n = ideal.nvars
     e = divisor.homogeneous_degree()
     ideal_spans = _graded_spans(ideal, top + e)
@@ -217,6 +219,9 @@ def _colon_spans(ideal: HomogeneousIdeal, divisor: Polynomial,
             basis = ideal_spans[i + e].canonical_rows()
             # kernel of [ mult-by-divisor | -ideal-basis ] gives the preimage
             width = dim_i + len(basis)
+            if dim_t * width > MAX_MONOMIAL_ENTRIES:
+                raise ValueError(f"the degree-{i} colon system of {dim_t} x "
+                                 f"{width} entries is too large to build")
             rows = [[Fraction(0)] * width for _ in range(dim_t)]
             for c, mono in enumerate(monos_i):
                 prod = divisor * Polynomial.monomial(n, mono)

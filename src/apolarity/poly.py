@@ -37,8 +37,9 @@ _TOKEN_RE = re.compile(r"\s*(?:(?P<var>[xd]_?(?P<idx>\d+))|(?P<int>\d+)|(?P<op>[
 MAX_NESTING = 100
 
 # Most exponent entries (monomials times variables, about 100 MB of tuples)
-# that monomials() lists for one degree.  Dense work on a degree that large
-# would exhaust memory long before it ended.
+# that monomials() lists for one degree, and most cells of a dense matrix
+# that apolar.catalecticant or ideals._colon_spans allocates.  Dense work on
+# a degree that large would exhaust memory long before it ended.
 MAX_MONOMIAL_ENTRIES = 10 ** 7
 
 

@@ -3,7 +3,10 @@ import time
 
 import pytest
 
+from apolarity import ideals
+from apolarity.apolar import catalecticant
 from apolarity.cli import main
+from apolarity.poly import parse
 
 
 def run(capsys, *argv):
@@ -127,6 +130,21 @@ def test_huge_variable_index_is_handled(capsys):
     code, _, err = run(capsys, "apolar", "x1500^3")
     assert code in (0, 1, 2, 3)
     assert code == 0 or "error" in err
+
+
+def test_dense_matrices_past_the_size_budget_are_input_errors(capsys,
+                                                             monkeypatch):
+    # Cat_2 of a quartic in 80 variables would have 3240^2 > 10^7 cells
+    code, out, err = run(capsys, "apolar", "x0^4 + x79^4")
+    assert code == 2 and out == "" and "error" in err
+    with pytest.raises(ValueError, match="too large to build"):
+        catalecticant(parse("x0^4 + x79^4"), 2)
+    # the preimage systems of the plane cubic's colon by d1 have 3, 36 and
+    # 150 cells in degrees 0, 1 and 2
+    monkeypatch.setattr(ideals, "MAX_MONOMIAL_ENTRIES", 100)
+    code, out, err = run(capsys, "hilbert", "x0^2*x2 + x0*x1^2", "--colon", "d1")
+    assert code == 2 and out == ""
+    assert "degree-2 colon system of 10 x 15 entries is too large" in err
 
 
 def test_missing_file_exit_code(capsys):

@@ -1,12 +1,15 @@
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
+from apolarity.apolar import apolar_ideal
 from apolarity.cubics import (CubicKind, InvalidChange,
                               NeedsFieldExtension, ReducibleCubic,
-                              WaringDecomposition, _split, _squarefree,
+                              WaringDecomposition, _rational_roots, _split,
+                              _squarefree,
                               classify, decompose_binary,
                               decompose_type_c, decompose_type_c_normal,
                               normal_form, normal_form_pair,
@@ -605,6 +608,62 @@ def _seeded_generators(rng, count):
     return out
 
 
+def _with_roots(lead, roots, factors=()):
+    """lead * prod (t - r) * prod f, coefficients from the constant up."""
+    coeffs = [Fraction(lead)]
+    for r in roots:
+        coeffs = _times(coeffs, [-Fraction(r), Fraction(1)])
+    for f in factors:
+        coeffs = _times(coeffs, [Fraction(v) for v in f])
+    return coeffs
+
+
+# Generators whose roots defeat the first primes of the root finder: rational
+# roots 105*k apart, equal modulo 3, 5 and 7 (and pairwise modulo 2);
+# leading coefficients divisible by 2*3*5*7, which makes every root of the
+# monic transform vanish modulo those primes; and irreducible quadratics
+# with a double root modulo 3, or roots modulo 5, that meet a rational one.
+_HARD_GENERATORS = [
+    _with_roots(1, [2, 107, 212]),
+    _with_roots(-3, [-1, 104, 209, 314]),
+    _with_roots(Fraction(5, 7), [Fraction(1, 2), Fraction(1, 3),
+                                 Fraction(1, 5), Fraction(1, 7)]),
+    _with_roots(1, [Fraction(3, 2), Fraction(-5, 6), Fraction(7, 10),
+                    Fraction(11, 14)]),
+    _with_roots(1, [Fraction(1, 210), Fraction(211, 210)]),
+    _with_roots(2310, [1, 211], [[1, 1, 1]]),
+    _with_roots(1, [Fraction(1, 210), 2], [[1, 0, 1]]),
+    _with_roots(1, [1, 106, 211], [[1, 1, 1]]),
+]
+
+
+def _huge_root_generators(rng, count):
+    """(coeffs, roots, split): 1 to 4 distinct rational roots with
+    numerators of 20 to 31 digits (two of them 105*k apart when there are
+    several), over denominators of 1, 3 or 20 to 31 digits, times an
+    irreducible quadratic when split is false."""
+    out = []
+    for _ in range(count):
+        roots = set()
+        size = rng.randint(1, 4)
+        while len(roots) < size:
+            num = rng.choice((1, -1)) * rng.randint(10 ** 19, 10 ** 30)
+            den = rng.choice((1, 3, rng.randint(10 ** 19, 10 ** 30)))
+            roots.add(Fraction(num, den))
+            if len(roots) == 2 and rng.random() < 0.5:
+                r = min(roots)
+                roots = {r, r + 105 * rng.randint(1, 10 ** 6)}
+        split = rng.random() < 0.7
+        factors = [] if split else [[rng.randint(1, 10 ** 25), 0, 1]]
+        out.append((_with_roots(rng.randint(1, 9), roots, factors),
+                    sorted(roots), split))
+    # (x0 + (10^30 + 3)*x1)^3 + (x0 - (10^30 + 7)*x1)^3 has the roots below
+    out.append((_with_roots(1, [Fraction(1, 10 ** 30 + 3),
+                                Fraction(-1, 10 ** 30 + 7)]),
+                [Fraction(-1, 10 ** 30 + 7), Fraction(1, 10 ** 30 + 3)], True))
+    return out
+
+
 def _binary_operator(coeffs):
     d = len(coeffs) - 1
     return Polynomial(2, {(e, d - e): c for e, c in enumerate(coeffs) if c})
@@ -627,7 +686,7 @@ def _expected_split(coeffs):
 def test_split_matches_the_euclid_and_deflation_oracles():
     rng = random.Random(4242)
     seen = set()
-    for coeffs in _seeded_generators(rng, 400):
+    for coeffs in _seeded_generators(rng, 400) + _HARD_GENERATORS:
         squarefree, forms = _split(_binary_operator(coeffs))
         got = None if forms is None else [f.coeffs for f in forms]
         assert (squarefree, got) == _expected_split(coeffs), coeffs
@@ -636,6 +695,42 @@ def test_split_matches_the_euclid_and_deflation_oracles():
     assert {d for d, _, _ in seen} == set(range(1, 8))
     assert {(sf, split) for _, sf, split in seen} == {
         (True, True), (True, False), (False, False)}
+    # trial division cannot reach roots of 20 digits and more: their
+    # construction is the oracle
+    for coeffs, roots, split in _huge_root_generators(random.Random(4244), 40):
+        assert _rational_roots(coeffs) == roots, coeffs
+        squarefree, forms = _split(_binary_operator(coeffs))
+        assert squarefree
+        assert forms == ([LinearForm([r, 1]) for r in roots] if split else None)
+
+
+# A sum of small multiples of seventh powers whose degree-4 apolar generator
+# has 17-digit coefficients; trial division over its root candidates ran
+# past two minutes.
+_DEGREE_SEVEN = ("-73627*x0^7 + 993181*x0^6*x1 - 4119801*x0^5*x1^2 "
+                 "+ 8835365*x0^4*x1^3 - 11052895*x0^3*x1^4 "
+                 "+ 7691943*x0^2*x1^5 - 3884237*x0*x1^6 - 3732*x1^7")
+
+
+def test_decompose_binary_with_a_seventeen_digit_generator():
+    form = parse(_DEGREE_SEVEN)
+    start = time.perf_counter()
+    result = decompose_binary(form)
+    assert time.perf_counter() - start < 1.0
+    sympy = pytest.importorskip("sympy")
+    gens = sorted(apolar_ideal(form).generators,
+                  key=lambda g: g.homogeneous_degree())
+    degrees = tuple(g.homogeneous_degree() for g in gens)
+    assert result.generator_degrees == degrees == (4, 5)
+    t = sympy.symbols("t")
+    lower = sympy.Poly(sum(sympy.Rational(c.numerator, c.denominator) * t ** e
+                           for (e, _), c in gens[0].terms.items()), t)
+    assert lower.degree() == 4 and lower.eval(0) != 0
+    roots = sympy.roots(lower)
+    squarefree = sum(roots.values()) == 4 and set(roots.values()) == {1}
+    assert result.rank == (4 if squarefree else 5) == 4
+    rational = sympy.roots(lower, filter="Q")
+    assert (result.decomposition is not None) == (len(rational) == 4)
 
 
 def test_squarefree_matches_euclid_on_random_polynomials():
@@ -651,7 +746,9 @@ def test_split_against_sympy():
     sympy = pytest.importorskip("sympy")
     a, b, t = sympy.symbols("a b t")
     rng = random.Random(4243)
-    for coeffs in _seeded_generators(rng, 120):
+    huge = [coeffs for coeffs, _, _ in
+            _huge_root_generators(random.Random(4245), 20)]
+    for coeffs in _seeded_generators(rng, 120) + _HARD_GENERATORS + huge:
         d = len(coeffs) - 1
         rational = [sympy.Rational(c.numerator, c.denominator) for c in coeffs]
         form = sum(c * a ** e * b ** (d - e) for e, c in enumerate(rational))

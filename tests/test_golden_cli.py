@@ -65,6 +65,13 @@ CONE_TYPE_B_5 = ("x0 + x1 + x2 + x4",
                  "3*x0*x2 - x0*x3 + 2*x0*x4 - x1^2 + x1*x2 - x1*x3 - 2*x1*x4 "
                  "- x2^2 - x2*x4 - x3*x4 - 2*x4^2")
 
+# (x0 + A*x1)^3 + (x0 - B*x1)^3 = (2*x0 + (A - B)*x1) *
+# (x0^2 + (A - B)*x0*x1 + (A^2 + A*B + B^2)*x1^2), with 31-digit A and B
+HUGE_A, HUGE_B = 10 ** 30 + 3, 10 ** 30 + 7
+HUGE_ROOTS = (f"2*x0 - {HUGE_B - HUGE_A}*x1",
+              f"x0^2 - {HUGE_B - HUGE_A}*x0*x1 "
+              f"+ {HUGE_A ** 2 + HUGE_A * HUGE_B + HUGE_B ** 2}*x1^2")
+
 # Every call gets --json except the "text-" cases, which freeze the printed
 # identities.  {dir} is replaced by a per-run temporary directory; calls run
 # in order, so a `verify` can read what an earlier `decompose -o` wrote.
@@ -105,14 +112,15 @@ CASES: list[tuple[str, list[str]]] = [
     # a definite block (anisotropic over R), and one anisotropic at p = 3
     ("decompose-definite-block", ["decompose", "x0", "x0*x1 + x2^2 + 2*x3^2"]),
     ("decompose-obstructed-at-3", ["decompose", "x0", "x0*x1 + x2^2 - 3*x3^2"]),
-    # binary generators: a root at infinity, two rational roots, a root
-    # search over 3-digit divisors, and a non-squarefree lower generator
+    # binary generators: a root at infinity, two rational roots, roots of
+    # 3 and of 31 digits, and a non-squarefree lower generator
     ("decompose-binary-power", ["decompose", "--vars", "2", "x0", "x0^2"]),
     ("decompose-binary-two-roots", ["decompose", "x0 + x1",
                                     "x0^2 + x0*x1 + x1^2"]),
     # (x0 + 12*x1)^3 + (x0 - 345*x1)^3
     ("decompose-binary-large-roots", ["decompose", "2*x0 - 333*x1",
                                       "x0^2 - 333*x0*x1 + 123309*x1^2"]),
+    ("decompose-binary-huge-roots", ["decompose", "--vars", "2", *HUGE_ROOTS]),
     ("decompose-binary-repeated", ["decompose", "x0", "x0*x1"]),
     ("verify-ok", ["verify", "x0^2*x1 + x0*x2*x3 + x0*x4^2", "{dir}/nf4.json"]),
     ("verify-wrong", ["verify", "x0^3", "--vars", "5", "{dir}/nf4.json"]),
@@ -187,6 +195,15 @@ def test_similar_block_witness_verifies(recorded, name):
     ok, _ = verify_decomposition(parse(payload["form"]),
                                  WaringDecomposition.from_json_dict(payload))
     assert ok and payload["verified"] is True
+
+
+def test_huge_roots_entry_is_its_construction(recorded):
+    assert recorded["decompose-binary-huge-roots"]["exit"] == 0
+    payload = json.loads(recorded["decompose-binary-huge-roots"]["stdout"])
+    assert payload["rank"] == 2 and payload["generator_degrees"] == [2, 3]
+    terms = {(t["coefficient"], tuple(t["form"]))
+             for t in payload["decomposition"]["terms"]}
+    assert terms == {("1", ("1", str(HUGE_A))), ("1", ("1", str(-HUGE_B)))}
 
 
 if __name__ == "__main__":
