@@ -46,12 +46,12 @@ from .ideals import (HilbertFunction, HomogeneousIdeal, monomial_index,
                      ring_dimension, _generators_from_components)
 from .linalg import ModularSpan, RowSpan, kernel_basis, rank
 from .poly import (MAX_MONOMIAL_ENTRIES, AmbientMismatchError, Exponent,
-                   LinearForm, Polynomial)
+                   LinearForm, Polynomial, _cleared)
 
 PRIME = 2**31 - 1  # the modulus of the ranks that prove "no new generator"
 
 
-def _images(alpha: Exponent, terms) -> Iterator[tuple[Exponent, Fraction | int]]:
+def _images(alpha: Exponent, terms) -> Iterator[tuple[Exponent, int]]:
     """d^alpha applied to each term c*x^beta with beta >= alpha:
     (beta - alpha, c * prod_k perm(beta_k, alpha_k))."""
     for beta, c in terms:
@@ -62,15 +62,21 @@ def _images(alpha: Exponent, terms) -> Iterator[tuple[Exponent, Fraction | int]]
 
 
 def apolar_apply(op: Polynomial, form: Polynomial) -> Polynomial:
-    """Apply a dual-ring operator to a form by differentiation."""
+    """Apply a dual-ring operator to a form by differentiation.  Both are
+    cleared once, op = A/a and form = B/b with A and B integral; the terms
+    of A applied to B accumulate as ints through _images, and each output
+    term becomes one Fraction over a*b."""
     if op.nvars != form.nvars:
         raise AmbientMismatchError(
             f"operator in {op.nvars} variables, form in {form.nvars}")
-    terms: dict[Exponent, Fraction] = {}
-    for alpha, c in op.terms.items():
-        for exps, v in _images(alpha, form.terms.items()):
-            terms[exps] = terms.get(exps, Fraction(0)) + c * v
-    return Polynomial(form.nvars, terms)
+    op_ints, a = _cleared(op._terms.values())
+    form_ints, b = _cleared(form._terms.values())
+    form_terms = list(zip(form._terms, form_ints))
+    terms: dict[Exponent, int] = {}
+    for alpha, c in zip(op._terms, op_ints):
+        for exps, v in _images(alpha, form_terms):
+            terms[exps] = terms.get(exps, 0) + c * v
+    return Polynomial(form.nvars, {e: Fraction(v, a * b) for e, v in terms.items() if v})
 
 
 @dataclass(frozen=True)
@@ -298,6 +304,13 @@ def apolar_ideal(form: Polynomial) -> HomogeneousIdeal:
     modulo PRIME (a denominator divisible by PRIME, partials dependent modulo
     PRIME, a rank short of the bound).  Neither case can give a wrong answer,
     and both routes give the same generators.
+
+    The proof is not tried when i0 = 1 and HF(1) >= 2, where it must fail:
+    F is a cone over a core in HF(1) >= 2 variables, whose own apolar ideal
+    (no power of a linear form, so nonzero in degree d with no generator in
+    degree d+1) has a generator G of degree 2..d in the core variables.
+    T_1 times the linear generators, which span the other variables, cannot
+    reach G, so some degree 2..d has new generators.
     """
     if form.is_zero():
         raise ValueError("the zero form has no apolar ideal in this toolkit")
@@ -314,8 +327,9 @@ def apolar_ideal(form: Polynomial) -> HomogeneousIdeal:
     components: list[list[dict[int, int]]] = [[]]
     if low is not None:
         components = [[] for _ in range(low)] + [kernel(low)]
-        if not all(_no_generator_in_degree(form, hf.values, i)
-                   for i in range(low + 1, d + 1)):
+        cone = low == 1 and hf.values[1] >= 2
+        if cone or not all(_no_generator_in_degree(form, hf.values, i)
+                           for i in range(low + 1, d + 1)):
             components += [kernel(i) for i in range(low + 1, d + 1)]
     gens = _generators_from_components(components, n)
     gens.extend(_top_degree_generators(form, hf))

@@ -30,7 +30,7 @@ from . import linalg
 from .apolar import apolar_ideal
 from .poly import (AmbientMismatchError, LinearChange, LinearForm, Polynomial,
                    _cleared, _cleared_rows, _compose_packed, _compose_rows,
-                   _pack, _unpacked)
+                   _pack, _packed_mul, _unpacked)
 
 
 class NeedsFieldExtension(Exception):
@@ -86,7 +86,13 @@ class ReducibleCubic:
         return self.quadric.nvars
 
     def form(self) -> Polynomial:
-        return self.linear.to_polynomial() * self.quadric
+        """L*Q as one integer product of the cleared factors, monomials
+        packed with base 4 (no exponent of a cubic exceeds 3), divided once
+        by the product of the two denominators."""
+        lin, lin_den = _cleared(self.linear.coeffs)
+        quad, quad_den = _pack(self.quadric, 4)
+        acc = _packed_mul({4 ** i: v for i, v in enumerate(lin) if v}, quad)
+        return _unpacked(acc, self.nvars, 4, lin_den * quad_den)
 
     @classmethod
     def from_polynomials(cls, linear: Polynomial, quadric: Polynomial) -> ReducibleCubic:
@@ -413,23 +419,25 @@ def _pinch_matrix(n: int) -> list[list[Fraction]]:
     return quadric_matrix(normal_form_pair(n).quadric)
 
 
-def _carries_to_pinch_form(rc: ReducibleCubic, cols) -> bool:
-    """Whether the change with columns C carries L*Q onto the normal form
-    x0*P: l^T C = a*e_0^T with a != 0, and C^T M C = P/a.  This is exactly
+@lru_cache(maxsize=None)
+def _pinch_inverse(n: int) -> list[tuple[int, int]]:
+    """P^-1 by rows (j, w), the row w*e_j: P is symmetric with one nonzero
+    entry v per row, so P^-1 has 1/v, which is 1 or 2, where P has v."""
+    return [next((j, int(1 / v)) for j, v in enumerate(row) if v) for row in _pinch_matrix(n)]
+
+
+def _pinch_scale(rc: ReducibleCubic, m, cols) -> Fraction | None:
+    """a when the change with columns C carries L*Q, m the matrix M of Q,
+    onto the normal form x0*P: l^T C = a*e_0^T with a != 0, and
+    C^T M C = P/a; None otherwise.  This is exactly
     substitute(L*Q, C) == normal_form(n): x0 divides (L o C)*(Q o C) and
     cannot divide Q o C = x0*L', for P = (L o C)*L' would then be
     reducible, while P has rank n+1 >= 3; so L o C = a*x0 and Q o C = P/a."""
     a, *rest = [sum(c * v for c, v in zip(rc.linear.coeffs, col)) for col in cols]
     if a == 0 or any(rest):
-        return False
-    # C^T M C = G/(d_m*d_c^2), G the Gram product of d_m*M and d_c*C in ints
-    m = quadric_matrix(rc.quadric)
-    d_m = lcm(*(v.denominator for row in m for v in row))
-    d_c = lcm(*(v.denominator for col in cols for v in col))
-    gram = linalg.gram([[int(v * d_m) for v in row] for row in m],
-                       [[int(v * d_c) for v in col] for col in cols])
-    scale = a / (d_m * d_c * d_c)
-    return [[scale * v for v in row] for row in gram] == _pinch_matrix(len(cols) - 1)
+        return None
+    scaled = [[a * v for v in row] for row in linalg.gram(m, cols)]
+    return a if scaled == _pinch_matrix(len(cols) - 1) else None
 
 
 def normalize_tangent_product(rc: ReducibleCubic) -> LinearChange:
@@ -441,7 +449,12 @@ def normalize_tangent_product(rc: ReducibleCubic) -> LinearChange:
     y1 -> c^2*y1 removes c.  So C = S*U, U the columns of these steps, has
     l^T C = e_0^T/c and C^T M C = c*P, P the pinch matrix.  Raises
     NeedsFieldExtension, naming the local invariant, only when no rational
-    change exists; NormalizationUndecided when a bound runs out first."""
+    change exists; NormalizationUndecided when a bound runs out first.
+
+    The self-check proves l^T C = a*e_0^T and C^T M C = P/a.  P has rank
+    n+1 (one nonzero entry per row), so a*P^-1*C^T*M*C = I and
+    C^-1 = a*P^-1*C^T*M exactly: the change's inverse is one integer product
+    of the cleared C and M over one denominator, without elimination."""
     nv = rc.nvars
     n = nv - 1
     lc = rc.linear.coeffs
@@ -452,8 +465,8 @@ def normalize_tangent_product(rc: ReducibleCubic) -> LinearChange:
         xk = (u[0] - sum(c * v for c, v in zip(lc[k + 1:], u[k + 1:]))) / lc[k]
         return [*u[1:k + 1], xk, *u[k + 1:]]
 
-    m = linalg.gram(quadric_matrix(rc.quadric),
-                    [straighten(_unit(nv, r)) for r in range(nv)])
+    qm = quadric_matrix(rc.quadric)
+    m = linalg.gram(qm, [straighten(_unit(nv, r)) for r in range(nv)])
     ker = linalg.kernel_basis([row[1:] for row in m[1:]], n)
     if len(ker) != 1:
         raise ValueError("the hyperplane section is not a corank-one quadric; "
@@ -484,9 +497,16 @@ def normalize_tangent_product(rc: ReducibleCubic) -> LinearChange:
         ucols.append([sum(col[r] * vbasis[r][i] for r in range(len(vbasis)))
                       for i in range(nv)])
     cols = [straighten(u) for u in ucols]
-    if not _carries_to_pinch_form(rc, cols):
+    a = _pinch_scale(rc, qm, cols)
+    if a is None:
         raise RuntimeError("internal: normalization self-check failed")
-    return LinearChange(zip(*cols))
+    (c_int, d_c), (m_int, d_m) = linalg.cleared_rows(cols), linalg.cleared_rows(qm)
+    # row j of (d_c*C)^T (d_m*M) pairs column j of C with the rows of M = M^T
+    ctm = [[sum(x * y for x, y in zip(col, row) if x) for row in m_int] for col in c_int]
+    den = a.denominator * d_c * d_m
+    inverse = tuple(tuple(Fraction(a.numerator * w * v, den) for v in ctm[j])
+                    for j, w in _pinch_inverse(n))
+    return LinearChange._from_pair(tuple(zip(*cols)), inverse)
 
 
 def decompose_type_c(rc: ReducibleCubic,
@@ -497,17 +517,22 @@ def decompose_type_c(rc: ReducibleCubic,
     rationals (NeedsFieldExtension when none exists); a supplied change must
     carry the cubic exactly onto the normal form.
     """
-    ctype = classify(rc)
-    if ctype.kind is not CubicKind.TYPE_C:
-        raise ValueError(f"decomposition by normal form needs TypeC, got {ctype}")
     n = rc.nvars - 1
-    if change is not None:
-        if change.nvars != rc.nvars:
-            raise InvalidChange("change of coordinates has the wrong size")
-        if not _carries_to_pinch_form(rc, list(zip(*change.matrix))):
-            raise InvalidChange("the change does not carry the cubic to the normal form")
-    else:
+    carried = (change is not None and n >= 2 and change.nvars == rc.nvars
+               and _pinch_scale(rc, quadric_matrix(rc.quadric),
+                                list(zip(*change.matrix))) is not None)
+    if not carried:
+        # only TypeC products reach the normal form, so a change that
+        # carries the cubic there has already established the class
+        ctype = classify(rc)
+        if ctype.kind is not CubicKind.TYPE_C:
+            raise ValueError(f"decomposition by normal form needs TypeC, got {ctype}")
+    if change is None:
         change = normalize_tangent_product(rc)
+    elif change.nvars != rc.nvars:
+        raise InvalidChange("change of coordinates has the wrong size")
+    elif not carried:
+        raise InvalidChange("the change does not carry the cubic to the normal form")
     return _lift(rc.form(), decompose_type_c_normal(n).terms, change, "tangent")
 
 
@@ -608,8 +633,7 @@ def _rational_roots(p: list[Fraction]) -> list[Fraction]:
     only integer of size at most |c_0*a| left; it is kept when q vanishes
     there exactly.  An integer root of q reduces to a simple root mod p,
     so none is missed."""
-    scale = lcm(*(v.denominator for v in p))
-    ints = [int(v * scale) for v in p]
+    ints, _ = _cleared(p)
     content = gcd(*ints)
     c = [v // content for v in ints]
     m, a = len(c) - 1, c[-1]

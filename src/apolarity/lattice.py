@@ -17,10 +17,9 @@ similarity matters, so the lattice may also be rescaled.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import Callable
 
-from .linalg import gram, inverse
+from .linalg import cleared_rows, gram, inverse
 
 
 def diagonalize(m: list[list[Fraction]]):
@@ -176,31 +175,37 @@ def _isotropic_mod(a: list[list[int]], p: int) -> list[int] | None:
     raise RuntimeError("internal: no isotropic vector of a ternary form mod p")
 
 
-def _rebase(g, cols, new, p: int = 1):
-    """The form and the basis columns on the lattice spanned by the integer
-    rows of new (coordinates in the current basis), with the last row taken
-    divided by p."""
+def _rebase(g, basis, new, p: int = 1):
+    """The form and the basis on the lattice spanned by the integer rows of
+    new (coordinates in the current basis), with the last row taken divided
+    by p.  A basis is (cols, den): integer columns over one common
+    denominator, so dividing the last column by p multiplies den and every
+    other column by p."""
+    cols, den = basis
     h = gram(g, new)
     rows = list(zip(*cols))
-    cols = [[sum(r[i] * v[i] for i in range(len(v))) for r in rows] for v in new]
+    cols = [[sum(x * y for x, y in zip(r, v) if y) for r in rows] for v in new]
     if p != 1:
         for row in h:
             row[-1] //= p
         h[-1] = [v // p for v in h[-1]]
-        cols[-1] = [v / p for v in cols[-1]]
-    return h, cols
+        cols = [[v * p for v in col] for col in cols[:-1]] + cols[-1:]
+        den *= p
+    return h, (cols, den)
 
 
 def _minimize(g: list[list[int]], det: int,
-              primes) -> tuple[list[list[int]], list[list[Fraction]]]:
-    """(h, cols): a rational basis, as columns, of a lattice on which a
-    rational multiple h of the form g (of determinant det) is integral, with
-    the square factors of det removed wherever the local structure at p
-    allows: where g vanishes mod p on a lattice, divide by p; where it has
-    an isotropic vector x mod p^2 inside its kernel mod p, adjoin x/p.
-    primes must contain every prime factor of det."""
+              primes) -> tuple[list[list[int]], tuple[list[list[int]], int]]:
+    """(h, (cols, den)): a rational basis of a lattice on which a rational
+    multiple h of the form g (of determinant det) is integral, as integer
+    columns over one common denominator, the product of the primes divided
+    out (see _rebase), with the square factors of det removed wherever the
+    local structure at p allows: where g vanishes mod p on a lattice,
+    divide by p; where it has an isotropic vector x mod p^2 inside its
+    kernel mod p, adjoin x/p.  primes must contain every prime factor of
+    det."""
     k = len(g)
-    cols = [[Fraction(int(i == j)) for i in range(k)] for j in range(k)]
+    basis = [[int(i == j) for i in range(k)] for j in range(k)], 1
     for p in primes:
         while split_power(det, p)[0] >= 2:
             ker, free = _kernel_mod(g, p)
@@ -213,7 +218,7 @@ def _minimize(g: list[list[int]], det: int,
                 # g vanishes mod p on ker + p*Z^k
                 new = ker + [[p * int(i == j) for i in range(k)]
                              for j in range(k) if j not in free]
-                g, cols = _rebase(g, cols, new)
+                g, basis = _rebase(g, basis, new)
                 g = [[v // p for v in row] for row in g]
                 det //= p ** (2 * r - k)
                 continue
@@ -227,9 +232,9 @@ def _minimize(g: list[list[int]], det: int,
             # the lattice Z^k + Z*(x/p): e_i gives way to x/p, placed last
             new = [[int(a == b) for a in range(k)] for b in range(k) if b != i]
             new.append([v * inv % p for v in x])
-            g, cols = _rebase(g, cols, new, p)
+            g, basis = _rebase(g, basis, new, p)
             det //= p * p
-    return g, cols
+    return g, basis
 
 
 def _lll(g: list[list[int]]) -> list[list[int]]:
@@ -287,12 +292,11 @@ def reduced_basis(m: list[list[Fraction]], det: Fraction,
     """Columns of a basis in which m (of determinant det) has small minors:
     the integral lattice of m, minimized and LLL-reduced.  primes_of(n)
     lists the prime factors of n."""
-    scale = lcm(*(v.denominator for row in m for v in row))
+    ints, scale = cleared_rows(m)
     # det(scale * m) = scale^k * det: its primes without factoring it whole
     primes = sorted({p for part in (scale, det.numerator, det.denominator)
                      for p in primes_of(part)})
-    g, cols = _minimize([[int(v * scale) for v in row] for row in m],
-                        int(scale ** len(m) * det), primes)
+    g, basis = _minimize(ints, int(scale ** len(m) * det), primes)
     # LLL under the majorant sum |d_t| * y_t^2 of g = sum d_t * y_t^2, the
     # y_t being the coordinates of a diagonal basis: by Cauchy-Binet each
     # leading minor of g is at most the majorant's in absolute value, and
@@ -302,5 +306,5 @@ def reduced_basis(m: list[list[Fraction]], det: Fraction,
     k = len(g)
     majorant = [[sum(winv[t][i] * abs(diag[t]) * winv[t][j] for t in range(k))
                  for j in range(k)] for i in range(k)]
-    scale = lcm(*(v.denominator for row in majorant for v in row))
-    return _rebase(g, cols, _lll([[int(v * scale) for v in row] for row in majorant]))[1]
+    cols, den = _rebase(g, basis, _lll(cleared_rows(majorant)[0]))[1]
+    return [[Fraction(v, den) for v in col] for col in cols]

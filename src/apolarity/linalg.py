@@ -75,10 +75,23 @@ def mat_vec(mat: list[Row], vec: Row) -> Row:
     return [sum(a * b for a, b in zip(row, vec)) for row in mat]
 
 
+def cleared_rows(rows) -> tuple[list[list[int]], int]:
+    """Integer rows and one common denominator D with rows[i][j] = out[i][j] / D."""
+    den = lcm(*(c.denominator for row in rows for c in row))
+    return [[c.numerator * (den // c.denominator) for c in row] for row in rows], den
+
+
 def gram(g, vectors):
-    """The Gram matrix [u^T g v] of the vectors under g."""
+    """The Gram matrix [u^T g v] of the vectors under g, formed in ints.
+    Integer input gives ints.  Input holding a Fraction is cleared once,
+    g = G/a and the vectors V/b with one lcm each, and every entry of the
+    integer product V^T G V becomes one Fraction over a*b^2."""
+    exact = all(type(v) is int for mat in (g, vectors) for row in mat for v in row)
+    if not exact:
+        (g, a), (vectors, b) = cleared_rows(g), cleared_rows(vectors)
     images = [[sum(x * y for x, y in zip(row, v) if y) for row in g] for v in vectors]
-    return [[sum(x * y for x, y in zip(u, gv) if x) for gv in images] for u in vectors]
+    out = [[sum(x * y for x, y in zip(u, gv) if x) for gv in images] for u in vectors]
+    return out if exact else [[Fraction(v, a * b * b) for v in row] for row in out]
 
 
 def solve(rows: list[Row], rhs: Row) -> Row | None:

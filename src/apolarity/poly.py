@@ -338,11 +338,16 @@ class LinearChange:
     def identity(cls, nvars: int) -> LinearChange:
         return cls([[1 if i == j else 0 for j in range(nvars)] for i in range(nvars)])
 
-    def inverse(self) -> LinearChange:
-        out = object.__new__(LinearChange)
-        out.matrix = self._inverse
-        out._inverse = self.matrix
+    @classmethod
+    def _from_pair(cls, matrix, inverse) -> LinearChange:
+        """A change from its matrix and that matrix's inverse, both tuples of
+        Fraction tuples, taken as given: no elimination runs."""
+        out = object.__new__(cls)
+        out.matrix, out._inverse = matrix, inverse
         return out
+
+    def inverse(self) -> LinearChange:
+        return LinearChange._from_pair(self._inverse, self.matrix)
 
     def compose(self, other: LinearChange) -> LinearChange:
         """Matrix product self*other: substituting by the result equals
@@ -404,8 +409,7 @@ def _cleared_rows(rows: Sequence[Sequence[Scalar]]) -> tuple[list[list[int]], in
     ValueError when the rows differ in length."""
     if any(len(row) != len(rows[0]) for row in rows):
         raise ValueError("rows of a substitution must have equal length")
-    den = lcm(*(c.denominator for row in rows for c in row))
-    return [[c.numerator * (den // c.denominator) for c in row] for row in rows], den
+    return linalg.cleared_rows(rows)
 
 
 def _compose_packed(terms: Iterable[tuple[Exponent, int]],

@@ -12,7 +12,10 @@ Euclid and the root-by-root deflation it once ran on binary generators.
 assemble_by_fractions, compose_by_fractions, power_sum_by_fractions and
 residual_by_fractions keep the Fraction arithmetic that once normalized,
 composed, expanded and verified power sums, with expand_power in place of
-the package's substitution kernel.
+the package's substitution kernel; apply_by_fractions,
+product_by_fractions and gram_by_fractions keep the Fraction loops that
+once applied operators, multiplied the factors of a reducible cubic and
+formed Gram matrices.
 certificate_by_ideals is the one exception to the rule above: it keeps the
 route the avoidance and colon certificates once took through the package's
 own ideal calculus (apolar ideal, colon, sum, graded spans), so it checks
@@ -25,7 +28,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, isqrt
+from math import factorial, isqrt, perm
 
 
 def diff_once(terms: dict, var: int) -> dict:
@@ -401,3 +404,37 @@ def residual_by_fractions(form_terms: dict, form_nvars: int, nvars: int,
             lead = next(Fraction(c) for c in coeffs if c)
             monic.append(tuple(Fraction(c) / lead for c in coeffs))
     return len(set(monic)) == len(monic), {e: c for e, c in acc.items() if c}
+
+
+def apply_by_fractions(op_terms: dict, form_terms: dict) -> dict:
+    """The operator applied to the form in Fractions: d^alpha sends c*x^beta
+    with beta >= alpha to c * prod_k perm(beta_k, alpha_k) * x^(beta-alpha)."""
+    acc: dict = {}
+    for alpha, a in op_terms.items():
+        for beta, c in form_terms.items():
+            if all(b >= e for b, e in zip(beta, alpha)):
+                v = Fraction(a) * Fraction(c)
+                for b, e in zip(beta, alpha):
+                    v *= perm(b, e)
+                exps = tuple(b - e for b, e in zip(beta, alpha))
+                acc[exps] = acc.get(exps, Fraction(0)) + v
+    return {e: c for e, c in acc.items() if c}
+
+
+def product_by_fractions(linear, quadric_terms: dict) -> dict:
+    """L*Q term by term in Fractions, L given by its coefficients."""
+    acc: dict = {}
+    for i, a in enumerate(linear):
+        if a:
+            for exps, c in quadric_terms.items():
+                e = tuple(v + (j == i) for j, v in enumerate(exps))
+                acc[e] = acc.get(e, Fraction(0)) + Fraction(a) * Fraction(c)
+    return {e: c for e, c in acc.items() if c}
+
+
+def gram_by_fractions(g, vectors) -> list:
+    """[u^T g v] over the vectors, every product in Fractions."""
+    images = [[sum((Fraction(x) * y for x, y in zip(row, v)), Fraction(0)) for row in g]
+              for v in vectors]
+    return [[sum((Fraction(x) * y for x, y in zip(u, gv)), Fraction(0)) for gv in images]
+            for u in vectors]

@@ -7,7 +7,9 @@ with a stray symbol inserted, or symbols alone.  No digit, variable letter
 or "^" is ever inserted next to a digit, so malformed text never turns a
 number into a variable index, an exponent or a power: the parser takes
 those as written, however large.  The examples are derived from the test's
-own source (derandomize), so every run checks the same 200 calls.
+own source (derandomize), so every run checks the same 200 calls.  A
+second test sends 150 such forms, with operators drawn the same way,
+through the certificate path: certify FORM --hyperplane L [--colon G].
 """
 
 from __future__ import annotations
@@ -91,5 +93,35 @@ def test_cli_exits_with_a_documented_code(argv):
         try:
             code = main(argv)
         except SystemExit as exc:  # argparse reports a usage error this way
+            code = exc.code
+    assert code in (0, 1, 2, 3), (argv, err.getvalue())
+
+
+@st.composite
+def certify_calls(draw) -> list[str]:
+    nvars = draw(st.integers(1, 4))
+    form = draw(form_text(nvars, draw(st.integers(1, 4))))
+    hyperplane = draw(form_text(nvars, 1, prefix="d"))
+    argv = ["certify", draw(maybe_malformed(form)),
+            "--hyperplane", draw(maybe_malformed(hyperplane))]
+    if draw(st.booleans()):
+        divisor = draw(form_text(nvars, draw(st.integers(1, 3)), prefix="d"))
+        argv += ["--colon", draw(maybe_malformed(divisor))]
+    if draw(st.booleans()):
+        argv += ["--vars", str(draw(st.integers(nvars, 4)))]
+    if draw(st.booleans()):
+        argv.append("--json")
+    return argv
+
+
+@settings(max_examples=150, derandomize=True, database=None,
+          deadline=timedelta(seconds=10))
+@given(argv=certify_calls())
+def test_certify_exits_with_a_documented_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
             code = exc.code
     assert code in (0, 1, 2, 3), (argv, err.getvalue())

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from apolarity import cubics
 from apolarity.apolar import apolar_ideal
 from apolarity.cubics import (CubicKind, InvalidChange,
                               NeedsFieldExtension, ReducibleCubic,
@@ -21,8 +22,8 @@ from apolarity.poly import (AmbientMismatchError, LinearChange, LinearForm,
 
 from oracles import (assemble_by_fractions, bareiss_rank,
                      compose_by_fractions, diff_once, monomials_recursive,
-                     power_sum_by_fractions, rational_roots_by_deflation,
-                     residual_by_fractions,
+                     power_sum_by_fractions, product_by_fractions,
+                     rational_roots_by_deflation, residual_by_fractions,
                      squarefree_euclid)
 
 
@@ -461,6 +462,63 @@ def test_decompose_type_c_with_explicit_change():
                                                   [0, 0, 1, 0], [0, 0, 0, 1]]))
     with pytest.raises(InvalidChange):
         decompose_type_c(rc, change=LinearChange.identity(5))
+
+
+def test_form_matches_the_fraction_product():
+    """ReducibleCubic.form() multiplies the cleared factors in ints: against
+    the Fraction product on seeded factors with denominators up to 10^30+3,
+    and on factors whose products cancel in part."""
+    rng = random.Random(61)
+    big = 10 ** 30 + 3
+
+    def coef():
+        return Fraction(rng.choice([-1, 1]) * rng.randint(1, 9) * rng.choice([1, big]),
+                        rng.choice([1, 2, 3, big]))
+
+    for _ in range(60):
+        nv = rng.randint(1, 6)
+        linear = [coef() if rng.random() < 0.7 else 0 for _ in range(nv)]
+        linear[rng.randrange(nv)] = coef()
+        quadric = Polynomial(nv, {m: coef() for m in monomials(nv, 2) if rng.random() < 0.6}
+                             or {(2,) + (0,) * (nv - 1): coef()})
+        rc = ReducibleCubic(LinearForm(linear), quadric)
+        assert rc.form().terms == product_by_fractions(linear, quadric.terms)
+    # (a*x0 + b*x1)*(a*x0^2 - b*x0*x1): the x0^2*x1 terms cancel
+    a, b = Fraction(3, big), Fraction(-big, 7)
+    rc = ReducibleCubic(LinearForm([a, b]), Polynomial(2, {(2, 0): a, (1, 1): -b}))
+    assert rc.form().terms == product_by_fractions([a, b], rc.quadric.terms)
+    assert rc.form().terms == {(3, 0): a * a, (1, 2): -b * b}
+
+
+def test_decompose_type_c_error_paths(monkeypatch):
+    """With a change supplied, the pinch check runs first and classify only
+    when it fails; every error keeps its type and message: binary input,
+    a class other than TypeC (with or without a change, of either size), a
+    change of the wrong size and one that misses the normal form."""
+    calls = []
+    classifies = cubics.classify
+    monkeypatch.setattr(cubics, "classify", lambda rc: calls.append(rc) or classifies(rc))
+    rc = normal_form_pair(3)
+    dec = decompose_type_c(rc, change=LinearChange.identity(4))
+    assert calls == [] and verify_decomposition(rc.form(), dec)[0]
+    binary = _product("x0", "x0*x1", nvars=2)
+    type_a = _product("x0", "x0^2 + x1^2 + x2^2")
+    cases = [
+        (binary, None, ValueError, "the projective classification needs at least 3 "
+                                   "variables; binary forms go through decompose_binary"),
+        (binary, LinearChange.identity(2), ValueError, "the projective classification"),
+        (type_a, None, ValueError, "decomposition by normal form needs TypeC, got TypeA"),
+        (type_a, LinearChange.identity(3), ValueError, "needs TypeC, got TypeA"),
+        (type_a, LinearChange.identity(4), ValueError, "needs TypeC, got TypeA"),
+        (rc, LinearChange.identity(5), InvalidChange,
+         "change of coordinates has the wrong size"),
+        (rc, LinearChange([[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]),
+         InvalidChange, "the change does not carry the cubic to the normal form"),
+    ]
+    for cubic, change, error, message in cases:
+        with pytest.raises(error, match=message) as info:
+            decompose_type_c(cubic, change=change)
+        assert type(info.value) is error
 
 
 def test_decompose_type_c_rejects_other_classes():

@@ -2,9 +2,9 @@ import random
 from fractions import Fraction
 from math import gcd
 
-from apolarity.linalg import (ModularSpan, RowSpan, _to_sparse_int, inverse,
+from apolarity.linalg import (ModularSpan, RowSpan, _to_sparse_int, gram, inverse,
                               kernel_basis, mat_vec, rank, rref, solve)
-from oracles import bareiss_rank, kernel, rank_mod_prime
+from oracles import bareiss_rank, gram_by_fractions, kernel, rank_mod_prime
 
 
 def _random_matrix(rng, nrows, ncols, span=4):
@@ -204,3 +204,34 @@ def test_modular_span_rank_is_the_rank_mod_p_and_bounds_the_rank_over_q():
     assert span.insert({0: 1})
     assert not span.insert({0: 3, 1: 10})  # 3 times the first row, mod 5
     assert span.insert({0: 2, 1: 4}) and span.dimension == 2
+
+
+def test_gram_matches_the_fraction_loop():
+    """gram clears its input once: on int, Fraction and mixed input, with
+    denominators up to 10^30+7, zero and unit vectors, and a pairing that
+    cancels to zero (the last check), it gives
+    the Fraction loop's entries; ints stay ints, and input holding a
+    Fraction gives Fractions, integral ones included."""
+    rng = random.Random(41)
+    big = 10 ** 30 + 3
+
+    def entry(kind):
+        v = rng.randint(-5, 5)
+        if kind == "int" or (kind == "mixed" and rng.random() < 0.5):
+            return v
+        return Fraction(v * rng.choice([1, big]), rng.choice([1, 2, 3, big, big + 4]))
+
+    for kind in ("int", "fraction", "mixed") * 12:
+        k, m = rng.randint(1, 6), rng.randint(0, 5)
+        g = [[entry(kind) for _ in range(k)] for _ in range(k)]
+        g = [[g[min(i, j)][max(i, j)] for j in range(k)] for i in range(k)]
+        vectors = [[entry(kind) for _ in range(k)] for _ in range(m)]
+        if vectors:
+            vectors.append([Fraction(0)] * k)
+            vectors.append([int(i == 0) for i in range(k)])
+        out = gram(g, vectors)
+        assert out == gram_by_fractions(g, vectors)
+        exact = all(type(v) is int for mat in (g, vectors) for row in mat for v in row)
+        assert all(type(v) is (int if exact else Fraction) for row in out for v in row)
+    assert gram([[Fraction(1, big), 0], [0, Fraction(-1, big)]],
+                [[big, big], [1, 0]]) == [[0, 1], [1, Fraction(1, big)]]

@@ -9,6 +9,7 @@ from __future__ import annotations
 import contextlib
 import io
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -17,11 +18,13 @@ import pytest
 from apolarity import (LinearChange, LinearForm, NeedsFieldExtension, Polynomial,
                        ReducibleCubic, normal_form, normalize_tangent_product,
                        parse, rank_report, substitute)
-from apolarity import quadratic
-from apolarity.lattice import _isotropic_mod
+from apolarity import linalg, quadratic
+from apolarity.lattice import _isotropic_mod, _minimize
 from apolarity.cli import main
-from apolarity.cubics import _carries_to_pinch_form
-from apolarity.linalg import rank
+from apolarity.cubics import _pinch_scale, quadric_matrix
+from apolarity.linalg import inverse, rank
+from oracles import bareiss_rank, gram_by_fractions
+from test_golden_cli import LATTICE_5, LATTICE_7
 
 SMALL = [1, -1, 2, -2, 3, -3, 5, -5, 6, -6, 7, 10, -14, 15, -21, 30]
 
@@ -146,6 +149,91 @@ def test_no_false_failures_on_dense_changes(n):
         assert substitute(rc.form(), normalize_tangent_product(rc)) == normal_form(n)
 
 
+def _normalization_inputs():
+    """Dense changes of the scaled pinch form, n = 2..8, and the two
+    products of the golden file whose normalization runs through
+    minimization and LLL."""
+    rng = random.Random(3000)
+    for n in range(2, 9):
+        for _ in range(3):
+            c = rng.choice([1, 2, -3, 6, 1 / Fraction(5)])
+            yield _scaled_pinch_product(n, c, _dense_change(rng, n + 1))
+    for linear, quadric in (LATTICE_5, LATTICE_7):
+        q = parse(quadric)
+        yield ReducibleCubic.from_polynomials(parse(linear, nvars=q.nvars), q)
+
+
+def test_normalization_inverse_is_exact():
+    """The change's inverse, a*P^-1*C^T*M from the pinch identity, is the
+    inverse that elimination gives."""
+    for rc in _normalization_inputs():
+        change = normalize_tangent_product(rc)
+        assert [list(row) for row in change.inverse().matrix] == \
+            inverse([list(row) for row in change.matrix])
+        assert all(type(v) is Fraction for row in change.inverse().matrix for v in row)
+
+
+def test_normalization_builds_its_change_without_elimination(monkeypatch):
+    """normalize_tangent_product calls no linalg.inverse: neither to build
+    its change (LinearChange would) nor to invert it.  The majorant of
+    lattice.reduced_basis inverts a diagonalization's basis through its own
+    import of the function, which this count does not see."""
+    calls = []
+    monkeypatch.setattr(linalg, "inverse", lambda mat: calls.append(mat))
+    for rc in _normalization_inputs():
+        normalize_tangent_product(rc)
+    assert calls == []
+
+
+def _leibniz_det(a) -> int:
+    k = len(a)
+    total = 0
+    for perm in itertools.permutations(range(k)):
+        inversions = sum(perm[i] > perm[j] for i in range(k) for j in range(i + 1, k))
+        total += (-1) ** inversions * math.prod(a[i][perm[i]] for i in range(k))
+    return total
+
+
+def _prime_factors(n: int) -> list[int]:
+    n, out, p = abs(n), [], 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    return out + ([n] if n > 1 else [])
+
+
+def test_minimized_basis_carries_a_multiple_of_the_form():
+    """_minimize keeps its basis as integer columns over one denominator:
+    with B those columns divided by it, B^T g B is a rational multiple of
+    the integral h it returns, also after it divided a column by p."""
+    rng = random.Random(71)
+    divided = 0
+    for _ in range(60):
+        k = rng.randint(2, 5)
+        while True:
+            a = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(k)]
+            if bareiss_rank(a) == k:
+                break
+        d = [rng.choice([1, -1, 2, 3, -5]) * rng.choice([1, 4, 9, 25, 12, 18, 75])
+             for _ in range(k)]
+        g = [[sum(a[t][i] * d[t] * a[t][j] for t in range(k)) for j in range(k)]
+             for i in range(k)]
+        det = _leibniz_det(a) ** 2 * math.prod(d)
+        h, (cols, den) = _minimize(g, det, _prime_factors(det))
+        basis = [[Fraction(v, den) for v in col] for col in cols]
+        assert bareiss_rank(basis) == k
+        assert all(type(v) is int for row in h for v in row)
+        moved = gram_by_fractions(g, basis)
+        i, j = next((i, j) for i in range(k) for j in range(k) if h[i][j])
+        scale = moved[i][j] / h[i][j]
+        assert moved == [[scale * v for v in row] for row in h]
+        divided += den > 1
+    assert divided >= 10
+
+
 def _pinch_isometry(n: int, t: int) -> LinearChange:
     """A change of coordinates that maps the pinch quadric onto itself and
     moves x0, so that it does not fix the normal form:
@@ -161,7 +249,7 @@ def _pinch_isometry(n: int, t: int) -> LinearChange:
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_pinch_form_test_matches_substitution(n):
-    """cubics._carries_to_pinch_form against the reference
+    """cubics._pinch_scale against the reference
     substitute(L*Q, C) == normal_form(n): on normalizations, on the same
     changes with one entry perturbed, composed with a perturbed identity
     (which keeps L o C = a*x0) or with an isometry of the pinch quadric
@@ -185,7 +273,9 @@ def test_pinch_form_test_matches_substitution(n):
                              (rc, change.compose(_pinch_isometry(n, rng.randint(1, 3)))),
                              (rescaled, change)]:
             expected = substitute(cubic.form(), moved) == normal_form(n)
-            assert _carries_to_pinch_form(cubic, list(zip(*moved.matrix))) == expected
+            scale = _pinch_scale(cubic, quadric_matrix(cubic.quadric),
+                                 list(zip(*moved.matrix)))
+            assert (scale is not None) == expected
             outcomes.append(expected)
     assert outcomes[:5] == [True, False, False, False, True]
 
