@@ -44,9 +44,9 @@ from typing import Iterator
 
 from .ideals import (HilbertFunction, HomogeneousIdeal, monomial_index,
                      ring_dimension, _generators_from_components)
-from .linalg import ModularSpan, RowSpan, kernel_basis, rank
+from .linalg import ModularSpan, RowSpan, cleared, kernel_basis, rank
 from .poly import (MAX_MONOMIAL_ENTRIES, AmbientMismatchError, Exponent,
-                   LinearForm, Polynomial, _cleared)
+                   LinearForm, Polynomial)
 
 PRIME = 2**31 - 1  # the modulus of the ranks that prove "no new generator"
 
@@ -69,8 +69,8 @@ def apolar_apply(op: Polynomial, form: Polynomial) -> Polynomial:
     if op.nvars != form.nvars:
         raise AmbientMismatchError(
             f"operator in {op.nvars} variables, form in {form.nvars}")
-    op_ints, a = _cleared(op._terms.values())
-    form_ints, b = _cleared(form._terms.values())
+    op_ints, a = cleared(op._terms.values())
+    form_ints, b = cleared(form._terms.values())
     form_terms = list(zip(form._terms, form_ints))
     terms: dict[Exponent, int] = {}
     for alpha, c in zip(op._terms, op_ints):
@@ -304,13 +304,6 @@ def apolar_ideal(form: Polynomial) -> HomogeneousIdeal:
     modulo PRIME (a denominator divisible by PRIME, partials dependent modulo
     PRIME, a rank short of the bound).  Neither case can give a wrong answer,
     and both routes give the same generators.
-
-    The proof is not tried when i0 = 1 and HF(1) >= 2, where it must fail:
-    F is a cone over a core in HF(1) >= 2 variables, whose own apolar ideal
-    (no power of a linear form, so nonzero in degree d with no generator in
-    degree d+1) has a generator G of degree 2..d in the core variables.
-    T_1 times the linear generators, which span the other variables, cannot
-    reach G, so some degree 2..d has new generators.
     """
     if form.is_zero():
         raise ValueError("the zero form has no apolar ideal in this toolkit")
@@ -327,9 +320,8 @@ def apolar_ideal(form: Polynomial) -> HomogeneousIdeal:
     components: list[list[dict[int, int]]] = [[]]
     if low is not None:
         components = [[] for _ in range(low)] + [kernel(low)]
-        cone = low == 1 and hf.values[1] >= 2
-        if cone or not all(_no_generator_in_degree(form, hf.values, i)
-                           for i in range(low + 1, d + 1)):
+        if not all(_no_generator_in_degree(form, hf.values, i)
+                   for i in range(low + 1, d + 1)):
             components += [kernel(i) for i in range(low + 1, d + 1)]
     gens = _generators_from_components(components, n)
     gens.extend(_top_degree_generators(form, hf))

@@ -29,8 +29,7 @@ from math import gcd, isqrt, lcm
 from . import linalg
 from .apolar import apolar_ideal
 from .poly import (AmbientMismatchError, LinearChange, LinearForm, Polynomial,
-                   _cleared, _cleared_rows, _compose_packed, _compose_rows,
-                   _pack, _packed_mul, _unpacked)
+                   _compose_packed, _compose_rows, _pack, _packed_mul, _unpacked)
 
 
 class NeedsFieldExtension(Exception):
@@ -89,7 +88,7 @@ class ReducibleCubic:
         """L*Q as one integer product of the cleared factors, monomials
         packed with base 4 (no exponent of a cubic exceeds 3), divided once
         by the product of the two denominators."""
-        lin, lin_den = _cleared(self.linear.coeffs)
+        lin, lin_den = linalg.cleared(self.linear.coeffs)
         quad, quad_den = _pack(self.quadric, 4)
         acc = _packed_mul({4 ** i: v for i, v in enumerate(lin) if v}, quad)
         return _unpacked(acc, self.nvars, 4, lin_den * quad_den)
@@ -174,7 +173,7 @@ class WaringDecomposition:
     @classmethod
     def assemble(cls, degree: int, nvars: int, raw_terms) -> WaringDecomposition:
         return cls._from_rows(degree, nvars, (
-            (Fraction(coef), *_cleared(form.coeffs)) for coef, form in raw_terms))
+            (Fraction(coef), *linalg.cleared(form.coeffs)) for coef, form in raw_terms))
 
     @classmethod
     def _from_rows(cls, degree: int, nvars: int, rows) -> WaringDecomposition:
@@ -208,8 +207,8 @@ class WaringDecomposition:
             raise ValueError(f"a power sum needs a degree >= 0, got {self.degree}")
         if not self.terms:
             return {}, 1, self.nvars
-        coefs, coef_den = _cleared(c for c, _ in self.terms)
-        rows, den = _cleared_rows([form.coeffs for _, form in self.terms])
+        coefs, coef_den = linalg.cleared(c for c, _ in self.terms)
+        rows, den = linalg.cleared_rows([form.coeffs for _, form in self.terms])
         k, d = len(rows), self.degree
         power_sum = (((0,) * i + (d,) + (0,) * (k - 1 - i), v)
                      for i, v in enumerate(coefs))
@@ -228,11 +227,11 @@ class WaringDecomposition:
         the integer row (d_i*L_i)^T (D*C) over d_i*D."""
         if change.nvars != self.nvars:
             raise AmbientMismatchError("change ambient differs from the decomposition's")
-        matrix, den = _cleared_rows(change.matrix)
+        matrix, den = linalg.cleared_rows(change.matrix)
         cols = list(zip(*matrix))
         rows = []
         for coef, form in self.terms:
-            ints, form_den = _cleared(form.coeffs)
+            ints, form_den = linalg.cleared(form.coeffs)
             rows.append((coef, [sum(a * b for a, b in zip(ints, col)) for col in cols],
                          form_den * den))
         return WaringDecomposition._from_rows(self.degree, self.nvars, rows)
@@ -304,7 +303,7 @@ def verify_decomposition(form: Polynomial,
     residual = _unpacked(diff, m, base, scale * form_den)
     keys = []
     for _, f in dec.terms:
-        row, _ = _cleared(f.coeffs)
+        row, _ = linalg.cleared(f.coeffs)
         lead = next((v for v in row if v), 0)
         if lead:
             g = gcd(*row) if lead > 0 else -gcd(*row)
@@ -427,17 +426,25 @@ def _pinch_inverse(n: int) -> list[tuple[int, int]]:
 
 
 def _pinch_scale(rc: ReducibleCubic, m, cols) -> Fraction | None:
-    """a when the change with columns C carries L*Q, m the matrix M of Q,
-    onto the normal form x0*P: l^T C = a*e_0^T with a != 0, and
-    C^T M C = P/a; None otherwise.  This is exactly
-    substitute(L*Q, C) == normal_form(n): x0 divides (L o C)*(Q o C) and
-    cannot divide Q o C = x0*L', for P = (L o C)*L' would then be
-    reducible, while P has rank n+1 >= 3; so L o C = a*x0 and Q o C = P/a."""
-    a, *rest = [sum(c * v for c, v in zip(rc.linear.coeffs, col)) for col in cols]
+    """a when the change with columns C carries L*Q onto the normal form
+    x0*P: l^T C = a*e_0^T with a != 0, and C^T M C = P/a; None otherwise.
+    M, the matrix of Q, and C come cleared, m = (d_m*M, d_m) and
+    cols = (d_c*C, d_c), and the second identity is checked in ints as
+    a*G = P*d_m*d_c^2, G the Gram product of the two integer matrices.
+    This is exactly substitute(L*Q, C) == normal_form(n): x0 divides
+    (L o C)*(Q o C) and cannot divide Q o C = x0*L', for P = (L o C)*L'
+    would then be reducible, while P has rank n+1 >= 3; so L o C = a*x0
+    and Q o C = P/a."""
+    (m_int, d_m), (c_int, d_c) = m, cols
+    a, *rest = [sum(c * v for c, v in zip(rc.linear.coeffs, col)) for col in c_int]
     if a == 0 or any(rest):
         return None
-    scaled = [[a * v for v in row] for row in linalg.gram(m, cols)]
-    return a if scaled == _pinch_matrix(len(cols) - 1) else None
+    a /= d_c
+    den = a.denominator * d_m * d_c * d_c
+    pinch = _pinch_matrix(len(c_int) - 1)
+    return a if all(a.numerator * v * p.denominator == p.numerator * den
+                    for row, prow in zip(linalg.gram(m_int, c_int), pinch)
+                    for v, p in zip(row, prow)) else None
 
 
 def normalize_tangent_product(rc: ReducibleCubic) -> LinearChange:
@@ -497,10 +504,10 @@ def normalize_tangent_product(rc: ReducibleCubic) -> LinearChange:
         ucols.append([sum(col[r] * vbasis[r][i] for r in range(len(vbasis)))
                       for i in range(nv)])
     cols = [straighten(u) for u in ucols]
-    a = _pinch_scale(rc, qm, cols)
+    (c_int, d_c), (m_int, d_m) = linalg.cleared_rows(cols), linalg.cleared_rows(qm)
+    a = _pinch_scale(rc, (m_int, d_m), (c_int, d_c))
     if a is None:
         raise RuntimeError("internal: normalization self-check failed")
-    (c_int, d_c), (m_int, d_m) = linalg.cleared_rows(cols), linalg.cleared_rows(qm)
     # row j of (d_c*C)^T (d_m*M) pairs column j of C with the rows of M = M^T
     ctm = [[sum(x * y for x, y in zip(col, row) if x) for row in m_int] for col in c_int]
     den = a.denominator * d_c * d_m
@@ -519,8 +526,8 @@ def decompose_type_c(rc: ReducibleCubic,
     """
     n = rc.nvars - 1
     carried = (change is not None and n >= 2 and change.nvars == rc.nvars
-               and _pinch_scale(rc, quadric_matrix(rc.quadric),
-                                list(zip(*change.matrix))) is not None)
+               and _pinch_scale(rc, linalg.cleared_rows(quadric_matrix(rc.quadric)),
+                                linalg.cleared_rows(list(zip(*change.matrix)))) is not None)
     if not carried:
         # only TypeC products reach the normal form, so a change that
         # carries the cubic there has already established the class
@@ -633,7 +640,7 @@ def _rational_roots(p: list[Fraction]) -> list[Fraction]:
     only integer of size at most |c_0*a| left; it is kept when q vanishes
     there exactly.  An integer root of q reduces to a simple root mod p,
     so none is missed."""
-    ints, _ = _cleared(p)
+    ints, _ = linalg.cleared(p)
     content = gcd(*ints)
     c = [v // content for v in ints]
     m, a = len(c) - 1, c[-1]

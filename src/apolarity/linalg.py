@@ -75,6 +75,13 @@ def mat_vec(mat: list[Row], vec: Row) -> Row:
     return [sum(a * b for a, b in zip(row, vec)) for row in mat]
 
 
+def cleared(values) -> tuple[list[int], int]:
+    """Integers v_i and one common denominator D with values[i] = v_i / D."""
+    values = list(values)
+    den = lcm(*(c.denominator for c in values))
+    return [c.numerator * (den // c.denominator) for c in values], den
+
+
 def cleared_rows(rows) -> tuple[list[list[int]], int]:
     """Integer rows and one common denominator D with rows[i][j] = out[i][j] / D."""
     den = lcm(*(c.denominator for row in rows for c in row))

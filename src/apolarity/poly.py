@@ -22,7 +22,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import comb, lcm
+from math import comb
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import linalg
@@ -388,28 +388,15 @@ def _compose_rows(p: Polynomial, rows: Sequence[Sequence[Scalar]]) -> Polynomial
         raise AmbientMismatchError(
             f"polynomial has {p.nvars} variables, {len(rows)} rows given")
     m = len(rows[0])
+    if any(len(row) != m for row in rows):
+        raise ValueError("rows of a substitution must have equal length")
     top = p.degree()
     if top < 0:
         return Polynomial.zero(m)
-    int_rows, den = _cleared_rows(rows)
-    coefs, coef_den = _cleared(p._terms.values())
+    int_rows, den = linalg.cleared_rows(rows)
+    coefs, coef_den = linalg.cleared(p._terms.values())
     acc = _compose_packed(zip(p._terms, coefs), int_rows, den, top, top + 1)
     return _unpacked(acc, m, top + 1, coef_den * den ** top)
-
-
-def _cleared(values: Iterable[Scalar]) -> tuple[list[int], int]:
-    """Integers v_i and one common denominator D with values[i] = v_i / D."""
-    values = list(values)
-    den = lcm(*(c.denominator for c in values))
-    return [c.numerator * (den // c.denominator) for c in values], den
-
-
-def _cleared_rows(rows: Sequence[Sequence[Scalar]]) -> tuple[list[list[int]], int]:
-    """Integer rows and one common denominator D for the whole matrix; raises
-    ValueError when the rows differ in length."""
-    if any(len(row) != len(rows[0]) for row in rows):
-        raise ValueError("rows of a substitution must have equal length")
-    return linalg.cleared_rows(rows)
 
 
 def _compose_packed(terms: Iterable[tuple[Exponent, int]],
@@ -442,7 +429,7 @@ def _compose_packed(terms: Iterable[tuple[Exponent, int]],
 
 def _pack(p: Polynomial, base: int) -> tuple[dict[int, int], int]:
     """p as {packed exponent key: integer} over one common denominator."""
-    coefs, den = _cleared(p._terms.values())
+    coefs, den = linalg.cleared(p._terms.values())
     keys = (sum(e * base ** j for j, e in enumerate(exps)) for exps in p._terms)
     return dict(zip(keys, coefs)), den
 

@@ -289,32 +289,6 @@ def test_apply_matches_the_fraction_loop():
         assert apolar_apply(op, shifted).terms == apply_by_fractions(op.terms, shifted.terms)
 
 
-def test_cones_skip_the_modular_proof(monkeypatch):
-    """On a dense cone (i0 = 1, HF(1) >= 2) apolar_ideal never builds the
-    modular system, which could not succeed there, and still returns the
-    sweep's generators; a power of a linear form (HF(1) = 1) is proven."""
-    calls = []
-    proves = apolar._no_generator_in_degree
-
-    def counted(form, hf, i):
-        calls.append(i)
-        return proves(form, hf, i)
-
-    monkeypatch.setattr(apolar, "_no_generator_in_degree", counted)
-    rng = random.Random(53)
-    core = Polynomial(3, {m: rng.randint(1, 9) for m in monomials(3, 4)})
-    padded = Polynomial(6, {m + (0, 0, 0): c for m, c in core.terms.items()})
-    cone = substitute(padded, LinearChange(
-        [[rng.randint(-2, 2) + 7 * (i == j) for j in range(6)] for i in range(6)]))
-    assert len(cone.terms) == len(monomials(6, 4))
-    ideal = apolar_ideal(cone)
-    assert calls == []
-    assert [g.terms for g in ideal.generators] == apolar_generators_by_sweep(cone)
-    power = Polynomial(6, expand_power([1, -2, 3, 1, 2, -1], 4))
-    apolar_ideal(power)
-    assert calls == [2, 3, 4]
-
-
 def _agreement_inputs(rng):
     """(label, form) pairs for the comparison with the kernel sweep."""
     def dense(nv, d):
@@ -369,9 +343,7 @@ def test_apolar_ideal_agrees_with_the_kernel_sweep(monkeypatch):
     modulo the prime or the exact sweep runs, gives the generators of the
     sweep over every catalecticant kernel, and carries apolar_hilbert.  The
     proof succeeds exactly when the generators below degree d+1 share one
-    degree, except on forms scaled by the prime, which must fall back.  On
-    cones over a core in two or more variables (i0 = 1, HF(1) >= 2) it is
-    not tried, and counts as unproven."""
+    degree, except on forms scaled by the prime, which must fall back."""
     verdicts = []
     proves = apolar._no_generator_in_degree
 
@@ -389,10 +361,7 @@ def test_apolar_ideal_agrees_with_the_kernel_sweep(monkeypatch):
         assert hilbert_function(ideal) == apolar_hilbert(form)
         d = form.homogeneous_degree()
         degrees = {g.homogeneous_degree() for g in ideal.generators} - {d + 1}
-        ess = apolar_hilbert(form).values[1]
-        cone = 2 <= ess < form.nvars
-        assert not (cone and verdicts), (label, form)
-        proven = not cone and all(verdicts)
+        proven = all(verdicts)
         assert proven == (len(degrees) <= 1 and label != "times-prime"), (label, form)
         taken[proven] += 1
     assert taken[True] >= 30 and taken[False] >= 30

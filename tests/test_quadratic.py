@@ -273,8 +273,8 @@ def test_pinch_form_test_matches_substitution(n):
                              (rc, change.compose(_pinch_isometry(n, rng.randint(1, 3)))),
                              (rescaled, change)]:
             expected = substitute(cubic.form(), moved) == normal_form(n)
-            scale = _pinch_scale(cubic, quadric_matrix(cubic.quadric),
-                                 list(zip(*moved.matrix)))
+            scale = _pinch_scale(cubic, linalg.cleared_rows(quadric_matrix(cubic.quadric)),
+                                 linalg.cleared_rows(list(zip(*moved.matrix))))
             assert (scale is not None) == expected
             outcomes.append(expected)
     assert outcomes[:5] == [True, False, False, False, True]
