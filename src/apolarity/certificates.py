@@ -17,13 +17,12 @@ from math import ceil, comb
 from .apolar import apolar_apply, apolar_hilbert, apolar_ideal
 from .cubics import (CubicKind, CubicType, LinearChange, NeedsFieldExtension,
                      NormalizationUndecided, ReducibleCubic, WaringDecomposition,
-                     _lift, _pad, classify, decompose_binary,
-                     decompose_type_c_normal, normalize_tangent_product,
-                     quadric_matrix)
+                     _lift, _pad, _quadric_ints, classify, decompose_binary,
+                     decompose_type_c_normal, normalize_tangent_product)
 from .ideals import (HilbertFunction, HomogeneousIdeal, graded_basis,
                      hilbert_function, ideal_colon, ideal_contains, ideal_equal,
                      ideal_sum)
-from .linalg import RowSpan, kernel_basis, mat_vec
+from .linalg import RowSpan, cleared, kernel_basis, mat_vec
 from .poly import AmbientMismatchError, LinearForm, Polynomial, parse, substitute
 
 _GENERIC_EXCEPTIONS = {(3, 4): 8, (4, 2): 6, (4, 3): 10, (4, 4): 15}
@@ -416,7 +415,7 @@ def _compression_change(rc: ReducibleCubic) -> tuple[LinearChange, int]:
     d_v(L*Q) = 0 exactly when l.v = 0 and Mv = 0 (see classify), so the
     trailing columns, the canonical basis of ker [M; l^T], span ker Cat_1."""
     nv = rc.nvars
-    rows = quadric_matrix(rc.quadric) + [list(rc.linear.coeffs)]
+    rows = _quadric_ints(rc.quadric)[0] + [cleared(rc.linear.coeffs)[0]]
     kernel_cols = kernel_basis(rows, nv)
     e = nv - len(kernel_cols)
     span = RowSpan(nv)

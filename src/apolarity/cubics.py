@@ -29,7 +29,7 @@ from math import gcd, isqrt, lcm
 from . import linalg
 from .apolar import apolar_ideal
 from .poly import (AmbientMismatchError, LinearChange, LinearForm, Polynomial,
-                   _compose_packed, _compose_rows, _pack, _packed_mul, _unpacked)
+                   _compose_packed, _pack, _packed_mul, _unpacked)
 
 
 class NeedsFieldExtension(Exception):
@@ -98,30 +98,45 @@ class ReducibleCubic:
         return cls(LinearForm.from_polynomial(linear), quadric)
 
 
-def quadric_matrix(q: Polynomial) -> list[list[Fraction]]:
-    """Symmetric matrix M with q(x) = x^T M x (off-diagonal entries halved)."""
-    n = q.nvars
-    m = [[Fraction(0)] * n for _ in range(n)]
+def _quadric_ints(q: Polynomial) -> tuple[list[list[int]], int]:
+    """(A, D): the symmetric matrix M of q (off-diagonal entries halved) as
+    the integer matrix A over D, the least common denominator of M."""
+    entries = []
     for exps, c in q.terms.items():
         support = [i for i, e in enumerate(exps) if e]
+        num, den = c.numerator, c.denominator
         if len(support) == 1:
-            i = support[0]
-            m[i][i] = c
+            support *= 2
+        elif num % 2:
+            den *= 2
         else:
-            i, j = support
-            m[i][j] = m[j][i] = c / 2
-    return m
+            num //= 2
+        entries.append((*support, num, den))
+    d = lcm(*(den for *_, den in entries))
+    a = [[0] * q.nvars for _ in range(q.nvars)]
+    for i, j, num, den in entries:
+        a[i][j] = a[j][i] = num * (d // den)
+    return a, d
 
 
-def _linear_divides(linear: LinearForm, p: Polynomial) -> bool:
-    """Exact divisibility test: p vanishes on the hyperplane {linear = 0}."""
-    n = p.nvars
-    coeffs = linear.coeffs
-    k = next(i for i, c in enumerate(coeffs) if c)
-    # x_k = -sum_{j != k} (coeffs[j] / coeffs[k]) x_j parametrizes the hyperplane
-    rows = [[int(i == j) for j in range(n)] for i in range(n)]
-    rows[k] = [0 if j == k else -c / coeffs[k] for j, c in enumerate(coeffs)]
-    return _compose_rows(p, rows).is_zero()
+def quadric_matrix(q: Polynomial) -> list[list[Fraction]]:
+    """Symmetric matrix M with q(x) = x^T M x (off-diagonal entries halved)."""
+    a, d = _quadric_ints(q)
+    return [[Fraction(v, d) for v in row] for row in a]
+
+
+def _hyperplane_basis(row: list[int], k: int) -> list[list[int]]:
+    """The integer vectors row[k]*e_j - row[j]*e_k, j != k in order: a basis
+    of the vectors v with row . v = 0 when row[k] != 0.  Divided by row[k]
+    they are the canonical kernel basis of the row when k is its first
+    nonzero entry."""
+    out = []
+    for j in range(len(row)):
+        if j != k:
+            v = [0] * len(row)
+            v[j], v[k] = row[k], -row[j]
+            out.append(v)
+    return out
 
 
 def classify(rc: ReducibleCubic) -> CubicType:
@@ -136,22 +151,30 @@ def classify(rc: ReducibleCubic) -> CubicType:
     which is rank [M | l] because M is symmetric.  Dropping the column l
     lowers that rank by at most one, so a product with all variables
     essential has rank(M) = n+1 or n.
+
+    The reduction runs on integer rows: [A | l'], with M = A/D and l' the
+    cleared l, scales the rows and the last column of [M | l] by nonzero
+    constants, which keeps the pivots and the zero test of l^T M^-1 l.  L
+    divides Q exactly when Q vanishes on the hyperplane L = 0, that is when
+    the Gram matrix of A on an integer basis of it is zero.
     """
     if rc.nvars < 3:
         raise ValueError("the projective classification needs at least 3 "
                          "variables; binary forms go through decompose_binary")
     nv = rc.nvars
-    l = rc.linear.coeffs
-    red, pivots = linalg.rref([row + [c] for row, c in
-                               zip(quadric_matrix(rc.quadric), l)])
-    if _linear_divides(rc.linear, rc.quadric):
+    a, _ = _quadric_ints(rc.quadric)
+    l, _ = linalg.cleared(rc.linear.coeffs)
+    red, pivots = linalg.rref([row + [c] for row, c in zip(a, l)])
+    k = next(i for i, c in enumerate(l) if c)
+    if not any(any(row) for row in linalg.gram(a, _hyperplane_basis(l, k))):
         return CubicType(CubicKind.DEGENERATE_PRODUCT, len(pivots))
     if len(pivots) < nv:
         return CubicType(CubicKind.CONE, len(pivots))
     if pivots[-1] < nv:
-        # M is invertible and the last column has become M^-1 l;
-        # l^T adj(M) l differs from l^T M^-1 l by the nonzero factor det(M)
-        tangency = sum(c * row[nv] for c, row in zip(l, red))
+        # A is invertible and the last column has become A^-1 l'; l^T adj(M) l
+        # differs from l^T M^-1 l by the nonzero factor det(M)
+        last, _ = linalg.cleared(row[nv] for row in red)
+        tangency = sum(c * v for c, v in zip(l, last))
         return CubicType(CubicKind.TYPE_C if tangency == 0 else CubicKind.TYPE_A)
     return CubicType(CubicKind.TYPE_B)
 
@@ -458,40 +481,57 @@ def normalize_tangent_product(rc: ReducibleCubic) -> LinearChange:
     NeedsFieldExtension, naming the local invariant, only when no rational
     change exists; NormalizationUndecided when a bound runs out first.
 
+    The setup runs on integers.  With M = A/D and l' = d*l cleared, T =
+    l'_k*S is the integer matrix with columns d*e_k and the hyperplane basis
+    l'_k*e_j - l'_j*e_k, so m = G/(D*l'_k^2) for the integer Gram matrix
+    G = T^T A T.  The tangency point p = q/q_f comes from the integer kernel
+    vector q of G's lower block, lam = (Gq)_0/(D*l'_k^2*q_f), and the steps
+    u0 = e_0 - (m_00/(2*lam))*p and u1 = p/(2*lam) are q over 2*(Gq)_0 with
+    integer factors.  The residual block is built once, as one Fraction
+    per entry, and C = T*U/l'_k over one denominator.
+
     The self-check proves l^T C = a*e_0^T and C^T M C = P/a.  P has rank
     n+1 (one nonzero entry per row), so a*P^-1*C^T*M*C = I and
     C^-1 = a*P^-1*C^T*M exactly: the change's inverse is one integer product
     of the cleared C and M over one denominator, without elimination."""
     nv = rc.nvars
     n = nv - 1
-    lc = rc.linear.coeffs
-    k = next(i for i, c in enumerate(lc) if c)
+    qa, qd = _quadric_ints(rc.quadric)
+    l, dl = linalg.cleared(rc.linear.coeffs)
+    k = next(i for i, c in enumerate(l) if c)
+    lk = l[k]
 
     def straighten(u):
-        # S*u: y1..yn are the x_j, j != k, in order, and l_j = 0 for j < k
-        xk = (u[0] - sum(c * v for c, v in zip(lc[k + 1:], u[k + 1:]))) / lc[k]
-        return [*u[1:k + 1], xk, *u[k + 1:]]
+        # T*u: y1..yn are the x_j, j != k, in order, and l_j = 0 for j < k
+        xk = dl * u[0] - sum(c * v for c, v in zip(l[k + 1:], u[k + 1:]))
+        return [lk * v for v in u[1:k + 1]] + [xk] + [lk * v for v in u[k + 1:]]
 
-    qm = quadric_matrix(rc.quadric)
-    m = linalg.gram(qm, [straighten(_unit(nv, r)) for r in range(nv)])
-    ker = linalg.kernel_basis([row[1:] for row in m[1:]], n)
+    g = linalg.gram(qa, [[dl * int(i == k) for i in range(nv)]] + _hyperplane_basis(l, k))
+    span = linalg.RowSpan(n)
+    for row in g[1:]:
+        span.insert(row[1:])
+    ker = span.kernel_rows()
     if len(ker) != 1:
         raise ValueError("the hyperplane section is not a corank-one quadric; "
                          "the product is not of tangent type")
-    p = [Fraction(0)] + ker[0]
-    mp = linalg.mat_vec(m, p)
-    lam = mp[0]
-    if any(mp[1:]) or lam == 0:
+    (_, vec), = ker
+    q = [0] + [vec.get(i, 0) for i in range(n)]
+    gq = [sum(x * y for x, y in zip(row, q) if y) for row in g]
+    if any(gq[1:]) or gq[0] == 0:
         raise ValueError("inconsistent tangency data; classify the product first")
-    a00 = m[0][0]
-    u0 = [Fraction(int(r == 0)) - (a00 / (2 * lam)) * p[r] for r in range(nv)]
-    u1 = [v / (2 * lam) for v in p]
-    vbasis = [[Fraction(0)] + w for w in linalg.kernel_basis([m[0][1:]], n)]
+    # V, the canonical basis of the kernel of m's first row inside y1..yn,
+    # is W/r_f for the integer hyperplane basis W of that row
+    scale = qd * lk * lk
+    row0 = g[0][1:]
+    f = next(i for i, v in enumerate(row0) if v)
+    wbasis, rf = _hyperplane_basis(row0, f), row0[f]
+    block = [[Fraction(v, scale * rf * rf) for v in row]
+             for row in linalg.gram([row[1:] for row in g[1:]], wbasis)]
     # the number theory is loaded on first use, so that no import of the
     # package pays for compiling it
     from .quadratic import BudgetExceeded, NotSimilar, pinch_similarity
     try:
-        c, block = pinch_similarity(linalg.gram(m, vbasis))
+        c, block = pinch_similarity(block)
     except NotSimilar as exc:
         raise NeedsFieldExtension(
             "no rational change reaches the pinch form: the quadric's residual "
@@ -499,21 +539,31 @@ def normalize_tangent_product(rc: ReducibleCubic) -> LinearChange:
     except BudgetExceeded as exc:
         raise NormalizationUndecided(
             f"normalization undecided, a search bound ran out: {exc}") from None
-    ucols = [[v / c for v in u0], [v * c * c for v in u1]]
-    for col in block:
-        ucols.append([sum(col[r] * vbasis[r][i] for r in range(len(vbasis)))
-                      for i in range(nv)])
-    cols = [straighten(u) for u in ucols]
-    (c_int, d_c), (m_int, d_m) = linalg.cleared_rows(cols), linalg.cleared_rows(qm)
-    a = _pinch_scale(rc, (m_int, d_m), (c_int, d_c))
+    # U's columns as (integer column, denominator): u0/c, c^2*u1, V*block
+    g0 = 2 * gq[0]
+    ucols = [([g0 * int(r == 0) - g[0][0] * v for r, v in enumerate(q)], g0 * c),
+             ([scale * c * c * v for v in q], g0)]
+    bints, bden = linalg.cleared_rows(block)
+    for col in bints:
+        ucols.append(([0] + [sum(x * w[i] for x, w in zip(col, wbasis) if x)
+                             for i in range(n)], rf * bden))
+    cols = []
+    for u, den in ucols:
+        x, den = straighten(u), den * lk
+        common = gcd(den, *x)
+        cols.append(([v // common for v in x], den // common))
+    d_c = lcm(*(den for _, den in cols))
+    c_int = [[v * (d_c // den) for v in x] for x, den in cols]
+    a = _pinch_scale(rc, (qa, qd), (c_int, d_c))
     if a is None:
         raise RuntimeError("internal: normalization self-check failed")
     # row j of (d_c*C)^T (d_m*M) pairs column j of C with the rows of M = M^T
-    ctm = [[sum(x * y for x, y in zip(col, row) if x) for row in m_int] for col in c_int]
-    den = a.denominator * d_c * d_m
+    ctm = [[sum(x * y for x, y in zip(col, row) if x) for row in qa] for col in c_int]
+    den = a.denominator * d_c * qd
     inverse = tuple(tuple(Fraction(a.numerator * w * v, den) for v in ctm[j])
                     for j, w in _pinch_inverse(n))
-    return LinearChange._from_pair(tuple(zip(*cols)), inverse)
+    matrix = tuple(tuple(Fraction(v, d_c) for v in row) for row in zip(*c_int))
+    return LinearChange._from_pair(matrix, inverse)
 
 
 def decompose_type_c(rc: ReducibleCubic,
@@ -526,7 +576,7 @@ def decompose_type_c(rc: ReducibleCubic,
     """
     n = rc.nvars - 1
     carried = (change is not None and n >= 2 and change.nvars == rc.nvars
-               and _pinch_scale(rc, linalg.cleared_rows(quadric_matrix(rc.quadric)),
+               and _pinch_scale(rc, _quadric_ints(rc.quadric),
                                 linalg.cleared_rows(list(zip(*change.matrix)))) is not None)
     if not carried:
         # only TypeC products reach the normal form, so a change that

@@ -17,49 +17,73 @@ similarity matters, so the lattice may also be rescaled.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Callable
 
-from .linalg import cleared_rows, gram, inverse
+from .linalg import cleared_rows, gram
 
 
-def diagonalize(m: list[list[Fraction]]):
-    """Congruence diagonalization: returns (diag, basis columns B) with
-    B^T m B diagonal.  Requires a nondegenerate symmetric matrix."""
-    size = len(m)
-    a = [row[:] for row in m]
-    basis = [[Fraction(int(i == j)) for j in range(size)] for i in range(size)]
+def _diagonal_basis(g: list[list[int]]):
+    """Congruence diagonalization of a nondegenerate symmetric integer
+    matrix g, fraction-free: returns (h, b, s), column j of the basis being
+    the integer column b[j] over the integer scale s[j], and h[j] the
+    integer b[j]^T g b[j], so that the basis diagonalizes g with entries
+    h[j]/s[j]^2.  The working matrix is the integer Gram matrix of the
+    columns b; each column step replaces b[dst] by x*b[dst] + y*b[src] and
+    s[dst] by x*s[dst], which moves the column by (y*s[src]/(x*s[dst]))
+    times column src, and then divides the column and its scale by their
+    common content."""
+    size = len(g)
+    a = [row[:] for row in g]
+    b = [[int(i == j) for i in range(size)] for j in range(size)]
+    s = [1] * size
 
-    def add_col(dst, src, f):
-        for i in range(size):
-            a[i][dst] += f * a[i][src]
-        for j in range(size):
-            a[dst][j] += f * a[src][j]
-        for i in range(size):
-            basis[i][dst] += f * basis[i][src]
+    def combine(dst, src, x, y):
+        row = [x * u + y * v for u, v in zip(a[dst], a[src])]
+        row[dst] = x * row[dst] + y * row[src]
+        col = [x * u + y * v for u, v in zip(b[dst], b[src])]
+        h = gcd(x * s[dst], *col)
+        row = [v // h for v in row]
+        row[dst] //= h
+        b[dst], s[dst], a[dst] = [v // h for v in col], x * s[dst] // h, row
+        for r, v in zip(a, row):
+            r[dst] = v
 
-    def swap_col(i, j):
-        for r in range(size):
-            a[r][i], a[r][j] = a[r][j], a[r][i]
+    def swap(i, j):
+        for r in a:
+            r[i], r[j] = r[j], r[i]
         a[i], a[j] = a[j], a[i]
-        for r in range(size):
-            basis[r][i], basis[r][j] = basis[r][j], basis[r][i]
+        b[i], b[j] = b[j], b[i]
+        s[i], s[j] = s[j], s[i]
 
     for t in range(size):
         if a[t][t] == 0:
-            swap = next((j for j in range(t + 1, size) if a[j][j]), None)
-            if swap is not None:
-                swap_col(t, swap)
+            other = next((j for j in range(t + 1, size) if a[j][j]), None)
+            if other is not None:
+                swap(t, other)
             else:
                 off = next((j for j in range(t + 1, size) if a[t][j]), None)
                 if off is None:
                     raise ValueError("degenerate block in congruence diagonalization")
-                add_col(t, off, Fraction(1))
+                # column t plus column off
+                combine(t, off, s[off], s[t])
         for j in range(t + 1, size):
             if a[t][j]:
-                add_col(j, t, -a[t][j] / a[t][t])
-    diag = [a[t][t] for t in range(size)]
-    cols = [[basis[i][j] for i in range(size)] for j in range(size)]
-    return diag, cols
+                # column j minus (a_tj*s_t/(a_tt*s_j)) times column t
+                combine(j, t, a[t][t], -a[t][j])
+    return [a[t][t] for t in range(size)], b, s
+
+
+def diagonalize(m: list[list[Fraction]]):
+    """Congruence diagonalization: returns (diag, basis columns B) with
+    B^T m B diagonal.  Requires a nondegenerate symmetric matrix.  With
+    m = g/d cleared once, the elimination runs on integers
+    (_diagonal_basis) and the only Fractions built are the returned
+    values."""
+    g, d = cleared_rows(m)
+    h, b, s = _diagonal_basis(g)
+    diag = [Fraction(v, d * w * w) for v, w in zip(h, s)]
+    return diag, [[Fraction(v, w) for v in col] for col, w in zip(b, s)]
 
 
 def split_power(a: int, p: int) -> tuple[int, int]:
@@ -300,11 +324,17 @@ def reduced_basis(m: list[list[Fraction]], det: Fraction,
     # LLL under the majorant sum |d_t| * y_t^2 of g = sum d_t * y_t^2, the
     # y_t being the coordinates of a diagonal basis: by Cauchy-Binet each
     # leading minor of g is at most the majorant's in absolute value, and
-    # the majorant's stay small in an LLL-reduced basis
-    diag, w = diagonalize([[Fraction(v) for v in row] for row in g])
-    winv = inverse([list(row) for row in zip(*w)])
-    k = len(g)
-    majorant = [[sum(winv[t][i] * abs(diag[t]) * winv[t][j] for t in range(k))
-                 for j in range(k)] for i in range(k)]
-    cols, den = _rebase(g, basis, _lll(cleared_rows(majorant)[0]))[1]
+    # the majorant's stay small in an LLL-reduced basis.  For the integer
+    # columns b_t of _diagonal_basis, with h_t = b_t^T g b_t, the inverse of
+    # B is diag(h)^-1 B^T g, so the majorant B^-T |diag(h)| B^-1 (the
+    # scales of the columns cancel) is sum_t (g b_t)(g b_t)^T / |h_t|:
+    # integers over lcm |h_t|, divided by their common content with it
+    h, b, _ = _diagonal_basis(g)
+    den = lcm(*h)
+    images = [(den // abs(v), [sum(x * y for x, y in zip(row, col) if y) for row in g])
+              for v, col in zip(h, b)]
+    majorant = [[sum(w * y[i] * y[j] for w, y in images) for j in range(len(g))]
+                for i in range(len(g))]
+    content = gcd(den, *(v for row in majorant for v in row))
+    cols, den = _rebase(g, basis, _lll([[v // content for v in row] for row in majorant]))[1]
     return [[Fraction(v, den) for v in col] for col in cols]

@@ -8,10 +8,14 @@ the dual ring); the canonical term order is graded lexicographic, highest
 degree first.
 
 Every linear substitution runs in one integer kernel, _compose_packed, on
-packed exponent keys: substitute and the divisibility test of
-cubics.classify through _compose_rows, and WaringDecomposition.expand and
-cubics.verify_decomposition, which expand a power sum and compare it with
-a form without building a Fraction until a residual is nonzero.
+packed exponent keys: substitute through _compose_rows, and
+WaringDecomposition.expand and cubics.verify_decomposition, which expand a
+power sum and compare it with a form without building a Fraction until a
+residual is nonzero.
+
+parse refuses, with PolynomialSyntaxError, text that could build more than
+MAX_MONOMIAL_ENTRIES exponent entries: too many literals for the ambient,
+or a power or product with too many possible terms.
 
 Everything here is exact.  No floats enter at any point.
 """
@@ -37,9 +41,10 @@ _TOKEN_RE = re.compile(r"\s*(?:(?P<var>[xd]_?(?P<idx>\d+))|(?P<int>\d+)|(?P<op>[
 MAX_NESTING = 100
 
 # Most exponent entries (monomials times variables, about 100 MB of tuples)
-# that monomials() lists for one degree, and most cells of a dense matrix
-# that apolar.catalecticant or ideals._colon_spans allocates.  Dense work on
-# a degree that large would exhaust memory long before it ended.
+# that monomials() lists for one degree or that parse() builds for one
+# polynomial, and most cells of a dense matrix that apolar.catalecticant or
+# ideals._colon_spans allocates.  Dense work on a degree that large would
+# exhaust memory long before it ended.
 MAX_MONOMIAL_ENTRIES = 10 ** 7
 
 
@@ -206,8 +211,9 @@ class Polynomial:
         while k:
             if k & 1:
                 result = result * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return result
 
     def __eq__(self, other: object) -> bool:
@@ -462,6 +468,18 @@ def _packed_mul(a: dict[int, int], b: dict[int, int],
 
 # -- parsing ---------------------------------------------------------------
 
+def _comb_exceeds(n: int, k: int, limit: int) -> bool:
+    """Whether comb(n, k) > limit, without computing comb(n, k) past the
+    limit: comb(n - k + i, i) grows with i."""
+    k = min(k, n - k)
+    c = 1
+    for i in range(1, k + 1):
+        c = c * (n - k + i) // i
+        if c > limit:
+            return True
+    return False
+
+
 def _tokenize(text: str) -> list[tuple[str, object, int]]:
     tokens = []
     pos = 0
@@ -496,6 +514,9 @@ class _Parser:
         self.textlen = textlen
         self.prefixes: set[str] = set()
         self.depth = 0
+        # the most terms one polynomial may have: each holds an exponent
+        # tuple of nvars entries
+        self.budget = MAX_MONOMIAL_ENTRIES // max(nvars, 1)
 
     def peek(self) -> str | None:
         return self.tokens[self.i][0] if self.i < len(self.tokens) else None
@@ -519,9 +540,20 @@ class _Parser:
     def term(self) -> Polynomial:
         result = self.factor()
         while self.peek() == "*":
-            self.take()
-            result = result * self.factor()
+            _, _, at = self.take()
+            rhs = self.factor()
+            if len(result.terms) * len(rhs.terms) > self.budget:
+                self.check_size(result.degree() + rhs.degree(), at)
+            result = result * rhs
         return result
+
+    def check_size(self, degree: int, at: int) -> None:
+        """Refuse a result that may have more terms than the budget allows,
+        bounded by the monomials of degree at most `degree`."""
+        if _comb_exceeds(self.nvars + degree, degree, self.budget):
+            raise PolynomialSyntaxError(
+                f"the expression may expand past {MAX_MONOMIAL_ENTRIES} exponent "
+                f"entries in {self.nvars} variables", at)
 
     def factor(self) -> Polynomial:
         sign = 1
@@ -538,7 +570,10 @@ class _Parser:
             self.take()
             if self.peek() != "int":
                 raise PolynomialSyntaxError("exponent must be an integer literal", self.pos())
-            _, k, _ = self.take()
+            _, k, at = self.take()
+            # p^k has at most comb(t+k-1, k) terms, t those of p
+            if _comb_exceeds(len(p.terms) + k - 1, k, self.budget):
+                self.check_size(k * p.degree(), at)
             p = p ** k
         return p
 
@@ -589,6 +624,13 @@ def parse(text: str, nvars: int | None = None) -> Polynomial:
     if nvars is None:
         indices = [tok[1][1] for tok in tokens if tok[0] == "var"]
         nvars = max(indices) + 1 if indices else 1
+    # every literal and variable becomes a polynomial with one exponent tuple
+    atoms = [at for kind, _, at in tokens if kind in ("int", "var")]
+    if len(atoms) * nvars > MAX_MONOMIAL_ENTRIES:
+        raise PolynomialSyntaxError(
+            f"{len(atoms)} literals and variables in {nvars} variables would "
+            f"build more than {MAX_MONOMIAL_ENTRIES} exponent entries",
+            atoms[0] if atoms else 0)
     parser = _Parser(tokens, nvars, len(text))
     p = parser.expr()
     if parser.i < len(parser.tokens):

@@ -54,7 +54,7 @@ from math import gcd, isqrt, prod
 
 from .lattice import (diagonalize, legendre_symbol, reduced_basis, split_power,
                       sqrt_mod_prime)
-from .linalg import gram
+from .linalg import cleared_rows, gram
 
 FACTOR_BUDGET = 200_000
 PRIME_SEARCH = 100_000
@@ -502,6 +502,16 @@ def _evident_factor(diag: list[Fraction]) -> int | None:
     return squarefree_part(rest[0]) if rest else 1
 
 
+def _combinations(cols, coeffs) -> list[list[Fraction]]:
+    """The columns sum_t x[t]*cols[t], one for each x in coeffs, formed in
+    ints: both sides are cleared once and each entry becomes one Fraction."""
+    (ints, den), (xs, x_den) = cleared_rows(cols), cleared_rows(coeffs)
+    rows = list(zip(*ints))
+    den *= x_den
+    return [[Fraction(sum(a * b for a, b in zip(row, x) if b), den) for row in rows]
+            for x in xs]
+
+
 def pinch_similarity(m: list[list[Fraction]]) -> tuple[int, list[list[Fraction]]]:
     """(c, C) with C^T m C = c*N, N the pinch block of size len(m): <1> for
     size 1, H + I otherwise, and c a squarefree integer, 1 when possible.
@@ -513,8 +523,7 @@ def pinch_similarity(m: list[list[Fraction]]) -> tuple[int, list[list[Fraction]]
     if c is None:
         basis = reduced_basis(m, prod(diag), _primes)
         diag, inner = diagonalize(gram(m, basis))
-        cols = [[sum(v * b[r] for v, b in zip(col, basis)) for r in range(len(m))]
-                for col in inner]
+        cols = _combinations(basis, inner)
         c = _similarity_factor([squarefree_part(d) for d in diag])
     slots = [[d, col] for d, col in zip(diag, cols)]
     out = []
@@ -522,8 +531,7 @@ def pinch_similarity(m: list[list[Fraction]]) -> tuple[int, list[list[Fraction]]
         i, j = _hyperbolic_pair(slots)
         (a, ci), (b, cj) = slots[i], slots[j]
         s = _sqrt_fraction(-a * b)
-        out.append([u + (s / b) * v for u, v in zip(ci, cj)])
-        out.append([c * (u / (4 * a) - (s / (4 * a * b)) * v) for u, v in zip(ci, cj)])
+        out += _combinations([ci, cj], [[1, s / b], [c / (4 * a), -c * s / (4 * a * b)]])
         slots = [slot for t, slot in enumerate(slots) if t not in (i, j)]
     while slots:
         t = next((t for t, (v, _) in enumerate(slots)
@@ -533,6 +541,5 @@ def pinch_similarity(m: list[list[Fraction]]) -> tuple[int, list[list[Fraction]]
             t, _ = _hyperbolic_pair(slots, anchor=len(slots) - 1)
             slots.pop()
         value, col = slots.pop(t)
-        root = _sqrt_fraction(value / c)
-        out.append([v / root for v in col])
+        out += _combinations([col], [[1 / _sqrt_fraction(value / c)]])
     return c, out

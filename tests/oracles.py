@@ -15,7 +15,10 @@ composed, expanded and verified power sums, with expand_power in place of
 the package's substitution kernel; apply_by_fractions,
 product_by_fractions and gram_by_fractions keep the Fraction loops that
 once applied operators, multiplied the factors of a reducible cubic and
-formed Gram matrices.
+formed Gram matrices; classify_by_fractions and diagonalize_by_fractions
+keep the Fraction classification of a reducible cubic (a Gauss-Jordan RREF
+of [M | l] and a substitution test for L dividing Q) and the Fraction
+congruence diagonalization.
 certificate_by_ideals is the one exception to the rule above: it keeps the
 route the avoidance and colon certificates once took through the package's
 own ideal calculus (apolar ideal, colon, sum, graded spans), so it checks
@@ -438,3 +441,97 @@ def gram_by_fractions(g, vectors) -> list:
               for v in vectors]
     return [[sum((Fraction(x) * y for x, y in zip(u, gv)), Fraction(0)) for gv in images]
             for u in vectors]
+
+
+def _rref_fractions(rows) -> tuple[list, list]:
+    """(nonzero rows, pivot columns) of the RREF, by Gauss-Jordan
+    elimination in Fractions."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    pivots, r = [], 0
+    for col in range(len(a[0]) if a else 0):
+        p = next((i for i in range(r, len(a)) if a[i][col]), None)
+        if p is None:
+            continue
+        a[r], a[p] = a[p], a[r]
+        a[r] = [x / a[r][col] for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][col]:
+                f = a[i][col]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(col)
+        r += 1
+    return a[:r], pivots
+
+
+def classify_by_fractions(linear, quadric_terms: dict, nvars: int) -> tuple:
+    """(class name, essential count or None) of L*Q as it was once decided
+    in Fractions: the RREF of [M | l], M the quadric's matrix, and the
+    substitution x_k = -sum_{j != k} (l_j/l_k) x_j into Q, k the first
+    nonzero coefficient of l, which vanishes exactly when L divides Q."""
+    l = [Fraction(c) for c in linear]
+    m = [[Fraction(0)] * nvars for _ in range(nvars)]
+    for exps, c in quadric_terms.items():
+        i, j = [v for v, e in enumerate(exps) for _ in range(e)]
+        m[i][j] = m[j][i] = Fraction(c) if i == j else Fraction(c) / 2
+    red, pivots = _rref_fractions([row + [c] for row, c in zip(m, l)])
+    k = next(i for i, c in enumerate(l) if c)
+    rows = [[Fraction(int(i == j)) for j in range(nvars)] for i in range(nvars)]
+    rows[k] = [Fraction(0) if j == k else -c / l[k] for j, c in enumerate(l)]
+    restricted: dict = {}
+    for exps, c in quadric_terms.items():
+        i, j = [v for v, e in enumerate(exps) for _ in range(e)]
+        for a, x in enumerate(rows[i]):
+            for b, y in enumerate(rows[j]):
+                if x and y:
+                    e = tuple(int(t == a) + int(t == b) for t in range(nvars))
+                    restricted[e] = restricted.get(e, Fraction(0)) + Fraction(c) * x * y
+    if not any(restricted.values()):
+        return "DegenerateProduct", len(pivots)
+    if len(pivots) < nvars:
+        return "Cone", len(pivots)
+    if pivots[-1] < nvars:
+        tangency = sum(c * row[nvars] for c, row in zip(l, red))
+        return ("TypeC" if tangency == 0 else "TypeA"), None
+    return "TypeB", None
+
+
+def diagonalize_by_fractions(m) -> tuple[list, list]:
+    """(diag, basis columns B) with B^T m B diagonal, by symmetric column
+    and row operations in Fractions: a zero pivot is swapped with a later
+    nonzero diagonal entry, or else gets a later column with a nonzero
+    entry in its row added."""
+    size = len(m)
+    a = [[Fraction(v) for v in row] for row in m]
+    basis = [[Fraction(int(i == j)) for j in range(size)] for i in range(size)]
+
+    def add_col(dst, src, f):
+        for i in range(size):
+            a[i][dst] += f * a[i][src]
+        for j in range(size):
+            a[dst][j] += f * a[src][j]
+        for i in range(size):
+            basis[i][dst] += f * basis[i][src]
+
+    def swap_col(i, j):
+        for r in range(size):
+            a[r][i], a[r][j] = a[r][j], a[r][i]
+        a[i], a[j] = a[j], a[i]
+        for r in range(size):
+            basis[r][i], basis[r][j] = basis[r][j], basis[r][i]
+
+    for t in range(size):
+        if a[t][t] == 0:
+            swap = next((j for j in range(t + 1, size) if a[j][j]), None)
+            if swap is not None:
+                swap_col(t, swap)
+            else:
+                off = next((j for j in range(t + 1, size) if a[t][j]), None)
+                if off is None:
+                    raise ValueError("degenerate block in congruence diagonalization")
+                add_col(t, off, Fraction(1))
+        for j in range(t + 1, size):
+            if a[t][j]:
+                add_col(j, t, -a[t][j] / a[t][t])
+    diag = [a[t][t] for t in range(size)]
+    cols = [[basis[i][j] for i in range(size)] for j in range(size)]
+    return diag, cols

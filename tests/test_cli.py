@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from apolarity import ideals
+from apolarity import ideals, poly
 from apolarity.apolar import catalecticant
 from apolarity.cli import main
 from apolarity.poly import parse
@@ -145,6 +145,20 @@ def test_dense_matrices_past_the_size_budget_are_input_errors(capsys,
     code, out, err = run(capsys, "hilbert", "x0^2*x2 + x0*x1^2", "--colon", "d1")
     assert code == 2 and out == ""
     assert "degree-2 colon system of 10 x 15 entries is too large" in err
+
+
+def test_text_past_the_parser_budget_is_an_input_error(capsys, monkeypatch):
+    # a power of one variable stays one term, whatever the exponent
+    code, out, _ = run(capsys, "apolar", "x0^2000")
+    assert code == 0 and "d0^2001" in out
+    monkeypatch.setattr(poly, "MAX_MONOMIAL_ENTRIES", 100)
+    for argv in [("apolar", "x0^3", "--vars", "60"), ("apolar", "x0^3 + x99^3"),
+                 ("apolar", "(x0 + x1 + x2)^10"),
+                 ("analyze", "x0", "(x0 + x1)^9*(x0 + x1)^9")]:
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and "exponent entries" in err
+    code, _, _ = run(capsys, "apolar", "x0^2000")
+    assert code == 0
 
 
 def test_missing_file_exit_code(capsys):

@@ -10,6 +10,11 @@ those as written, however large.  The examples are derived from the test's
 own source (derandomize), so every run checks the same 200 calls.  A
 second test sends 150 such forms, with operators drawn the same way,
 through the certificate path: certify FORM --hyperplane L [--colon G].
+A third sends 200 calls drawn like the first, but whose malformed text may
+also have a digit, a variable letter or "^" inserted anywhere: indices,
+exponents and powers then grow as written, and the parser's size budget
+(poly.MAX_MONOMIAL_ENTRIES, lowered to 10^5 here together with the dense
+budgets of apolar and ideals) must turn what is too large into exit 2.
 """
 
 from __future__ import annotations
@@ -24,9 +29,11 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from apolarity import apolar, ideals, poly  # noqa: E402
 from apolarity.cli import main  # noqa: E402
 
 SYMBOLS = "*+-()/ #"
+MISTYPES = SYMBOLS + "0123456789xd^"
 
 
 @st.composite
@@ -48,21 +55,21 @@ def form_text(draw, nvars: int, degree: int, prefix: str = "x") -> str:
 
 
 @st.composite
-def maybe_malformed(draw, text: str) -> str:
+def maybe_malformed(draw, text: str, inserts: str = SYMBOLS) -> str:
     kind = draw(st.sampled_from(["valid", "valid", "valid", "cut", "insert",
                                  "symbols"]))
     if kind == "cut":
         return text[:draw(st.integers(0, len(text)))]
     if kind == "insert":
         at = draw(st.integers(0, len(text)))
-        return text[:at] + draw(st.sampled_from(SYMBOLS)) + text[at:]
+        return text[:at] + draw(st.sampled_from(inserts)) + text[at:]
     if kind == "symbols":
         return draw(st.text(alphabet=SYMBOLS + "xd^", max_size=12))
     return text
 
 
 @st.composite
-def calls(draw) -> list[str]:
+def calls(draw, inserts: str = SYMBOLS) -> list[str]:
     command = draw(st.sampled_from(["analyze", "decompose", "apolar",
                                     "hilbert-plus", "hilbert-colon"]))
     # decompose takes binary products through the rational root finder
@@ -72,11 +79,11 @@ def calls(draw) -> list[str]:
         texts = [draw(form_text(nvars, 1)), draw(form_text(nvars, 2))]
     else:
         texts = [draw(form_text(nvars, draw(st.integers(1, 4))))]
-    texts = [draw(maybe_malformed(t)) for t in texts]
+    texts = [draw(maybe_malformed(t, inserts)) for t in texts]
     argv = [command.split("-")[0], *texts]
     if command.startswith("hilbert"):
         op = draw(form_text(nvars, draw(st.integers(1, 2)), prefix="d"))
-        argv += [f"--{command.split('-')[1]}", draw(maybe_malformed(op))]
+        argv += [f"--{command.split('-')[1]}", draw(maybe_malformed(op, inserts))]
     if draw(st.booleans()):
         argv += ["--vars", str(draw(st.integers(nvars, 4)))]
     if draw(st.booleans()):
@@ -120,6 +127,22 @@ def certify_calls(draw) -> list[str]:
 def test_certify_exits_with_a_documented_code(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2, 3), (argv, err.getvalue())
+
+
+@settings(max_examples=200, derandomize=True, database=None,
+          deadline=timedelta(seconds=10))
+@given(argv=calls(MISTYPES))
+def test_mistyped_input_exits_with_a_documented_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        for module in (poly, apolar, ideals):
+            mp.setattr(module, "MAX_MONOMIAL_ENTRIES", 10 ** 5)
         try:
             code = main(argv)
         except SystemExit as exc:

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from apolarity import cubics
+from apolarity import cubics, linalg, poly
 from apolarity.apolar import apolar_ideal
 from apolarity.cubics import (CubicKind, InvalidChange,
                               NeedsFieldExtension, ReducibleCubic,
@@ -20,7 +20,7 @@ from apolarity.cubics import (CubicKind, InvalidChange,
 from apolarity.poly import (AmbientMismatchError, LinearChange, LinearForm,
                             Polynomial, monomials, parse, substitute)
 
-from oracles import (assemble_by_fractions, bareiss_rank,
+from oracles import (assemble_by_fractions, bareiss_rank, classify_by_fractions,
                      compose_by_fractions, diff_once, monomials_recursive,
                      power_sum_by_fractions, product_by_fractions,
                      rational_roots_by_deflation, residual_by_fractions,
@@ -142,6 +142,84 @@ def test_classify_essential_matches_bareiss_rank():
             assert ctype.kind is CubicKind.DEGENERATE_PRODUCT
             assert ctype.essential == _cat1_rank(rc.form())
     assert CubicKind.CONE in kinds and CubicKind.TYPE_A in kinds
+
+
+HUGE = (Fraction(10 ** 30 + 3, 10 ** 30 + 7), Fraction(-(10 ** 30 + 7), 10 ** 30 + 3))
+
+
+def _seeded_products(rng, nv):
+    """One product of each class in nv variables, planted in coordinates
+    and moved by a dense rational change; half of the changes are sheared
+    so that L o change has a zero first coefficient, and some products are
+    refactored as (a*L)*(Q/a) with a of 31 digits."""
+    n = nv - 1
+    x = [Polynomial.variable(nv, i) for i in range(nv)]
+    planted = {"TypeC": (x[0], normal_form_pair(n).quadric)}
+    diag = [_rational(rng) or Fraction(1) for _ in range(nv)]
+    planted["TypeA"] = (x[0] + x[1], sum((c * xi * xi for c, xi in zip(diag, x)),
+                                         Polynomial.zero(nv)))
+    planted["TypeB"] = (x[0] + x[-1], sum((c * xi * xi for c, xi in zip(diag, x[:-1])),
+                                          Polynomial.zero(nv)))
+    e = rng.randint(2, nv - 1)
+    planted["Cone"] = (x[0] + x[e - 1], sum((abs(c) * xi * xi for c, xi in zip(diag, x[:e])),
+                                            Polynomial.zero(nv)))
+    other = sum((_rational(rng) * xi for xi in x), Polynomial.zero(nv)) or x[1]
+    lin = x[0] - 2 * x[-1]
+    planted["DegenerateProduct"] = (lin, lin * other)
+    for name, (linear, quadric) in planted.items():
+        change = _rational_change(rng, nv)
+        if rng.random() < 0.5:
+            image = [sum(c * change.matrix[i][j] for i, c in
+                         enumerate(LinearForm.from_polynomial(linear).coeffs))
+                     for j in range(nv)]
+            j = next((j for j in range(1, nv) if image[j]), 0) if image[0] else 0
+            if j:
+                f = image[0] / image[j]
+                change = LinearChange([[row[0] - f * row[j], *row[1:]]
+                                       for row in change.matrix])
+        rc = ReducibleCubic.from_polynomials(substitute(linear, change),
+                                             substitute(quadric, change))
+        if rng.random() < 0.3:
+            a = rng.choice(HUGE)
+            rc = ReducibleCubic(LinearForm(a * c for c in rc.linear.coeffs),
+                                rc.quadric * (1 / a))
+        yield name, rc
+
+
+def test_classify_matches_the_fraction_oracle():
+    """classify on integer rows against the Fraction RREF of [M | l] and
+    the substitution test it replaced, on seeded products of every class."""
+    rng = random.Random(8128)
+    seen = set()
+    for nv in range(3, 7):
+        for _ in range(6):
+            for name, rc in _seeded_products(rng, nv):
+                ctype = classify(rc)
+                got = (ctype.kind.value, ctype.essential)
+                assert got == classify_by_fractions(rc.linear.coeffs, rc.quadric.terms, nv)
+                seen.add((ctype.kind.value, rc.linear.coeffs[0] == 0))
+                if name != "TypeA":  # a random hyperplane may be tangent
+                    assert ctype.kind.value == name
+    assert {name for name, _ in seen} == {k.value for k in CubicKind}
+    assert {name for name, first_zero in seen if first_zero} == {k.value for k in CubicKind}
+
+
+def test_classify_eliminates_integer_rows_without_substitution(monkeypatch):
+    """classify hands linalg.rref the integer rows [A | l'] once and runs
+    no substitution: the divisibility test is a Gram product."""
+    rng = random.Random(496)
+    products = [rc for nv in range(3, 6) for _, rc in _seeded_products(rng, nv)]
+    reductions, compositions = [], []
+    rref, compose = linalg.rref, poly._compose_rows
+    monkeypatch.setattr(linalg, "rref", lambda rows: reductions.append(rows) or rref(rows))
+    monkeypatch.setattr(poly, "_compose_rows",
+                        lambda *args: compositions.append(args) or compose(*args))
+    for rc in products:
+        reductions.clear()
+        classify(rc)
+        assert len(reductions) == 1
+        assert all(type(v) is int for row in reductions[0] for v in row)
+    assert compositions == []
 
 
 def test_classify_repeated_factor_beats_cone():

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from apolarity import poly
 from apolarity.cubics import WaringDecomposition
 from apolarity.poly import (MAX_NESTING, AmbientMismatchError, LinearChange,
                             LinearForm, Polynomial, PolynomialSyntaxError,
@@ -125,6 +126,39 @@ def test_monomials_refuse_huge_degrees():
     assert len(monomials(1501, 1)) == 1501
     with pytest.raises(ValueError):
         monomials(1501, 2)
+
+
+def test_parse_refuses_input_past_the_entry_budget(monkeypatch):
+    """With the budget lowered to 100 exponent entries, parse refuses before
+    it builds: an index or an ambient that makes the literals too wide, a
+    power with more than comb(t+k-1, k) allowed terms and a product with
+    more than t1*t2 allowed terms, unless the monomials of that degree are
+    few enough.  What fits is built, and one term has one term at any
+    exponent."""
+    monkeypatch.setattr(poly, "MAX_MONOMIAL_ENTRIES", 100)
+    for text, nvars, at in [("x0 + x200", None, 0), ("x0^3", 60, 0),
+                            (" + ".join(["x0"] * 101), None, 0),
+                            ("(x0 + x1 + x2)^10", None, 15),
+                            ("(x0 + x1)^9*(x0 + x1)^9", None, 11)]:
+        with pytest.raises(PolynomialSyntaxError, match="exponent entries") as exc:
+            parse(text, nvars)
+        assert exc.value.position == at
+    assert len(parse("(x0 + x1 + x2)^4").terms) == 15
+    assert len(parse("(1 + x0)^20*(1 + x0)^20").terms) == 41
+    assert parse("x0^2000") == Polynomial.monomial(1, (2000,))
+    assert parse(" + ".join(["x0"] * 100)) == parse("100*x0")
+
+
+def test_power_squares_no_further_than_it_needs(monkeypatch):
+    """Polynomial.__pow__ multiplies only up to the highest bit of k."""
+    base, expected = parse("x0 + x1"), parse("x0^4 + 4*x0^3*x1 + 6*x0^2*x1^2 + "
+                                             "4*x0*x1^3 + x1^4")
+    degrees = []
+    mul = Polynomial.__mul__
+    monkeypatch.setattr(Polynomial, "__mul__",
+                        lambda a, b: degrees.append(a.degree() + b.degree()) or mul(a, b))
+    assert base ** 4 == expected
+    assert degrees == [2, 4, 4]
 
 
 def test_string_term_order():

@@ -19,11 +19,11 @@ from apolarity import (LinearChange, LinearForm, NeedsFieldExtension, Polynomial
                        ReducibleCubic, normal_form, normalize_tangent_product,
                        parse, rank_report, substitute)
 from apolarity import linalg, quadratic
-from apolarity.lattice import _isotropic_mod, _minimize
+from apolarity.lattice import _isotropic_mod, _minimize, diagonalize
 from apolarity.cli import main
 from apolarity.cubics import _pinch_scale, quadric_matrix
 from apolarity.linalg import inverse, rank
-from oracles import bareiss_rank, gram_by_fractions
+from oracles import bareiss_rank, diagonalize_by_fractions, gram_by_fractions
 from test_golden_cli import LATTICE_5, LATTICE_7
 
 SMALL = [1, -1, 2, -2, 3, -3, 5, -5, 6, -6, 7, 10, -14, 15, -21, 30]
@@ -175,11 +175,14 @@ def test_normalization_inverse_is_exact():
 
 def test_normalization_builds_its_change_without_elimination(monkeypatch):
     """normalize_tangent_product calls no linalg.inverse: neither to build
-    its change (LinearChange would) nor to invert it.  The majorant of
-    lattice.reduced_basis inverts a diagonalization's basis through its own
-    import of the function, which this count does not see."""
+    its change (LinearChange would) nor to invert it; lattice.reduced_basis
+    forms its majorant without an inverse as well.  It calls no
+    linalg.kernel_basis either: the tangency point is an integer kernel
+    vector from RowSpan.kernel_rows, and the residual block's basis is
+    written down."""
     calls = []
     monkeypatch.setattr(linalg, "inverse", lambda mat: calls.append(mat))
+    monkeypatch.setattr(linalg, "kernel_basis", lambda *args: calls.append(args))
     for rc in _normalization_inputs():
         normalize_tangent_product(rc)
     assert calls == []
@@ -203,6 +206,54 @@ def _prime_factors(n: int) -> list[int]:
                 n //= p
         p += 1
     return out + ([n] if n > 1 else [])
+
+
+def _symmetric(rng, k, entry):
+    m = [[0] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i, k):
+            m[i][j] = m[j][i] = entry()
+    return m
+
+
+def test_diagonalize_matches_the_fraction_loop():
+    """lattice.diagonalize, fraction-free on an integer Gram matrix, against
+    the Fraction loop it replaced: the same diagonal and the same columns,
+    on seeded symmetric matrices whose first pivot is zero and is swapped
+    with a later diagonal entry, or has a later column added because the
+    whole diagonal is zero; on sparse ones, where zero pivots also appear
+    during the elimination; and on entries over 10^30+3 and 10^30+7.
+    Degenerate matrices raise in both."""
+    rng = random.Random(4181)
+    huge = [Fraction(1, 10 ** 30 + 3), Fraction(-7, 10 ** 30 + 7), Fraction(10 ** 30 + 7, 3)]
+    kinds = {"swap": 0, "add": 0, "degenerate": 0}
+    for trial in range(240):
+        k = rng.randint(1, 7)
+        style = trial % 4
+        if style == 3:
+            m = _symmetric(rng, k, lambda: rng.choice(huge + [0, 1, -2]) * rng.randint(-3, 3))
+        else:
+            m = _symmetric(rng, k, lambda: rng.choice([0, 0, 0, 1, -1, 2, Fraction(1, 2)])
+                           if style == 2 else rng.randint(-4, 4))
+        if style == 0 and k > 1:
+            m[0][0] = 0
+            m[1][1] = m[1][1] or 3
+        if style == 1:
+            for i in range(k):
+                m[i][i] = 0
+        try:
+            expected = diagonalize_by_fractions(m)
+        except ValueError:
+            kinds["degenerate"] += 1
+            with pytest.raises(ValueError, match="degenerate block"):
+                diagonalize(m)
+            continue
+        diag, cols = diagonalize(m)
+        assert (diag, cols) == expected
+        assert all(type(v) is Fraction for v in diag + [v for col in cols for v in col])
+        if k > 1 and m[0][0] == 0:
+            kinds["swap" if any(m[i][i] for i in range(k)) else "add"] += 1
+    assert min(kinds.values()) >= 10, kinds
 
 
 def test_minimized_basis_carries_a_multiple_of_the_form():
