@@ -39,14 +39,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import perm, prod
+from math import comb, perm, prod
 from typing import Iterator
 
 from .ideals import (HilbertFunction, HomogeneousIdeal, monomial_index,
                      ring_dimension, _generators_from_components)
-from .linalg import ModularSpan, RowSpan, cleared, kernel_basis, rank
+from .linalg import ModularSpan, RowSpan, kernel_basis, rank
 from .poly import (MAX_MONOMIAL_ENTRIES, AmbientMismatchError, Exponent,
-                   LinearForm, Polynomial)
+                   LinearForm, Polynomial, _comb_exceeds)
 
 PRIME = 2**31 - 1  # the modulus of the ranks that prove "no new generator"
 
@@ -62,21 +62,18 @@ def _images(alpha: Exponent, terms) -> Iterator[tuple[Exponent, int]]:
 
 
 def apolar_apply(op: Polynomial, form: Polynomial) -> Polynomial:
-    """Apply a dual-ring operator to a form by differentiation.  Both are
-    cleared once, op = A/a and form = B/b with A and B integral; the terms
-    of A applied to B accumulate as ints through _images, and each output
-    term becomes one Fraction over a*b."""
+    """Apply a dual-ring operator to a form by differentiation.  With
+    op = A/a and form = B/b, integer terms over their denominators, the
+    terms of A applied to B accumulate as ints through _images, over a*b."""
     if op.nvars != form.nvars:
         raise AmbientMismatchError(
             f"operator in {op.nvars} variables, form in {form.nvars}")
-    op_ints, a = cleared(op._terms.values())
-    form_ints, b = cleared(form._terms.values())
-    form_terms = list(zip(form._terms, form_ints))
+    form_terms = form._ints.items()
     terms: dict[Exponent, int] = {}
-    for alpha, c in zip(op._terms, op_ints):
+    for alpha, c in op._ints.items():
         for exps, v in _images(alpha, form_terms):
             terms[exps] = terms.get(exps, 0) + c * v
-    return Polynomial(form.nvars, {e: Fraction(v, a * b) for e, v in terms.items() if v})
+    return Polynomial._make(form.nvars, terms, op._den * form._den)
 
 
 @dataclass(frozen=True)
@@ -132,13 +129,12 @@ def _splits(beta: Exponent, i: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _entries(form: Polynomial, i: int) -> Iterator[tuple[int, int, int | Fraction]]:
-    """The nonzero entries of Cat_i as (column, row, v): d^alpha F, alpha the
-    column's monomial, has coefficient v at the row's monomial.  A term
-    c*x^beta gives one entry per alpha <= beta, so the work is the number of
-    entries; v is an int where c is."""
-    for beta, c in form.terms.items():
-        c = c.numerator if c.denominator == 1 else c
+def _entries(form: Polynomial, i: int) -> Iterator[tuple[int, int, int]]:
+    """The nonzero entries of D*Cat_i as (column, row, v), D the form's
+    denominator: d^alpha F, alpha the column's monomial, has coefficient v/D
+    at the row's monomial.  An integer term gives one entry per
+    alpha <= beta, so the work is the number of entries."""
+    for beta, c in form._ints.items():
         flat = _splits(beta, i)
         for t in range(0, len(flat), 3):
             yield flat[t], flat[t + 1], c * flat[t + 2]
@@ -146,9 +142,9 @@ def _entries(form: Polynomial, i: int) -> Iterator[tuple[int, int, int | Fractio
 
 def catalecticant(form: Polynomial, i: int) -> CatalecticantMatrix:
     """The i-th catalecticant of a nonzero form.  Column alpha holds d^alpha F,
-    filled term by term by _entries; entries are ints where F's coefficients
-    are.  Raises ValueError, before allocating, when the matrix would have
-    more than MAX_MONOMIAL_ENTRIES cells."""
+    filled term by term by _entries; entries are ints where the form's
+    denominator is 1.  Raises ValueError, before allocating, when the matrix
+    would have more than MAX_MONOMIAL_ENTRIES cells."""
     d = form.homogeneous_degree()
     if not 0 <= i <= d:
         raise ValueError(f"catalecticant index {i} outside 0..{d}")
@@ -160,7 +156,7 @@ def catalecticant(form: Polynomial, i: int) -> CatalecticantMatrix:
                          "entries is too large to build")
     entries = [[0] * len(cols) for _ in rows]
     for col, row, v in _entries(form, i):
-        entries[row][col] = v
+        entries[row][col] = v if form._den == 1 else Fraction(v, form._den)
     return CatalecticantMatrix(tuple(tuple(r) for r in entries),
                                rows, cols, i, d)
 
@@ -174,8 +170,9 @@ def essential_variables(form: Polynomial) -> int:
 def _catalecticant_span(form: Polynomial, i: int) -> RowSpan:
     """The row span of Cat_i, eliminated once: its dimension is rank Cat_i,
     and its kernel_rows are primitive integer multiples of the canonical
-    basis of ker Cat_i."""
-    cat = catalecticant(form, i)
+    basis of ker Cat_i.  It is read off the integer catalecticant of D*F,
+    D the form's denominator."""
+    cat = catalecticant(form if form._den == 1 else form.scale(form._den), i)
     span = RowSpan(len(cat.col_monomials))
     for row in cat.entries:
         span.insert(row)
@@ -186,8 +183,15 @@ def _hilbert_and_spans(form: Polynomial) -> tuple[HilbertFunction, list[RowSpan]
     """The Hilbert function with the spans of Cat_0..Cat_{d//2} it was read
     from.  Cat_{d-i} is the transpose of Cat_i up to nonzero factorial
     scalings of its rows and columns, so only the ranks for i <= d/2 are
-    computed."""
-    d = form.homogeneous_degree()
+    computed.  Raises ValueError, before listing a monomial, when they and
+    the d+1 values pass MAX_MONOMIAL_ENTRIES cells (each has at least one)."""
+    d, n, limit = form.homogeneous_degree(), form.nvars, MAX_MONOMIAL_ENTRIES
+    cells = d + 1 + d // 2 + 1
+    for i in range(d // 2 + 1):  # Cat_i: columns comb(n-1+i, i) <= rows comb(n-1+d-i, d-i)
+        if (_comb_exceeds(n - 1 + d - i, d - i, limit)
+                or (cells := cells + comb(n - 1 + i, i) * comb(n - 1 + d - i, d - i) - 1) > limit):
+            raise ValueError(f"the catalecticants of a degree-{d} form in {n} "
+                             "variables are too large to build")
     spans = [_catalecticant_span(form, i) for i in range(d // 2 + 1)]
     return HilbertFunction(tuple(spans[min(i, d - i)].dimension
                                  for i in range(d + 1))), spans
@@ -199,14 +203,13 @@ def apolar_hilbert(form: Polynomial) -> HilbertFunction:
 
 
 def _partials_mod_prime(form: Polynomial, j: int) -> list[dict[int, int]] | None:
-    """The nonzero j-th partials d^alpha F reduced modulo PRIME, keyed by the
-    index of their monomials, or None when PRIME divides a denominator of F."""
+    """The nonzero j-th partials D * d^alpha F reduced modulo PRIME, keyed by
+    the index of their monomials, D the form's denominator, a unit unless
+    PRIME divides it; then None."""
+    if form._den % PRIME == 0:
+        return None
     columns: dict[int, dict[int, int]] = {}
     for col, row, v in _entries(form, j):
-        if type(v) is not int:
-            if v.denominator % PRIME == 0:
-                return None
-            v = v.numerator * pow(v.denominator, -1, PRIME)
         v %= PRIME
         if v:
             columns.setdefault(col, {})[row] = v
@@ -275,7 +278,7 @@ def _top_degree_generators(form: Polynomial, hf: HilbertFunction) -> list[Polyno
     if hf.values[1] != 1:
         return []
     # a variable that occurs in F = c*L^d has a nonzero coefficient in L
-    j = next(k for k, e in enumerate(next(iter(form.terms))) if e)
+    j = next(k for k, e in enumerate(next(iter(form._ints))) if e)
     linear = form
     for _ in range(d - 1):
         linear = linear.differentiate(j)

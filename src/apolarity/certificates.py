@@ -434,7 +434,7 @@ def _compressed_product(rc: ReducibleCubic, change: LinearChange,
     is the row l^T * change, and only the quadric is substituted."""
     linear = mat_vec([list(col) for col in zip(*change.matrix)], list(rc.linear.coeffs))
     quadric = substitute(rc.quadric, change)
-    if any(linear[e:]) or any(any(exps[e:]) for exps in quadric.terms):
+    if any(linear[e:]) or any(any(exps[e:]) for exps in quadric._ints):
         raise RuntimeError("internal: compression left a trailing variable")
-    return ReducibleCubic(LinearForm(linear[:e]),
-                          Polynomial(e, {exps[:e]: c for exps, c in quadric.terms.items()}))
+    return ReducibleCubic(LinearForm(linear[:e]), Polynomial._make(
+        e, {exps[:e]: v for exps, v in quadric._ints.items()}, quadric._den))

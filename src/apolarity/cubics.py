@@ -29,7 +29,7 @@ from math import gcd, isqrt, lcm
 from . import linalg
 from .apolar import apolar_ideal
 from .poly import (AmbientMismatchError, LinearChange, LinearForm, Polynomial,
-                   _compose_packed, _pack, _packed_mul, _unpacked)
+                   _compose_packed)
 
 
 class NeedsFieldExtension(Exception):
@@ -85,13 +85,8 @@ class ReducibleCubic:
         return self.quadric.nvars
 
     def form(self) -> Polynomial:
-        """L*Q as one integer product of the cleared factors, monomials
-        packed with base 4 (no exponent of a cubic exceeds 3), divided once
-        by the product of the two denominators."""
-        lin, lin_den = linalg.cleared(self.linear.coeffs)
-        quad, quad_den = _pack(self.quadric, 4)
-        acc = _packed_mul({4 ** i: v for i, v in enumerate(lin) if v}, quad)
-        return _unpacked(acc, self.nvars, 4, lin_den * quad_den)
+        """L*Q, multiplied on integer terms by Polynomial.__mul__."""
+        return self.linear.to_polynomial() * self.quadric
 
     @classmethod
     def from_polynomials(cls, linear: Polynomial, quadric: Polynomial) -> ReducibleCubic:
@@ -100,23 +95,14 @@ class ReducibleCubic:
 
 def _quadric_ints(q: Polynomial) -> tuple[list[list[int]], int]:
     """(A, D): the symmetric matrix M of q (off-diagonal entries halved) as
-    the integer matrix A over D, the least common denominator of M."""
-    entries = []
-    for exps, c in q.terms.items():
-        support = [i for i, e in enumerate(exps) if e]
-        num, den = c.numerator, c.denominator
-        if len(support) == 1:
-            support *= 2
-        elif num % 2:
-            den *= 2
-        else:
-            num //= 2
-        entries.append((*support, num, den))
-    d = lcm(*(den for *_, den in entries))
+    the integer matrix A over D, the least common denominator of M: 2d when
+    an off-diagonal term of q = N/d is odd, else d, as gcd(d, N) = 1."""
+    f = 2 if any(v % 2 for exps, v in q._ints.items() if max(exps) == 1) else 1
     a = [[0] * q.nvars for _ in range(q.nvars)]
-    for i, j, num, den in entries:
-        a[i][j] = a[j][i] = num * (d // den)
-    return a, d
+    for exps, v in q._ints.items():
+        i, j = [k for k, e in enumerate(exps) for _ in range(e)]
+        a[i][j] = a[j][i] = f * v if i == j else f * v // 2
+    return a, f * q._den
 
 
 def quadric_matrix(q: Polynomial) -> list[list[Fraction]]:
@@ -201,10 +187,11 @@ class WaringDecomposition:
     @classmethod
     def _from_rows(cls, degree: int, nvars: int, rows) -> WaringDecomposition:
         """Normalized terms from triples (c, row, den), each the term
-        c * ((row/den) . x)^degree for an integer row: the monic form is
-        row/lead, lead its first nonzero entry, and the coefficient takes
-        the factor (lead/den)^degree."""
-        merged: dict[tuple[Fraction, ...], Fraction] = {}
+        c * ((row/den) . x)^degree for an integer row: terms merge on the
+        row's _direction P, the monic form is P/p, p its first nonzero
+        entry, and the coefficient takes the factor (lead/den)^degree, lead
+        the row's first nonzero entry."""
+        merged: dict[tuple[int, ...], Fraction] = {}
         for coef, row, den in rows:
             if coef == 0:
                 continue
@@ -213,11 +200,15 @@ class WaringDecomposition:
                 raise ValueError("decomposition term uses the zero form")
             if len(row) != nvars:
                 raise AmbientMismatchError("term ambient differs from the decomposition's")
-            key = tuple(Fraction(v, lead) for v in row)
+            key = _direction(row)
             merged[key] = merged.get(key, 0) + coef * Fraction(lead, den) ** degree
-        terms = tuple((merged[key], LinearForm(key))
-                      for key in sorted(merged, reverse=True) if merged[key])
-        return cls(degree, nvars, terms)
+        terms = []
+        for key, coef in merged.items():
+            if coef:
+                p = next(v for v in key if v)
+                terms.append((coef, LinearForm(Fraction(v, p) for v in key)))
+        terms.sort(key=lambda term: term[1].coeffs, reverse=True)
+        return cls(degree, nvars, tuple(terms))
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -242,7 +233,7 @@ class WaringDecomposition:
         """sum c_i * L_i^degree, each y_i^degree composed with the row L_i
         in the integer kernel of poly."""
         acc, scale, m = self._power_sum(self.degree + 1)
-        return _unpacked(acc, m, self.degree + 1, scale)
+        return Polynomial._from_packed(m, acc, self.degree + 1, scale, range(m))
 
     def compose(self, change: LinearChange) -> WaringDecomposition:
         """Decomposition of the substituted form: each L_i becomes L_i o change.
@@ -299,18 +290,16 @@ def verify_decomposition(form: Polynomial,
     """Expand the decomposition exactly and compare; returns (ok, residual)
     with residual = form - dec.expand().
 
-    The comparison runs in integers.  With F = N/a for an integer polynomial
-    N, and dec.expand() = E/b for the integer polynomial E that the kernel
-    of poly builds from the cleared coefficients and forms, it checks
-    b*N - a*E = 0 coefficient by coefficient, monomials packed with one base
-    above both degrees.  As a, b > 0, that holds exactly when
-    form == dec.expand(); the residual (b*N - a*E)/(a*b) becomes a
-    Polynomial, which is empty when the check passes.
+    The comparison runs in integers.  With F = N/a, the form's integer terms
+    over its denominator, and dec.expand() = E/b for the integer polynomial
+    E that the kernel of poly builds from the cleared coefficients and
+    forms, it checks b*N - a*E = 0 coefficient by coefficient, monomials
+    packed with one base above both degrees.  As a, b > 0, that holds
+    exactly when form == dec.expand(); the residual (b*N - a*E)/(a*b)
+    becomes a Polynomial, which is empty when the check passes.
 
-    ok also requires the forms to be pairwise independent, which assembled
-    decompositions guarantee by construction: two nonzero forms are
-    proportional exactly when their cleared integer rows have the same
-    primitive representative with a positive first nonzero entry.
+    ok also requires pairwise independent forms, forms with distinct
+    _direction, which assembled decompositions have by construction.
     """
     if form.nvars != dec.nvars:
         raise AmbientMismatchError("form and decomposition ambients differ")
@@ -319,20 +308,20 @@ def verify_decomposition(form: Polynomial,
     if m != form.nvars:
         raise AmbientMismatchError(
             f"ambients differ: {form.nvars} vs {m} variables")
-    target, form_den = _pack(form, base)
-    diff = {key: v * scale for key, v in target.items()}
+    diff = {key: v * scale for key, v in form._packed(base, range(m)).items()}
     for key, v in acc.items():
-        diff[key] = diff.get(key, 0) - v * form_den
-    residual = _unpacked(diff, m, base, scale * form_den)
-    keys = []
-    for _, f in dec.terms:
-        row, _ = linalg.cleared(f.coeffs)
-        lead = next((v for v in row if v), 0)
-        if lead:
-            g = gcd(*row) if lead > 0 else -gcd(*row)
-            keys.append(tuple(v // g for v in row))
+        diff[key] = diff.get(key, 0) - v * form._den
+    residual = Polynomial._from_packed(m, diff, base, scale * form._den, range(m))
+    keys = [_direction(linalg.cleared(f.coeffs)[0]) for _, f in dec.terms if not f.is_zero()]
     independent = len(set(keys)) == len(keys)
     return independent and residual.is_zero(), residual
+
+
+def _direction(row: list[int]) -> tuple[int, ...]:
+    """The primitive multiple of a nonzero integer row with a positive lead
+    (linalg._primitive): two such rows are proportional iff these agree."""
+    primitive = linalg._primitive({c: v for c, v in enumerate(row) if v})
+    return tuple(primitive.get(c, 0) for c in range(len(row)))
 
 
 def normal_form(n: int) -> Polynomial:
@@ -437,15 +426,16 @@ def decompose_type_c_normal(n: int) -> WaringDecomposition:
 # -- normalization of a general tangent product ------------------------------
 
 @lru_cache(maxsize=None)
-def _pinch_matrix(n: int) -> list[list[Fraction]]:
-    return quadric_matrix(normal_form_pair(n).quadric)
+def _pinch_ints(n: int) -> tuple[list[list[int]], int]:
+    return _quadric_ints(normal_form_pair(n).quadric)
 
 
 @lru_cache(maxsize=None)
 def _pinch_inverse(n: int) -> list[tuple[int, int]]:
-    """P^-1 by rows (j, w), the row w*e_j: P is symmetric with one nonzero
-    entry v per row, so P^-1 has 1/v, which is 1 or 2, where P has v."""
-    return [next((j, int(1 / v)) for j, v in enumerate(row) if v) for row in _pinch_matrix(n)]
+    """P^-1 by rows (j, w), the row w*e_j: P = A/D is symmetric with one
+    nonzero entry v/D per row, so P^-1 has D/v, which is 1 or 2, there."""
+    pinch, d = _pinch_ints(n)
+    return [next((j, d // v) for j, v in enumerate(row) if v) for row in pinch]
 
 
 def _pinch_scale(rc: ReducibleCubic, m, cols) -> Fraction | None:
@@ -464,8 +454,8 @@ def _pinch_scale(rc: ReducibleCubic, m, cols) -> Fraction | None:
         return None
     a /= d_c
     den = a.denominator * d_m * d_c * d_c
-    pinch = _pinch_matrix(len(c_int) - 1)
-    return a if all(a.numerator * v * p.denominator == p.numerator * den
+    pinch, d_p = _pinch_ints(len(c_int) - 1)
+    return a if all(a.numerator * v * d_p == p * den
                     for row, prow in zip(linalg.gram(m_int, c_int), pinch)
                     for v, p in zip(row, prow)) else None
 
@@ -622,16 +612,7 @@ class BinaryDecomposition:
     lower_squarefree: bool
 
 
-def _binary_coeffs(g: Polynomial) -> list[Fraction]:
-    """Coefficient list indexed by the exponent of the first variable."""
-    d = g.homogeneous_degree()
-    out = [Fraction(0)] * (d + 1)
-    for (e0, _), c in g.terms.items():
-        out[e0] = c
-    return out
-
-
-def _squarefree(p: list[Fraction]) -> bool:
+def _squarefree(p: list[Fraction | int]) -> bool:
     """Whether p (coefficients from the constant up, leading one nonzero) is
     squarefree.  gcd(p, p') is constant exactly when the resultant of p and
     p' is nonzero, i.e. when their (2m-1)-square Sylvester matrix has full
@@ -652,8 +633,8 @@ def _split(g: Polynomial) -> tuple[bool, list[LinearForm] | None]:
     d0 and d1 removed) come from _rational_roots, which is called only once
     the core is known to be squarefree: that is what ends its prime
     search."""
-    coeffs = _binary_coeffs(g)
-    d = len(coeffs) - 1
+    d = g.homogeneous_degree()
+    coeffs = [g._ints.get((e, d - e), 0) for e in range(d + 1)]  # g times its denominator
     lo = next(i for i, c in enumerate(coeffs) if c)
     hi = max(i for i, c in enumerate(coeffs) if c)
     core = coeffs[lo:hi + 1]
@@ -673,12 +654,13 @@ def _split(g: Polynomial) -> tuple[bool, list[LinearForm] | None]:
     return True, forms
 
 
-def _rational_roots(p: list[Fraction]) -> list[Fraction]:
-    """Rational roots, ascending, of a squarefree p (coefficients from the
-    constant up) with p(0) != 0, by the linear-factor step of Zassenhaus
-    factorization (von zur Gathen-Gerhard, Modern Computer Algebra, ch. 15).
+def _rational_roots(p: list[int]) -> list[Fraction]:
+    """Rational roots, ascending, of a squarefree integer polynomial p
+    (coefficients from the constant up) with p(0) != 0, by the linear-factor
+    step of Zassenhaus factorization (von zur Gathen-Gerhard, Modern
+    Computer Algebra, ch. 15).
 
-    Let c_0..c_m be the primitive integer multiple of p and a = c_m.  A
+    Let c_0..c_m be the primitive multiple of p and a = c_m.  A
     root u/v in lowest terms has u | c_0 and v | a, so y = a*u/v is an
     integer with |y| <= |c_0*a|, and a root of the monic integer polynomial
     q(y) = a^(m-1) * c(y/a), whose coefficients are c_i * a^(m-1-i).  Take
@@ -690,9 +672,8 @@ def _rational_roots(p: list[Fraction]) -> list[Fraction]:
     only integer of size at most |c_0*a| left; it is kept when q vanishes
     there exactly.  An integer root of q reduces to a simple root mod p,
     so none is missed."""
-    ints, _ = linalg.cleared(p)
-    content = gcd(*ints)
-    c = [v // content for v in ints]
+    content = gcd(*p)
+    c = [v // content for v in p]
     m, a = len(c) - 1, c[-1]
     q = [v * a ** (m - 1 - i) for i, v in enumerate(c[:-1])] + [1]
     dq = [i * v for i, v in enumerate(q) if i]

@@ -36,14 +36,6 @@ def monomial_index(nvars: int, degree: int) -> tuple[tuple[Exponent, ...], dict[
     return monos, {m: i for i, m in enumerate(monos)}
 
 
-def poly_to_row(p: Polynomial, index: dict[Exponent, int]) -> dict[int, Fraction]:
-    return {index[e]: c for e, c in p.terms.items()}
-
-
-def row_to_poly(row: dict[int, Fraction], monos: tuple[Exponent, ...], nvars: int) -> Polynomial:
-    return Polynomial(nvars, {monos[c]: v for c, v in row.items()})
-
-
 class HomogeneousIdeal:
     """Immutable homogeneous ideal given by generators and a truncation bound.
 
@@ -126,7 +118,8 @@ def _graded_spans(ideal: HomogeneousIdeal, top: int) -> list[RowSpan]:
             prev, rows = RowSpan(0), ({c: 1} for c in range(len(monos)))
         else:
             prev = spans[-1] if spans else RowSpan(0)
-            rows = (poly_to_row(g, index) for g in ideal.generators_of_degree(i))
+            rows = ({index[e]: v for e, v in g._ints.items()}  # a multiple of g
+                    for g in ideal.generators_of_degree(i))
         spans.append(_component(prev, ideal.nvars, i, rows, len(monos))[0])
     return spans
 
@@ -137,7 +130,8 @@ def graded_basis(ideal: HomogeneousIdeal, degree: int) -> list[Polynomial]:
         raise ValueError("degree must be >= 0")
     span = _graded_spans(ideal, degree)[degree]
     monos, _ = monomial_index(ideal.nvars, degree)
-    return [row_to_poly(row, monos, ideal.nvars) for row in span.canonical_rows()]
+    return [Polynomial(ideal.nvars, {monos[c]: v for c, v in row.items()})
+            for row in span.canonical_rows()]
 
 
 @dataclass(frozen=True)
@@ -191,10 +185,9 @@ def _generators_from_components(components: list[list[dict[int, Fraction | int]]
     for i, rows in enumerate(components):
         monos, _ = monomial_index(nvars, i)
         span, residuals = _component(span, nvars, i, rows, len(rows))
-        for r in residuals:
-            lead = r[min(r)]
-            gens.append(row_to_poly({c: Fraction(v, lead) for c, v in r.items()},
-                                    monos, nvars))
+        # a residual is primitive with a positive lead: over it, monic
+        gens.extend(Polynomial._make(nvars, {monos[c]: v for c, v in r.items()}, r[min(r)])
+                    for r in residuals)
     return gens
 
 
@@ -217,16 +210,16 @@ def _colon_spans(ideal: HomogeneousIdeal, divisor: Polynomial,
             preimage = ({c: 1} for c in range(dim_i))
         else:
             basis = ideal_spans[i + e].canonical_rows()
-            # kernel of [ mult-by-divisor | -ideal-basis ] gives the preimage
+            # kernel of [ mult-by-divisor | -ideal-basis ] gives the preimage;
+            # the divisor's integer terms scale the first block and not its span
             width = dim_i + len(basis)
             if dim_t * width > MAX_MONOMIAL_ENTRIES:
                 raise ValueError(f"the degree-{i} colon system of {dim_t} x "
                                  f"{width} entries is too large to build")
-            rows = [[Fraction(0)] * width for _ in range(dim_t)]
+            rows = [[0] * width for _ in range(dim_t)]
             for c, mono in enumerate(monos_i):
-                prod = divisor * Polynomial.monomial(n, mono)
-                for exps, coef in prod.terms.items():
-                    rows[index_t[exps]][c] = coef
+                for exps, v in divisor._ints.items():
+                    rows[index_t[tuple(a + b for a, b in zip(exps, mono))]][c] = v
             for k, brow in enumerate(basis):
                 for col, val in brow.items():
                     rows[col][dim_i + k] = -val
@@ -297,4 +290,4 @@ def ideal_contains(ideal: HomogeneousIdeal, member: Polynomial) -> bool:
     d = member.homogeneous_degree()
     span = _graded_spans(ideal, d)[d]
     _, index = monomial_index(ideal.nvars, d)
-    return span.contains(poly_to_row(member, index))
+    return span.contains({index[e]: v for e, v in member._ints.items()})

@@ -1,17 +1,19 @@
 """Sparse multivariate polynomials with exact rational coefficients.
 
-A polynomial is stored as a dict mapping dense exponent tuples to nonzero
-Fraction coefficients; the zero polynomial has an empty dict.  All variables
-are indexed: a polynomial in ``nvars`` variables uses exponent tuples of that
-length.  Text form uses ``x0, x1, ...`` (or ``d0, d1, ...`` for operators in
-the dual ring); the canonical term order is graded lexicographic, highest
-degree first.
+A polynomial is an integer polynomial over one denominator, as in FLINT's
+fmpq_mpoly: _ints maps dense exponent tuples to nonzero ints, and _den > 0
+has gcd(_den, _ints) = 1, so the representation is unique and == and hash
+compare it.  The zero polynomial is {} over 1.  A polynomial in ``nvars``
+variables uses exponent tuples of that length.  Text form uses ``x0, x1,
+...`` (or ``d0, d1, ...`` for operators in the dual ring); the canonical
+term order is graded lexicographic, highest degree first.
 
-Every linear substitution runs in one integer kernel, _compose_packed, on
-packed exponent keys: substitute through _compose_rows, and
-WaringDecomposition.expand and cubics.verify_decomposition, which expand a
-power sum and compare it with a form without building a Fraction until a
-residual is nonzero.
+Arithmetic builds no Fraction: +, -, scale and differentiate run term by
+term on the ints, * on packed keys (_packed) of the variables that occur,
+** through *.  Only terms, items(), coefficient() and printing build
+Fractions; other modules read _ints and _den.  Every linear substitution
+runs in one integer kernel, _compose_packed: substitute,
+WaringDecomposition.expand and cubics.verify_decomposition.
 
 parse refuses, with PolynomialSyntaxError, text that could build more than
 MAX_MONOMIAL_ENTRIES exponent entries: too many literals for the ambient,
@@ -25,8 +27,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
-from math import comb
+from itertools import compress
+from math import comb, gcd, lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import linalg
@@ -68,10 +70,10 @@ def grlex_key(exps: Exponent) -> tuple:
 def monomials(nvars: int, degree: int) -> list[Exponent]:
     """All exponent tuples of the given total degree, descending lex.
 
-    Stars and bars: a sorted choice of `degree` variables, with repetition,
-    is one monomial, and choices in ascending lex order give the exponent
-    tuples in descending lex order.  Raises ValueError past
-    MAX_MONOMIAL_ENTRIES exponent entries instead of exhausting memory.
+    Each tuple follows from the one before: the rightmost nonzero entry
+    before the last gives up one, and the entry after it takes that one and
+    the last entry.  Nothing of length `degree` is built.  Raises ValueError
+    past MAX_MONOMIAL_ENTRIES exponent entries instead of exhausting memory.
     """
     if degree < 0:
         return []
@@ -79,35 +81,69 @@ def monomials(nvars: int, degree: int) -> list[Exponent]:
     if count * nvars > MAX_MONOMIAL_ENTRIES:
         raise ValueError(f"{count} monomials of degree {degree} in {nvars} "
                          "variables are too many to list")
-    out: list[Exponent] = []
-    for choice in combinations_with_replacement(range(nvars), degree):
-        exps = [0] * nvars
-        for i in choice:
-            exps[i] += 1
+    if not nvars:
+        return [()] * count
+    exps = [degree] + [0] * (nvars - 1)
+    out, k = [tuple(exps)], 0  # no entry between k and the last is nonzero
+    for _ in range(count - 1):
+        while not exps[k]:
+            k -= 1
+        exps[k] -= 1
+        if k < nvars - 2:
+            k += 1
+            exps[k], exps[-1] = exps[-1] + 1, 0
+        else:
+            exps[-1] += 1
         out.append(tuple(exps))
     return out
 
 
 class Polynomial:
-    """Immutable sparse polynomial over the rationals."""
+    """Immutable sparse polynomial over the rationals (module docstring)."""
 
-    __slots__ = ("nvars", "_terms")
+    __slots__ = ("nvars", "_ints", "_den")
 
     def __init__(self, nvars: int, terms: Mapping[Exponent, Scalar] | None = None):
         if nvars < 1:
             raise ValueError(f"need at least one variable, got {nvars}")
-        clean: dict[Exponent, Fraction] = {}
+        clean: dict[Exponent, Fraction | int] = {}
         for exps, coef in (terms or {}).items():
             if len(exps) != nvars:
                 raise AmbientMismatchError(
                     f"exponent tuple {exps} does not match {nvars} variables")
             if any(e < 0 for e in exps):
                 raise ValueError(f"negative exponent in {exps}")
-            c = Fraction(coef)
+            c = coef if isinstance(coef, (int, Fraction)) else Fraction(coef)
             if c:
                 clean[tuple(exps)] = c
-        self.nvars = nvars
-        self._terms = clean
+        # with den the lcm of the reduced denominators, gcd(den, ints) is 1
+        self.nvars, self._den = nvars, lcm(*(c.denominator for c in clean.values()))
+        self._ints = {e: c.numerator * (self._den // c.denominator) for e, c in clean.items()}
+
+    @classmethod
+    def _make(cls, nvars: int, ints: Mapping[Exponent, int], den: int = 1) -> Polynomial:
+        """The polynomial sum v/den * x^e over the entries (e, v) of ints,
+        den > 0, with zeros dropped and gcd(den, ints) divided out."""
+        ints = {e: v for e, v in ints.items() if v}
+        g = gcd(den, *ints.values())
+        if g != 1:
+            ints = {e: v // g for e, v in ints.items()}
+        out = object.__new__(cls)
+        out.nvars, out._ints, out._den = nvars, ints, den // g
+        return out
+
+    @classmethod
+    def _from_packed(cls, nvars: int, acc: Mapping[int, int], base: int, den: int,
+                     support: Sequence[int]) -> Polynomial:
+        """The polynomial sum v/den * x^key over acc, keyed as by _packed."""
+        ints = {}
+        for key, v in acc.items():
+            if v:
+                exps = [0] * nvars
+                for j in support:
+                    key, exps[j] = divmod(key, base)
+                ints[tuple(exps)] = v
+        return cls._make(nvars, ints, den)
 
     # -- constructors ------------------------------------------------------
 
@@ -123,8 +159,7 @@ class Polynomial:
     def variable(cls, nvars: int, index: int) -> Polynomial:
         if not 0 <= index < nvars:
             raise ValueError(f"variable index {index} out of range for {nvars} variables")
-        exps = tuple(1 if j == index else 0 for j in range(nvars))
-        return cls(nvars, {exps: 1})
+        return cls._make(nvars, {(0,) * index + (1,) + (0,) * (nvars - index - 1): 1})
 
     @classmethod
     def monomial(cls, nvars: int, exps: Exponent, coef: Scalar = 1) -> Polynomial:
@@ -134,36 +169,42 @@ class Polynomial:
 
     @property
     def terms(self) -> dict[Exponent, Fraction]:
-        """Copy of the term dict (exponent tuple -> coefficient)."""
-        return dict(self._terms)
+        """The term dict (exponent tuple -> coefficient), built afresh."""
+        return {e: Fraction(v, self._den) for e, v in self._ints.items()}
 
     def items(self) -> Iterator[tuple[Exponent, Fraction]]:
         """Terms in canonical (descending graded-lex) order."""
-        for exps in sorted(self._terms, key=grlex_key):
-            yield exps, self._terms[exps]
+        for exps in sorted(self._ints, key=grlex_key):
+            yield exps, Fraction(self._ints[exps], self._den)
 
     def coefficient(self, exps: Exponent) -> Fraction:
-        return self._terms.get(tuple(exps), Fraction(0))
+        return Fraction(self._ints.get(tuple(exps), 0), self._den)
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._ints
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        if not self._terms:
-            return -1
-        return max(sum(e) for e in self._terms)
+        return max((sum(e) for e in self._ints), default=-1)
 
     def is_homogeneous(self) -> bool:
-        degrees = {sum(e) for e in self._terms}
+        degrees = {sum(e) for e in self._ints}
         return len(degrees) <= 1
 
     def homogeneous_degree(self) -> int:
         """Degree of a nonzero form; raises if not homogeneous or zero."""
-        degrees = {sum(e) for e in self._terms}
+        degrees = {sum(e) for e in self._ints}
         if len(degrees) != 1:
             raise ValueError("polynomial is zero or not homogeneous")
         return degrees.pop()
+
+    def _packed(self, base: int, support: Sequence[int]) -> dict[int, int]:
+        """The integer terms keyed by packed exponents sum_k e_{support[k]} *
+        base**k; support must hold every variable that occurs and base must
+        exceed every exponent.  They are self over self._den."""
+        powers = [base ** k for k in range(len(support))]
+        return {sum(exps[j] * b for j, b in zip(support, powers)): v
+                for exps, v in self._ints.items()}
 
     # -- arithmetic --------------------------------------------------------
 
@@ -174,39 +215,44 @@ class Polynomial:
 
     def __add__(self, other: Polynomial) -> Polynomial:
         self._check_ambient(other)
-        terms = dict(self._terms)
-        for exps, c in other._terms.items():
-            terms[exps] = terms.get(exps, Fraction(0)) + c
-        return Polynomial(self.nvars, terms)
+        den = lcm(self._den, other._den)
+        a, b = den // self._den, den // other._den
+        ints = {e: v * a for e, v in self._ints.items()}
+        for e, v in other._ints.items():
+            ints[e] = ints.get(e, 0) + v * b
+        return Polynomial._make(self.nvars, ints, den)
 
     def __sub__(self, other: Polynomial) -> Polynomial:
         return self + (-other)
 
     def __neg__(self) -> Polynomial:
-        return Polynomial(self.nvars, {e: -c for e, c in self._terms.items()})
+        return self.scale(-1)
 
     def __mul__(self, other: Polynomial | Scalar) -> Polynomial:
-        if isinstance(other, (int, Fraction)):
+        """A scalar multiple, or the product of the integer terms, packing
+        only the variables that occur in either factor."""
+        if not isinstance(other, Polynomial):
             return self.scale(other)
         self._check_ambient(other)
-        terms: dict[Exponent, Fraction] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                terms[e] = terms.get(e, Fraction(0)) + c1 * c2
-        return Polynomial(self.nvars, terms)
+        base = self.degree() + other.degree() + 1
+        support = sorted({j for p in (self, other) for exps in p._ints
+                          for j in compress(range(self.nvars), exps)})
+        acc = _packed_mul(self._packed(base, support), other._packed(base, support))
+        return Polynomial._from_packed(self.nvars, acc, base, self._den * other._den,
+                                       support)
 
     def __rmul__(self, other: Scalar) -> Polynomial:
         return self.scale(other)
 
     def scale(self, c: Scalar) -> Polynomial:
-        c = Fraction(c)
-        return Polynomial(self.nvars, {e: c * v for e, v in self._terms.items()})
+        """c * self for an int or Fraction c."""
+        return Polynomial._make(self.nvars, {e: v * c.numerator for e, v in self._ints.items()},
+                                self._den * c.denominator)
 
     def __pow__(self, k: int) -> Polynomial:
         if k < 0:
             raise ValueError("negative power")
-        result = Polynomial.constant(self.nvars, 1)
+        result = Polynomial._make(self.nvars, {(0,) * self.nvars: 1})
         base = self
         while k:
             if k & 1:
@@ -219,25 +265,25 @@ class Polynomial:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.nvars == other.nvars and self._terms == other._terms
+        return (self.nvars == other.nvars and self._den == other._den
+                and self._ints == other._ints)
 
     def __hash__(self) -> int:
-        return hash((self.nvars, frozenset(self._terms.items())))
+        return hash((self.nvars, self._den, frozenset(self._ints.items())))
 
     def differentiate(self, index: int) -> Polynomial:
         """Partial derivative with respect to variable ``index``."""
-        terms: dict[Exponent, Fraction] = {}
-        for exps, c in self._terms.items():
+        ints = {}
+        for exps, v in self._ints.items():
             e = exps[index]
             if e:
-                lowered = exps[:index] + (e - 1,) + exps[index + 1:]
-                terms[lowered] = terms.get(lowered, Fraction(0)) + c * e
-        return Polynomial(self.nvars, terms)
+                ints[exps[:index] + (e - 1,) + exps[index + 1:]] = v * e
+        return Polynomial._make(self.nvars, ints, self._den)
 
     # -- printing ----------------------------------------------------------
 
     def to_string(self, prefix: str = "x") -> str:
-        if not self._terms:
+        if not self._ints:
             return "0"
         pieces: list[str] = []
         for exps, coef in self.items():
@@ -285,12 +331,9 @@ class LinearForm:
         return not any(self.coeffs)
 
     def to_polynomial(self) -> Polynomial:
-        n = self.nvars
-        terms = {}
-        for i, c in enumerate(self.coeffs):
-            if c:
-                terms[tuple(1 if j == i else 0 for j in range(n))] = c
-        return Polynomial(n, terms)
+        ints, den = linalg.cleared(self.coeffs)
+        return Polynomial._make(self.nvars, {tuple(int(j == i) for j in range(self.nvars)): v
+                                             for i, v in enumerate(ints) if v}, den)
 
     @classmethod
     def from_polynomial(cls, p: Polynomial) -> LinearForm:
@@ -387,8 +430,8 @@ def _compose_rows(p: Polynomial, rows: Sequence[Sequence[Scalar]]) -> Polynomial
     """p with each variable i replaced by the linear form sum_j rows[i][j] * x_j.
 
     rows is any p.nvars x m matrix, square or not, invertible or not; the
-    result lives in m variables.  The matrix and the coefficients of p are
-    cleared of denominators once and _compose_packed does the work.
+    result lives in m variables.  The matrix is cleared of denominators
+    once, and _compose_packed does the work on the integer terms of p.
     """
     if len(rows) != p.nvars:
         raise AmbientMismatchError(
@@ -400,9 +443,8 @@ def _compose_rows(p: Polynomial, rows: Sequence[Sequence[Scalar]]) -> Polynomial
     if top < 0:
         return Polynomial.zero(m)
     int_rows, den = linalg.cleared_rows(rows)
-    coefs, coef_den = linalg.cleared(p._terms.values())
-    acc = _compose_packed(zip(p._terms, coefs), int_rows, den, top, top + 1)
-    return _unpacked(acc, m, top + 1, coef_den * den ** top)
+    acc = _compose_packed(p._ints.items(), int_rows, den, top, top + 1)
+    return Polynomial._from_packed(m, acc, top + 1, p._den * den ** top, range(m))
 
 
 def _compose_packed(terms: Iterable[tuple[Exponent, int]],
@@ -431,26 +473,6 @@ def _compose_packed(terms: Iterable[tuple[Exponent, int]],
         _packed_mul({0: v * den ** (top - sum(exps))},
                     {0: 1} if prod is None else prod, acc)
     return acc
-
-
-def _pack(p: Polynomial, base: int) -> tuple[dict[int, int], int]:
-    """p as {packed exponent key: integer} over one common denominator."""
-    coefs, den = linalg.cleared(p._terms.values())
-    keys = (sum(e * base ** j for j, e in enumerate(exps)) for exps in p._terms)
-    return dict(zip(keys, coefs)), den
-
-
-def _unpacked(acc: Mapping[int, int], m: int, base: int, scale: int) -> Polynomial:
-    """The polynomial sum v/scale * x^key over the nonzero packed entries."""
-    terms = {}
-    for key, v in acc.items():
-        if v:
-            exps = []
-            for _ in range(m):
-                key, e = divmod(key, base)
-                exps.append(e)
-            terms[tuple(exps)] = Fraction(v, scale)
-    return Polynomial(m, terms)
 
 
 def _packed_mul(a: dict[int, int], b: dict[int, int],
@@ -542,7 +564,7 @@ class _Parser:
         while self.peek() == "*":
             _, _, at = self.take()
             rhs = self.factor()
-            if len(result.terms) * len(rhs.terms) > self.budget:
+            if len(result._ints) * len(rhs._ints) > self.budget:
                 self.check_size(result.degree() + rhs.degree(), at)
             result = result * rhs
         return result
@@ -572,7 +594,7 @@ class _Parser:
                 raise PolynomialSyntaxError("exponent must be an integer literal", self.pos())
             _, k, at = self.take()
             # p^k has at most comb(t+k-1, k) terms, t those of p
-            if _comb_exceeds(len(p.terms) + k - 1, k, self.budget):
+            if _comb_exceeds(len(p._ints) + k - 1, k, self.budget):
                 self.check_size(k * p.degree(), at)
             p = p ** k
         return p
@@ -581,6 +603,7 @@ class _Parser:
         kind = self.peek()
         if kind == "int":
             _, num, _ = self.take()
+            den = 1
             if self.peek() == "/":
                 self.take()
                 if self.peek() != "int":
@@ -588,8 +611,7 @@ class _Parser:
                 _, den, at = self.take()
                 if den == 0:
                     raise PolynomialSyntaxError("zero denominator", at)
-                return Polynomial.constant(self.nvars, Fraction(num, den))
-            return Polynomial.constant(self.nvars, num)
+            return Polynomial._make(self.nvars, {(0,) * self.nvars: num}, den)
         if kind == "var":
             _, (prefix, idx), at = self.take()
             self.prefixes.add(prefix)

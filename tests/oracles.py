@@ -18,7 +18,10 @@ once applied operators, multiplied the factors of a reducible cubic and
 formed Gram matrices; classify_by_fractions and diagonalize_by_fractions
 keep the Fraction classification of a reducible cubic (a Gauss-Jordan RREF
 of [M | l] and a substitution test for L dividing Q) and the Fraction
-congruence diagonalization.
+congruence diagonalization.  add_by_fractions, mul_by_fractions and
+scale_by_fractions keep the Fraction loops of Polynomial's arithmetic
+before it ran on integer terms over one denominator (diff_once is its old
+differentiate), and substitute_by_fractions composes with them alone.
 certificate_by_ideals is the one exception to the rule above: it keeps the
 route the avoidance and colon certificates once took through the package's
 own ideal calculus (apolar ideal, colon, sum, graded spans), so it checks
@@ -55,6 +58,43 @@ def apply_operator(op_terms: dict, form_terms: dict) -> dict:
         for exps, coef in part.items():
             acc[exps] = acc.get(exps, Fraction(0)) + op_coef * coef
     return {e: c for e, c in acc.items() if c}
+
+
+def add_by_fractions(a: dict, b: dict) -> dict:
+    """The term dict of a + b, coefficient by coefficient in Fractions."""
+    terms = {e: Fraction(c) for e, c in a.items()}
+    for exps, c in b.items():
+        terms[exps] = terms.get(exps, Fraction(0)) + c
+    return {e: c for e, c in terms.items() if c}
+
+
+def mul_by_fractions(a: dict, b: dict) -> dict:
+    """The term dict of a * b, every product of two terms in Fractions."""
+    terms: dict = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            terms[e] = terms.get(e, Fraction(0)) + Fraction(c1) * c2
+    return {e: c for e, c in terms.items() if c}
+
+
+def scale_by_fractions(a: dict, c) -> dict:
+    """The term dict of c * a."""
+    c = Fraction(c)
+    return {e: c * v for e, v in a.items() if c * v}
+
+
+def substitute_by_fractions(terms: dict, rows, nvars: int) -> dict:
+    """The term dict of the polynomial with each variable i replaced by
+    sum_j rows[i][j] * x_j, x in nvars variables: each term a product of
+    powers of linear forms, multiplied out by mul_by_fractions."""
+    acc: dict = {}
+    for exps, c in terms.items():
+        part = {(0,) * nvars: Fraction(c)}
+        for row, e in zip(rows, exps):
+            part = mul_by_fractions(part, expand_power(row, e))
+        acc = add_by_fractions(acc, part)
+    return acc
 
 
 def expand_power(coeffs, degree: int) -> dict:

@@ -280,6 +280,22 @@ def test_apolar_of_a_high_power_is_quick(capsys):
     assert out.splitlines()[1] == "  [2001] d0^2001"
 
 
+@pytest.mark.parametrize("argv", [("apolar", "x0^1000000000"),
+                                  ("apolar", "--vars", "6", "x0^30 + x1^30"),
+                                  ("apolar", "x99999^3")],
+                         ids=lambda argv: " ".join(argv))
+def test_apolar_past_the_catalecticant_budget_is_a_quick_input_error(capsys, argv):
+    """The cells of the catalecticants are counted before any monomial is
+    listed: x0^(10^9) needs 5*10^8 + 1 catalecticants of one cell, the form
+    of degree 30 in 6 variables passes the budget at Cat_3, and a cubic in
+    10^5 variables at Cat_0, one row per cubic monomial.  Parsing x99999^3 packs only the
+    one variable that occurs, not 10^5 powers of the packing base."""
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == "" and "too large to build" in err
+
+
 PLANE = "x0^2*x2 + x0*x1^2"
 
 

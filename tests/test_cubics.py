@@ -509,22 +509,29 @@ def test_integer_power_sums_match_the_fraction_reference():
 
 def test_verifying_a_witness_builds_only_its_residual(monkeypatch):
     """The check runs in integers: verifying a correct 2n+1-cube witness of
-    a densely changed pinch form builds one Polynomial, the empty residual."""
+    a densely changed pinch form builds one Polynomial, the empty residual,
+    through the public constructor or the private one from integers."""
     rng = random.Random(3)
     built = []
-    init = Polynomial.__init__
+    init, make = Polynomial.__init__, Polynomial._make
 
     def counting(self, *args, **kwargs):
         built.append(1)
         init(self, *args, **kwargs)
+
+    def counting_make(cls, *args, **kwargs):
+        built.append(1)
+        return make(*args, **kwargs)
 
     for n in range(2, 7):
         change = _rational_change(rng, n + 1)
         form = substitute(normal_form(n), change)
         witness = decompose_type_c_normal(n).compose(change)
         monkeypatch.setattr(Polynomial, "__init__", counting)
+        monkeypatch.setattr(Polynomial, "_make", classmethod(counting_make))
         ok, residual = verify_decomposition(form, witness)
         monkeypatch.setattr(Polynomial, "__init__", init)
+        monkeypatch.setattr(Polynomial, "_make", classmethod(make.__func__))
         assert ok and residual.is_zero() and len(witness) == 2 * n + 1
         assert len(built) == 1, f"n = {n}: {len(built)} polynomials built"
         built.clear()
@@ -832,9 +839,9 @@ def test_split_matches_the_euclid_and_deflation_oracles():
     assert {(sf, split) for _, sf, split in seen} == {
         (True, True), (True, False), (False, False)}
     # trial division cannot reach roots of 20 digits and more: their
-    # construction is the oracle
+    # construction is the oracle; _rational_roots takes integer coefficients
     for coeffs, roots, split in _huge_root_generators(random.Random(4244), 40):
-        assert _rational_roots(coeffs) == roots, coeffs
+        assert _rational_roots(linalg.cleared(coeffs)[0]) == roots, coeffs
         squarefree, forms = _split(_binary_operator(coeffs))
         assert squarefree
         assert forms == ([LinearForm([r, 1]) for r in roots] if split else None)

@@ -1,14 +1,19 @@
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from apolarity import poly
-from apolarity.cubics import WaringDecomposition
+from apolarity.apolar import apolar_apply
+from apolarity.cubics import ReducibleCubic, WaringDecomposition
 from apolarity.poly import (MAX_NESTING, AmbientMismatchError, LinearChange,
                             LinearForm, Polynomial, PolynomialSyntaxError,
                             _compose_rows, monomials, parse, substitute)
-from oracles import dim_forms, evaluate, expand_power, monomials_recursive
+from oracles import (add_by_fractions, apply_by_fractions, diff_once, dim_forms,
+                     evaluate, expand_power, monomials_recursive, mul_by_fractions,
+                     product_by_fractions, scale_by_fractions, substitute_by_fractions)
 
 
 def test_parse_round_trip():
@@ -124,6 +129,8 @@ def test_monomials_match_recursive_order():
 def test_monomials_refuse_huge_degrees():
     # 1501 variables: degree 1 is listed, degree 2 would be ~1.7e9 entries
     assert len(monomials(1501, 1)) == 1501
+    # one variable: one exponent, however large, and no tuple of that length
+    assert monomials(1, 10 ** 9) == [(10 ** 9,)]
     with pytest.raises(ValueError):
         monomials(1501, 2)
 
@@ -159,6 +166,30 @@ def test_power_squares_no_further_than_it_needs(monkeypatch):
                         lambda a, b: degrees.append(a.degree() + b.degree()) or mul(a, b))
     assert base ** 4 == expected
     assert degrees == [2, 4, 4]
+
+
+def test_products_pack_only_the_variables_that_occur(monkeypatch):
+    """Products whose factors use different variables of a wider ambient
+    match the Fraction loop.  x0*x4999999 sits at the entry budget: two
+    tuples of 5*10^6 entries.  Its product packs the two variables that
+    occur, where packing all of them would need 5*10^6 powers of the base
+    (the spy refuses a wider packing before it is built)."""
+    for a, b in [("x1 + 2/3*x3", "x3 - x1"), ("x4^2", "3*x2 - 1/5"),
+                 ("x1*x4 + 7/2", "x0^3 - 2*x5"), ("0", "x2"), ("2/9", "x3^2 + x1")]:
+        a, b = parse(a, nvars=6), parse(b, nvars=6)
+        assert (a * b).terms == mul_by_fractions(a.terms, b.terms)
+    packed = Polynomial._packed
+
+    def spy(p, base, support=None):
+        assert support is not None and len(support) <= 2
+        return packed(p, base, support)
+
+    monkeypatch.setattr(Polynomial, "_packed", spy)
+    n = 5 * 10 ** 6
+    start = time.perf_counter()
+    p = parse(f"x0*x{n - 1}")
+    assert time.perf_counter() - start < 5
+    assert p.terms == {(1,) + (0,) * (n - 2) + (1,): 1}
 
 
 def test_string_term_order():
@@ -322,3 +353,127 @@ def test_linear_change_validation():
 def test_polynomial_hash_and_dict_use():
     seen = {parse("x0 + x1"): "a"}
     assert seen[parse("x1 + x0")] == "a"
+
+
+# -- the integer core ----------------------------------------------------------
+
+_BIG = (10 ** 30 + 3, 10 ** 30 + 7)
+
+
+def _core_coefficient(rng):
+    """A rational over 1, a small denominator or a 31-digit one."""
+    num = rng.choice([-1, 1]) * rng.randint(1, 9) * rng.choice([1, 1, _BIG[0]])
+    return Fraction(num, rng.choice([1, 2, 3, 6, *_BIG]))
+
+
+def _core_polynomial(rng, nv, nterms, degrees=(0, 1, 2, 3)):
+    terms = {}
+    for _ in range(nterms):
+        exps = [0] * nv
+        for _ in range(rng.choice(degrees)):
+            exps[rng.randrange(nv)] += 1
+        terms[tuple(exps)] = _core_coefficient(rng)
+    return Polynomial(nv, terms)
+
+
+def _assert_core(p, expected):
+    """p has the terms of the expected term dict, and its representation is
+    the one integer polynomial over the least common denominator."""
+    assert p.terms == expected
+    assert p == Polynomial(p.nvars, expected)
+    assert hash(p) == hash(Polynomial(p.nvars, expected))
+    assert p._den > 0 and 0 not in p._ints.values()
+    assert math.gcd(p._den, *p._ints.values()) == 1
+
+
+def test_arithmetic_matches_the_fraction_loops():
+    rng = random.Random(1601)
+    for _ in range(60):
+        nv = rng.randint(1, 4)
+        p, q = (_core_polynomial(rng, nv, rng.randint(0, 6)) for _ in range(2))
+        c = _core_coefficient(rng)
+        _assert_core(p + q, add_by_fractions(p.terms, q.terms))
+        _assert_core(p - q, add_by_fractions(p.terms, scale_by_fractions(q.terms, -1)))
+        _assert_core(-p, scale_by_fractions(p.terms, -1))
+        _assert_core(p * q, mul_by_fractions(p.terms, q.terms))
+        _assert_core(p ** 3, mul_by_fractions(p.terms, mul_by_fractions(p.terms, p.terms)))
+        _assert_core(p.scale(c), scale_by_fractions(p.terms, c))
+        _assert_core(p * 0, {})
+        for i in range(nv):
+            _assert_core(p.differentiate(i), diff_once(p.terms, i))
+        # sums that cancel in part and in full
+        r = q + p.scale(Fraction(1, _BIG[1]))
+        _assert_core(r - q, scale_by_fractions(p.terms, Fraction(1, _BIG[1])))
+        _assert_core(p - p, {})
+        _assert_core(p + (-p), {})
+
+
+def test_equal_values_have_one_representation():
+    half = Polynomial(2, {(1, 1): Fraction(2, 4)})
+    assert half == Polynomial(2, {(1, 1): Fraction(1, 2)})
+    assert hash(half) == hash(Polynomial(2, {(1, 1): Fraction(1, 2)}))
+    assert (half._ints, half._den) == ({(1, 1): 1}, 2)
+    x = Polynomial.variable(2, 0)
+    assert x.scale(Fraction(1, 2)) + x.scale(Fraction(1, 2)) == x
+    assert Polynomial.constant(2, Fraction(6, 2)) == Polynomial.constant(2, 3)
+    assert (x.scale(Fraction(3, 2)) * x.scale(Fraction(2, 3)))._den == 1
+    assert parse("2/4*x0 + 3/6*x1").differentiate(0)._den == 2
+    assert parse("1/2*x0^2").differentiate(0) == parse("x0")
+
+
+def test_substitute_apply_and_form_match_the_fraction_loops():
+    rng = random.Random(1602)
+    for _ in range(15):
+        nv = rng.randint(1, 4)
+        p = _core_polynomial(rng, nv, rng.randint(1, 6))
+        rows = [[_core_coefficient(rng) if rng.random() < 0.7 else 0
+                 for _ in range(rng.randint(1, 4))] for _ in range(nv)]
+        m = len(rows[0])
+        rows = [row[:m] + [0] * (m - len(row)) for row in rows]
+        _assert_core(_compose_rows(p, rows), substitute_by_fractions(p.terms, rows, m))
+        op = _core_polynomial(rng, nv, rng.randint(1, 4), degrees=(0, 1, 2))
+        form = _core_polynomial(rng, nv, rng.randint(1, 6), degrees=(3,))
+        _assert_core(apolar_apply(op, form), apply_by_fractions(op.terms, form.terms))
+        linear = [_core_coefficient(rng) if rng.random() < 0.6 else 0 for _ in range(nv)]
+        linear[rng.randrange(nv)] = _core_coefficient(rng)
+        quadric = _core_polynomial(rng, nv, rng.randint(1, 5), degrees=(2,))
+        if not quadric.is_zero():
+            rc = ReducibleCubic(LinearForm(linear), quadric)
+            _assert_core(rc.form(), product_by_fractions(linear, quadric.terms))
+
+
+def test_arithmetic_builds_no_fraction(monkeypatch):
+    """Arithmetic on built polynomials runs on their integer terms: with
+    poly.Fraction counting its calls, none is made."""
+    rng = random.Random(1603)
+    pairs = [tuple(_core_polynomial(rng, 3, 5) for _ in range(2)) for _ in range(10)]
+    change = _random_rational_change(rng, 3)
+    calls = []
+
+    class Counting(Fraction):
+        def __new__(cls, *args, **kwargs):
+            calls.append(args)
+            return Fraction(*args, **kwargs)
+
+    monkeypatch.setattr(poly, "Fraction", Counting)
+    for p, q in pairs:
+        results = [p + q, p - q, -p, p * q, q * p, p ** 3, p.scale(3),
+                   p.scale(Fraction(2, 7)), p * Fraction(-5, 3), 2 * q,
+                   p.differentiate(1), substitute(p, change)]
+        assert p == p + Polynomial.zero(3) and hash(p) == hash(p * 1)
+        assert all(isinstance(r, Polynomial) for r in results)
+    assert calls == []
+
+
+def test_parse_expands_a_large_power_of_a_sum():
+    """Square-and-multiply on integer terms: the 40th power of a sum of four
+    variables, 12341 terms, and the 12th power against the Fraction loops."""
+    start = time.perf_counter()
+    big = parse("(x0+x1+x2+x3)^40")
+    assert time.perf_counter() - start < 10
+    assert len(big.terms) == 12341 == dim_forms(4, 40)
+    base = parse("x0 + x1 + x2 + x3").terms
+    expected = base
+    for _ in range(11):
+        expected = mul_by_fractions(expected, base)
+    assert parse("(x0+x1+x2+x3)^12").terms == expected
