@@ -31,7 +31,19 @@ its rank over Q.  Hence
 and a rank mod PRIME that reaches the bound proves that degree i has no new
 generator.  Every other outcome, a prime that divides a denominator, a basis
 of P_{i-1} whose columns are dependent modulo the prime, or a rank short of
-the bound, leaves the degree unproven, never wrongly decided.
+the bound, leaves the degree unproven, never wrongly decided.  The unknown
+a_{jk} is column (j-1) % n * h + k, h = HF(i-1), so block 0 comes last: the
+rows of a pair (0, m), nonzero in blocks 0 and m only, lead inside block m,
+and elimination fills in blocks m and 0 alone.  A rank does not depend on
+the order of the columns, so neither does any verdict.
+
+The Hilbert function needs no exact elimination where a catalecticant has
+full column rank.  For i <= d/2, Cat_i has dim S_i columns and at least as
+many rows, and D*Cat_i is an integer matrix (D the form's denominator), so
+rank mod PRIME <= rank over Q <= dim S_i: dim S_i rows independent modulo
+PRIME prove HF(i) = dim S_i.  Only the catalecticants that fall short are
+eliminated exactly, and they include every one whose kernel apolar_ideal
+takes: HF(i) < dim S_i for all i >= i0, as the ideal is nonzero in degree i0.
 """
 
 from __future__ import annotations
@@ -179,12 +191,13 @@ def _catalecticant_span(form: Polynomial, i: int) -> RowSpan:
     return span
 
 
-def _hilbert_and_spans(form: Polynomial) -> tuple[HilbertFunction, list[RowSpan]]:
-    """The Hilbert function with the spans of Cat_0..Cat_{d//2} it was read
-    from.  Cat_{d-i} is the transpose of Cat_i up to nonzero factorial
-    scalings of its rows and columns, so only the ranks for i <= d/2 are
-    computed.  Raises ValueError, before listing a monomial, when they and
-    the d+1 values pass MAX_MONOMIAL_ENTRIES cells (each has at least one)."""
+def _hilbert_and_spans(form: Polynomial) -> tuple[HilbertFunction, dict[int, RowSpan]]:
+    """The Hilbert function, with the exact spans of those Cat_i, i <= d/2,
+    whose rank modulo PRIME falls short of dim S_i (module docstring), by i.
+    Cat_{d-i} is the transpose of Cat_i up to nonzero factorial scalings of
+    its rows and columns, so only the ranks for i <= d/2 are computed.
+    Raises ValueError, before listing a monomial, when they and the d+1
+    values pass MAX_MONOMIAL_ENTRIES cells (each has at least one)."""
     d, n, limit = form.homogeneous_degree(), form.nvars, MAX_MONOMIAL_ENTRIES
     cells = d + 1 + d // 2 + 1
     for i in range(d // 2 + 1):  # Cat_i: columns comb(n-1+i, i) <= rows comb(n-1+d-i, d-i)
@@ -192,9 +205,11 @@ def _hilbert_and_spans(form: Polynomial) -> tuple[HilbertFunction, list[RowSpan]
                 or (cells := cells + comb(n - 1 + i, i) * comb(n - 1 + d - i, d - i) - 1) > limit):
             raise ValueError(f"the catalecticants of a degree-{d} form in {n} "
                              "variables are too large to build")
-    spans = [_catalecticant_span(form, i) for i in range(d // 2 + 1)]
-    return HilbertFunction(tuple(spans[min(i, d - i)].dimension
-                                 for i in range(d + 1))), spans
+    full = [ring_dimension(n, i) for i in range(d // 2 + 1)]
+    spans = {i: _catalecticant_span(form, i) for i in range(d // 2 + 1)
+             if _independent(_partials_mod_prime(form, i, by_row=True), full[i], full[i]) is None}
+    ranks = [spans[i].dimension if i in spans else full[i] for i in range(d // 2 + 1)]
+    return HilbertFunction(tuple(ranks[min(i, d - i)] for i in range(d + 1))), spans
 
 
 def apolar_hilbert(form: Polynomial) -> HilbertFunction:
@@ -202,18 +217,33 @@ def apolar_hilbert(form: Polynomial) -> HilbertFunction:
     return _hilbert_and_spans(form)[0]
 
 
-def _partials_mod_prime(form: Polynomial, j: int) -> list[dict[int, int]] | None:
+def _partials_mod_prime(form: Polynomial, j: int,
+                        by_row: bool = False) -> list[dict[int, int]] | None:
     """The nonzero j-th partials D * d^alpha F reduced modulo PRIME, keyed by
     the index of their monomials, D the form's denominator, a unit unless
-    PRIME divides it; then None."""
+    PRIME divides it; then None.  by_row: the rows of D*Cat_j instead."""
     if form._den % PRIME == 0:
         return None
-    columns: dict[int, dict[int, int]] = {}
+    vectors: dict[int, dict[int, int]] = {}
     for col, row, v in _entries(form, j):
-        v %= PRIME
-        if v:
-            columns.setdefault(col, {})[row] = v
-    return list(columns.values())
+        if v := v % PRIME:
+            if by_row:
+                col, row = row, col
+            vectors.setdefault(col, {})[row] = v
+    return list(vectors.values())
+
+
+def _independent(vectors: list[dict[int, int]] | None, ncols: int,
+                 h: int) -> list[dict[int, int]] | None:
+    """The first h vectors that are independent modulo PRIME, hence over Q;
+    None when fewer than h are (or vectors is None)."""
+    span, chosen = ModularSpan(ncols, PRIME), []
+    for vector in vectors or ():
+        if len(chosen) == h:
+            break
+        if span.insert(vector):
+            chosen.append(vector)
+    return chosen if len(chosen) == h else None
 
 
 def _no_generator_in_degree(form: Polynomial, hf: tuple[int, ...], i: int) -> bool:
@@ -228,15 +258,10 @@ def _no_generator_in_degree(form: Polynomial, hf: tuple[int, ...], i: int) -> bo
     target = n * h - hf[i]
     if target <= 0:
         return True
-    columns = _partials_mod_prime(form, form.homogeneous_degree() - i + 1)
-    if columns is None:
-        return False
     monos, _ = monomial_index(n, i - 1)
-    picked, chosen = ModularSpan(len(monos), PRIME), []
-    for column in columns:
-        if len(chosen) < h and picked.insert(column):
-            chosen.append(column)
-    if len(chosen) < h:
+    chosen = _independent(_partials_mod_prime(form, form.homogeneous_degree() - i + 1),
+                          len(monos), h)
+    if chosen is None:
         return False
     basis = [{monos[g]: v for g, v in b.items()} for b in chosen]
     # derivative[m][k] = d_m b_k, in degree i-2
@@ -246,13 +271,14 @@ def _no_generator_in_degree(form: Polynomial, hf: tuple[int, ...], i: int) -> bo
     span = ModularSpan(n * h, PRIME)
     for j in range(n):
         for m in range(j + 1, n):
-            # sum_k a_{jk} d_m b_k - sum_k a_{mk} d_j b_k = 0, one row per monomial
+            # sum_k a_{jk} d_m b_k - sum_k a_{mk} d_j b_k = 0, one row per
+            # monomial; a_{jk} is column (j-1) % n * h + k, block 0 last
             equations: dict[Exponent, dict[int, int]] = {}
             for k in range(h):
                 for g, v in derivative[m][k].items():
-                    equations.setdefault(g, {})[j * h + k] = v
+                    equations.setdefault(g, {})[(j - 1) % n * h + k] = v
                 for g, v in derivative[j][k].items():
-                    equations.setdefault(g, {})[m * h + k] = PRIME - v
+                    equations.setdefault(g, {})[(m - 1) * h + k] = PRIME - v
             for row in equations.values():
                 if span.insert(row) and span.dimension == target:
                     return True
@@ -290,10 +316,12 @@ def apolar_ideal(form: Polynomial) -> HomogeneousIdeal:
     """The annihilator of a form, with deterministic minimal generators.
 
     Degree-i generators are the part of the i-th catalecticant kernel not
-    already generated below; everything is canonicalized through reduced row
-    echelon form.  The returned ideal carries truncation bound d+1 and its
-    Hilbert function, read off catalecticant ranks, which hilbert_function
-    returns.
+    already generated below.  Those of the lowest degree i0 are the canonical
+    (RREF) basis of ker Cat_i0, inserted into an empty span in free-column
+    order: each is its forward-eliminated residual, monic in its first
+    monomial, and may contain the leading monomial of an earlier one.  The
+    returned ideal carries truncation bound d+1 and its Hilbert function,
+    read off catalecticant ranks, which hilbert_function returns.
 
     Let i0 be the lowest degree with HF(i0) < dim S_i0.  Degree i0 needs every
     vector of ker Cat_i0 as a generator, and by Macaulay duality each degree
@@ -315,7 +343,7 @@ def apolar_ideal(form: Polynomial) -> HomogeneousIdeal:
     hf, spans = _hilbert_and_spans(form)
 
     def kernel(i: int) -> list[dict[int, int]]:
-        span = spans[i] if i < len(spans) else _catalecticant_span(form, i)
+        span = spans[i] if i in spans else _catalecticant_span(form, i)
         return [vec for _, vec in span.kernel_rows()]
 
     low = next((i for i in range(1, d + 1) if hf.values[i] < ring_dimension(n, i)),

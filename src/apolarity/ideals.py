@@ -124,14 +124,19 @@ def _graded_spans(ideal: HomogeneousIdeal, top: int) -> list[RowSpan]:
     return spans
 
 
+def _monic(nvars: int, degree: int, row: dict[int, int]) -> Polynomial:
+    """The form of a primitive integer row with a positive lead, over that
+    lead: monic in its first monomial."""
+    monos, _ = monomial_index(nvars, degree)
+    return Polynomial._make(nvars, {monos[c]: v for c, v in row.items()}, row[min(row)])
+
+
 def graded_basis(ideal: HomogeneousIdeal, degree: int) -> list[Polynomial]:
     """Canonical (RREF) basis of the ideal's degree-i component."""
     if degree < 0:
         raise ValueError("degree must be >= 0")
     span = _graded_spans(ideal, degree)[degree]
-    monos, _ = monomial_index(ideal.nvars, degree)
-    return [Polynomial(ideal.nvars, {monos[c]: v for c, v in row.items()})
-            for row in span.canonical_rows()]
+    return [_monic(ideal.nvars, degree, row) for row in span._reduced()]
 
 
 @dataclass(frozen=True)
@@ -183,11 +188,8 @@ def _generators_from_components(components: list[list[dict[int, Fraction | int]]
     gens: list[Polynomial] = []
     span = RowSpan(0)
     for i, rows in enumerate(components):
-        monos, _ = monomial_index(nvars, i)
         span, residuals = _component(span, nvars, i, rows, len(rows))
-        # a residual is primitive with a positive lead: over it, monic
-        gens.extend(Polynomial._make(nvars, {monos[c]: v for c, v in r.items()}, r[min(r)])
-                    for r in residuals)
+        gens.extend(_monic(nvars, i, r) for r in residuals)
     return gens
 
 

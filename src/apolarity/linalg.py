@@ -4,7 +4,11 @@ RowSpan is the only place where rows are eliminated.  It keeps a sparse,
 fraction-free integer basis: rows enter with their denominators cleared,
 every elimination step combines two rows with coprime multipliers, and each
 row it produces is divided by its content, so entries stay as small as the
-span allows.  canonical_rows() back-substitutes to the reduced row echelon
+span allows.  A row being reduced is divided by its content when it stops
+and every CONTENT_EVERY steps on the way, not after each step: which entries
+a step cancels does not depend on the content, and the primitive multiple
+with a positive lead is unique, so every residual and stored row is the
+same.  canonical_rows() back-substitutes to the reduced row echelon
 form (RREF), which is unique; rref, rank, kernel_basis, inverse and solve are
 read off it.  A full span takes no more rows, so tall matrices stop early.
 
@@ -21,6 +25,7 @@ from math import gcd, lcm
 
 Row = list[Fraction]
 SparseRow = dict[int, int]
+CONTENT_EVERY = 8  # cancellations between content reductions of one row
 
 
 def _span(rows) -> RowSpan:
@@ -138,8 +143,8 @@ def _to_sparse_int(row) -> SparseRow:
 
 
 def _cancel(row: SparseRow, pivot: SparseRow, col: int) -> SparseRow:
-    """Primitive multiple of a*row - b*pivot, with a and b coprime and
-    chosen so that the entry at col cancels."""
+    """a*row - b*pivot, with a and b coprime and chosen so that the entry at
+    col cancels; the caller divides out the content."""
     g = gcd(pivot[col], row[col])
     a, b = pivot[col] // g, row[col] // g
     out: SparseRow = {}
@@ -147,7 +152,7 @@ def _cancel(row: SparseRow, pivot: SparseRow, col: int) -> SparseRow:
         v = a * row.get(c, 0) - b * pivot.get(c, 0)
         if v:
             out[c] = v
-    return _primitive(out)
+    return out
 
 
 class RowSpan:
@@ -166,13 +171,15 @@ class RowSpan:
         return len(self._pivot_rows)
 
     def _eliminate(self, row: SparseRow) -> SparseRow:
-        while row:
-            lead = min(row)
-            pivot = self._pivot_rows.get(lead)
-            if pivot is None:
-                return row
-            row = _cancel(row, pivot, lead)
-        return row
+        """The residual of a primitive row, divided by its content every
+        CONTENT_EVERY cancellations and after the last one."""
+        steps = 0
+        while row and (lead := min(row)) in self._pivot_rows:
+            row = _cancel(row, self._pivot_rows[lead], lead)
+            steps += 1
+            if steps % CONTENT_EVERY == 0:
+                row = _primitive(row)
+        return row if steps % CONTENT_EVERY == 0 else _primitive(row)
 
     def reduce(self, row) -> SparseRow:
         """Residual of a row after elimination (primitive integer form)."""
@@ -200,7 +207,7 @@ class RowSpan:
             row = self._pivot_rows[lead]
             # cancelling one later pivot column leaves the others untouched
             for col in sorted(c for c in row if c in reduced):
-                row = _cancel(row, reduced[col], col)
+                row = _primitive(_cancel(row, reduced[col], col))
             reduced[lead] = row
         return [reduced[lead] for lead in order]
 

@@ -22,7 +22,9 @@ congruence diagonalization.  add_by_fractions, mul_by_fractions and
 scale_by_fractions keep the Fraction loops of Polynomial's arithmetic
 before it ran on integer terms over one denominator (diff_once is its old
 differentiate), and substitute_by_fractions composes with them alone.
-certificate_by_ideals is the one exception to the rule above: it keeps the
+dual_system_rank keeps the numbering of the Macaulay-dual system's
+unknowns that the package once used, block 0 first, and ranks it with
+rank_mod_prime.  certificate_by_ideals is the one exception to the rule above: it keeps the
 route the avoidance and colon certificates once took through the package's
 own ideal calculus (apolar ideal, colon, sum, graded spans), so it checks
 the rank-based slice formula against a different computation, not against
@@ -575,3 +577,42 @@ def diagonalize_by_fractions(m) -> tuple[list, list]:
     diag = [a[t][t] for t in range(size)]
     cols = [[basis[i][j] for i in range(size)] for j in range(size)]
     return diag, cols
+
+
+def dual_system_rank(terms: dict, nvars: int, degree: int, hf, i: int, p: int):
+    """Rank modulo p of the Macaulay-dual system of degree i of a form, its
+    unknown a_{jk} numbered j*h + k (block 0 first), h = hf[i-1]: the rows
+    are d_m(sum_k a_{jk} b_k) - d_j(sum_k a_{mk} b_k) = 0 for j < m, one per
+    monomial of degree i-2, b the first h partials of order degree-i+1 of
+    D*F (D the least common denominator, in the order of
+    monomials_recursive) that raise the rank modulo p.  None when p divides D
+    or fewer than h partials are independent modulo p."""
+    den = 1
+    for c in terms.values():
+        den = den * Fraction(c).denominator // _gcd(den, Fraction(c).denominator)
+    if den % p == 0:
+        return None
+    scaled = {e: Fraction(c) * den for e, c in terms.items()}
+    h, below = hf[i - 1], monomials_recursive(nvars, i - 1)
+    basis, picked = [], []
+    for alpha in monomials_recursive(nvars, degree - i + 1):
+        if len(basis) == h:
+            break
+        partial = apply_operator({alpha: 1}, scaled)
+        column = [int(partial.get(m, 0)) % p for m in below]
+        if rank_mod_prime(picked + [column], p) > len(picked):
+            picked.append(column)
+            basis.append(partial)
+    if len(basis) < h:
+        return None
+    derivative = [[diff_once(b, m) for b in basis] for m in range(nvars)]
+    rows = []
+    for j in range(nvars):
+        for m in range(j + 1, nvars):
+            for g in monomials_recursive(nvars, i - 2):
+                row = [0] * (nvars * h)
+                for k in range(h):
+                    row[j * h + k] = int(derivative[m][k].get(g, 0)) % p
+                    row[m * h + k] = -int(derivative[j][k].get(g, 0)) % p
+                rows.append(row)
+    return rank_mod_prime(rows, p)

@@ -11,8 +11,8 @@ from apolarity.ideals import (HomogeneousIdeal, hilbert_function, ideal_colon,
 from apolarity.poly import (AmbientMismatchError, LinearChange, Polynomial,
                             monomials, parse, substitute)
 from oracles import (apolar_generators_by_sweep, apply_by_fractions,
-                     apply_operator, bareiss_rank, expand_power,
-                     top_degree_generators)
+                     apply_operator, bareiss_rank, dual_system_rank, expand_power,
+                     rank_mod_prime, top_degree_generators)
 
 
 def _random_form(rng, nvars, degree, density=0.6):
@@ -101,6 +101,47 @@ def test_apolar_hilbert_against_bareiss():
                 oracle = [bareiss_rank(catalecticant(form, i).entries)
                           for i in range(d + 1)]
                 assert apolar_hilbert(form).values == tuple(oracle)
+    # full rank over Q but not modulo the prime: the exact fallback decides
+    p = apolar.PRIME
+    for form in (_random_form(rng, 3, 4).scale(p), _random_form(rng, 4, 3).scale(p),
+                 _random_form(rng, 3, 4).scale(Fraction(1, p)),
+                 parse(f"x0^3 + {p}*x1^3 + x2^3"),
+                 parse(f"x0^4 + {p}*x1^4 + x2^4 + x0*x1*x2^2")):
+        d = form.homogeneous_degree()
+        oracle = [bareiss_rank(catalecticant(form, i).entries) for i in range(d + 1)]
+        assert apolar_hilbert(form).values == tuple(oracle), form
+
+
+def _dense_form(rng, nv, d):
+    return Polynomial(nv, {m: rng.choice((-1, 1)) * rng.randint(1, 9)
+                           for m in monomials(nv, d)})
+
+
+def test_exact_spans_only_for_catalecticants_short_of_full_rank(monkeypatch):
+    """On dense forms every Cat_i with i <= d/2 has full rank modulo the
+    prime, so the only exact span is that of Cat_i0, whose kernel gives the
+    generators.  Scaled by the prime, no entry survives modulo it, and
+    _hilbert_and_spans eliminates every Cat_i with i <= d/2 exactly."""
+    built = []
+    span_of = apolar._catalecticant_span
+
+    def spy(form, i):
+        built.append(i)
+        return span_of(form, i)
+
+    monkeypatch.setattr(apolar, "_catalecticant_span", spy)
+    rng = random.Random(43)
+    for nv, d, low in ((5, 3, 2), (4, 4, 3)):
+        form = _dense_form(rng, nv, d)
+        built.clear()
+        ideal = apolar_ideal(form)
+        assert built == [low]
+        scaled = form.scale(apolar.PRIME)
+        built.clear()
+        hf, spans = apolar._hilbert_and_spans(scaled)
+        assert built == list(range(d // 2 + 1)) == sorted(spans)
+        assert hf == apolar_hilbert(form)
+        assert apolar_ideal(scaled).generators == ideal.generators
 
 
 def test_essential_variables():
@@ -292,8 +333,7 @@ def test_apply_matches_the_fraction_loop():
 def _agreement_inputs(rng):
     """(label, form) pairs for the comparison with the kernel sweep."""
     def dense(nv, d):
-        return Polynomial(nv, {m: rng.choice((-1, 1)) * rng.randint(1, 9)
-                               for m in monomials(nv, d)})
+        return _dense_form(rng, nv, d)
 
     def sparse(nv, d):
         monos = monomials(nv, d)
@@ -336,6 +376,50 @@ def _agreement_inputs(rng):
         yield "binary", parse(text, nvars=2)
     for nv, d in ((2, 3), (3, 3), (4, 3), (3, 4), (3, 5)):
         yield "times-prime", dense(nv, d).scale(apolar.PRIME)
+
+
+def test_dual_system_rank_does_not_depend_on_the_block_order(monkeypatch):
+    """The dual system, numbered with block 0 last, has the rank modulo the
+    prime of the block-0-first numbering (oracles.dual_system_rank): its
+    inserted rows reach that rank, and the verdict is whether it meets the
+    bound n * HF(i-1) - HF(i).  A stop at the bound inserts no more rows."""
+    created = []
+
+    class Recording(apolar.ModularSpan):
+        def __init__(self, ncols, prime):
+            super().__init__(ncols, prime)
+            self.rows = []
+            created.append(self)
+
+        def insert(self, row):
+            self.rows.append(dict(row))
+            return super().insert(row)
+
+    proves, compared = apolar._no_generator_in_degree, 0
+
+    def recorded(form, hf, i):
+        nonlocal compared
+        created.clear()
+        verdict = proves(form, hf, i)
+        n, target = form.nvars, form.nvars * hf[i - 1] - hf[i]
+        oracle = dual_system_rank(form.terms, n, form.homogeneous_degree(), hf, i,
+                                  apolar.PRIME)
+        if target <= 0 or oracle is None:
+            assert verdict == (target <= 0)
+        else:
+            system = created[-1]
+            assert system.ncols == n * hf[i - 1]
+            dense = [[row.get(c, 0) for c in range(system.ncols)] for row in system.rows]
+            assert rank_mod_prime(dense, apolar.PRIME) == oracle
+            assert verdict == (oracle == target)
+            compared += 1
+        return verdict
+
+    monkeypatch.setattr(apolar, "ModularSpan", Recording)
+    monkeypatch.setattr(apolar, "_no_generator_in_degree", recorded)
+    for _, form in _agreement_inputs(random.Random(36)):
+        apolar_ideal(form)
+    assert compared >= 40
 
 
 def test_apolar_ideal_agrees_with_the_kernel_sweep(monkeypatch):

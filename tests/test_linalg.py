@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from math import gcd
 
+from apolarity import linalg
 from apolarity.linalg import (ModularSpan, RowSpan, _to_sparse_int, gram, inverse,
                               kernel_basis, mat_vec, rank, rref, solve)
 from oracles import bareiss_rank, gram_by_fractions, kernel, rank_mod_prime
@@ -106,6 +107,35 @@ def test_rowspan_canonical_rows_against_bareiss():
         assert bareiss_rank(stacked) == len(canon)
         # stored rows have their content divided out and a positive lead
         for row in span.basis_rows():
+            assert gcd(*row.values()) == 1 and row[min(row)] > 0
+
+
+def test_content_divided_out_once_per_row_changes_no_row(monkeypatch):
+    """A cancellation's zero pattern does not depend on the row's content,
+    and the primitive multiple with a positive lead is unique: dividing out
+    the content once per reduced row (and every CONTENT_EVERY steps) gives
+    the residuals, stored rows, RREF and kernel of dividing it out after
+    every cancellation.  The rows are long enough to pass CONTENT_EVERY."""
+    def run(every, matrices):
+        monkeypatch.setattr(linalg, "CONTENT_EVERY", every)
+        out = []
+        for ncols, rows in matrices:
+            span = RowSpan(ncols)
+            residuals = [span.insert(row) for row in rows]
+            out.append((residuals, span.basis_rows(), span._reduced(), span.kernel_rows()))
+        return out
+
+    rng = random.Random(17)
+    matrices = []
+    for _ in range(12):
+        ncols = rng.randint(12, 24)
+        rows = _random_matrix(rng, rng.randint(ncols - 4, ncols + 2), ncols, span=9)
+        matrices.append((ncols, rows + [[a + 2 * b for a, b in zip(rows[0], rows[1])]]))
+    once = run(linalg.CONTENT_EVERY, matrices)
+    assert once == run(1, matrices)
+    for residuals, stored, reduced, _ in once:
+        assert sum(r is not None for r in residuals) == len(stored) < len(residuals)
+        for row in stored + reduced:
             assert gcd(*row.values()) == 1 and row[min(row)] > 0
 
 
