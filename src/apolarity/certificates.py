@@ -17,12 +17,12 @@ from math import ceil, comb
 from .apolar import apolar_apply, apolar_hilbert, apolar_ideal
 from .cubics import (CubicKind, CubicType, LinearChange, NeedsFieldExtension,
                      NormalizationUndecided, ReducibleCubic, WaringDecomposition,
-                     _lift, _pad, _quadric_ints, classify, decompose_binary,
+                     _lift, _quadric_ints, classify, decompose_binary,
                      decompose_type_c_normal, normalize_tangent_product)
 from .ideals import (HilbertFunction, HomogeneousIdeal, graded_basis,
                      hilbert_function, ideal_colon, ideal_contains, ideal_equal,
                      ideal_sum)
-from .linalg import RowSpan, cleared, kernel_basis, mat_vec
+from .linalg import RowSpan, kernel_basis
 from .poly import AmbientMismatchError, LinearForm, Polynomial, parse, substitute
 
 _GENERIC_EXCEPTIONS = {(3, 4): 8, (4, 2): 6, (4, 3): 10, (4, 4): 15}
@@ -381,13 +381,14 @@ def rank_report(rc: ReducibleCubic) -> RankReport:
             to_pinch = normalize_tangent_product(core)
             witness = _lift(core_form, decompose_type_c_normal(n).terms,
                             to_pinch, "tangent")
-            # the pinch form's slicer d1 in the core's coordinates
-            slicer = [row[1] for row in to_pinch.matrix]
+            # the pinch form's slicer d1: a column in the core's coordinates, zero-padded by zip
+            slicer, den = [row[1] for row in to_pinch._rows], to_pinch._den
             if change is not None:
                 witness = _lift(form, witness.terms, change, "cone")
-                slicer = mat_vec(change.matrix, _pad(LinearForm(slicer), nv))
+                slicer = [sum(a * b for a, b in zip(row, slicer)) for row in change._rows]
+                den *= change._den
             avoidance = avoidance_lower_bound(
-                form, LinearForm(slicer).to_polynomial(), hf)
+                form, LinearForm._make(slicer, den).to_polynomial(), hf)
             if avoidance.hilbert.values != (1, n, n, 0):
                 raise RuntimeError("internal: transported slice Hilbert "
                                    "function is off")
@@ -415,15 +416,14 @@ def _compression_change(rc: ReducibleCubic) -> tuple[LinearChange, int]:
     d_v(L*Q) = 0 exactly when l.v = 0 and Mv = 0 (see classify), so the
     trailing columns, the canonical basis of ker [M; l^T], span ker Cat_1."""
     nv = rc.nvars
-    rows = _quadric_ints(rc.quadric)[0] + [cleared(rc.linear.coeffs)[0]]
+    rows = _quadric_ints(rc.quadric)[0] + [list(rc.linear._ints)]
     kernel_cols = kernel_basis(rows, nv)
     e = nv - len(kernel_cols)
     span = RowSpan(nv)
     for v in kernel_cols:
         span.insert(v)
     pivot_set = set(span.pivot_columns())
-    cols = [[Fraction(int(i == r)) for i in range(nv)]
-            for r in range(nv) if r not in pivot_set]
+    cols = [[int(i == r) for i in range(nv)] for r in range(nv) if r not in pivot_set]
     cols.extend(kernel_cols)
     return LinearChange([[cols[j][i] for j in range(nv)] for i in range(nv)]), e
 
@@ -432,9 +432,10 @@ def _compressed_product(rc: ReducibleCubic, change: LinearChange,
                         e: int) -> ReducibleCubic:
     """Both factors after the change, in its first e coordinates: L o change
     is the row l^T * change, and only the quadric is substituted."""
-    linear = mat_vec([list(col) for col in zip(*change.matrix)], list(rc.linear.coeffs))
+    linear = [sum(a * b for a, b in zip(rc.linear._ints, col)) for col in zip(*change._rows)]
     quadric = substitute(rc.quadric, change)
     if any(linear[e:]) or any(any(exps[e:]) for exps in quadric._ints):
         raise RuntimeError("internal: compression left a trailing variable")
-    return ReducibleCubic(LinearForm(linear[:e]), Polynomial._make(
-        e, {exps[:e]: v for exps, v in quadric._ints.items()}, quadric._den))
+    return ReducibleCubic(
+        LinearForm._make(linear[:e], rc.linear._den * change._den),
+        Polynomial._make(e, {exps[:e]: v for exps, v in quadric._ints.items()}, quadric._den))

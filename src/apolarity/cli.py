@@ -158,19 +158,19 @@ def _decompose_binary_out(args, form: Polynomial) -> int:
         "generator_degrees": list(result.generator_degrees),
         "decomposition": dec.to_json_dict() if dec else None,
     }
+    da, db = result.generator_degrees
     lines = [f"form: {form.to_string()}",
              f"rank: {result.rank} (exact)",
-             "apolar generator degrees: "
-             f"{result.generator_degrees[0]}, {result.generator_degrees[1]}"]
+             f"apolar generator degrees: {da}, {db}"]
     if dec is not None:
         lines.append(dec.identity_string())
         if args.output:
             with open(args.output, "w") as fh:
                 json.dump(dec.to_json_dict(), fh, indent=2)
             lines.append(f"wrote {args.output}")
-    else:
-        lines.append("no rational decomposition of this length; "
-                     "rank is still exact")
+    else:  # nonexistence is proven when (F^perp)_rank is the lower generator's line
+        found = "" if result.lower_squarefree and da < db else " found among the apolar generators"
+        lines.append(f"no rational decomposition of this length{found}; rank is still exact")
     _emit(args, payload, lines)
     return EXIT_OK
 

@@ -149,7 +149,7 @@ def classify(rc: ReducibleCubic) -> CubicType:
                          "variables; binary forms go through decompose_binary")
     nv = rc.nvars
     a, _ = _quadric_ints(rc.quadric)
-    l, _ = linalg.cleared(rc.linear.coeffs)
+    l = list(rc.linear._ints)
     red, pivots = linalg.rref([row + [c] for row, c in zip(a, l)])
     k = next(i for i, c in enumerate(l) if c)
     if not any(any(row) for row in linalg.gram(a, _hyperplane_basis(l, k))):
@@ -159,7 +159,7 @@ def classify(rc: ReducibleCubic) -> CubicType:
     if pivots[-1] < nv:
         # A is invertible and the last column has become A^-1 l'; l^T adj(M) l
         # differs from l^T M^-1 l by the nonzero factor det(M)
-        last, _ = linalg.cleared(row[nv] for row in red)
+        (last,), _ = linalg.cleared_rows([[row[nv] for row in red]])
         tangency = sum(c * v for c, v in zip(l, last))
         return CubicType(CubicKind.TYPE_C if tangency == 0 else CubicKind.TYPE_A)
     return CubicType(CubicKind.TYPE_B)
@@ -182,7 +182,7 @@ class WaringDecomposition:
     @classmethod
     def assemble(cls, degree: int, nvars: int, raw_terms) -> WaringDecomposition:
         return cls._from_rows(degree, nvars, (
-            (Fraction(coef), *linalg.cleared(form.coeffs)) for coef, form in raw_terms))
+            (Fraction(coef), form._ints, form._den) for coef, form in raw_terms))
 
     @classmethod
     def _from_rows(cls, degree: int, nvars: int, rows) -> WaringDecomposition:
@@ -190,7 +190,8 @@ class WaringDecomposition:
         c * ((row/den) . x)^degree for an integer row: terms merge on the
         row's _direction P, the monic form is P/p, p its first nonzero
         entry, and the coefficient takes the factor (lead/den)^degree, lead
-        the row's first nonzero entry."""
+        the row's first nonzero entry.  They sort as P*(m/p), m the lcm of
+        the p: m times each monic form."""
         merged: dict[tuple[int, ...], Fraction] = {}
         for coef, row, den in rows:
             if coef == 0:
@@ -202,13 +203,12 @@ class WaringDecomposition:
                 raise AmbientMismatchError("term ambient differs from the decomposition's")
             key = _direction(row)
             merged[key] = merged.get(key, 0) + coef * Fraction(lead, den) ** degree
-        terms = []
-        for key, coef in merged.items():
-            if coef:
-                p = next(v for v in key if v)
-                terms.append((coef, LinearForm(Fraction(v, p) for v in key)))
-        terms.sort(key=lambda term: term[1].coeffs, reverse=True)
-        return cls(degree, nvars, tuple(terms))
+        kept = [(key, next(v for v in key if v), coef)
+                for key, coef in merged.items() if coef]
+        m = lcm(*(p for _, p, _ in kept))
+        kept.sort(key=lambda t: [v * (m // t[1]) for v in t[0]], reverse=True)
+        return cls(degree, nvars, tuple((coef, LinearForm._make(key, p))
+                                        for key, p, coef in kept))
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -221,8 +221,9 @@ class WaringDecomposition:
             raise ValueError(f"a power sum needs a degree >= 0, got {self.degree}")
         if not self.terms:
             return {}, 1, self.nvars
-        coefs, coef_den = linalg.cleared(c for c, _ in self.terms)
-        rows, den = linalg.cleared_rows([form.coeffs for _, form in self.terms])
+        (coefs,), coef_den = linalg.cleared_rows([[c for c, _ in self.terms]])
+        den = lcm(*(form._den for _, form in self.terms))
+        rows = [[v * (den // form._den) for v in form._ints] for _, form in self.terms]
         k, d = len(rows), self.degree
         power_sum = (((0,) * i + (d,) + (0,) * (k - 1 - i), v)
                      for i, v in enumerate(coefs))
@@ -237,18 +238,14 @@ class WaringDecomposition:
 
     def compose(self, change: LinearChange) -> WaringDecomposition:
         """Decomposition of the substituted form: each L_i becomes L_i o change.
-        The change is cleared to D*C in integers once, so L_i o change is
-        the integer row (d_i*L_i)^T (D*C) over d_i*D."""
+        With L_i = l_i/d_i (zero-padded) and the change C = R/D in integers,
+        L_i o change is the integer row l_i^T R over d_i*D."""
         if change.nvars != self.nvars:
             raise AmbientMismatchError("change ambient differs from the decomposition's")
-        matrix, den = linalg.cleared_rows(change.matrix)
-        cols = list(zip(*matrix))
-        rows = []
-        for coef, form in self.terms:
-            ints, form_den = linalg.cleared(form.coeffs)
-            rows.append((coef, [sum(a * b for a, b in zip(ints, col)) for col in cols],
-                         form_den * den))
-        return WaringDecomposition._from_rows(self.degree, self.nvars, rows)
+        cols = list(zip(*change._rows))
+        return WaringDecomposition._from_rows(self.degree, self.nvars, (
+            (coef, [sum(a * b for a, b in zip(form._ints, col)) for col in cols],
+             form._den * change._den) for coef, form in self.terms))
 
     def identity_string(self, name: str = "F", prefix: str = "x") -> str:
         """Integer-cleared identity like '6*F = (x0 + x2)^3 + ...'."""
@@ -312,12 +309,12 @@ def verify_decomposition(form: Polynomial,
     for key, v in acc.items():
         diff[key] = diff.get(key, 0) - v * form._den
     residual = Polynomial._from_packed(m, diff, base, scale * form._den, range(m))
-    keys = [_direction(linalg.cleared(f.coeffs)[0]) for _, f in dec.terms if not f.is_zero()]
+    keys = [_direction(f._ints) for _, f in dec.terms if not f.is_zero()]
     independent = len(set(keys)) == len(keys)
     return independent and residual.is_zero(), residual
 
 
-def _direction(row: list[int]) -> tuple[int, ...]:
+def _direction(row: list[int] | tuple[int, ...]) -> tuple[int, ...]:
     """The primitive multiple of a nonzero integer row with a positive lead
     (linalg._primitive): two such rows are proportional iff these agree."""
     primitive = linalg._primitive({c: v for c, v in enumerate(row) if v})
@@ -357,10 +354,8 @@ def split_normal_form(n: int) -> Polynomial:
     return form
 
 
-def _unit(nv: int, i: int) -> list[Fraction]:
-    row = [Fraction(0)] * nv
-    row[i] = Fraction(1)
-    return row
+def _unit(nv: int, i: int) -> list[int]:
+    return [int(j == i) for j in range(nv)]
 
 
 def split_change(n: int) -> LinearChange:
@@ -372,9 +367,8 @@ def split_change(n: int) -> LinearChange:
     if n == 2:
         return LinearChange([_unit(3, 0), _unit(3, 2), _unit(3, 1)])
     rows = [_unit(nv, 1), _unit(nv, 3)]
-    rows.append([Fraction(int(j in (0, 2))) for j in range(nv)])
-    rows.append([Fraction(1) if j == 0 else Fraction(-1) if j == 2 else Fraction(0)
-                 for j in range(nv)])
+    rows.append([int(j in (0, 2)) for j in range(nv)])
+    rows.append([1 if j == 0 else -1 if j == 2 else 0 for j in range(nv)])
     rows.extend(_unit(nv, i) for i in range(4, nv))
     return LinearChange(rows)
 
@@ -449,10 +443,10 @@ def _pinch_scale(rc: ReducibleCubic, m, cols) -> Fraction | None:
     would then be reducible, while P has rank n+1 >= 3; so L o C = a*x0
     and Q o C = P/a."""
     (m_int, d_m), (c_int, d_c) = m, cols
-    a, *rest = [sum(c * v for c, v in zip(rc.linear.coeffs, col)) for col in c_int]
+    a, *rest = [sum(c * v for c, v in zip(rc.linear._ints, col)) for col in c_int]
     if a == 0 or any(rest):
         return None
-    a /= d_c
+    a = Fraction(a, rc.linear._den * d_c)
     den = a.denominator * d_m * d_c * d_c
     pinch, d_p = _pinch_ints(len(c_int) - 1)
     return a if all(a.numerator * v * d_p == p * den
@@ -487,7 +481,7 @@ def normalize_tangent_product(rc: ReducibleCubic) -> LinearChange:
     nv = rc.nvars
     n = nv - 1
     qa, qd = _quadric_ints(rc.quadric)
-    l, dl = linalg.cleared(rc.linear.coeffs)
+    l, dl = rc.linear._ints, rc.linear._den
     k = next(i for i, c in enumerate(l) if c)
     lk = l[k]
 
@@ -549,11 +543,9 @@ def normalize_tangent_product(rc: ReducibleCubic) -> LinearChange:
         raise RuntimeError("internal: normalization self-check failed")
     # row j of (d_c*C)^T (d_m*M) pairs column j of C with the rows of M = M^T
     ctm = [[sum(x * y for x, y in zip(col, row) if x) for row in qa] for col in c_int]
-    den = a.denominator * d_c * qd
-    inverse = tuple(tuple(Fraction(a.numerator * w * v, den) for v in ctm[j])
-                    for j, w in _pinch_inverse(n))
-    matrix = tuple(tuple(Fraction(v, d_c) for v in row) for row in zip(*c_int))
-    return LinearChange._from_pair(matrix, inverse)
+    inverse = [[a.numerator * w * v for v in ctm[j]] for j, w in _pinch_inverse(n)]
+    return LinearChange._from_pair((list(zip(*c_int)), d_c),
+                                   (inverse, a.denominator * d_c * qd))
 
 
 def decompose_type_c(rc: ReducibleCubic,
@@ -567,7 +559,7 @@ def decompose_type_c(rc: ReducibleCubic,
     n = rc.nvars - 1
     carried = (change is not None and n >= 2 and change.nvars == rc.nvars
                and _pinch_scale(rc, _quadric_ints(rc.quadric),
-                                linalg.cleared_rows(list(zip(*change.matrix)))) is not None)
+                                (list(zip(*change._rows)), change._den)) is not None)
     if not carried:
         # only TypeC products reach the normal form, so a change that
         # carries the cubic there has already established the class
@@ -583,17 +575,11 @@ def decompose_type_c(rc: ReducibleCubic,
     return _lift(rc.form(), decompose_type_c_normal(n).terms, change, "tangent")
 
 
-def _pad(linear: LinearForm, nvars: int) -> tuple[Fraction, ...]:
-    """Coefficients of a form in the leading coordinates of a larger ambient."""
-    return linear.coeffs + (Fraction(0),) * (nvars - linear.nvars)
-
-
 def _lift(form: Polynomial, terms, change: LinearChange,
           what: str) -> WaringDecomposition:
     """Carry a witness of substitute(form, change), padded when it uses
     fewer variables, back to the form through the change, and verify it."""
-    padded = tuple((c, LinearForm(_pad(f, form.nvars))) for c, f in terms)
-    witness = WaringDecomposition(3, form.nvars, padded).compose(change.inverse())
+    witness = WaringDecomposition(3, form.nvars, tuple(terms)).compose(change.inverse())
     ok, _ = verify_decomposition(form, witness)
     if not ok:
         raise RuntimeError(f"internal: lifted {what} witness failed verification")

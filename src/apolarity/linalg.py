@@ -9,8 +9,9 @@ and every CONTENT_EVERY steps on the way, not after each step: which entries
 a step cancels does not depend on the content, and the primitive multiple
 with a positive lead is unique, so every residual and stored row is the
 same.  canonical_rows() back-substitutes to the reduced row echelon
-form (RREF), which is unique; rref, rank, kernel_basis, inverse and solve are
-read off it.  A full span takes no more rows, so tall matrices stop early.
+form (RREF), which is unique; rref, rank, kernel_basis and solve are read off
+it, and inverse off its integer rows, _reduced().  A full span takes no more
+rows, so tall matrices stop early.
 
 ModularSpan is not exact over the rationals and never stands in for
 RowSpan: it bounds ranks from below.  A matrix with entries in Z localized at
@@ -66,29 +67,21 @@ def kernel_basis(rows: list[Row], ncols: int) -> list[Row]:
     return basis
 
 
-def inverse(mat: list[Row]) -> list[Row] | None:
-    """Matrix inverse, or None if singular."""
+def inverse(mat: list[Row]) -> tuple[list[list[int]], int] | None:
+    """The inverse as integer rows over their least denominator D, or None if
+    singular: row i of the reduced [mat | 1] is a_i*(e_i | row i), D = lcm a_i."""
     n = len(mat)
-    aug = [list(mat[i]) + [int(i == j) for j in range(n)] for i in range(n)]
-    red, pivots = rref(aug)
-    if pivots != list(range(n)):
+    span = _span([list(mat[i]) + [int(i == j) for j in range(n)] for i in range(n)])
+    if span.pivot_columns() != list(range(n)):
         return None
-    return [row[n:] for row in red]
-
-
-def mat_vec(mat: list[Row], vec: Row) -> Row:
-    return [sum(a * b for a, b in zip(row, vec)) for row in mat]
-
-
-def cleared(values) -> tuple[list[int], int]:
-    """Integers v_i and one common denominator D with values[i] = v_i / D."""
-    values = list(values)
-    den = lcm(*(c.denominator for c in values))
-    return [c.numerator * (den // c.denominator) for c in values], den
+    reduced = span._reduced()
+    den = lcm(*(row[i] for i, row in enumerate(reduced)))
+    return [[row.get(n + j, 0) * (den // row[i]) for j in range(n)]
+            for i, row in enumerate(reduced)], den
 
 
 def cleared_rows(rows) -> tuple[list[list[int]], int]:
-    """Integer rows and one common denominator D with rows[i][j] = out[i][j] / D."""
+    """Integer rows and their least common denominator D: rows[i][j] = out[i][j] / D."""
     den = lcm(*(c.denominator for row in rows for c in row))
     return [[c.numerator * (den // c.denominator) for c in row] for row in rows], den
 

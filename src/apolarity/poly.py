@@ -8,12 +8,15 @@ variables uses exponent tuples of that length.  Text form uses ``x0, x1,
 ...`` (or ``d0, d1, ...`` for operators in the dual ring); the canonical
 term order is graded lexicographic, highest degree first.
 
+LinearForm and LinearChange (its matrix and its inverse) hold integers over
+one denominator likewise; their constructors clear rational input once.
+
 Arithmetic builds no Fraction: +, -, scale and differentiate run term by
 term on the ints, * on packed keys (_packed) of the variables that occur,
-** through *.  Only terms, items(), coefficient() and printing build
-Fractions; other modules read _ints and _den.  Every linear substitution
-runs in one integer kernel, _compose_packed: substitute,
-WaringDecomposition.expand and cubics.verify_decomposition.
+** through *.  Only terms, items(), coefficient(), coeffs, matrix, monic()
+and printing build Fractions; other modules read _ints, _den and _rows.  Every
+linear substitution runs in one integer kernel, _compose_packed:
+substitute, WaringDecomposition.expand and cubics.verify_decomposition.
 
 parse refuses, with PolynomialSyntaxError, text that could build more than
 MAX_MONOMIAL_ENTRIES exponent entries: too many literals for the ambient,
@@ -25,7 +28,7 @@ Everything here is exact.  No floats enter at any point.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress
 from math import comb, gcd, lcm
@@ -313,48 +316,66 @@ class Polynomial:
         return f"Polynomial({self.nvars}, {self.to_string()!r})"
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class LinearForm:
-    """A linear form sum(coeffs[i] * x_i), stored as its coefficient tuple."""
+    """A linear form sum(coeffs[i] * x_i), held as Polynomial holds its terms:
+    integers _ints over one _den > 0, gcd(_den, _ints) = 1."""
 
-    coeffs: tuple[Fraction, ...]
+    _ints: tuple[int, ...]
+    _den: int
 
     def __init__(self, coeffs: Iterable[Scalar]):
-        object.__setattr__(self, "coeffs", tuple(
-            c if isinstance(c, Fraction) else Fraction(c) for c in coeffs))
+        (ints,), self._den = linalg.cleared_rows(
+            [[c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]])
+        self._ints = tuple(ints)
+
+    @classmethod
+    def _make(cls, ints: Sequence[int], den: int = 1) -> LinearForm:
+        """The form ints/den for den > 0, with gcd(den, ints) divided out."""
+        g = gcd(den, *ints)
+        out = object.__new__(cls)
+        out._ints, out._den = tuple(v // g for v in ints), den // g
+        return out
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficient tuple, built afresh."""
+        return tuple(Fraction(v, self._den) for v in self._ints)
 
     @property
     def nvars(self) -> int:
-        return len(self.coeffs)
+        return len(self._ints)
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self._ints)
 
     def to_polynomial(self) -> Polynomial:
-        ints, den = linalg.cleared(self.coeffs)
-        return Polynomial._make(self.nvars, {tuple(int(j == i) for j in range(self.nvars)): v
-                                             for i, v in enumerate(ints) if v}, den)
+        n = self.nvars
+        return Polynomial._make(n, {(0,) * i + (1,) + (0,) * (n - i - 1): v
+                                    for i, v in enumerate(self._ints) if v}, self._den)
 
     @classmethod
     def from_polynomial(cls, p: Polynomial) -> LinearForm:
         if p.is_zero() or p.homogeneous_degree() != 1:
             raise ValueError("not a nonzero linear form")
-        coeffs = [Fraction(0)] * p.nvars
-        for exps, c in p.terms.items():
-            coeffs[exps.index(1)] = c
-        return cls(coeffs)
+        ints = [0] * p.nvars
+        for exps, v in p._ints.items():
+            ints[exps.index(1)] = v
+        return cls._make(ints, p._den)
 
     def monic(self) -> tuple[Fraction, LinearForm]:
-        """Scale so the first nonzero coefficient is 1; returns (scale, form)."""
-        for c in self.coeffs:
-            if c:
-                return c, LinearForm(v / c for v in self.coeffs)
-        raise ValueError("zero linear form has no monic representative")
+        """Scale so the first nonzero coefficient is 1; returns (scale, form),
+        the form (ints/den) / (lead/den) = ints*lead / lead^2."""
+        lead = next((v for v in self._ints if v), 0)
+        if not lead:
+            raise ValueError("zero linear form has no monic representative")
+        return Fraction(lead, self._den), LinearForm._make([v * lead for v in self._ints],
+                                                           lead * lead)
 
     def proportional_to(self, other: LinearForm) -> bool:
         if self.is_zero() or other.is_zero():
             return False
-        return self.monic()[1].coeffs == other.monic()[1].coeffs
+        return self.monic()[1] == other.monic()[1]
 
     def to_string(self, prefix: str = "x") -> str:
         return self.to_polynomial().to_string(prefix)
@@ -363,58 +384,74 @@ class LinearForm:
         return self.to_string()
 
 
-class LinearChange:
-    """An invertible substitution: old variable i becomes sum_j matrix[i][j] * new_j."""
+def _lowest(rows, den: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """The matrix rows/den, integer rows over den > 0, over its least denominator."""
+    g = gcd(den, *(v for row in rows for v in row))
+    return tuple(tuple(v // g for v in row) for row in rows), den // g
 
-    __slots__ = ("matrix", "_inverse")
+
+def _mat_mul(a, b) -> tuple[list[list[int]], int]:
+    """The product of two matrices given as (integer rows, denominator)."""
+    cols = list(zip(*b[0]))
+    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a[0]], a[1] * b[1]
+
+
+@dataclass
+class LinearChange:
+    """An invertible substitution: old variable i becomes sum_j matrix[i][j] * new_j.
+    The matrix and its inverse are held as (_rows, _den) and _inv, integer
+    rows over their least denominators, so == compares values."""
+
+    _rows: tuple[tuple[int, ...], ...]
+    _den: int
+    _inv: tuple = field(compare=False, repr=False)
 
     def __init__(self, matrix: Iterable[Iterable[Scalar]]):
-        rows = tuple(tuple(Fraction(c) for c in row) for row in matrix)
-        n = len(rows)
-        if any(len(row) != n for row in rows):
+        rows, den = linalg.cleared_rows(
+            [[c if isinstance(c, (int, Fraction)) else Fraction(c) for c in row]
+             for row in matrix])
+        if any(len(row) != len(rows) for row in rows):
             raise ValueError("change of coordinates must be square")
-        inv = linalg.inverse([list(row) for row in rows])
+        inv = linalg.inverse(rows)
         if inv is None:
             raise ValueError("change of coordinates is singular")
-        self.matrix = rows
-        self._inverse = tuple(tuple(row) for row in inv)
+        # (R/den)^-1 = den * R^-1 = den*I/D
+        self._rows, self._den = tuple(map(tuple, rows)), den
+        self._inv = _lowest([[v * den for v in row] for row in inv[0]], inv[1])
+
+    @property
+    def matrix(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The matrix as Fraction rows, built afresh."""
+        return tuple(tuple(Fraction(v, self._den) for v in row) for row in self._rows)
 
     @property
     def nvars(self) -> int:
-        return len(self.matrix)
+        return len(self._rows)
 
     @classmethod
     def identity(cls, nvars: int) -> LinearChange:
-        return cls([[1 if i == j else 0 for j in range(nvars)] for i in range(nvars)])
+        return cls([[int(i == j) for j in range(nvars)] for i in range(nvars)])
 
     @classmethod
     def _from_pair(cls, matrix, inverse) -> LinearChange:
-        """A change from its matrix and that matrix's inverse, both tuples of
-        Fraction tuples, taken as given: no elimination runs."""
+        """A change from its matrix and that matrix's inverse, each given as
+        (integer rows, denominator > 0), taken as given: no elimination runs."""
         out = object.__new__(cls)
-        out.matrix, out._inverse = matrix, inverse
+        (out._rows, out._den), out._inv = _lowest(*matrix), _lowest(*inverse)
         return out
 
     def inverse(self) -> LinearChange:
-        return LinearChange._from_pair(self._inverse, self.matrix)
+        return LinearChange._from_pair(self._inv, (self._rows, self._den))
 
     def compose(self, other: LinearChange) -> LinearChange:
         """Matrix product self*other: substituting by the result equals
-        substituting by self, then by other."""
+        substituting by self, then by other.  Its inverse is the product of
+        the inverses in the other order."""
         if self.nvars != other.nvars:
             raise AmbientMismatchError("change sizes differ")
-        n = self.nvars
-        prod = [[sum(self.matrix[i][k] * other.matrix[k][j] for k in range(n))
-                 for j in range(n)] for i in range(n)]
-        return LinearChange(prod)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LinearChange):
-            return NotImplemented
-        return self.matrix == other.matrix
-
-    def __repr__(self) -> str:
-        return f"LinearChange({[[str(c) for c in row] for row in self.matrix]})"
+        return LinearChange._from_pair(
+            _mat_mul((self._rows, self._den), (other._rows, other._den)),
+            _mat_mul(other._inv, self._inv))
 
 
 def substitute(p: Polynomial, change: LinearChange) -> Polynomial:
@@ -423,28 +460,10 @@ def substitute(p: Polynomial, change: LinearChange) -> Polynomial:
     if p.nvars != change.nvars:
         raise AmbientMismatchError(
             f"polynomial has {p.nvars} variables, change has {change.nvars}")
-    return _compose_rows(p, change.matrix)
-
-
-def _compose_rows(p: Polynomial, rows: Sequence[Sequence[Scalar]]) -> Polynomial:
-    """p with each variable i replaced by the linear form sum_j rows[i][j] * x_j.
-
-    rows is any p.nvars x m matrix, square or not, invertible or not; the
-    result lives in m variables.  The matrix is cleared of denominators
-    once, and _compose_packed does the work on the integer terms of p.
-    """
-    if len(rows) != p.nvars:
-        raise AmbientMismatchError(
-            f"polynomial has {p.nvars} variables, {len(rows)} rows given")
-    m = len(rows[0])
-    if any(len(row) != m for row in rows):
-        raise ValueError("rows of a substitution must have equal length")
-    top = p.degree()
-    if top < 0:
-        return Polynomial.zero(m)
-    int_rows, den = linalg.cleared_rows(rows)
-    acc = _compose_packed(p._ints.items(), int_rows, den, top, top + 1)
-    return Polynomial._from_packed(m, acc, top + 1, p._den * den ** top, range(m))
+    top = max(p.degree(), 0)
+    acc = _compose_packed(p._ints.items(), change._rows, change._den, top, top + 1)
+    return Polynomial._from_packed(p.nvars, acc, top + 1, p._den * change._den ** top,
+                                   range(p.nvars))
 
 
 def _compose_packed(terms: Iterable[tuple[Exponent, int]],

@@ -96,6 +96,23 @@ def test_decompose_binary_route(capsys):
     assert "apolar generator degrees: 2, 3" in out
 
 
+@pytest.mark.parametrize("linear, quadric, line", [
+    # the lower generator d1^2 is not squarefree, so neither generator
+    # splits, yet x0^2*x1 = [(x0+x1)^3 - (x0-x1)^3 - 2*x1^3]/6 is 3 cubes
+    ("x1", "x0^2", "no rational decomposition of this length found among the "
+                   "apolar generators; rank is still exact"),
+    # the lower generator d0^2 + 3/2*d1^2 is squarefree, of degree 2 < 3, and
+    # has no rational root
+    ("x0", "x0^2 - 2*x1^2", "no rational decomposition of this length; "
+                            "rank is still exact"),
+])
+def test_decompose_binary_claims_nonexistence_only_when_proven(capsys, linear,
+                                                              quadric, line):
+    code, out, _ = run(capsys, "decompose", "--vars", "2", linear, quadric)
+    assert code == 0
+    assert out.splitlines()[-1] == line
+
+
 def test_decompose_requires_arguments(capsys):
     code, _, err = run(capsys, "decompose")
     assert code == 2

@@ -210,9 +210,9 @@ def test_classify_eliminates_integer_rows_without_substitution(monkeypatch):
     rng = random.Random(496)
     products = [rc for nv in range(3, 6) for _, rc in _seeded_products(rng, nv)]
     reductions, compositions = [], []
-    rref, compose = linalg.rref, poly._compose_rows
+    rref, compose = linalg.rref, poly._compose_packed
     monkeypatch.setattr(linalg, "rref", lambda rows: reductions.append(rows) or rref(rows))
-    monkeypatch.setattr(poly, "_compose_rows",
+    monkeypatch.setattr(poly, "_compose_packed",
                         lambda *args: compositions.append(args) or compose(*args))
     for rc in products:
         reductions.clear()
@@ -841,7 +841,7 @@ def test_split_matches_the_euclid_and_deflation_oracles():
     # trial division cannot reach roots of 20 digits and more: their
     # construction is the oracle; _rational_roots takes integer coefficients
     for coeffs, roots, split in _huge_root_generators(random.Random(4244), 40):
-        assert _rational_roots(linalg.cleared(coeffs)[0]) == roots, coeffs
+        assert _rational_roots(linalg.cleared_rows([coeffs])[0][0]) == roots, coeffs
         squarefree, forms = _split(_binary_operator(coeffs))
         assert squarefree
         assert forms == ([LinearForm([r, 1]) for r in roots] if split else None)

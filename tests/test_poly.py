@@ -5,13 +5,14 @@ from fractions import Fraction
 
 import pytest
 
-from apolarity import poly
+from apolarity import cubics, poly
 from apolarity.apolar import apolar_apply
-from apolarity.cubics import ReducibleCubic, WaringDecomposition
+from apolarity.cubics import ReducibleCubic, WaringDecomposition, verify_decomposition
 from apolarity.poly import (MAX_NESTING, AmbientMismatchError, LinearChange,
                             LinearForm, Polynomial, PolynomialSyntaxError,
-                            _compose_rows, monomials, parse, substitute)
-from oracles import (add_by_fractions, apply_by_fractions, diff_once, dim_forms,
+                            monomials, parse, substitute)
+from oracles import (_rref_fractions, add_by_fractions, apply_by_fractions,
+                     assemble_by_fractions, compose_by_fractions, diff_once, dim_forms,
                      evaluate, expand_power, monomials_recursive, mul_by_fractions,
                      product_by_fractions, scale_by_fractions, substitute_by_fractions)
 
@@ -306,23 +307,6 @@ def test_substitute_one_and_many_variables():
         _assert_composes(p, change.matrix, substitute(p, change), rng, points=2)
 
 
-def test_compose_rows_rectangular_and_rank_deficient():
-    rng = random.Random(43)
-    p = _random_polynomial(rng, 4, [2, 3], 10)
-    # four variables onto two: every row a multiple of (1, -2/3), rank 1
-    thin = [[Fraction(k, 2), Fraction(-k, 3)] for k in (1, -2, 3, 0)]
-    _assert_composes(p, thin, _compose_rows(p, thin), rng)
-    # four variables onto five, rank 2
-    wide = [[1, 0, Fraction(1, 2), 0, 3], [0, 1, 0, Fraction(-2, 5), 0],
-            [1, 1, Fraction(1, 2), Fraction(-2, 5), 3], [0, 0, 0, 0, 0]]
-    _assert_composes(p, wide, _compose_rows(p, wide), rng)
-    # x0^2 - x1^2 vanishes when both variables become the same form
-    same = [[Fraction(2, 3), 5], [Fraction(2, 3), 5]]
-    assert _compose_rows(parse("x0^2 - x1^2"), same).is_zero()
-    with pytest.raises(AmbientMismatchError):
-        _compose_rows(p, thin[:3])
-
-
 def test_expand_matches_multinomial_oracle():
     rng = random.Random(47)
     for _ in range(12):
@@ -426,11 +410,15 @@ def test_substitute_apply_and_form_match_the_fraction_loops():
     for _ in range(15):
         nv = rng.randint(1, 4)
         p = _core_polynomial(rng, nv, rng.randint(1, 6))
-        rows = [[_core_coefficient(rng) if rng.random() < 0.7 else 0
-                 for _ in range(rng.randint(1, 4))] for _ in range(nv)]
-        m = len(rows[0])
-        rows = [row[:m] + [0] * (m - len(row)) for row in rows]
-        _assert_core(_compose_rows(p, rows), substitute_by_fractions(p.terms, rows, m))
+        while True:
+            rows = [[_core_coefficient(rng) if rng.random() < 0.7 else 0
+                     for _ in range(nv)] for _ in range(nv)]
+            try:
+                change = LinearChange(rows)
+                break
+            except ValueError:
+                continue
+        _assert_core(substitute(p, change), substitute_by_fractions(p.terms, rows, nv))
         op = _core_polynomial(rng, nv, rng.randint(1, 4), degrees=(0, 1, 2))
         form = _core_polynomial(rng, nv, rng.randint(1, 6), degrees=(3,))
         _assert_core(apolar_apply(op, form), apply_by_fractions(op.terms, form.terms))
@@ -442,6 +430,15 @@ def test_substitute_apply_and_form_match_the_fraction_loops():
             _assert_core(rc.form(), product_by_fractions(linear, quadric.terms))
 
 
+def _counting(calls):
+    """A Fraction subclass whose constructor records its arguments in calls."""
+    class Counting(Fraction):
+        def __new__(cls, *args, **kwargs):
+            calls.append(args)
+            return Fraction(*args, **kwargs)
+    return Counting
+
+
 def test_arithmetic_builds_no_fraction(monkeypatch):
     """Arithmetic on built polynomials runs on their integer terms: with
     poly.Fraction counting its calls, none is made."""
@@ -449,13 +446,7 @@ def test_arithmetic_builds_no_fraction(monkeypatch):
     pairs = [tuple(_core_polynomial(rng, 3, 5) for _ in range(2)) for _ in range(10)]
     change = _random_rational_change(rng, 3)
     calls = []
-
-    class Counting(Fraction):
-        def __new__(cls, *args, **kwargs):
-            calls.append(args)
-            return Fraction(*args, **kwargs)
-
-    monkeypatch.setattr(poly, "Fraction", Counting)
+    monkeypatch.setattr(poly, "Fraction", _counting(calls))
     for p, q in pairs:
         results = [p + q, p - q, -p, p * q, q * p, p ** 3, p.scale(3),
                    p.scale(Fraction(2, 7)), p * Fraction(-5, 3), 2 * q,
@@ -477,3 +468,126 @@ def test_parse_expands_a_large_power_of_a_sum():
     for _ in range(11):
         expected = mul_by_fractions(expected, base)
     assert parse("(x0+x1+x2+x3)^12").terms == expected
+
+
+# -- linear forms, changes and witnesses on the integer core --------------------
+
+def _assert_lowest(rows, den):
+    assert den > 0 and math.gcd(den, *(v for row in rows for v in row)) == 1
+
+
+def test_linear_form_has_one_representation():
+    a = LinearForm([Fraction(2, 4), 3, Fraction(-6, 8)])
+    b = LinearForm([Fraction(1, 2), Fraction(6, 2), Fraction(-3, 4)])
+    assert a == b and hash(a) == hash(b) and {a: 1}[b] == 1
+    assert (a._ints, a._den) == (b._ints, b._den) == ((2, 12, -3), 4)
+    assert a.coeffs == (Fraction(1, 2), 3, Fraction(-3, 4))
+    assert LinearForm._make([2, 4, 6], 4) == LinearForm([Fraction(1, 2), 1, Fraction(3, 2)])
+    assert LinearForm([0, 0]) == LinearForm._make([0, 0], 7) and LinearForm([0, 0])._den == 1
+    assert LinearForm([-2, 4]).monic() == (-2, LinearForm([1, -2]))
+    rng = random.Random(1605)
+    for _ in range(40):
+        coeffs = [_core_coefficient(rng) for _ in range(rng.randint(1, 4))]
+        scale = _core_coefficient(rng)
+        f = LinearForm(coeffs)
+        _assert_lowest([f._ints], f._den)
+        assert f.coeffs == tuple(coeffs)
+        assert f == LinearForm(f.coeffs) and hash(f) == hash(LinearForm(f.coeffs))
+        g = LinearForm([c * scale for c in coeffs])
+        assert f.proportional_to(g) and f.monic()[1] == g.monic()[1]
+        assert f.monic()[0] * f.monic()[1].to_polynomial() == f.to_polynomial()
+
+
+def _oracle_inverse(m):
+    """The inverse by Gauss-Jordan on [m | 1] in Fractions, or None."""
+    n = len(m)
+    red, pivots = _rref_fractions([list(row) + [int(i == j) for j in range(n)]
+                                   for i, row in enumerate(m)])
+    return [row[n:] for row in red] if pivots == list(range(n)) else None
+
+
+def test_linear_change_matches_the_fraction_rref():
+    """LinearChange(m), its inverse and compose on dense matrices with
+    31-digit denominators, against Gauss-Jordan in Fractions; each matrix
+    and inverse is held over its least denominator."""
+    rng = random.Random(1606)
+    big = Fraction(_BIG[1], _BIG[0])
+    for n in (1, 2, 3, 4, 5):
+        changes = []
+        for k in range(4):
+            m = [[_core_coefficient(rng) for _ in range(n)] for _ in range(n)]
+            if k == 3 and n > 1:  # a dependent last row: singular
+                m[-1] = [big * a - (b if n > 2 else 0) for a, b in zip(m[0], m[1])]
+            expected = _oracle_inverse(m)
+            if expected is None:
+                assert k == 3
+                with pytest.raises(ValueError):
+                    LinearChange(m)
+                continue
+            change = LinearChange(m)
+            changes.append((change, m))
+            assert [list(row) for row in change.matrix] == m
+            assert [list(row) for row in change.inverse().matrix] == expected
+            assert change.inverse().inverse() == change
+            _assert_lowest(change._rows, change._den)
+            _assert_lowest(*change._inv)
+        for (a, ma), (b, mb) in zip(changes, changes[1:]):
+            prod = [[sum(ma[i][k] * mb[k][j] for k in range(n)) for j in range(n)]
+                    for i in range(n)]
+            ab = a.compose(b)
+            assert [list(row) for row in ab.matrix] == prod
+            assert [list(row) for row in ab.inverse().matrix] == _oracle_inverse(prod)
+            assert ab == LinearChange(prod)
+            _assert_lowest(*ab._inv)
+
+
+def test_witnesses_assemble_and_compose_as_the_fraction_loops():
+    rng = random.Random(1607)
+    for _ in range(30):
+        nv, degree = rng.randint(1, 4), rng.randint(1, 4)
+        raw = [(_core_coefficient(rng), [_core_coefficient(rng) if rng.random() < 0.7 else 0
+                                         for _ in range(nv)]) for _ in range(rng.randint(1, 5))]
+        raw = [(c, f) for c, f in raw if any(f)]
+        if raw and rng.random() < 0.5:  # a proportional form, to be merged
+            scale = _core_coefficient(rng)
+            raw.append((_core_coefficient(rng), [v * scale for v in raw[0][1]]))
+        dec = WaringDecomposition.assemble(degree, nv, [(c, LinearForm(f)) for c, f in raw])
+        pairs = [(c, f.coeffs) for c, f in dec.terms]
+        assert pairs == assemble_by_fractions(degree, nv, raw)
+        change = LinearChange([[_core_coefficient(rng) for _ in range(nv)] for _ in range(nv)])
+        moved = dec.compose(change)
+        assert [(c, f.coeffs) for c, f in moved.terms] == \
+            compose_by_fractions(degree, nv, pairs, change.matrix)
+
+
+def test_linear_data_builds_no_fraction(monkeypatch):
+    """LinearChange on integer rows, its inverse, substitute,
+    WaringDecomposition.compose and verify_decomposition run on integers:
+    with poly.Fraction and cubics.Fraction counting their calls, the only
+    ones are the coefficient factors of _from_rows, one per input term."""
+    rng = random.Random(1608)
+    cases = []
+    for n in (2, 3, 4):
+        while True:
+            rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+            if _oracle_inverse(rows) is not None:
+                break
+        p = _core_polynomial(rng, n, 6, degrees=(3,))
+        dec = WaringDecomposition.assemble(3, n, [
+            (_core_coefficient(rng), LinearForm([_core_coefficient(rng) for _ in range(n)]))
+            for _ in range(4)])
+        cases.append((rows, p, dec, _random_rational_change(rng, n)))
+    poly_calls, cubic_calls = [], []
+    monkeypatch.setattr(poly, "Fraction", _counting(poly_calls))
+    monkeypatch.setattr(cubics, "Fraction", _counting(cubic_calls))
+    for rows, p, dec, rational in cases:
+        change = LinearChange(rows)
+        back = change.inverse()
+        assert substitute(substitute(p, change), back) == p
+        for c in (change, back, rational):
+            moved = dec.compose(c)
+            assert len(cubic_calls) <= len(dec)
+            cubic_calls.clear()
+            assert verify_decomposition(dec.expand(), dec)[0]
+            assert verify_decomposition(substitute(dec.expand(), c), moved)[0]
+    assert poly_calls == [] and cubic_calls == []

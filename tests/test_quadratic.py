@@ -168,8 +168,9 @@ def test_normalization_inverse_is_exact():
     inverse that elimination gives."""
     for rc in _normalization_inputs():
         change = normalize_tangent_product(rc)
+        rows, den = inverse([list(row) for row in change.matrix])
         assert [list(row) for row in change.inverse().matrix] == \
-            inverse([list(row) for row in change.matrix])
+            [[Fraction(v, den) for v in row] for row in rows]
         assert all(type(v) is Fraction for row in change.inverse().matrix for v in row)
 
 
