@@ -105,8 +105,9 @@ class CatalecticantMatrix:
     def rank(self) -> int:
         return rank([list(r) for r in self.entries])
 
-    def kernel(self) -> list[list[Fraction]]:
-        """Canonical basis of the annihilated operators, as column vectors."""
+    def kernel(self) -> list[dict[int, int]]:
+        """The annihilated operators, as sparse column vectors: the primitive
+        integer multiples of the canonical (RREF) kernel basis."""
         return kernel_basis([list(r) for r in self.entries], len(self.col_monomials))
 
 
@@ -175,8 +176,9 @@ def catalecticant(form: Polynomial, i: int) -> CatalecticantMatrix:
 
 def essential_variables(form: Polynomial) -> int:
     """Least number of variables the form can be written in (rank of the
-    first catalecticant)."""
-    return catalecticant(form, 1).rank()
+    first catalecticant, read off the integer catalecticant of D*F, D the
+    form's denominator)."""
+    return _catalecticant_span(form, 1).dimension
 
 
 def _catalecticant_span(form: Polynomial, i: int) -> RowSpan:
@@ -344,7 +346,7 @@ def apolar_ideal(form: Polynomial) -> HomogeneousIdeal:
 
     def kernel(i: int) -> list[dict[int, int]]:
         span = spans[i] if i in spans else _catalecticant_span(form, i)
-        return [vec for _, vec in span.kernel_rows()]
+        return span.kernel_rows()
 
     low = next((i for i in range(1, d + 1) if hf.values[i] < ring_dimension(n, i)),
                None)

@@ -414,18 +414,18 @@ def _compression_change(rc: ReducibleCubic) -> tuple[LinearChange, int]:
     """Invertible change whose trailing variables are killed by the product:
     substitute(L*Q, change) uses only the first e = essential coordinates.
     d_v(L*Q) = 0 exactly when l.v = 0 and Mv = 0 (see classify), so the
-    trailing columns, the canonical basis of ker [M; l^T], span ker Cat_1."""
+    trailing columns, the primitive integer kernel vectors of [M; l^T], span
+    ker Cat_1, and unit columns off their pivots complete them."""
     nv = rc.nvars
     rows = _quadric_ints(rc.quadric)[0] + [list(rc.linear._ints)]
     kernel_cols = kernel_basis(rows, nv)
-    e = nv - len(kernel_cols)
     span = RowSpan(nv)
     for v in kernel_cols:
         span.insert(v)
-    pivot_set = set(span.pivot_columns())
-    cols = [[int(i == r) for i in range(nv)] for r in range(nv) if r not in pivot_set]
-    cols.extend(kernel_cols)
-    return LinearChange([[cols[j][i] for j in range(nv)] for i in range(nv)]), e
+    pivots = set(span.pivot_columns())
+    cols = [{r: 1} for r in range(nv) if r not in pivots] + kernel_cols
+    return (LinearChange([[col.get(i, 0) for col in cols] for i in range(nv)]),
+            nv - len(kernel_cols))
 
 
 def _compressed_product(rc: ReducibleCubic, change: LinearChange,

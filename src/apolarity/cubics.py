@@ -157,10 +157,11 @@ def classify(rc: ReducibleCubic) -> CubicType:
     if len(pivots) < nv:
         return CubicType(CubicKind.CONE, len(pivots))
     if pivots[-1] < nv:
-        # A is invertible and the last column has become A^-1 l'; l^T adj(M) l
-        # differs from l^T M^-1 l by the nonzero factor det(M)
-        (last,), _ = linalg.cleared_rows([[row[nv] for row in red]])
-        tangency = sum(c * v for c, v in zip(l, last))
+        # A is invertible, so row i is a_i*(e_i | (A^-1 l')_i); l^T M^-1 l is
+        # a nonzero multiple of sum l'_i * row_i[nv] * (D/a_i), D = lcm a_i
+        den = lcm(*(row[i] for i, row in enumerate(red)))
+        tangency = sum(c * row.get(nv, 0) * (den // row[i])
+                       for i, (c, row) in enumerate(zip(l, red)))
         return CubicType(CubicKind.TYPE_C if tangency == 0 else CubicKind.TYPE_A)
     return CubicType(CubicKind.TYPE_B)
 
@@ -274,11 +275,22 @@ class WaringDecomposition:
         }
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> WaringDecomposition:
-        degree = int(data["degree"])
-        nvars = int(data["variables"])
-        terms = [(Fraction(t["coefficient"]), LinearForm(Fraction(v) for v in t["form"]))
-                 for t in data["terms"]]
+    def from_json_dict(cls, data) -> WaringDecomposition:
+        """The decomposition of a to_json_dict payload.  Raises ValueError
+        on any other shape, or on a number that is not a finite rational."""
+        if not (isinstance(data, dict) and isinstance(data.get("terms"), list)
+                and all(isinstance(t, dict) and isinstance(t.get("form"), list)
+                        for t in data["terms"])):
+            raise ValueError('a decomposition is an object whose "terms" list '
+                             'holds objects with a "form" list')
+        try:
+            degree, nvars = int(data["degree"]), int(data["variables"])
+            terms = [(Fraction(t["coefficient"]), LinearForm(Fraction(v) for v in t["form"]))
+                     for t in data["terms"]]
+        except KeyError as exc:
+            raise ValueError(f"the decomposition has no field {exc}") from None
+        except (TypeError, ZeroDivisionError, OverflowError) as exc:
+            raise ValueError(f"not a finite rational in the decomposition: {exc}") from None
         return cls.assemble(degree, nvars, terms)
 
 
@@ -498,7 +510,7 @@ def normalize_tangent_product(rc: ReducibleCubic) -> LinearChange:
     if len(ker) != 1:
         raise ValueError("the hyperplane section is not a corank-one quadric; "
                          "the product is not of tangent type")
-    (_, vec), = ker
+    vec, = ker
     q = [0] + [vec.get(i, 0) for i in range(n)]
     gq = [sum(x * y for x, y in zip(row, q) if y) for row in g]
     if any(gq[1:]) or gq[0] == 0:
@@ -598,7 +610,7 @@ class BinaryDecomposition:
     lower_squarefree: bool
 
 
-def _squarefree(p: list[Fraction | int]) -> bool:
+def _squarefree(p: list[int]) -> bool:
     """Whether p (coefficients from the constant up, leading one nonzero) is
     squarefree.  gcd(p, p') is constant exactly when the resultant of p and
     p' is nonzero, i.e. when their (2m-1)-square Sylvester matrix has full
@@ -717,12 +729,14 @@ def decompose_binary(form: Polynomial) -> BinaryDecomposition:
     if forms is not None:
         monos = [(i, d - i) for i in range(d, -1, -1)]
         powers = [f.to_polynomial() ** d for f in forms]
-        rows = [[p.coefficient(e) for p in powers] for e in monos]
-        rhs = [form.coefficient(e) for e in monos]
-        sol = linalg.solve(rows, rhs)
+        # sum_j y_j * P_j = F in the integer terms, so x_j = y_j * den_j / den_F
+        rows = [[p._ints.get(e, 0) for p in powers] for e in monos]
+        sol = linalg.solve(rows, [form._ints.get(e, 0) for e in monos])
         if sol is not None:
-            dec = WaringDecomposition.assemble(
-                d, 2, [(c, f) for c, f in zip(sol, forms)])
+            ys, den = sol
+            dec = WaringDecomposition.assemble(d, 2, [
+                (Fraction(y * p._den, den * form._den), f)
+                for y, p, f in zip(ys, powers, forms)])
             ok, _ = verify_decomposition(form, dec)
             if ok:
                 decomposition = dec

@@ -12,7 +12,6 @@ which is why sweeps run bottom-up.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 from math import comb
@@ -136,7 +135,7 @@ def graded_basis(ideal: HomogeneousIdeal, degree: int) -> list[Polynomial]:
     if degree < 0:
         raise ValueError("degree must be >= 0")
     span = _graded_spans(ideal, degree)[degree]
-    return [_monic(ideal.nvars, degree, row) for row in span._reduced()]
+    return [_monic(ideal.nvars, degree, row) for row in span.canonical_rows()]
 
 
 @dataclass(frozen=True)
@@ -179,7 +178,7 @@ def ideal_sum(a: HomogeneousIdeal, b: HomogeneousIdeal) -> HomogeneousIdeal:
                             min(bounds) if bounds else None)
 
 
-def _generators_from_components(components: list[list[dict[int, Fraction | int]]],
+def _generators_from_components(components: list[list[dict[int, int]]],
                                 nvars: int) -> list[Polynomial]:
     """Minimal generators of an ideal whose degree-i component is spanned by
     components[i].  Each component must contain T_1 times the previous one,
@@ -225,7 +224,7 @@ def _colon_spans(ideal: HomogeneousIdeal, divisor: Polynomial,
             for k, brow in enumerate(basis):
                 for col, val in brow.items():
                     rows[col][dim_i + k] = -val
-            preimage = ({c: vec[c] for c in range(dim_i) if vec[c]}
+            preimage = ({c: v for c, v in vec.items() if c < dim_i}
                         for vec in kernel_basis(rows, width))
         out.append(_component(RowSpan(0), n, i, preimage, dim_i)[0])
     return out

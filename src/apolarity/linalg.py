@@ -8,10 +8,14 @@ span allows.  A row being reduced is divided by its content when it stops
 and every CONTENT_EVERY steps on the way, not after each step: which entries
 a step cancels does not depend on the content, and the primitive multiple
 with a positive lead is unique, so every residual and stored row is the
-same.  canonical_rows() back-substitutes to the reduced row echelon
-form (RREF), which is unique; rref, rank, kernel_basis and solve are read off
-it, and inverse off its integer rows, _reduced().  A full span takes no more
-rows, so tall matrices stop early.
+same.  A full span takes no more rows, so tall matrices stop early.
+
+Every answer is in integers.  rref returns canonical_rows(), the primitive
+multiples of the unique reduced row echelon form (RREF) rows, kernel_basis
+kernel_rows(), those of the canonical kernel vectors, and inverse and solve
+read one answer off them as integers over one denominator.  The RREF is
+unique, and so is a row's primitive multiple with a positive lead, so two
+spans are equal iff their canonical rows are.
 
 ModularSpan is not exact over the rationals and never stands in for
 RowSpan: it bounds ranks from below.  A matrix with entries in Z localized at
@@ -24,57 +28,42 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-Row = list[Fraction]
 SparseRow = dict[int, int]
 CONTENT_EVERY = 8  # cancellations between content reductions of one row
 
 
-def _span(rows) -> RowSpan:
-    span = RowSpan(len(rows[0]) if rows else 0)
+def _span(rows, ncols: int | None = None) -> RowSpan:
+    span = RowSpan((len(rows[0]) if rows else 0) if ncols is None else ncols)
     for row in rows:
         span.insert(row)
     return span
 
 
-def rref(rows: list[Row]) -> tuple[list[Row], list[int]]:
-    """Reduced row echelon form. Returns (nonzero rows, pivot column list)."""
+def rref(rows: list[list]) -> tuple[list[SparseRow], list[int]]:
+    """The RREF as (RowSpan.canonical_rows(), pivot columns): row i is the
+    unique RREF row times its entry at pivot i, primitive and positive."""
     span = _span(rows)
-    out = []
-    for row in span.canonical_rows():
-        dense = [Fraction(0)] * span.ncols
-        for c, v in row.items():
-            dense[c] = v
-        out.append(dense)
-    return out, span.pivot_columns()
+    return span.canonical_rows(), span.pivot_columns()
 
 
-def rank(rows: list[Row]) -> int:
+def rank(rows: list[list]) -> int:
     return _span(rows).dimension
 
 
-def kernel_basis(rows: list[Row], ncols: int) -> list[Row]:
-    """Canonical kernel basis from the RREF: one vector per free column,
-    which holds 1 (RowSpan.kernel_rows scaled back)."""
-    span = RowSpan(ncols)
-    for row in rows:
-        span.insert(row)
-    basis = []
-    for free, vec in span.kernel_rows():
-        dense = [Fraction(0)] * ncols
-        for c, v in vec.items():
-            dense[c] = Fraction(v, vec[free])
-        basis.append(dense)
-    return basis
+def kernel_basis(rows: list[list], ncols: int) -> list[SparseRow]:
+    """RowSpan.kernel_rows() of the rows: the primitive multiples of the
+    canonical kernel basis, one vector per free column."""
+    return _span(rows, ncols).kernel_rows()
 
 
-def inverse(mat: list[Row]) -> tuple[list[list[int]], int] | None:
+def inverse(mat: list[list]) -> tuple[list[list[int]], int] | None:
     """The inverse as integer rows over their least denominator D, or None if
     singular: row i of the reduced [mat | 1] is a_i*(e_i | row i), D = lcm a_i."""
     n = len(mat)
     span = _span([list(mat[i]) + [int(i == j) for j in range(n)] for i in range(n)])
     if span.pivot_columns() != list(range(n)):
         return None
-    reduced = span._reduced()
+    reduced = span.canonical_rows()
     den = lcm(*(row[i] for i, row in enumerate(reduced)))
     return [[row.get(n + j, 0) * (den // row[i]) for j in range(n)]
             for i, row in enumerate(reduced)], den
@@ -99,19 +88,21 @@ def gram(g, vectors):
     return out if exact else [[Fraction(v, a * b * b) for v in row] for row in out]
 
 
-def solve(rows: list[Row], rhs: Row) -> Row | None:
-    """One solution of rows * x = rhs (free variables set to 0), or None."""
+def solve(rows: list[list], rhs: list) -> tuple[list[int], int] | None:
+    """One solution of rows * x = rhs as integers X over D > 0, x = X/D,
+    with the free variables 0; None if there is none.  Row i of the reduced
+    [rows | rhs] is a_i times (RREF row | x at pivot i), D = lcm a_i."""
     if not rows:
         return None
     ncols = len(rows[0])
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    red, pivots = rref(aug)
+    red, pivots = rref([list(r) + [b] for r, b in zip(rows, rhs)])
     if ncols in pivots:
         return None  # inconsistent
-    x = [Fraction(0)] * ncols
+    den = lcm(*(row[pc] for row, pc in zip(red, pivots)))
+    x = [0] * ncols
     for row, pc in zip(red, pivots):
-        x[pc] = row[ncols]
-    return x
+        x[pc] = row.get(ncols, 0) * (den // row[pc])
+    return x, den
 
 
 def _primitive(row: SparseRow) -> SparseRow:
@@ -152,7 +143,7 @@ class RowSpan:
     """Row space of sparse integer vectors with incremental insertion.
 
     Rows are kept forward-eliminated and primitive: at most one stored row
-    leads at any column.  canonical_rows() back-substitutes to the unique RREF.
+    leads at any column.  canonical_rows() back-substitutes to the RREF.
     """
 
     def __init__(self, ncols: int):
@@ -192,8 +183,9 @@ class RowSpan:
         self._pivot_rows[min(residual)] = residual
         return residual
 
-    def _reduced(self) -> list[SparseRow]:
-        """Primitive integer multiples of the RREF rows, by pivot column."""
+    def canonical_rows(self) -> list[SparseRow]:
+        """The primitive integer multiples, with positive leads, of the
+        unique RREF rows of the span, ordered by pivot column."""
         order = sorted(self._pivot_rows)
         reduced: dict[int, SparseRow] = {}
         for lead in reversed(order):
@@ -204,20 +196,12 @@ class RowSpan:
             reduced[lead] = row
         return [reduced[lead] for lead in order]
 
-    def canonical_rows(self) -> list[dict[int, Fraction]]:
-        """The unique RREF of the span, rows ordered by pivot column."""
-        out = []
-        for row in self._reduced():
-            scale = Fraction(1, row[min(row)])
-            out.append({c: v * scale for c, v in sorted(row.items())})
-        return out
-
-    def kernel_rows(self) -> list[tuple[int, SparseRow]]:
-        """(free column, primitive integer multiple of its canonical kernel
-        vector) for each column without a pivot, in order.  The canonical
-        vector has 1 at its free column, 0 at the others and minus the RREF
-        entry of that column at each pivot column."""
-        reduced = [(min(row), row) for row in self._reduced()]
+    def kernel_rows(self) -> list[SparseRow]:
+        """The primitive integer multiple of the canonical kernel vector of
+        each column without a pivot, in order.  The canonical vector has 1
+        at its free column, 0 at the others and minus the RREF entry of that
+        column at each pivot column."""
+        reduced = [(min(row), row) for row in self.canonical_rows()]
         out = []
         for free in range(self.ncols):
             if free in self._pivot_rows:
@@ -226,7 +210,7 @@ class RowSpan:
             scale = lcm(*(a for _, a, _ in used))
             vec = {lead: -b * (scale // a) for lead, a, b in used}
             vec[free] = scale
-            out.append((free, _primitive(dict(sorted(vec.items())))))
+            out.append(_primitive(dict(sorted(vec.items()))))
         return out
 
     def pivot_columns(self) -> list[int]:

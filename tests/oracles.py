@@ -4,7 +4,8 @@ Everything here is deliberately naive and shares no code paths with the
 package: differentiation is repeated single-variable term surgery, powers of
 linear forms go through the multinomial formula, matrix rank uses
 fraction-free Bareiss elimination on integers, and kernels use fraction-free
-Gauss-Jordan elimination; ranks modulo a prime use dense Gaussian
+Gauss-Jordan elimination (primitive_multiple scales a rational vector to
+the integer form the package hands out); ranks modulo a prime use dense Gaussian
 elimination with Fermat inverses.  top_degree_generators keeps the linear system
 that the package once solved for the apolar generators of degree d+1, and
 squarefree_euclid and rational_roots_by_deflation keep the polynomial
@@ -203,6 +204,21 @@ def _gcd(a: int, b: int) -> int:
     return a
 
 
+def primitive_multiple(vec) -> dict:
+    """A rational vector scaled to its primitive integer multiple with a
+    positive first nonzero entry, as a sparse {column: entry} row."""
+    den = 1
+    for x in vec:
+        den = den * Fraction(x).denominator // _gcd(den, Fraction(x).denominator)
+    ints = {c: int(Fraction(x) * den) for c, x in enumerate(vec) if x}
+    g = 0
+    for x in ints.values():
+        g = _gcd(g, abs(x))
+    if ints and ints[min(ints)] < 0:
+        g = -g
+    return {c: x // g for c, x in ints.items()}
+
+
 def kernel(matrix, ncols: int) -> list:
     """Kernel basis over Q by fraction-free Gauss-Jordan elimination on
     integer rows: one vector per free column, that column set to 1."""
@@ -373,9 +389,7 @@ def apolar_generators_by_sweep(form) -> list:
     from apolarity.apolar import catalecticant
     from apolarity.ideals import _generators_from_components
     d, n = form.homogeneous_degree(), form.nvars
-    components = [[]] + [[{c: v for c, v in enumerate(vec) if v}
-                          for vec in catalecticant(form, i).kernel()]
-                         for i in range(1, d + 1)]
+    components = [[]] + [catalecticant(form, i).kernel() for i in range(1, d + 1)]
     return ([g.terms for g in _generators_from_components(components, n)]
             + top_degree_generators(form.terms, n, d))
 

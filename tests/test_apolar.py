@@ -101,15 +101,19 @@ def test_apolar_hilbert_against_bareiss():
                 oracle = [bareiss_rank(catalecticant(form, i).entries)
                           for i in range(d + 1)]
                 assert apolar_hilbert(form).values == tuple(oracle)
-    # full rank over Q but not modulo the prime: the exact fallback decides
+                assert essential_variables(form) == oracle[1]
+    # full rank over Q but not modulo the prime: the exact fallback decides;
+    # and a rational cone, whose Cat_1 has rank 3 in 4 variables
     p = apolar.PRIME
     for form in (_random_form(rng, 3, 4).scale(p), _random_form(rng, 4, 3).scale(p),
                  _random_form(rng, 3, 4).scale(Fraction(1, p)),
                  parse(f"x0^3 + {p}*x1^3 + x2^3"),
-                 parse(f"x0^4 + {p}*x1^4 + x2^4 + x0*x1*x2^2")):
+                 parse(f"x0^4 + {p}*x1^4 + x2^4 + x0*x1*x2^2"),
+                 parse("1/6*x0^3 + 1/35*x1^2*x2 + 2/15*x0*x1*x2", nvars=4)):
         d = form.homogeneous_degree()
         oracle = [bareiss_rank(catalecticant(form, i).entries) for i in range(d + 1)]
         assert apolar_hilbert(form).values == tuple(oracle), form
+        assert essential_variables(form) == oracle[1], form
 
 
 def _dense_form(rng, nv, d):

@@ -434,7 +434,8 @@ def test_compression_kernel_is_the_catalecticant_kernel():
         change, e = _compression_change(rc)
         kernel = catalecticant(rc.form(), 1).kernel()
         assert e == rc.nvars - len(kernel)
-        assert [list(col) for col in zip(*change.matrix)][e:] == kernel
+        assert [{i: v for i, v in enumerate(col) if v}
+                for col in zip(*change.matrix)][e:] == kernel
 
 
 def test_cone_report_runs_once(monkeypatch):

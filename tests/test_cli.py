@@ -183,6 +183,20 @@ def test_missing_file_exit_code(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("payload", [
+    '{"degree": 3, "variables": 3, "terms": [{"coefficient": "1/0", "form": ["1", "0", "0"]}]}',
+    '[{"degree": 3}]',
+    '{"degree": 3, "variables": 3, "terms": 5}',
+], ids=["zero-denominator", "top-level-array", "terms-not-a-list"])
+def test_verify_rejects_malformed_decomposition(capsys, tmp_path, payload):
+    target = tmp_path / "dec.json"
+    target.write_text(payload)
+    code, out, err = run(capsys, "verify", "x0^3", "--vars", "3", str(target))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_unknown_command_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

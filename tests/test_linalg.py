@@ -5,7 +5,8 @@ from math import gcd
 from apolarity import linalg
 from apolarity.linalg import (ModularSpan, RowSpan, _to_sparse_int, gram, inverse,
                               kernel_basis, rank, rref, solve)
-from oracles import bareiss_rank, gram_by_fractions, kernel, rank_mod_prime
+from oracles import (bareiss_rank, gram_by_fractions, kernel, primitive_multiple,
+                     rank_mod_prime)
 
 
 def _random_matrix(rng, nrows, ncols, span=4):
@@ -13,12 +14,20 @@ def _random_matrix(rng, nrows, ncols, span=4):
              for _ in range(ncols)] for _ in range(nrows)]
 
 
+def _dense(row, ncols):
+    return [row.get(j, 0) for j in range(ncols)]
+
+
 def test_rref_fixture():
+    """The RREF rows [1, 0, -1] and [0, 1, 2], and [1, 0, 1/2], [0, 1, -3/4]
+    come out as their primitive integer multiples."""
     rows, pivots = rref([[Fraction(0), Fraction(2), Fraction(4)],
                          [Fraction(1), Fraction(1), Fraction(1)]])
     assert pivots == [0, 1]
-    assert rows == [[Fraction(1), Fraction(0), Fraction(-1)],
-                    [Fraction(0), Fraction(1), Fraction(2)]]
+    assert rows == [{0: 1, 2: -1}, {1: 1, 2: 2}]
+    rows, pivots = rref([[2, 0, 1], [0, 4, -3]])
+    assert pivots == [0, 1]
+    assert rows == [{0: 2, 2: 1}, {1: 4, 2: -3}]
 
 
 def test_rank_matches_bareiss():
@@ -41,9 +50,10 @@ def test_kernel_vectors_annihilate():
         basis = kernel_basis(m, ncols)
         assert len(basis) == ncols - rank(m)
         for v in basis:
-            assert all(sum(row[j] * v[j] for j in range(ncols)) == 0 for row in m)
-        # the canonical basis, with 1 at its free column, is unique
-        assert basis == kernel(m, ncols)
+            assert all(sum(row[j] * v.get(j, 0) for j in range(ncols)) == 0 for row in m)
+        # the canonical basis, with 1 at its free column, is unique, and so
+        # is its primitive integer multiple
+        assert basis == [primitive_multiple(v) for v in kernel(m, ncols)]
 
 
 def test_inverse():
@@ -64,15 +74,17 @@ def test_inverse():
 
 def test_solve():
     a = [[Fraction(1), Fraction(2)], [Fraction(3), Fraction(4)]]
-    x = solve(a, [Fraction(5), Fraction(6)])
+    xs, den = solve(a, [Fraction(5), Fraction(6)])
+    x = [Fraction(v, den) for v in xs]
+    assert den > 0 and all(type(v) is int for v in xs)
     assert [sum(a[i][j] * x[j] for j in range(2)) for i in range(2)] == [5, 6]
     # inconsistent system
     assert solve([[Fraction(1), Fraction(1)], [Fraction(1), Fraction(1)]],
                  [Fraction(0), Fraction(1)]) is None
     # underdetermined: any particular solution is fine
     b = [[Fraction(1), Fraction(1), Fraction(0)]]
-    y = solve(b, [Fraction(2)])
-    assert sum(b[0][j] * y[j] for j in range(3)) == 2
+    ys, den = solve(b, [Fraction(2)])
+    assert sum(b[0][j] * Fraction(ys[j], den) for j in range(3)) == 2
 
 
 def _is_rref(rows, pivots, ncols):
@@ -99,11 +111,14 @@ def test_rowspan_canonical_rows_against_bareiss():
         canon = span.canonical_rows()
         assert span.dimension == len(canon) == bareiss_rank(dense_rows)
         assert span.pivot_columns() == [min(r) for r in canon]
-        assert _is_rref(canon, span.pivot_columns(), ncols)
-        stacked = dense_rows + [[r.get(j, 0) for j in range(ncols)] for r in canon]
+        # each row is its RREF row times its lead
+        monic = [{j: Fraction(v, r[min(r)]) for j, v in r.items()} for r in canon]
+        assert _is_rref(monic, span.pivot_columns(), ncols)
+        stacked = dense_rows + [_dense(r, ncols) for r in canon]
         assert bareiss_rank(stacked) == len(canon)
-        # stored rows have their content divided out and a positive lead
-        for row in span.basis_rows():
+        # stored and canonical rows have their content divided out and a
+        # positive lead
+        for row in span.basis_rows() + canon:
             assert gcd(*row.values()) == 1 and row[min(row)] > 0
 
 
@@ -119,7 +134,8 @@ def test_content_divided_out_once_per_row_changes_no_row(monkeypatch):
         for ncols, rows in matrices:
             span = RowSpan(ncols)
             residuals = [span.insert(row) for row in rows]
-            out.append((residuals, span.basis_rows(), span._reduced(), span.kernel_rows()))
+            out.append((residuals, span.basis_rows(), span.canonical_rows(),
+                        span.kernel_rows()))
         return out
 
     rng = random.Random(17)
@@ -130,9 +146,9 @@ def test_content_divided_out_once_per_row_changes_no_row(monkeypatch):
         matrices.append((ncols, rows + [[a + 2 * b for a, b in zip(rows[0], rows[1])]]))
     once = run(linalg.CONTENT_EVERY, matrices)
     assert once == run(1, matrices)
-    for residuals, stored, reduced, _ in once:
+    for residuals, stored, reduced, kernel_rows in once:
         assert sum(r is not None for r in residuals) == len(stored) < len(residuals)
-        for row in stored + reduced:
+        for row in stored + reduced + kernel_rows:
             assert gcd(*row.values()) == 1 and row[min(row)] > 0
 
 
@@ -203,13 +219,53 @@ def test_tall_matrices_match_bareiss():
             assert rank(m) == bareiss_rank(m) == r
             rows, pivots = rref(m)
             assert len(rows) == len(pivots) == r
-            assert bareiss_rank(m + rows) == r
+            assert bareiss_rank(m + [_dense(row, ncols) for row in rows]) == r
             kernel = kernel_basis(m, ncols)
             assert len(kernel) == ncols - r
             for v in kernel:
-                assert all(sum(row[j] * v[j] for j in range(ncols)) == 0 for row in m)
+                assert all(sum(row[j] * v.get(j, 0) for j in range(ncols)) == 0 for row in m)
         # the RREF is unique, so stopping after the prefix changes nothing
         assert rref(prefix + extra) == rref(prefix)
+
+
+def test_integer_input_builds_no_fraction(monkeypatch):
+    """On integer rows rref, kernel_basis, solve, inverse, canonical_rows and
+    kernel_rows run on integers alone: with linalg.Fraction counting its
+    calls, none is made.  Every row they return is primitive with a positive
+    lead, and the single answers of solve and inverse are integers over a
+    positive denominator that satisfy their equations."""
+    rng = random.Random(19)
+    cases = []
+    for _ in range(30):
+        nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
+        m = [[rng.randint(-9, 9) for _ in range(ncols)] for _ in range(nrows)]
+        n = rng.randint(1, 4)
+        square = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        cases.append((m, [rng.randint(-9, 9) for _ in m], square))
+    calls = []
+    monkeypatch.setattr(linalg, "Fraction", lambda *args: calls.append(args) or Fraction(*args))
+    for m, rhs, square in cases:
+        ncols = len(m[0])
+        span = RowSpan(ncols)
+        for row in m:
+            span.insert(row)
+        rows, _ = rref(m)
+        for row in rows + kernel_basis(m, ncols) + span.canonical_rows() + span.kernel_rows():
+            assert all(type(v) is int for v in row.values())
+            assert gcd(*row.values()) == 1 and row[min(row)] > 0
+        sol = solve(m, rhs)
+        if sol is not None:
+            xs, den = sol
+            assert den > 0 and all(type(v) is int for v in xs)
+            assert [sum(a * x for a, x in zip(row, xs)) for row in m] == [b * den for b in rhs]
+        inv = inverse(square)
+        if inv is not None:
+            inv_rows, den = inv
+            n = len(square)
+            assert den > 0 and all(type(v) is int for row in inv_rows for v in row)
+            assert [[sum(square[i][k] * inv_rows[k][j] for k in range(n)) for j in range(n)]
+                    for i in range(n)] == [[den * int(i == j) for j in range(n)] for i in range(n)]
+    assert calls == []
 
 
 def test_modular_span_rank_is_the_rank_mod_p_and_bounds_the_rank_over_q():
