@@ -11,8 +11,7 @@ verified power sum.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
-from math import ceil, comb
+from math import comb
 
 from .apolar import apolar_apply, apolar_hilbert, apolar_ideal
 from .cubics import (CubicKind, CubicType, LinearChange, NeedsFieldExtension,
@@ -38,7 +37,7 @@ def generic_rank(n: int, degree: int) -> int:
         return n + 1
     if (degree, n) in _GENERIC_EXCEPTIONS:
         return _GENERIC_EXCEPTIONS[(degree, n)]
-    return ceil(Fraction(comb(n + degree, degree), n + 1))
+    return -(-comb(n + degree, degree) // (n + 1))
 
 
 def classified_rank_bounds(ctype: CubicType, n: int) -> tuple[int, int]:
@@ -354,15 +353,14 @@ def rank_report(rc: ReducibleCubic) -> RankReport:
         if ctype is not None:
             notes.append(f"compressed from {nv} to {e} essential variables")
         if e == 1:
-            coef = next(iter(core_form.terms.values()))
-            dec = _lift(form, [(coef, LinearForm([1]))], change, "rank-one")
-            return RankReport(form, ctype, ess, cat, 1, "catalecticant", 1, dec,
-                              gen, None, tuple(notes))
+            dec = WaringDecomposition(3, 1, [(core_form.coefficient((3,)), LinearForm([1]))])
+            return RankReport(form, ctype, ess, cat, 1, "catalecticant", 1,
+                              _lift(form, dec, change, "rank-one"), gen, None, tuple(notes))
         if e == 2:
             bd = decompose_binary(core_form)
             witness = None
             if bd.decomposition is not None:
-                witness = _lift(form, bd.decomposition.terms, change, "binary")
+                witness = _lift(form, bd.decomposition, change, "binary")
             else:
                 notes.append("exact rank from apolar generator degrees; the "
                              "relevant generator does not split rationally, so "
@@ -379,12 +377,11 @@ def rank_report(rc: ReducibleCubic) -> RankReport:
                      "is expected to be the true value but is not certified")
         try:
             to_pinch = normalize_tangent_product(core)
-            witness = _lift(core_form, decompose_type_c_normal(n).terms,
-                            to_pinch, "tangent")
+            witness = _lift(core_form, decompose_type_c_normal(n), to_pinch, "tangent")
             # the pinch form's slicer d1: a column in the core's coordinates, zero-padded by zip
             slicer, den = [row[1] for row in to_pinch._rows], to_pinch._den
             if change is not None:
-                witness = _lift(form, witness.terms, change, "cone")
+                witness = _lift(form, witness, change, "cone")
                 slicer = [sum(a * b for a, b in zip(row, slicer)) for row in change._rows]
                 den *= change._den
             avoidance = avoidance_lower_bound(

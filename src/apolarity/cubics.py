@@ -20,7 +20,7 @@ the quadric (see decompose_type_c_normal).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -28,8 +28,8 @@ from math import gcd, isqrt, lcm
 
 from . import linalg
 from .apolar import apolar_ideal
-from .poly import (AmbientMismatchError, LinearChange, LinearForm, Polynomial,
-                   _compose_packed)
+from .poly import (MAX_MONOMIAL_ENTRIES, AmbientMismatchError, LinearChange,
+                   LinearForm, Polynomial, _comb_exceeds, _compose_packed, _signed_sum)
 
 
 class NeedsFieldExtension(Exception):
@@ -172,64 +172,84 @@ def classify(rc: ReducibleCubic) -> CubicType:
 class WaringDecomposition:
     """A sum F = sum c_i * L_i^degree with pairwise independent forms L_i.
 
-    Terms are normalized: forms are monic in their first nonzero coefficient,
-    proportional forms are merged, zero coefficients dropped, order canonical.
-    """
+    c_i is the int _terms[i][0] over one _den > 0, gcd 1, as in Polynomial.
+    The constructor takes (c_i, L_i) as given; assemble makes forms monic in
+    their first nonzero entry, merges proportional ones, drops zero c_i, sorts."""
 
     degree: int
     nvars: int
-    terms: tuple[tuple[Fraction, LinearForm], ...]
+    _terms: tuple[tuple[int, LinearForm], ...] = field(init=False)
+    _den: int = field(init=False)
+
+    def __init__(self, degree: int, nvars: int, terms):
+        terms = tuple(terms)
+        (ints,), den = linalg.cleared_rows([[Fraction(c) for c, _ in terms]])
+        self._set(degree, nvars, tuple(zip(ints, (f for _, f in terms))), den)
+
+    @classmethod
+    def _make(cls, degree: int, nvars: int, terms, den: int) -> WaringDecomposition:
+        """sum (c/den) * L^degree over the (c, L) terms, taken as given."""
+        return object.__new__(cls)._set(degree, nvars, terms, den)
+
+    def _set(self, degree: int, nvars: int, terms, den: int) -> WaringDecomposition:
+        if degree < 0:
+            raise ValueError(f"a power sum needs a degree >= 0, got {degree}")
+        for name, value in zip(("degree", "nvars", "_terms", "_den"), (degree, nvars, terms, den)):
+            object.__setattr__(self, name, value)
+        return self
+
+    @property
+    def terms(self) -> tuple[tuple[Fraction, LinearForm], ...]:
+        return tuple((Fraction(c, self._den), f) for c, f in self._terms)
 
     @classmethod
     def assemble(cls, degree: int, nvars: int, raw_terms) -> WaringDecomposition:
-        return cls._from_rows(degree, nvars, (
-            (Fraction(coef), form._ints, form._den) for coef, form in raw_terms))
+        d = cls(degree, nvars, raw_terms)
+        return cls._from_rows(degree, nvars, ((c, f._ints, f._den) for c, f in d._terms), d._den)
 
     @classmethod
-    def _from_rows(cls, degree: int, nvars: int, rows) -> WaringDecomposition:
-        """Normalized terms from triples (c, row, den), each the term
-        c * ((row/den) . x)^degree for an integer row: terms merge on the
+    def _from_rows(cls, degree: int, nvars: int, rows, den: int) -> WaringDecomposition:
+        """Normalized terms from triples (c, row, d), each the term
+        (c/den) * ((row/d) . x)^degree in ints, d > 0: terms merge on the
         row's _direction P, the monic form is P/p, p its first nonzero
-        entry, and the coefficient takes the factor (lead/den)^degree, lead
-        the row's first nonzero entry.  They sort as P*(m/p), m the lcm of
-        the p: m times each monic form."""
-        merged: dict[tuple[int, ...], Fraction] = {}
-        for coef, row, den in rows:
-            if coef == 0:
-                continue
+        entry, and the coefficient takes the factor (lead/d)^degree, lead
+        the row's first nonzero entry, over den * D^degree, D the lcm of the
+        d, and one gcd.  They sort as P*(m/p), m the lcm of the p."""
+        rows = [(c, row, d) for c, row, d in rows if c]
+        big = lcm(*(d for _, _, d in rows))
+        merged: dict[tuple[int, ...], int] = {}
+        for coef, row, d in rows:
             lead = next((v for v in row if v), 0)
             if not lead:
                 raise ValueError("decomposition term uses the zero form")
             if len(row) != nvars:
                 raise AmbientMismatchError("term ambient differs from the decomposition's")
             key = _direction(row)
-            merged[key] = merged.get(key, 0) + coef * Fraction(lead, den) ** degree
+            merged[key] = merged.get(key, 0) + coef * (lead * (big // d)) ** degree
         kept = [(key, next(v for v in key if v), coef)
                 for key, coef in merged.items() if coef]
-        m = lcm(*(p for _, p, _ in kept))
+        den *= big ** degree
+        m, g = lcm(*(p for _, p, _ in kept)), gcd(den, *merged.values())
         kept.sort(key=lambda t: [v * (m // t[1]) for v in t[0]], reverse=True)
-        return cls(degree, nvars, tuple((coef, LinearForm._make(key, p))
-                                        for key, p, coef in kept))
+        return cls._make(degree, nvars, tuple((coef // g, LinearForm._make(key, p))
+                                              for key, p, coef in kept), den // g)
 
     def __len__(self) -> int:
-        return len(self.terms)
+        return len(self._terms)
 
     def _power_sum(self, base: int) -> tuple[dict[int, int], int, int]:
-        """(acc, scale, m): sum c_i * L_i^degree is the packed polynomial
-        acc/scale in m variables, keys packed with the given base, which
-        must exceed the degree."""
-        if self.degree < 0:
-            raise ValueError(f"a power sum needs a degree >= 0, got {self.degree}")
-        if not self.terms:
+        """(acc, scale, m): sum c_i * L_i^degree, from the integer terms and
+        rows as they are, is the packed polynomial acc/scale in m variables,
+        keys packed with the given base, which must exceed the degree."""
+        if not self._terms:
             return {}, 1, self.nvars
-        (coefs,), coef_den = linalg.cleared_rows([[c for c, _ in self.terms]])
-        den = lcm(*(form._den for _, form in self.terms))
-        rows = [[v * (den // form._den) for v in form._ints] for _, form in self.terms]
+        den = lcm(*(form._den for _, form in self._terms))
+        rows = [[v * (den // form._den) for v in form._ints] for _, form in self._terms]
         k, d = len(rows), self.degree
-        power_sum = (((0,) * i + (d,) + (0,) * (k - 1 - i), v)
-                     for i, v in enumerate(coefs))
+        power_sum = (((0,) * i + (d,) + (0,) * (k - 1 - i), c)
+                     for i, (c, _) in enumerate(self._terms))
         acc = _compose_packed(power_sum, rows, den, d, base)
-        return acc, coef_den * den ** d, len(rows[0])
+        return acc, self._den * den ** d, len(rows[0])
 
     def expand(self) -> Polynomial:
         """sum c_i * L_i^degree, each y_i^degree composed with the row L_i
@@ -246,24 +266,12 @@ class WaringDecomposition:
         cols = list(zip(*change._rows))
         return WaringDecomposition._from_rows(self.degree, self.nvars, (
             (coef, [sum(a * b for a, b in zip(form._ints, col)) for col in cols],
-             form._den * change._den) for coef, form in self.terms))
+             form._den * change._den) for coef, form in self._terms), self._den)
 
     def identity_string(self, name: str = "F", prefix: str = "x") -> str:
         """Integer-cleared identity like '6*F = (x0 + x2)^3 + ...'."""
-        scale = lcm(*(coef.denominator for coef, _ in self.terms))
-        lhs = name if scale == 1 else f"{scale}*{name}"
-        pieces = []
-        for coef, form in self.terms:
-            k = coef * scale
-            mag = abs(k)
-            body = f"({form.to_string(prefix)})^{self.degree}"
-            if mag != 1:
-                body = f"{mag}*{body}"
-            if not pieces:
-                pieces.append(body if k > 0 else "-" + body)
-            else:
-                pieces.append(("+ " if k > 0 else "- ") + body)
-        return f"{lhs} = " + " ".join(pieces)
+        return _signed_sum([(self._den, name)]) + " = " + _signed_sum(
+            [(c, f"({form.to_string(prefix)})^{self.degree}") for c, form in self._terms])
 
     def to_json_dict(self) -> dict:
         return {
@@ -277,14 +285,23 @@ class WaringDecomposition:
     @classmethod
     def from_json_dict(cls, data) -> WaringDecomposition:
         """The decomposition of a to_json_dict payload.  Raises ValueError
-        on any other shape, or on a number that is not a finite rational."""
+        on any other shape, on a number that is not a finite rational, on a
+        degree or variable count that is not a JSON integer >= 0 or >= 1,
+        and on an expansion that could pass MAX_MONOMIAL_ENTRIES exponent
+        entries, bounded as the parser bounds it."""
         if not (isinstance(data, dict) and isinstance(data.get("terms"), list)
                 and all(isinstance(t, dict) and isinstance(t.get("form"), list)
                         for t in data["terms"])):
             raise ValueError('a decomposition is an object whose "terms" list '
                              'holds objects with a "form" list')
+        degree, nvars = data.get("degree"), data.get("variables")
+        if type(degree) is not int or degree < 0 or type(nvars) is not int or nvars < 1:
+            raise ValueError('a decomposition needs an integer "degree" >= 0 '
+                             'and an integer "variables" >= 1')
+        if _comb_exceeds(nvars + degree - 1, degree, MAX_MONOMIAL_ENTRIES // nvars):
+            raise ValueError(f"a degree-{degree} power sum in {nvars} variables may "
+                             f"expand past {MAX_MONOMIAL_ENTRIES} exponent entries")
         try:
-            degree, nvars = int(data["degree"]), int(data["variables"])
             terms = [(Fraction(t["coefficient"]), LinearForm(Fraction(v) for v in t["form"]))
                      for t in data["terms"]]
         except KeyError as exc:
@@ -301,7 +318,7 @@ def verify_decomposition(form: Polynomial,
 
     The comparison runs in integers.  With F = N/a, the form's integer terms
     over its denominator, and dec.expand() = E/b for the integer polynomial
-    E that the kernel of poly builds from the cleared coefficients and
+    E that the kernel of poly builds from the integer coefficients and
     forms, it checks b*N - a*E = 0 coefficient by coefficient, monomials
     packed with one base above both degrees.  As a, b > 0, that holds
     exactly when form == dec.expand(); the residual (b*N - a*E)/(a*b)
@@ -321,7 +338,7 @@ def verify_decomposition(form: Polynomial,
     for key, v in acc.items():
         diff[key] = diff.get(key, 0) - v * form._den
     residual = Polynomial._from_packed(m, diff, base, scale * form._den, range(m))
-    keys = [_direction(f._ints) for _, f in dec.terms if not f.is_zero()]
+    keys = [_direction(f._ints) for _, f in dec._terms if not f.is_zero()]
     independent = len(set(keys)) == len(keys)
     return independent and residual.is_zero(), residual
 
@@ -444,26 +461,26 @@ def _pinch_inverse(n: int) -> list[tuple[int, int]]:
     return [next((j, d // v) for j, v in enumerate(row) if v) for row in pinch]
 
 
-def _pinch_scale(rc: ReducibleCubic, m, cols) -> Fraction | None:
-    """a when the change with columns C carries L*Q onto the normal form
-    x0*P: l^T C = a*e_0^T with a != 0, and C^T M C = P/a; None otherwise.
+def _pinch_scale(rc: ReducibleCubic, m, cols) -> tuple[int, int] | None:
+    """(a, a_den), the scale a/a_den with a_den > 0, when the change with
+    columns C carries L*Q onto the normal form x0*P: l^T C = (a/a_den)*e_0^T
+    with a != 0, and C^T M C = P*a_den/a; None otherwise.
     M, the matrix of Q, and C come cleared, m = (d_m*M, d_m) and
     cols = (d_c*C, d_c), and the second identity is checked in ints as
-    a*G = P*d_m*d_c^2, G the Gram product of the two integer matrices.
+    a*G = P*a_den*d_m*d_c^2, G the Gram product of the two integer matrices.
     This is exactly substitute(L*Q, C) == normal_form(n): x0 divides
     (L o C)*(Q o C) and cannot divide Q o C = x0*L', for P = (L o C)*L'
-    would then be reducible, while P has rank n+1 >= 3; so L o C = a*x0
-    and Q o C = P/a."""
+    would then be reducible, while P has rank n+1 >= 3; so L o C is x0
+    times the scale and Q o C is P over it."""
     (m_int, d_m), (c_int, d_c) = m, cols
     a, *rest = [sum(c * v for c, v in zip(rc.linear._ints, col)) for col in c_int]
     if a == 0 or any(rest):
         return None
-    a = Fraction(a, rc.linear._den * d_c)
-    den = a.denominator * d_m * d_c * d_c
+    a_den = rc.linear._den * d_c
     pinch, d_p = _pinch_ints(len(c_int) - 1)
-    return a if all(a.numerator * v * d_p == p * den
-                    for row, prow in zip(linalg.gram(m_int, c_int), pinch)
-                    for v, p in zip(row, prow)) else None
+    return (a, a_den) if all(a * v * d_p == p * a_den * d_m * d_c * d_c
+                             for row, prow in zip(linalg.gram(m_int, c_int), pinch)
+                             for v, p in zip(row, prow)) else None
 
 
 def normalize_tangent_product(rc: ReducibleCubic) -> LinearChange:
@@ -550,14 +567,13 @@ def normalize_tangent_product(rc: ReducibleCubic) -> LinearChange:
         cols.append(([v // common for v in x], den // common))
     d_c = lcm(*(den for _, den in cols))
     c_int = [[v * (d_c // den) for v in x] for x, den in cols]
-    a = _pinch_scale(rc, (qa, qd), (c_int, d_c))
-    if a is None:
+    a, a_den = _pinch_scale(rc, (qa, qd), (c_int, d_c)) or (0, 1)
+    if not a:
         raise RuntimeError("internal: normalization self-check failed")
     # row j of (d_c*C)^T (d_m*M) pairs column j of C with the rows of M = M^T
     ctm = [[sum(x * y for x, y in zip(col, row) if x) for row in qa] for col in c_int]
-    inverse = [[a.numerator * w * v for v in ctm[j]] for j, w in _pinch_inverse(n)]
-    return LinearChange._from_pair((list(zip(*c_int)), d_c),
-                                   (inverse, a.denominator * d_c * qd))
+    inverse = [[a * w * v for v in ctm[j]] for j, w in _pinch_inverse(n)]
+    return LinearChange._from_pair((list(zip(*c_int)), d_c), (inverse, a_den * d_c * qd))
 
 
 def decompose_type_c(rc: ReducibleCubic,
@@ -584,14 +600,15 @@ def decompose_type_c(rc: ReducibleCubic,
         raise InvalidChange("change of coordinates has the wrong size")
     elif not carried:
         raise InvalidChange("the change does not carry the cubic to the normal form")
-    return _lift(rc.form(), decompose_type_c_normal(n).terms, change, "tangent")
+    return _lift(rc.form(), decompose_type_c_normal(n), change, "tangent")
 
 
-def _lift(form: Polynomial, terms, change: LinearChange,
+def _lift(form: Polynomial, dec: WaringDecomposition, change: LinearChange,
           what: str) -> WaringDecomposition:
-    """Carry a witness of substitute(form, change), padded when it uses
-    fewer variables, back to the form through the change, and verify it."""
-    witness = WaringDecomposition(3, form.nvars, tuple(terms)).compose(change.inverse())
+    """Carry dec, a witness of substitute(form, change), back to the form
+    through the change, its forms zero-padded to the ambient, and verify it."""
+    padded = WaringDecomposition._make(dec.degree, form.nvars, dec._terms, dec._den)
+    witness = padded.compose(change.inverse())
     ok, _ = verify_decomposition(form, witness)
     if not ok:
         raise RuntimeError(f"internal: lifted {what} witness failed verification")
@@ -734,9 +751,9 @@ def decompose_binary(form: Polynomial) -> BinaryDecomposition:
         sol = linalg.solve(rows, [form._ints.get(e, 0) for e in monos])
         if sol is not None:
             ys, den = sol
-            dec = WaringDecomposition.assemble(d, 2, [
-                (Fraction(y * p._den, den * form._den), f)
-                for y, p, f in zip(ys, powers, forms)])
+            dec = WaringDecomposition._from_rows(d, 2, (
+                (y * p._den, f._ints, f._den) for y, p, f in zip(ys, powers, forms)),
+                den * form._den)
             ok, _ = verify_decomposition(form, dec)
             if ok:
                 decomposition = dec

@@ -8,15 +8,17 @@ variables uses exponent tuples of that length.  Text form uses ``x0, x1,
 ...`` (or ``d0, d1, ...`` for operators in the dual ring); the canonical
 term order is graded lexicographic, highest degree first.
 
-LinearForm and LinearChange (its matrix and its inverse) hold integers over
-one denominator likewise; their constructors clear rational input once.
+LinearForm, LinearChange (its matrix and its inverse) and the coefficients
+of cubics.WaringDecomposition hold integers over one denominator likewise;
+their constructors clear rational input once.
 
-Arithmetic builds no Fraction: +, -, scale and differentiate run term by
-term on the ints, * on packed keys (_packed) of the variables that occur,
-** through *.  Only terms, items(), coefficient(), coeffs, matrix, monic()
-and printing build Fractions; other modules read _ints, _den and _rows.  Every
-linear substitution runs in one integer kernel, _compose_packed:
-substitute, WaringDecomposition.expand and cubics.verify_decomposition.
+Arithmetic and printing build no Fraction: +, -, scale and differentiate
+run term by term on the ints, * on packed keys (_packed) of the variables
+that occur, ** through *.  Only terms, items(), coefficient(), coeffs,
+matrix, monic() and a decomposition's terms and to_json_dict build them;
+other modules read _ints, _den, _rows and _terms.  Every linear
+substitution runs in one integer kernel, _compose_packed: substitute,
+WaringDecomposition.expand and cubics.verify_decomposition.
 
 parse refuses, with PolynomialSyntaxError, text that could build more than
 MAX_MONOMIAL_ENTRIES exponent entries: too many literals for the ambient,
@@ -286,34 +288,33 @@ class Polynomial:
     # -- printing ----------------------------------------------------------
 
     def to_string(self, prefix: str = "x") -> str:
-        if not self._ints:
-            return "0"
-        pieces: list[str] = []
-        for exps, coef in self.items():
-            factors = []
-            for j, e in enumerate(exps):
-                if e == 1:
-                    factors.append(f"{prefix}{j}")
-                elif e > 1:
-                    factors.append(f"{prefix}{j}^{e}")
-            mag = abs(coef)
-            if not factors:
-                body = str(mag)
-            elif mag == 1:
-                body = "*".join(factors)
-            else:
-                body = str(mag) + "*" + "*".join(factors)
-            if not pieces:
-                pieces.append(body if coef > 0 else "-" + body)
-            else:
-                pieces.append(("+ " if coef > 0 else "- ") + body)
-        return " ".join(pieces)
+        terms = []
+        for exps in sorted(self._ints, key=grlex_key):
+            factors = [f"{prefix}{j}^{e}" if e > 1 else f"{prefix}{j}"
+                       for j, e in enumerate(exps) if e]
+            terms.append((self._ints[exps], "*".join(factors)))
+        return _signed_sum(terms, self._den) or "0"
 
     def __str__(self) -> str:
         return self.to_string()
 
     def __repr__(self) -> str:
         return f"Polynomial({self.nvars}, {self.to_string()!r})"
+
+
+def _signed_sum(terms: Sequence[tuple[int, str]], den: int = 1) -> str:
+    """The text of sum (v/den)*body over (v, body), body '' for 1: v/den in lowest terms,
+    unit magnitudes left out before a body, a sign on every term but a positive first."""
+    out = ""
+    for v, body in terms:
+        g = gcd(v, den)
+        mag = str(abs(v) // g) if g == den else f"{abs(v) // g}/{den // g}"
+        if not body:
+            body = mag
+        elif mag != "1":
+            body = f"{mag}*{body}"
+        out += (" + " if v > 0 else " - ") + body
+    return "-" + out[3:] if out[1:2] == "-" else out[3:]
 
 
 @dataclass(unsafe_hash=True)

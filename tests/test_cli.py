@@ -73,6 +73,25 @@ def test_decompose_normal_form_round_trip(capsys, tmp_path):
     assert "verified: True" in out
 
 
+def test_decompose_binary_output_round_trip(capsys, tmp_path):
+    target = tmp_path / "dec.json"
+    code, out, _ = run(capsys, "decompose", "--vars", "2", "2*x0 + x1", "x0^2 + 3*x1^2",
+                       "-o", str(target))
+    assert code == 0
+    assert "234*F = 125*(x0 + 9/5*x1)^3 + 343*(x0 - 3/7*x1)^3" in out
+    assert f"wrote {target}" in out
+
+    stored = json.loads(target.read_text())
+    assert stored["degree"] == 3 and stored["variables"] == 2
+    assert [t["coefficient"] for t in stored["terms"]] == ["125/234", "343/234"]
+
+    form = "2*x0^3 + x0^2*x1 + 6*x0*x1^2 + 3*x1^3"
+    code, out, _ = run(capsys, "verify", form, "--vars", "2", str(target))
+    assert code == 0 and "verified: True" in out
+    code, out, _ = run(capsys, "verify", "x0^3", "--vars", "2", str(target))
+    assert code == 1 and "verified: False" in out
+
+
 def test_verify_rejects_wrong_form(capsys, tmp_path):
     target = tmp_path / "dec.json"
     assert run(capsys, "decompose", "--normal-form", "2", "-o", str(target))[0] == 0
@@ -183,15 +202,29 @@ def test_missing_file_exit_code(capsys):
     assert code == 2
 
 
+_CUBE = '"terms": [{"coefficient": "1", "form": ["1", "0", "0"]}]'
+
+
 @pytest.mark.parametrize("payload", [
     '{"degree": 3, "variables": 3, "terms": [{"coefficient": "1/0", "form": ["1", "0", "0"]}]}',
     '[{"degree": 3}]',
     '{"degree": 3, "variables": 3, "terms": 5}',
-], ids=["zero-denominator", "top-level-array", "terms-not-a-list"])
+    '{"degree": 3.9, "variables": 3, %s}' % _CUBE,
+    '{"degree": "3", "variables": 3, %s}' % _CUBE,
+    '{"degree": -1, "variables": 3, %s}' % _CUBE,
+    '{"variables": 3, %s}' % _CUBE,
+    '{"degree": 3, "variables": true, %s}' % _CUBE,
+    '{"degree": 3, "variables": 0, "terms": []}',
+    '{"degree": 100000, "variables": 3, %s}' % _CUBE,
+], ids=["zero-denominator", "top-level-array", "terms-not-a-list", "fractional-degree",
+        "string-degree", "negative-degree", "missing-degree", "boolean-variables",
+        "no-variables", "degree-past-the-entry-budget"])
 def test_verify_rejects_malformed_decomposition(capsys, tmp_path, payload):
     target = tmp_path / "dec.json"
     target.write_text(payload)
+    start = time.perf_counter()
     code, out, err = run(capsys, "verify", "x0^3", "--vars", "3", str(target))
+    assert time.perf_counter() - start < 1
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err

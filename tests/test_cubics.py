@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import math
 import random
 import time
 from fractions import Fraction
@@ -505,6 +507,46 @@ def test_integer_power_sums_match_the_fraction_reference():
                         form.terms, form.nvars, nvars, degree, _pairs(candidate)))
                     seen["mismatch"] += raised is AmbientMismatchError
     assert min(seen.values()) >= 20, seen
+
+
+def test_decomposition_holds_integers_over_one_denominator():
+    """A decomposition's coefficients are ints over one _den > 0 with gcd 1,
+    as a Polynomial's terms are, whichever of the public constructor,
+    assemble, compose or decompose_binary built it: equal values compare
+    and hash equal, terms gives them back as Fractions, the JSON payload
+    and dataclasses.replace round-trip, and no constructor takes a
+    negative degree."""
+    rng = random.Random(2002)
+    built = [decompose_type_c_normal(3),
+             decompose_binary(parse("2*x0^3 + x0^2*x1 + 6*x0*x1^2 + 3*x1^3")).decomposition]
+    for degree in range(1, 5):
+        for nvars in (1, 2, 3, 5):
+            pairs = [(c, LinearForm(f))
+                     for c, f in _raw_power_sum(rng, degree, nvars, cancel=False)]
+            dec = WaringDecomposition.assemble(degree, nvars, pairs)
+            built += [WaringDecomposition(degree, nvars, pairs), dec,
+                      dec.compose(_rational_change(rng, nvars))]
+    for dec in built:
+        assert dec._den > 0 and all(type(c) is int for c, _ in dec._terms)
+        assert math.gcd(dec._den, *(c for c, _ in dec._terms)) == 1
+        assert dec.terms == tuple((Fraction(c, dec._den), f) for c, f in dec._terms)
+        again = dataclasses.replace(dec, terms=dec.terms)
+        assert again == dec and hash(again) == hash(dec)
+        if dec == WaringDecomposition.assemble(dec.degree, dec.nvars, dec.terms):
+            assert WaringDecomposition.from_json_dict(dec.to_json_dict()) == dec
+    (coef, form), *rest = built[0].terms
+    bumped = dataclasses.replace(built[0], terms=((coef + 1, form), *rest))
+    assert bumped.terms == ((coef + 1, form), *rest) and bumped != built[0]
+    assert not verify_decomposition(normal_form(3), bumped)[0]
+    line = LinearForm([1, 1])
+    halves = [WaringDecomposition(3, 2, [(c, line)]) for c in (Fraction(1, 2), "2/4")]
+    halves.append(WaringDecomposition.assemble(3, 2, [(Fraction(1, 16), LinearForm([2, 2]))]))
+    halves.append(WaringDecomposition.assemble(3, 2, [(Fraction(1, 4), line)] * 2))
+    assert all(h == halves[0] and hash(h) == hash(halves[0]) for h in halves)
+    assert halves[0]._terms == ((1, line),) and halves[0]._den == 2
+    for build in (WaringDecomposition, WaringDecomposition.assemble):
+        with pytest.raises(ValueError, match="degree >= 0"):
+            build(-1, 2, [(1, line)])
 
 
 def test_verifying_a_witness_builds_only_its_residual(monkeypatch):

@@ -562,9 +562,9 @@ def test_witnesses_assemble_and_compose_as_the_fraction_loops():
 
 def test_linear_data_builds_no_fraction(monkeypatch):
     """LinearChange on integer rows, its inverse, substitute,
-    WaringDecomposition.compose and verify_decomposition run on integers:
-    with poly.Fraction and cubics.Fraction counting their calls, the only
-    ones are the coefficient factors of _from_rows, one per input term."""
+    WaringDecomposition.compose, verify_decomposition and decompose_type_c
+    with a supplied integer change run on integers: with poly.Fraction and
+    cubics.Fraction counting their calls, none is made."""
     rng = random.Random(1608)
     cases = []
     for n in (2, 3, 4):
@@ -576,18 +576,30 @@ def test_linear_data_builds_no_fraction(monkeypatch):
         dec = WaringDecomposition.assemble(3, n, [
             (_core_coefficient(rng), LinearForm([_core_coefficient(rng) for _ in range(n)]))
             for _ in range(4)])
-        cases.append((rows, p, dec, _random_rational_change(rng, n)))
+        tangent = None
+        if n >= 3:
+            # the normal form carried back through the inverse of the change
+            back = LinearChange(rows).inverse()
+            pair = cubics.normal_form_pair(n - 1)
+            tangent = ReducibleCubic(
+                LinearForm.from_polynomial(substitute(pair.linear.to_polynomial(), back)),
+                substitute(pair.quadric, back))
+            cubics.decompose_type_c_normal(n - 1)  # cached before counting
+        cases.append((rows, p, dec, _random_rational_change(rng, n), tangent))
     poly_calls, cubic_calls = [], []
     monkeypatch.setattr(poly, "Fraction", _counting(poly_calls))
     monkeypatch.setattr(cubics, "Fraction", _counting(cubic_calls))
-    for rows, p, dec, rational in cases:
+    for rows, p, dec, rational, tangent in cases:
         change = LinearChange(rows)
         back = change.inverse()
         assert substitute(substitute(p, change), back) == p
         for c in (change, back, rational):
             moved = dec.compose(c)
-            assert len(cubic_calls) <= len(dec)
-            cubic_calls.clear()
+            assert cubic_calls == []
             assert verify_decomposition(dec.expand(), dec)[0]
             assert verify_decomposition(substitute(dec.expand(), c), moved)[0]
+        if tangent is not None:
+            witness = cubics.decompose_type_c(tangent, change=LinearChange(rows))
+            assert len(witness) == 2 * len(rows) - 1
+            assert verify_decomposition(tangent.form(), witness)[0]
     assert poly_calls == [] and cubic_calls == []
