@@ -221,17 +221,17 @@ def apolar_hilbert(form: Polynomial) -> HilbertFunction:
 
 def _partials_mod_prime(form: Polynomial, j: int,
                         by_row: bool = False) -> list[dict[int, int]] | None:
-    """The nonzero j-th partials D * d^alpha F reduced modulo PRIME, keyed by
-    the index of their monomials, D the form's denominator, a unit unless
-    PRIME divides it; then None.  by_row: the rows of D*Cat_j instead."""
+    """The nonzero j-th partials D * d^alpha F as integer vectors keyed by the
+    index of their monomials, for ModularSpan to read modulo PRIME: D, the
+    form's denominator, is a unit there unless PRIME divides it; then None.
+    by_row: the rows of D*Cat_j instead."""
     if form._den % PRIME == 0:
         return None
     vectors: dict[int, dict[int, int]] = {}
     for col, row, v in _entries(form, j):
-        if v := v % PRIME:
-            if by_row:
-                col, row = row, col
-            vectors.setdefault(col, {})[row] = v
+        if by_row:
+            col, row = row, col
+        vectors.setdefault(col, {})[row] = v
     return list(vectors.values())
 
 
@@ -267,7 +267,7 @@ def _no_generator_in_degree(form: Polynomial, hf: tuple[int, ...], i: int) -> bo
         return False
     basis = [{monos[g]: v for g, v in b.items()} for b in chosen]
     # derivative[m][k] = d_m b_k, in degree i-2
-    derivative = [[{g[:m] + (g[m] - 1,) + g[m + 1:]: v * g[m] % PRIME
+    derivative = [[{g[:m] + (g[m] - 1,) + g[m + 1:]: v * g[m]
                     for g, v in b.items() if g[m]} for b in basis]
                   for m in range(n)]
     span = ModularSpan(n * h, PRIME)
@@ -280,7 +280,7 @@ def _no_generator_in_degree(form: Polynomial, hf: tuple[int, ...], i: int) -> bo
                 for g, v in derivative[m][k].items():
                     equations.setdefault(g, {})[(j - 1) % n * h + k] = v
                 for g, v in derivative[j][k].items():
-                    equations.setdefault(g, {})[(m - 1) * h + k] = PRIME - v
+                    equations.setdefault(g, {})[(m - 1) * h + k] = -v
             for row in equations.values():
                 if span.insert(row) and span.dimension == target:
                     return True

@@ -344,10 +344,10 @@ def verify_decomposition(form: Polynomial,
 
 
 def _direction(row: list[int] | tuple[int, ...]) -> tuple[int, ...]:
-    """The primitive multiple of a nonzero integer row with a positive lead
-    (linalg._primitive): two such rows are proportional iff these agree."""
-    primitive = linalg._primitive({c: v for c, v in enumerate(row) if v})
-    return tuple(primitive.get(c, 0) for c in range(len(row)))
+    """The primitive multiple of a nonzero integer row with a positive lead:
+    two such rows are proportional iff these agree."""
+    g = gcd(*row) * (-1 if next(v for v in row if v) < 0 else 1)
+    return tuple(v // g for v in row)
 
 
 def normal_form(n: int) -> Polynomial:
@@ -500,8 +500,10 @@ def normalize_tangent_product(rc: ReducibleCubic) -> LinearChange:
     G = T^T A T.  The tangency point p = q/q_f comes from the integer kernel
     vector q of G's lower block, lam = (Gq)_0/(D*l'_k^2*q_f), and the steps
     u0 = e_0 - (m_00/(2*lam))*p and u1 = p/(2*lam) are q over 2*(Gq)_0 with
-    integer factors.  The residual block is built once, as one Fraction
-    per entry, and C = T*U/l'_k over one denominator.
+    integer factors.  The residual block goes to pinch_similarity as the
+    integer Gram matrix of W under G's lower block over D*l'_k^2*r_f^2, its
+    congruence comes back as integer columns over one denominator, and
+    C = T*U/l'_k over one denominator.
 
     The self-check proves l^T C = a*e_0^T and C^T M C = P/a.  P has rank
     n+1 (one nonzero entry per row), so a*P^-1*C^T*M*C = I and
@@ -538,13 +540,12 @@ def normalize_tangent_product(rc: ReducibleCubic) -> LinearChange:
     row0 = g[0][1:]
     f = next(i for i, v in enumerate(row0) if v)
     wbasis, rf = _hyperplane_basis(row0, f), row0[f]
-    block = [[Fraction(v, scale * rf * rf) for v in row]
-             for row in linalg.gram([row[1:] for row in g[1:]], wbasis)]
+    block = linalg.gram([row[1:] for row in g[1:]], wbasis)
     # the number theory is loaded on first use, so that no import of the
     # package pays for compiling it
     from .quadratic import BudgetExceeded, NotSimilar, pinch_similarity
     try:
-        c, block = pinch_similarity(block)
+        c, bcols, bden = pinch_similarity(block, scale * rf * rf)
     except NotSimilar as exc:
         raise NeedsFieldExtension(
             "no rational change reaches the pinch form: the quadric's residual "
@@ -556,8 +557,7 @@ def normalize_tangent_product(rc: ReducibleCubic) -> LinearChange:
     g0 = 2 * gq[0]
     ucols = [([g0 * int(r == 0) - g[0][0] * v for r, v in enumerate(q)], g0 * c),
              ([scale * c * c * v for v in q], g0)]
-    bints, bden = linalg.cleared_rows(block)
-    for col in bints:
+    for col in bcols:
         ucols.append(([0] + [sum(x * w[i] for x, w in zip(col, wbasis) if x)
                              for i in range(n)], rf * bden))
     cols = []

@@ -1,5 +1,10 @@
-"""Integral lattices of rational quadratic forms: arithmetic mod p,
+"""Integral lattices of integer quadratic forms: arithmetic mod p,
 congruence diagonalization, minimization and LLL reduction.
+
+Every matrix that enters or leaves this module is an integer matrix.  A
+rational block g/d enters as its numerator g, since a basis that
+diagonalizes or reduces g does the same for g/d, and a basis leaves as
+integer columns over one denominator.
 
 The entries of a plain diagonalization are ratios of leading minors; their
 squarefree parts carry many primes that have nothing to do with the form.
@@ -10,29 +15,26 @@ then met 25-digit semiprimes.  So before it builds anything in general,
 quadratic.pinch_similarity takes the integral lattice of the block,
 removes square factors of its determinant prime by prime (minimization,
 Simon, Math. Comp. 74, 2005), and LLL-reduces the result under a positive
-majorant of the form; the diagonal entries in that basis are small.  Only
-similarity matters, so the lattice may also be rescaled.
+majorant of the form; the diagonal entries in that basis are small.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable
 
-from .linalg import cleared_rows, gram
+from .linalg import ModularSpan, gram
 
 
-def _diagonal_basis(g: list[list[int]]):
+def diagonalize(g: list[list[int]]) -> tuple[list[int], list[list[int]], list[int]]:
     """Congruence diagonalization of a nondegenerate symmetric integer
     matrix g, fraction-free: returns (h, b, s), column j of the basis being
-    the integer column b[j] over the integer scale s[j], and h[j] the
+    the integer column b[j] over the integer scale s[j] > 0, and h[j] the
     integer b[j]^T g b[j], so that the basis diagonalizes g with entries
-    h[j]/s[j]^2.  The working matrix is the integer Gram matrix of the
-    columns b; each column step replaces b[dst] by x*b[dst] + y*b[src] and
-    s[dst] by x*s[dst], which moves the column by (y*s[src]/(x*s[dst]))
-    times column src, and then divides the column and its scale by their
-    common content."""
+    h[j]/s[j]^2.  The basis has determinant +-1.  The working matrix is the
+    integer Gram matrix of the columns b; each column step replaces b[dst]
+    by x*b[dst] + y*b[src] and s[dst] by x*s[dst], which moves the column by
+    (y*s[src]/(x*s[dst])) times column src, and then divides the column and
+    its scale by their common content, taken with the sign of the scale."""
     size = len(g)
     a = [row[:] for row in g]
     b = [[int(i == j) for i in range(size)] for j in range(size)]
@@ -42,7 +44,7 @@ def _diagonal_basis(g: list[list[int]]):
         row = [x * u + y * v for u, v in zip(a[dst], a[src])]
         row[dst] = x * row[dst] + y * row[src]
         col = [x * u + y * v for u, v in zip(b[dst], b[src])]
-        h = gcd(x * s[dst], *col)
+        h = gcd(x * s[dst], *col) * (-1 if x * s[dst] < 0 else 1)
         row = [v // h for v in row]
         row[dst] //= h
         b[dst], s[dst], a[dst] = [v // h for v in col], x * s[dst] // h, row
@@ -72,18 +74,6 @@ def _diagonal_basis(g: list[list[int]]):
                 # column j minus (a_tj*s_t/(a_tt*s_j)) times column t
                 combine(j, t, a[t][t], -a[t][j])
     return [a[t][t] for t in range(size)], b, s
-
-
-def diagonalize(m: list[list[Fraction]]):
-    """Congruence diagonalization: returns (diag, basis columns B) with
-    B^T m B diagonal.  Requires a nondegenerate symmetric matrix.  With
-    m = g/d cleared once, the elimination runs on integers
-    (_diagonal_basis) and the only Fractions built are the returned
-    values."""
-    g, d = cleared_rows(m)
-    h, b, s = _diagonal_basis(g)
-    diag = [Fraction(v, d * w * w) for v, w in zip(h, s)]
-    return diag, [[Fraction(v, w) for v in col] for col, w in zip(b, s)]
 
 
 def split_power(a: int, p: int) -> tuple[int, int]:
@@ -121,37 +111,6 @@ def sqrt_mod_prime(a: int, p: int) -> int:
         b = pow(c, 1 << (m - i - 1), p)
         m, c, t, r = i, b * b % p, t * b * b % p, r * b % p
     return r
-
-
-def _kernel_mod(g: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
-    """Basis of the kernel of g mod p and the free column of each vector:
-    the vector is 1 there and 0 at the other free columns."""
-    k = len(g)
-    rows = [[v % p for v in row] for row in g]
-    pivots = []
-    r = 0
-    for col in range(k):
-        piv = next((i for i in range(r, k) if rows[i][col]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = pow(rows[r][col], -1, p)
-        rows[r] = [v * inv % p for v in rows[r]]
-        for i in range(k):
-            if i != r and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [(v - f * w) % p for v, w in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-    free = [c for c in range(k) if c not in pivots]
-    out = []
-    for f in free:
-        vec = [0] * k
-        vec[f] = 1
-        for row, pc in zip(rows, pivots):
-            vec[pc] = -row[f] % p
-        out.append(vec)
-    return out, free
 
 
 def _isotropic_mod(a: list[list[int]], p: int) -> list[int] | None:
@@ -232,7 +191,10 @@ def _minimize(g: list[list[int]], det: int,
     basis = [[int(i == j) for i in range(k)] for j in range(k)], 1
     for p in primes:
         while split_power(det, p)[0] >= 2:
-            ker, free = _kernel_mod(g, p)
+            span = ModularSpan(k, p)
+            for row in g:
+                span.insert(dict(enumerate(row)))
+            ker, free = span.kernel_rows()
             r = len(ker)
             if r == k:
                 g = [[v // p for v in row] for row in g]
@@ -311,30 +273,26 @@ def _lll(g: list[list[int]]) -> list[list[int]]:
     return h
 
 
-def reduced_basis(m: list[list[Fraction]], det: Fraction,
-                  primes_of: Callable[[int], list[int]]) -> list[list[Fraction]]:
-    """Columns of a basis in which m (of determinant det) has small minors:
-    the integral lattice of m, minimized and LLL-reduced.  primes_of(n)
-    lists the prime factors of n."""
-    ints, scale = cleared_rows(m)
-    # det(scale * m) = scale^k * det: its primes without factoring it whole
-    primes = sorted({p for part in (scale, det.numerator, det.denominator)
-                     for p in primes_of(part)})
-    g, basis = _minimize(ints, int(scale ** len(m) * det), primes)
+def reduced_basis(g: list[list[int]], det: int,
+                  primes: list[int]) -> tuple[list[list[int]], int]:
+    """(cols, den): a basis, as integer columns over one denominator, in
+    which the nondegenerate symmetric integer matrix g (of determinant det)
+    has small minors: the integral lattice of g, minimized and LLL-reduced.
+    primes must contain every prime factor of det."""
+    g, basis = _minimize(g, det, primes)
     # LLL under the majorant sum |d_t| * y_t^2 of g = sum d_t * y_t^2, the
     # y_t being the coordinates of a diagonal basis: by Cauchy-Binet each
     # leading minor of g is at most the majorant's in absolute value, and
     # the majorant's stay small in an LLL-reduced basis.  For the integer
-    # columns b_t of _diagonal_basis, with h_t = b_t^T g b_t, the inverse of
+    # columns b_t of diagonalize, with h_t = b_t^T g b_t, the inverse of
     # B is diag(h)^-1 B^T g, so the majorant B^-T |diag(h)| B^-1 (the
     # scales of the columns cancel) is sum_t (g b_t)(g b_t)^T / |h_t|:
     # integers over lcm |h_t|, divided by their common content with it
-    h, b, _ = _diagonal_basis(g)
+    h, b, _ = diagonalize(g)
     den = lcm(*h)
     images = [(den // abs(v), [sum(x * y for x, y in zip(row, col) if y) for row in g])
               for v, col in zip(h, b)]
     majorant = [[sum(w * y[i] * y[j] for w, y in images) for j in range(len(g))]
                 for i in range(len(g))]
     content = gcd(den, *(v for row in majorant for v in row))
-    cols, den = _rebase(g, basis, _lll([[v // content for v in row] for row in majorant]))[1]
-    return [[Fraction(v, den) for v in col] for col in cols]
+    return _rebase(g, basis, _lll([[v // content for v in row] for row in majorant]))[1]

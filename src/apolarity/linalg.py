@@ -17,10 +17,12 @@ read one answer off them as integers over one denominator.  The RREF is
 unique, and so is a row's primitive multiple with a positive lead, so two
 spans are equal iff their canonical rows are.
 
-ModularSpan is not exact over the rationals and never stands in for
-RowSpan: it bounds ranks from below.  A matrix with entries in Z localized at
-p has rank modulo p at most its rank over Q, so a rank modulo p that reaches
-a known upper bound proves the rank over Q.
+ModularSpan is the one elimination engine modulo a prime, on integer rows
+as they come.  It never stands in for RowSpan: it bounds ranks from below,
+as a matrix with entries in Z localized at p has rank modulo p at most its
+rank over Q, so a rank modulo p that reaches a known upper bound proves the
+rank over Q.  Its kernel_rows() serve the lattice minimization of the pinch
+normalization.
 """
 
 from __future__ import annotations
@@ -75,17 +77,11 @@ def cleared_rows(rows) -> tuple[list[list[int]], int]:
     return [[c.numerator * (den // c.denominator) for c in row] for row in rows], den
 
 
-def gram(g, vectors):
-    """The Gram matrix [u^T g v] of the vectors under g, formed in ints.
-    Integer input gives ints.  Input holding a Fraction is cleared once,
-    g = G/a and the vectors V/b with one lcm each, and every entry of the
-    integer product V^T G V becomes one Fraction over a*b^2."""
-    exact = all(type(v) is int for mat in (g, vectors) for row in mat for v in row)
-    if not exact:
-        (g, a), (vectors, b) = cleared_rows(g), cleared_rows(vectors)
+def gram(g: list[list[int]], vectors: list[list[int]]) -> list[list[int]]:
+    """The Gram matrix [u^T g v] of integer vectors under an integer matrix
+    g; a rational block goes in as its numerator over a kept denominator."""
     images = [[sum(x * y for x, y in zip(row, v) if y) for row in g] for v in vectors]
-    out = [[sum(x * y for x, y in zip(u, gv) if x) for gv in images] for u in vectors]
-    return out if exact else [[Fraction(v, a * b * b) for v in row] for row in out]
+    return [[sum(x * y for x, y in zip(u, gv) if x) for gv in images] for u in vectors]
 
 
 def solve(rows: list[list], rhs: list) -> tuple[list[int], int] | None:
@@ -255,3 +251,23 @@ class ModularSpan:
             for k, v in tail:
                 acc[k] -= x * v
         return False
+
+    def kernel_rows(self) -> tuple[list[list[int]], list[int]]:
+        """The canonical kernel vectors modulo the prime, entries in
+        [0, prime), and their free columns: the vector of a column without
+        a pivot is 1 there, 0 at the other free columns and minus the entry
+        of that column in the reduced echelon row of each pivot."""
+        p, ncols = self.prime, self.ncols
+        reduced: dict[int, list[int]] = {}  # lead -> dense reduced echelon row
+        for lead in sorted(self._pivot_rows, reverse=True):
+            row = [int(c == lead) for c in range(ncols)]
+            for k, v in self._pivot_rows[lead]:
+                row[k] = v
+            # each row of reduced is 0 at the other pivot columns
+            for col, pivot in reduced.items():
+                if f := row[col]:
+                    row = [(a - f * b) % p for a, b in zip(row, pivot)]
+            reduced[lead] = row
+        free = [c for c in range(ncols) if c not in reduced]
+        return [[-reduced[c][f] % p if c in reduced else int(c == f) for c in range(ncols)]
+                for f in free], free

@@ -37,7 +37,10 @@ times, each time through an isotropic vector of B'' + <-c>.  Every step is
 a rotation of two entries of a diagonal basis, so the basis stays diagonal
 and each entry's factorization stays known.  When the plain
 diagonalization does not already show the similarity, all of this runs in
-a minimized, LLL-reduced basis, where the entries are small.
+a minimized, LLL-reduced basis, where the entries are small.  B comes in as
+an integer matrix over one denominator, every vector of the basis is an
+integer column over a denominator with an integer value, and the columns
+of the congruence leave as integers over one denominator.
 
 Factoring uses trial division, Pollard's rho in Brent's form, and
 Miller-Rabin with bases that make it exact below 3.3*10^24.  FACTOR_BUDGET
@@ -48,13 +51,12 @@ prime, raises BudgetExceeded, which never stands for a proven obstruction.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
-from math import gcd, isqrt, prod
+from math import gcd, isqrt, lcm, prod
 
 from .lattice import (diagonalize, legendre_symbol, reduced_basis, split_power,
                       sqrt_mod_prime)
-from .linalg import cleared_rows, gram
+from .linalg import gram
 
 FACTOR_BUDGET = 200_000
 PRIME_SEARCH = 100_000
@@ -171,15 +173,18 @@ def _primes(n: int) -> list[int]:
     return [p for p, _ in factorint(n)]
 
 
-def squarefree_part(q) -> int:
-    """The squarefree integer in the square class of a nonzero rational."""
-    q = Fraction(q)
+def squarefree_part(a, b: int = 1) -> int:
+    """The squarefree integer in the square class of the nonzero rational
+    a/b, a an integer or a rational and b > 0 an integer: the primes of odd
+    exponent in its numerator and denominator in lowest terms."""
+    num, den = a.numerator, a.denominator * b
+    common = gcd(num, den)
     s = 1
-    for part in (q.numerator, q.denominator):
+    for part in (num // common, den // common):
         for p, e in factorint(part):
             if e % 2:
                 s *= p
-    return s if q > 0 else -s
+    return s if num > 0 else -s
 
 
 def _class_product(values) -> int:
@@ -195,12 +200,10 @@ def _class_product(values) -> int:
     return sign * product
 
 
-def _sqrt_fraction(q: Fraction) -> Fraction | None:
-    if q <= 0:
-        return None
-    rn, rd = isqrt(q.numerator), isqrt(q.denominator)
-    if rn * rn == q.numerator and rd * rd == q.denominator:
-        return Fraction(rn, rd)
+def _root(n: int) -> int | None:
+    """The positive square root of n when n is a positive square."""
+    if n > 0 and (r := isqrt(n)) * r == n:
+        return r
     return None
 
 
@@ -331,30 +334,44 @@ def _ternary_zero(a: int, b: int, c: int) -> tuple[int, int, int]:
 
 # -- the diagonal basis and its rotations ---------------------------------------------
 #
-# A slot is [value, column]: pairwise orthogonal columns, value = Q(column).
+# A slot is [w, col, s]: the vector col/s, for an integer column col and an
+# integer s > 0, with w the integer value of col, so that the vector's value
+# is w/s^2.  The vectors of the slots are pairwise orthogonal.  A ratio of
+# two values is a square exactly when the product of their w is, so the
+# square-class tests run on the w.
+
+def _entry(slot) -> int:
+    """The value of a normalized slot, a squarefree integer."""
+    w, _, s = slot
+    return w // (s * s)
+
 
 def _normalize(slot, a: int | None = None) -> None:
-    """Scale the column so that the value becomes a squarefree integer, a
-    when its square class is already known."""
-    value, col = slot
+    """Scale the vector so that its value becomes a, the squarefree integer
+    in its square class, factored out unless given: col*|a| has the value
+    w*a^2, and w*a is the square of its new denominator."""
+    w, col, s = slot
     if a is None:
-        a = squarefree_part(value)
-    root = _sqrt_fraction(value / a)
-    slot[0] = Fraction(a)
-    if col is not None:
-        slot[1] = [v / root for v in col]
+        a = squarefree_part(w, s * s)
+    root = isqrt(w * a)
+    col = [abs(a) * v for v in col]
+    common = gcd(root, *col)
+    s = root // common
+    slot[:] = [a * s * s, [v // common for v in col], s]
 
 
 def _rotate(slots, i: int, j: int, x: int, y: int, r_class: int) -> None:
-    """Replace columns e_i, e_j (squarefree values p, q) by f = x*e_i + y*e_j
+    """Replace vectors e_i, e_j (squarefree values p, q) by f = x*e_i + y*e_j
     and g = -q*y*e_i + p*x*e_j, with values r = p*x^2 + q*y^2 (in the
-    square class r_class) and p*q*r."""
-    (p, ci), (q, cj) = slots[i], slots[j]
-    r = p * x * x + q * y * y
-    slots[i] = [r, [x * u + y * v for u, v in zip(ci, cj)]]
-    slots[j] = [p * q * r, [-q * y * u + p * x * v for u, v in zip(ci, cj)]]
+    square class r_class) and p*q*r, both over the denominator s_i*s_j."""
+    (_, ci, si), (_, cj, sj) = slots[i], slots[j]
+    p, q = _entry(slots[i]), _entry(slots[j])
+    r, s = p * x * x + q * y * y, si * sj
+    slots[i] = [r * s * s, [x * sj * u + y * si * v for u, v in zip(ci, cj)], s]
+    slots[j] = [p * q * r * s * s,
+                [-q * y * sj * u + p * x * si * v for u, v in zip(ci, cj)], s]
     _normalize(slots[i], r_class)
-    _normalize(slots[j], _class_product([int(p), int(q), r_class]))
+    _normalize(slots[j], _class_product([p, q, r_class]))
 
 
 def _class_reps(p: int) -> list[int]:
@@ -416,17 +433,17 @@ def _hyperbolic_pair(slots, anchor: int | None = None) -> tuple[int, int]:
     else:
         pairs = ((i, anchor) for i in range(len(slots)) if i != anchor)
     for i, j in pairs:
-        if _sqrt_fraction(-slots[i][0] * slots[j][0]) is not None:
+        if _root(-slots[i][0] * slots[j][0]):
             return i, j
     for slot in slots:
         _normalize(slot)
     free = sorted((i for i in range(len(slots)) if i != anchor),
-                  key=lambda i: abs(slots[i][0]))
+                  key=lambda i: abs(_entry(slots[i])))
     active = free + [anchor] if anchor is not None else free
     while len(active) > 3:
         i, j = active[0], active[1]
-        a, b = int(slots[i][0]), int(slots[j][0])
-        rest = [int(slots[k][0]) for k in active[2:]]
+        a, b = _entry(slots[i]), _entry(slots[j])
+        rest = [_entry(slots[k]) for k in active[2:]]
         if is_isotropic([a] + rest):
             del active[1]
         elif is_isotropic([b] + rest):
@@ -437,10 +454,10 @@ def _hyperbolic_pair(slots, anchor: int | None = None) -> tuple[int, int]:
             _rotate(slots, i, j, x, y, t)
             del active[1]
     i, j, k = active
-    x, y, z = _ternary_zero(*(int(slots[s][0]) for s in active))
+    x, y, z = _ternary_zero(*(_entry(slots[s]) for s in active))
     if z == 0:
         return i, j
-    _rotate(slots, i, j, x, y, -int(slots[k][0]))
+    _rotate(slots, i, j, x, y, -_entry(slots[k]))
     return i, k
 
 
@@ -487,59 +504,66 @@ def _similarity_factor(entries: list[int]) -> int:
     return c
 
 
-def _evident_factor(diag: list[Fraction]) -> int | None:
-    """c when the entries already show B = c*N: a single entry, or two
-    entries spanning a hyperbolic plane and the rest in one square class."""
-    if len(diag) == 1:
-        return squarefree_part(diag[0])
-    pair = next(((i, j) for i, j in combinations(range(len(diag)), 2)
-                 if _sqrt_fraction(-diag[i] * diag[j]) is not None), None)
-    if pair is None:
+def _evident_factor(slots) -> int | None:
+    """c when the values already show B = c*N: a single value, or two
+    spanning a hyperbolic plane and the rest in one square class."""
+    w = [v for v, _, _ in slots]
+    pair = next(((i, j) for i, j in combinations(range(len(w)), 2)
+                 if _root(-w[i] * w[j])), ())
+    if len(w) > 1 and not pair:
         return None
-    rest = [d for t, d in enumerate(diag) if t not in pair]
-    if any(_sqrt_fraction(d / rest[0]) is None for d in rest[1:]):
+    rest = [slot for t, slot in enumerate(slots) if t not in pair]
+    if not rest:
+        return 1
+    (v, _, s), *others = rest
+    if any(not _root(v * u) for u, _, _ in others):
         return None
-    return squarefree_part(rest[0]) if rest else 1
+    return squarefree_part(v, s * s)
 
 
-def _combinations(cols, coeffs) -> list[list[Fraction]]:
-    """The columns sum_t x[t]*cols[t], one for each x in coeffs, formed in
-    ints: both sides are cleared once and each entry becomes one Fraction."""
-    (ints, den), (xs, x_den) = cleared_rows(cols), cleared_rows(coeffs)
-    rows = list(zip(*ints))
-    den *= x_den
-    return [[Fraction(sum(a * b for a, b in zip(row, x) if b), den) for row in rows]
-            for x in xs]
-
-
-def pinch_similarity(m: list[list[Fraction]]) -> tuple[int, list[list[Fraction]]]:
-    """(c, C) with C^T m C = c*N, N the pinch block of size len(m): <1> for
-    size 1, H + I otherwise, and c a squarefree integer, 1 when possible.
-    Raises NotSimilar when no rational c exists, naming the invariant, and
-    BudgetExceeded when a bound runs out first."""
+def pinch_similarity(g: list[list[int]], d: int) -> tuple[int, list[list[int]], int]:
+    """(c, cols, den) with C^T (g/d) C = c*N for C the integer columns cols
+    over den > 0, N the pinch block of size len(g): <1> for size 1, H + I
+    otherwise, and c a squarefree integer, 1 when possible.  g is a
+    nondegenerate symmetric integer matrix and d > 0.  Raises NotSimilar
+    when no rational c exists, naming the invariant, and BudgetExceeded
+    when a bound runs out first."""
     _FACTORS.clear()
-    diag, cols = diagonalize(m)
-    c = _evident_factor(diag)
+    # g/d in lowest terms, so that det g carries no needless power of d
+    common = gcd(d, *(v for row in g for v in row))
+    g, d = [[v // common for v in row] for row in g], d // common
+    # d*b/(d*t) is column b/t of the diagonal basis, of value h/(d*t^2)
+    h, b, t = diagonalize(g)
+    slots = [[d * v, [d * x for x in col], d * s] for v, col, s in zip(h, b, t)]
+    c = _evident_factor(slots)
     if c is None:
-        basis = reduced_basis(m, prod(diag), _primes)
-        diag, inner = diagonalize(gram(m, basis))
-        cols = _combinations(basis, inner)
-        c = _similarity_factor([squarefree_part(d) for d in diag])
-    slots = [[d, col] for d, col in zip(diag, cols)]
-    out = []
+        det = prod(h) // prod(t) ** 2
+        # the primes of det = d^k * det(g/d), from d and the numerator of det(g/d)
+        primes = {p for part in (d, det // gcd(det, d ** len(g))) for p in _primes(part)}
+        cols, den = reduced_basis(g, det, sorted(primes))
+        h, b, t = diagonalize(gram(g, cols))
+        rows = list(zip(*cols))
+        slots = [[d * v, [d * sum(x * y for x, y in zip(row, col) if y) for row in rows],
+                  d * den * s] for v, col, s in zip(h, b, t)]
+        c = _similarity_factor([squarefree_part(w, s * s) for w, _, s in slots])
+    out = []  # (integer column, nonzero denominator)
     if len(slots) > 1:
         i, j = _hyperbolic_pair(slots)
-        (a, ci), (b, cj) = slots[i], slots[j]
-        s = _sqrt_fraction(-a * b)
-        out += _combinations([ci, cj], [[1, s / b], [c / (4 * a), -c * s / (4 * a * b)]])
-        slots = [slot for t, slot in enumerate(slots) if t not in (i, j)]
+        (wi, ci, si), (wj, cj, _) = slots[i], slots[j]
+        root = isqrt(-wi * wj)
+        # with a, b their values and s = sqrt(-a*b): e_i + (s/b)*e_j and
+        # (c/(4a))*(e_i - (s/b)*e_j), (s/b)*e_j being root*cj/(si*wj)
+        out.append(([wj * u + root * v for u, v in zip(ci, cj)], si * wj))
+        out.append(([c * si * (wj * u - root * v) for u, v in zip(ci, cj)], 4 * wi * wj))
+        slots = [slot for k, slot in enumerate(slots) if k not in (i, j)]
     while slots:
-        t = next((t for t, (v, _) in enumerate(slots)
-                  if _sqrt_fraction(v / c) is not None), None)
-        if t is None:
-            slots.append([Fraction(-c), None])
-            t, _ = _hyperbolic_pair(slots, anchor=len(slots) - 1)
+        k = next((k for k, (w, _, _) in enumerate(slots) if _root(w * c)), None)
+        if k is None:
+            slots.append([-c, [], 1])
+            k, _ = _hyperbolic_pair(slots, anchor=len(slots) - 1)
             slots.pop()
-        value, col = slots.pop(t)
-        out += _combinations([col], [[1 / _sqrt_fraction(value / c)]])
-    return c, out
+        w, col, _ = slots.pop(k)
+        # the vector over the square root of its value over c
+        out.append(([abs(c) * v for v in col], isqrt(w * c)))
+    den = lcm(*(e for _, e in out))
+    return c, [[v * (den // e) for v in col] for col, e in out], den

@@ -6,7 +6,9 @@ linear forms go through the multinomial formula, matrix rank uses
 fraction-free Bareiss elimination on integers, and kernels use fraction-free
 Gauss-Jordan elimination (primitive_multiple scales a rational vector to
 the integer form the package hands out); ranks modulo a prime use dense Gaussian
-elimination with Fermat inverses.  top_degree_generators keeps the linear system
+elimination with Fermat inverses, and kernel_mod keeps the dense
+Gauss-Jordan elimination modulo a prime that the lattice minimization once
+ran on its own.  top_degree_generators keeps the linear system
 that the package once solved for the apolar generators of degree d+1, and
 squarefree_euclid and rational_roots_by_deflation keep the polynomial
 Euclid and the root-by-root deflation it once ran on binary generators.
@@ -196,6 +198,37 @@ def rank_mod_prime(matrix, p: int) -> int:
                 a[r] = [(x - f * y) % p for x, y in zip(a[r], a[rank])]
         rank += 1
     return rank
+
+
+def kernel_mod(g, p: int) -> tuple[list, list]:
+    """Basis of the kernel of the square matrix g mod p and the free column
+    of each vector: the vector is 1 there and 0 at the other free columns."""
+    k = len(g)
+    rows = [[v % p for v in row] for row in g]
+    pivots = []
+    r = 0
+    for col in range(k):
+        piv = next((i for i in range(r, k) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = pow(rows[r][col], -1, p)
+        rows[r] = [v * inv % p for v in rows[r]]
+        for i in range(k):
+            if i != r and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [(v - f * w) % p for v, w in zip(rows[i], rows[r])]
+        pivots.append(col)
+        r += 1
+    free = [c for c in range(k) if c not in pivots]
+    out = []
+    for f in free:
+        vec = [0] * k
+        vec[f] = 1
+        for row, pc in zip(rows, pivots):
+            vec[pc] = -row[f] % p
+        out.append(vec)
+    return out, free
 
 
 def _gcd(a: int, b: int) -> int:

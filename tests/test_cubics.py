@@ -406,6 +406,19 @@ def test_verify_decomposition_rejects_proportional_forms():
     ok, residual = verify_decomposition(parse("(x0 + x1)^3"), dec)
     assert residual.is_zero()
     assert ok is False
+    # the proportionality key of a form: its primitive multiple with a
+    # positive lead, as linalg._primitive gives it, on seeded rows with
+    # negative leads, zero entries and rows that are already primitive
+    rng = random.Random(2021)
+    rows = [[0, -4, 6, 0], [3, 0, -5], [-7], [0, 0, 1], [12, -18, 30]]
+    for _ in range(60):
+        row = [rng.choice([0, 0, 1, -1, 2, -3, 7]) * rng.choice([1, 6, -10]) for _ in range(4)]
+        row[rng.randrange(4)] = rng.choice([-5, 2, 9])
+        rows.append(row)
+    for row in rows:
+        primitive = linalg._primitive({c: v for c, v in enumerate(row) if v})
+        assert cubics._direction(row) == tuple(primitive.get(c, 0) for c in range(len(row)))
+        assert cubics._direction([-4 * v for v in row]) == cubics._direction(row)
 
 
 def _rational(rng, span=4):

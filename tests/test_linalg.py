@@ -5,8 +5,8 @@ from math import gcd
 from apolarity import linalg
 from apolarity.linalg import (ModularSpan, RowSpan, _to_sparse_int, gram, inverse,
                               kernel_basis, rank, rref, solve)
-from oracles import (bareiss_rank, gram_by_fractions, kernel, primitive_multiple,
-                     rank_mod_prime)
+from oracles import (bareiss_rank, gram_by_fractions, kernel, kernel_mod,
+                     primitive_multiple, rank_mod_prime)
 
 
 def _random_matrix(rng, nrows, ncols, span=4):
@@ -290,31 +290,55 @@ def test_modular_span_rank_is_the_rank_mod_p_and_bounds_the_rank_over_q():
 
 
 def test_gram_matches_the_fraction_loop():
-    """gram clears its input once: on int, Fraction and mixed input, with
-    denominators up to 10^30+7, zero and unit vectors, and a pairing that
-    cancels to zero (the last check), it gives
-    the Fraction loop's entries; ints stay ints, and input holding a
-    Fraction gives Fractions, integral ones included."""
+    """gram on integer input, with entries up to 10^30, zero and unit
+    vectors, and a pairing that cancels to zero (the last check), gives the
+    Fraction loop's entries, as ints."""
     rng = random.Random(41)
     big = 10 ** 30 + 3
 
-    def entry(kind):
-        v = rng.randint(-5, 5)
-        if kind == "int" or (kind == "mixed" and rng.random() < 0.5):
-            return v
-        return Fraction(v * rng.choice([1, big]), rng.choice([1, 2, 3, big, big + 4]))
+    def entry():
+        return rng.randint(-5, 5) * rng.choice([1, 1, big])
 
-    for kind in ("int", "fraction", "mixed") * 12:
+    for _ in range(36):
         k, m = rng.randint(1, 6), rng.randint(0, 5)
-        g = [[entry(kind) for _ in range(k)] for _ in range(k)]
+        g = [[entry() for _ in range(k)] for _ in range(k)]
         g = [[g[min(i, j)][max(i, j)] for j in range(k)] for i in range(k)]
-        vectors = [[entry(kind) for _ in range(k)] for _ in range(m)]
+        vectors = [[entry() for _ in range(k)] for _ in range(m)]
         if vectors:
-            vectors.append([Fraction(0)] * k)
+            vectors.append([0] * k)
             vectors.append([int(i == 0) for i in range(k)])
         out = gram(g, vectors)
         assert out == gram_by_fractions(g, vectors)
-        exact = all(type(v) is int for mat in (g, vectors) for row in mat for v in row)
-        assert all(type(v) is (int if exact else Fraction) for row in out for v in row)
-    assert gram([[Fraction(1, big), 0], [0, Fraction(-1, big)]],
-                [[big, big], [1, 0]]) == [[0, 1], [1, Fraction(1, big)]]
+        assert all(type(v) is int for row in out for v in row)
+    assert gram([[1, 0], [0, -1]], [[big, big], [1, 0]]) == [[0, big], [big, 1]]
+
+
+def test_modular_kernel_rows_match_gauss_jordan():
+    """ModularSpan.kernel_rows against a dense Gauss-Jordan elimination mod
+    p (oracles.kernel_mod): the same canonical kernel vectors, entries in
+    [0, p), and free columns, for p in 2, 3, 5, 7, 31 and square matrices
+    of sizes 1..7 that are zero, of full rank or rank-deficient, with
+    entries outside [0, p)."""
+    rng = random.Random(2131)
+    kinds = {"zero": 0, "full": 0, "deficient": 0}
+    for p in (2, 3, 5, 7, 31):
+        for k in range(1, 8):
+            for trial in range(12):
+                if trial == 0:
+                    g = [[rng.choice((0, p, -p)) for _ in range(k)] for _ in range(k)]
+                else:
+                    g = [[rng.randint(-3 * p, 3 * p) for _ in range(k)] for _ in range(k)]
+                if trial % 3 == 2 and k > 1:
+                    # a row that is a combination of two others, mod p
+                    i, j, t = rng.sample(range(k), 2) + [rng.randrange(k)]
+                    g[t] = [a + 2 * b + p * rng.randint(-2, 2) for a, b in zip(g[i], g[j])]
+                span = ModularSpan(k, p)
+                for row in g:
+                    span.insert(dict(enumerate(row)))
+                vectors, free = span.kernel_rows()
+                assert (vectors, free) == kernel_mod(g, p)
+                assert all(sum(a * x for a, x in zip(row, v)) % p == 0
+                           for row in g for v in vectors)
+                rank = rank_mod_prime(g, p)
+                kinds["zero" if rank == 0 else "full" if rank == k else "deficient"] += 1
+    assert min(kinds.values()) >= 20, kinds

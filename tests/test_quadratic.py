@@ -189,6 +189,32 @@ def test_normalization_builds_its_change_without_elimination(monkeypatch):
     assert calls == []
 
 
+def test_normalization_builds_no_fraction(monkeypatch):
+    """The pinch normalization runs on integers over one denominator: with
+    Fraction.__new__ counting its calls, normalize_tangent_product on seeded
+    dense changes of the scaled pinch form for n = 2..9, some of which reach
+    lattice.reduced_basis, builds no Fraction."""
+    rng = random.Random(4100)
+    products = [_scaled_pinch_product(n, rng.choice([1, 2, -3, 6, Fraction(1, 5)]),
+                                      _dense_change(rng, n + 1))
+                for n in range(2, 10) for _ in range(3)]
+    reached, calls = [], []
+    reduce = quadratic.reduced_basis
+    monkeypatch.setattr(quadratic, "reduced_basis",
+                        lambda *args: reached.append(1) or reduce(*args))
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        calls.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    for rc in products:
+        normalize_tangent_product(rc)
+    monkeypatch.undo()
+    assert calls == [] and len(reached) >= 10
+
+
 def _leibniz_det(a) -> int:
     k = len(a)
     total = 0
@@ -218,13 +244,13 @@ def _symmetric(rng, k, entry):
 
 
 def test_diagonalize_matches_the_fraction_loop():
-    """lattice.diagonalize, fraction-free on an integer Gram matrix, against
-    the Fraction loop it replaced: the same diagonal and the same columns,
-    on seeded symmetric matrices whose first pivot is zero and is swapped
-    with a later diagonal entry, or has a later column added because the
-    whole diagonal is zero; on sparse ones, where zero pivots also appear
-    during the elimination; and on entries over 10^30+3 and 10^30+7.
-    Degenerate matrices raise in both."""
+    """lattice.diagonalize, fraction-free on an integer symmetric matrix g,
+    against the Fraction loop on g: the same diagonal h/s^2 and the same
+    columns b/s, with every scale s positive, on seeded matrices whose first
+    pivot is zero and is swapped with a later diagonal entry, or has a later
+    column added because the whole diagonal is zero; on sparse ones, where
+    zero pivots also appear during the elimination; and on the numerators of
+    entries over 10^30+3 and 10^30+7.  Degenerate matrices raise in both."""
     rng = random.Random(4181)
     huge = [Fraction(1, 10 ** 30 + 3), Fraction(-7, 10 ** 30 + 7), Fraction(10 ** 30 + 7, 3)]
     kinds = {"swap": 0, "add": 0, "degenerate": 0}
@@ -242,18 +268,21 @@ def test_diagonalize_matches_the_fraction_loop():
         if style == 1:
             for i in range(k):
                 m[i][i] = 0
+        g, _ = linalg.cleared_rows([[Fraction(v) for v in row] for row in m])
         try:
-            expected = diagonalize_by_fractions(m)
+            expected = diagonalize_by_fractions(g)
         except ValueError:
             kinds["degenerate"] += 1
             with pytest.raises(ValueError, match="degenerate block"):
-                diagonalize(m)
+                diagonalize(g)
             continue
-        diag, cols = diagonalize(m)
-        assert (diag, cols) == expected
-        assert all(type(v) is Fraction for v in diag + [v for col in cols for v in col])
-        if k > 1 and m[0][0] == 0:
-            kinds["swap" if any(m[i][i] for i in range(k)) else "add"] += 1
+        h, b, s = diagonalize(g)
+        assert all(type(v) is int for v in h + s + [v for col in b for v in col])
+        assert min(s) > 0
+        assert ([Fraction(v, w * w) for v, w in zip(h, s)],
+                [[Fraction(v, w) for v in col] for col, w in zip(b, s)]) == expected
+        if k > 1 and g[0][0] == 0:
+            kinds["swap" if any(g[i][i] for i in range(k)) else "add"] += 1
     assert min(kinds.values()) >= 10, kinds
 
 

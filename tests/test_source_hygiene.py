@@ -6,7 +6,8 @@ with one underscore) must be referenced somewhere in src/ outside its own
 definition.  Leftovers of a refactor show up here before they drift.  And
 every module, __init__.py included, may import only the standard library
 and the package itself: the tests may lean on sympy, the runtime may not.
-Importing the package and its CLI leaves the number theory unloaded.
+Importing the package and its CLI leaves the number theory unloaded, and
+the number theory imports nothing from fractions.
 """
 
 from __future__ import annotations
@@ -97,6 +98,15 @@ def test_imports_stay_in_the_standard_library(name):
                for package, line in _imported_packages(TREES[name])
                if package not in sys.stdlib_module_names and package != "apolarity"]
     assert not outside, f"{name} imports from outside the standard library: {outside}"
+
+
+@pytest.mark.parametrize("name", ["lattice.py", "quadratic.py"])
+def test_number_theory_imports_no_fractions(name):
+    """The pinch normalization holds integers over one denominator: its
+    number theory builds no Fraction, so it imports none."""
+    lines = [line for package, line in _imported_packages(TREES[name])
+             if package == "fractions"]
+    assert not lines, f"{name} imports from fractions (line {lines})"
 
 
 def test_the_checks_see_every_module():
