@@ -25,11 +25,12 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm
+from operator import mul
 
 from . import linalg
 from .apolar import apolar_ideal
 from .poly import (MAX_MONOMIAL_ENTRIES, AmbientMismatchError, LinearChange,
-                   LinearForm, Polynomial, _comb_exceeds, _compose_packed, _signed_sum)
+                   LinearForm, Polynomial, _comb_exceeds, _signed_sum)
 
 
 class NeedsFieldExtension(Exception):
@@ -240,20 +241,49 @@ class WaringDecomposition:
     def _power_sum(self, base: int) -> tuple[dict[int, int], int, int]:
         """(acc, scale, m): sum c_i * L_i^degree, from the integer terms and
         rows as they are, is the packed polynomial acc/scale in m variables,
-        keys packed with the given base, which must exceed the degree."""
+        keys packed with the given base, which must exceed the degree.
+
+        By the multinomial theorem, the coefficient of x_j1*...*x_jd, j1 <=
+        ... <= jd, is d!/prod(e_j!) * sum_i c_i * prod_s L_i[js].  A walk
+        over these sequences, on an explicit stack since the degree may be
+        large, enumerates each monomial once and carries the vector of the
+        products c_i * prod_s L_i[js] over the terms, the multinomial
+        p!/prod(e_j!) of its first p entries, updated as mult * p // r with
+        r the exponent the p-th column reaches, and the bitmask of the terms
+        whose product is nonzero: a column no such term uses is skipped.
+        """
         if not self._terms:
             return {}, 1, self.nvars
         den = lcm(*(form._den for _, form in self._terms))
         rows = [[v * (den // form._den) for v in form._ints] for _, form in self._terms]
-        k, d = len(rows), self.degree
-        power_sum = (((0,) * i + (d,) + (0,) * (k - 1 - i), c)
-                     for i, (c, _) in enumerate(self._terms))
-        acc = _compose_packed(power_sum, rows, den, d, base)
-        return acc, self._den * den ** d, len(rows[0])
+        if len(set(map(len, rows))) > 1:
+            raise AmbientMismatchError("the forms of the decomposition differ in length")
+        d, coefs = self.degree, [c for c, _ in self._terms]
+        scale, m = self._den * den ** d, len(rows[0])
+        if d == 0:
+            return {0: sum(coefs)}, scale, m
+        cols = [(base ** j, col, sum(1 << i for i, v in enumerate(col) if v))
+                for j, col in enumerate(zip(*rows)) if any(col)]
+        acc: dict[int, int] = {}
+        # (first column, depth p of the children, key, vector, mask,
+        # multinomial, exponent of the last column)
+        stack = [(0, 1, 0, coefs, sum(1 << i for i, c in enumerate(coefs) if c), 1, 0)]
+        while stack:
+            t, p, key, vec, mask, mult, run = stack.pop()
+            for u in range(t, len(cols)):
+                pw, col, colmask = cols[u]
+                if mask & colmask:
+                    r = run + 1 if u == t else 1
+                    if p == d:
+                        acc[key + pw] = mult * p // r * sum(map(mul, vec, col))
+                    else:
+                        stack.append((u, p + 1, key + pw, list(map(mul, vec, col)),
+                                      mask & colmask, mult * p // r, r))
+        return acc, scale, m
 
     def expand(self) -> Polynomial:
-        """sum c_i * L_i^degree, each y_i^degree composed with the row L_i
-        in the integer kernel of poly."""
+        """sum c_i * L_i^degree, each monomial's coefficient taken once,
+        over all the terms, by the multinomial walk of _power_sum."""
         acc, scale, m = self._power_sum(self.degree + 1)
         return Polynomial._from_packed(m, acc, self.degree + 1, scale, range(m))
 
@@ -265,7 +295,7 @@ class WaringDecomposition:
             raise AmbientMismatchError("change ambient differs from the decomposition's")
         cols = list(zip(*change._rows))
         return WaringDecomposition._from_rows(self.degree, self.nvars, (
-            (coef, [sum(a * b for a, b in zip(form._ints, col)) for col in cols],
+            (coef, [sum(map(mul, form._ints, col)) for col in cols],
              form._den * change._den) for coef, form in self._terms), self._den)
 
     def identity_string(self, name: str = "F", prefix: str = "x") -> str:
@@ -318,9 +348,9 @@ def verify_decomposition(form: Polynomial,
 
     The comparison runs in integers.  With F = N/a, the form's integer terms
     over its denominator, and dec.expand() = E/b for the integer polynomial
-    E that the kernel of poly builds from the integer coefficients and
-    forms, it checks b*N - a*E = 0 coefficient by coefficient, monomials
-    packed with one base above both degrees.  As a, b > 0, that holds
+    E that _power_sum builds from the integer coefficients and forms, each
+    monomial once, it checks b*N - a*E = 0 coefficient by coefficient,
+    monomials packed with one base above both degrees.  As a, b > 0, that holds
     exactly when form == dec.expand(); the residual (b*N - a*E)/(a*b)
     becomes a Polynomial, which is empty when the check passes.
 
@@ -347,7 +377,7 @@ def _direction(row: list[int] | tuple[int, ...]) -> tuple[int, ...]:
     """The primitive multiple of a nonzero integer row with a positive lead:
     two such rows are proportional iff these agree."""
     g = gcd(*row) * (-1 if next(v for v in row if v) < 0 else 1)
-    return tuple(v // g for v in row)
+    return tuple(row) if g == 1 else tuple(v // g for v in row)
 
 
 def normal_form(n: int) -> Polynomial:

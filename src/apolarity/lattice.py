@@ -21,6 +21,7 @@ majorant of the form; the diagonal entries in that basis are small.
 from __future__ import annotations
 
 from math import gcd, lcm
+from operator import mul
 
 from .linalg import ModularSpan, gram
 
@@ -244,9 +245,9 @@ def _lll(g: list[list[int]]) -> list[list[int]]:
     while t < k:
         if t > seen:
             seen = t
-            row = gram(g, [h[t]] + h[:t + 1])[0]
+            gh = [sum(map(mul, row, h[t])) for row in g]  # g is symmetric
             for j in range(t + 1):
-                u = row[j + 1]
+                u = sum(map(mul, h[j], gh))
                 for i in range(j):
                     u = (d[i + 1] * u - lam[t][i] * lam[j][i]) // d[i]
                 if j < t:

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 SparseRow = dict[int, int]
 CONTENT_EVERY = 8  # cancellations between content reductions of one row
@@ -80,8 +81,8 @@ def cleared_rows(rows) -> tuple[list[list[int]], int]:
 def gram(g: list[list[int]], vectors: list[list[int]]) -> list[list[int]]:
     """The Gram matrix [u^T g v] of integer vectors under an integer matrix
     g; a rational block goes in as its numerator over a kept denominator."""
-    images = [[sum(x * y for x, y in zip(row, v) if y) for row in g] for v in vectors]
-    return [[sum(x * y for x, y in zip(u, gv) if x) for gv in images] for u in vectors]
+    images = [[sum(map(mul, row, v)) for row in g] for v in vectors]
+    return [[sum(map(mul, u, gv)) for gv in images] for u in vectors]
 
 
 def solve(rows: list[list], rhs: list) -> tuple[list[int], int] | None:

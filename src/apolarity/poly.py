@@ -17,8 +17,10 @@ run term by term on the ints, * on packed keys (_packed) of the variables
 that occur, ** through *.  Only terms, items(), coefficient(), coeffs,
 matrix, monic() and a decomposition's terms and to_json_dict build them;
 other modules read _ints, _den, _rows and _terms.  Every linear
-substitution runs in one integer kernel, _compose_packed: substitute,
-WaringDecomposition.expand and cubics.verify_decomposition.
+substitution runs in one integer kernel, _compose_packed, behind
+substitute.  Power sums, which WaringDecomposition.expand and
+cubics.verify_decomposition expand, take each output monomial once by the
+multinomial theorem in WaringDecomposition._power_sum instead.
 
 parse refuses, with PolynomialSyntaxError, text that could build more than
 MAX_MONOMIAL_ENTRIES exponent entries: too many literals for the ambient,

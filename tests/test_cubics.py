@@ -434,21 +434,22 @@ def _rational_change(rng, nvars):
             continue
 
 
-def _raw_power_sum(rng, degree, nvars, cancel):
+def _raw_power_sum(rng, degree, nvars, cancel, unused=()):
     """Rational, mostly non-monic forms with one zero coefficient and one
     multiple of the first form, whose coefficient cancels the first term
-    exactly or merges with it."""
+    exactly or merges with it; no form uses the columns in unused."""
+    free = [j for j in range(nvars) if j not in unused]
     raw = []
     for _ in range(rng.randint(1, 5)):
-        form = [_rational(rng) for _ in range(nvars)]
+        form = [0 if j in unused else _rational(rng) for j in range(nvars)]
         if not any(form):
-            form[rng.randrange(nvars)] = Fraction(-3, 7)
+            form[free[rng.randrange(len(free))]] = Fraction(-3, 7)
         raw.append((_rational(rng), form))
     coef, form = raw[0]
     s = Fraction(rng.choice((-2, 3)), rng.choice((1, 2, 5)))
     raw.append((-coef / s ** degree if cancel else _rational(rng) or Fraction(1),
                 [s * c for c in form]))
-    raw.append((Fraction(0), [_rational(rng) for _ in range(nvars)]))
+    raw.append((Fraction(0), [0 if j in unused else _rational(rng) for j in range(nvars)]))
     rng.shuffle(raw)
     return raw
 
@@ -467,16 +468,24 @@ def _raised(call):
 
 def test_integer_power_sums_match_the_fraction_reference():
     """assemble, compose, expand and verify_decomposition against the
-    Fraction arithmetic they replaced (tests/oracles.py): degrees 1-4 in
-    1-9 variables, rational forms and changes, merged, cancelled and zero
-    terms, forms of another degree, and every ambient mismatch."""
+    Fraction arithmetic they replaced (tests/oracles.py): degrees 0-7 in
+    1-9 variables, rational forms and changes, 30-digit entries, forms that
+    leave columns unused, merged, cancelled and zero terms, zero forms
+    through the public constructor, forms of another degree, every ambient
+    mismatch, and degrees past the interpreter's recursion limit."""
     rng = random.Random(1213)
     seen = {"ok": 0, "residual": 0, "dependent": 0, "cancelled": 0,
             "mismatch": 0}
-    for degree in range(1, 5):
-        for nvars in range(1, 10):
+    for degree in range(8):
+        for nvars in range(1, 10 if degree < 5 else 6):
             for cancel in (False, True):
-                raw = _raw_power_sum(rng, degree, nvars, cancel)
+                unused = set(range(1, nvars, 2)) if cancel else set()
+                raw = _raw_power_sum(rng, degree, nvars, cancel, unused)
+                if nvars % 2:
+                    raw.append((Fraction(rng.randrange(10 ** 29, 10 ** 30), 7), [
+                        0 if j in unused else Fraction(rng.randrange(-10 ** 30, 10 ** 30),
+                                                       rng.randrange(1, 10 ** 30))
+                        for j in range(nvars)]))
                 dec = WaringDecomposition.assemble(
                     degree, nvars, [(c, LinearForm(f)) for c, f in raw])
                 assert _pairs(dec) == assemble_by_fractions(degree, nvars, raw)
@@ -494,9 +503,13 @@ def test_integer_power_sums_match_the_fraction_reference():
                     exact + Polynomial.monomial(nvars, far, Fraction(2, 3)),
                     exact + Polynomial.constant(nvars, Fraction(-5, 2)),
                     Polynomial.zero(nvars)]
-                # built directly, so the multiple of the first form stays apart
+                # built directly, so the multiple of the first form stays
+                # apart; with cancel, a zero coefficient and a zero form too
                 unmerged = WaringDecomposition(degree, nvars, tuple(
-                    (c, LinearForm(f)) for c, f in raw if c))
+                    (c, LinearForm(f)) for c, f in raw if c or cancel) + (
+                    ((_rational(rng) or 1, LinearForm([0] * nvars)),) if cancel else ()))
+                assert unmerged.expand().terms == dict(
+                    power_sum_by_fractions(degree, tuple(_pairs(unmerged))))
                 for candidate in (moved, unmerged):
                     for form in forms:
                         independent, residual = residual_by_fractions(
@@ -519,7 +532,27 @@ def test_integer_power_sums_match_the_fraction_reference():
                     assert raised is _raised(lambda: residual_by_fractions(
                         form.terms, form.nvars, nvars, degree, _pairs(candidate)))
                     seen["mismatch"] += raised is AmbientMismatchError
+                # forms of two lengths: the reference refuses them too
+                for lengths in ((nvars, nvars + 1), (nvars + 1, nvars)):
+                    mixed = WaringDecomposition(degree, nvars, [
+                        (1, LinearForm(range(1, k + 1))) for k in lengths])
+                    assert _raised(lambda: residual_by_fractions(
+                        exact.terms, nvars, nvars, degree, _pairs(mixed))) is ValueError
+                    assert _raised(lambda: verify_decomposition(exact, mixed)) \
+                        is AmbientMismatchError
+                    assert _raised(mixed.expand) is AmbientMismatchError
     assert min(seen.values()) >= 20, seen
+    for degree, nvars in ((3000, 1), (60, 2)):
+        dec = WaringDecomposition(degree, nvars, [
+            (_rational(rng) or 1, LinearForm([_rational(rng) or 1 for _ in range(nvars)]))
+            for _ in range(3)])
+        expansion = dict(power_sum_by_fractions(degree, tuple(_pairs(dec))))
+        assert dec.expand().terms == expansion
+        for form in (Polynomial(nvars, expansion), Polynomial.variable(nvars, 0) ** 2):
+            independent, residual = residual_by_fractions(
+                form.terms, nvars, nvars, degree, _pairs(dec))
+            ok, got = verify_decomposition(form, dec)
+            assert got.terms == residual and ok is (independent and not residual)
 
 
 def test_decomposition_holds_integers_over_one_denominator():
