@@ -55,7 +55,7 @@ from math import comb, perm, prod
 from typing import Iterator
 
 from .ideals import (HilbertFunction, HomogeneousIdeal, monomial_index,
-                     ring_dimension, _generators_from_components)
+                     ring_dimension, _generators_from_components, _monic)
 from .linalg import ModularSpan, RowSpan, kernel_basis, rank
 from .poly import (MAX_MONOMIAL_ENTRIES, AmbientMismatchError, Exponent,
                    LinearForm, Polynomial, _comb_exceeds)
@@ -317,26 +317,24 @@ def _top_degree_generators(form: Polynomial, hf: HilbertFunction) -> list[Polyno
 def apolar_ideal(form: Polynomial) -> HomogeneousIdeal:
     """The annihilator of a form, with deterministic minimal generators.
 
-    Degree-i generators are the part of the i-th catalecticant kernel not
-    already generated below.  Those of the lowest degree i0 are the canonical
-    (RREF) basis of ker Cat_i0, inserted into an empty span in free-column
-    order: each is its forward-eliminated residual, monic in its first
-    monomial, and may contain the leading monomial of an earlier one.  The
+    The generators of each degree i <= d follow one rule: each canonical
+    vector of ker Cat_i, monic in its first monomial, that enlarges the span
+    of T_1 times the degree below plus the vectors kept before it.  The
     returned ideal carries truncation bound d+1 and its Hilbert function,
     read off catalecticant ranks, which hilbert_function returns.
 
-    Let i0 be the lowest degree with HF(i0) < dim S_i0.  Degree i0 needs every
-    vector of ker Cat_i0 as a generator, and by Macaulay duality each degree
-    i0 < i <= d needs dim V_i - HF(i) more (module docstring).  When a rank
-    modulo PRIME proves that number 0 for every such i, by reaching the bound
-    in rank mod PRIME <= rank over Q <= n * HF(i-1) - HF(i), the generators
-    below degree d+1 are the residuals of ker Cat_i0 inserted into an empty
-    span, which is what the sweep over all kernels produces.  Otherwise the
-    exact sweep runs over every kernel: when some degree has new generators
-    (binary forms, cones, most monomials), and when the proof is out of reach
-    modulo PRIME (a denominator divisible by PRIME, partials dependent modulo
-    PRIME, a rank short of the bound).  Neither case can give a wrong answer,
-    and both routes give the same generators.
+    Let i0 be the lowest degree with HF(i0) < dim S_i0.  The rule keeps every
+    vector of ker Cat_i0, as the ideal is zero below i0, and by Macaulay
+    duality each degree i0 < i <= d needs dim V_i - HF(i) more (module
+    docstring).  When a rank modulo PRIME proves that number 0 for every such
+    i, by reaching the bound in rank mod PRIME <= rank over Q <=
+    n * HF(i-1) - HF(i), the generators below degree d+1 are the canonical
+    vectors of ker Cat_i0, and no span is built but Cat_i0's own.  Otherwise
+    the exact sweep runs over every kernel: when some degree has new
+    generators (binary forms, cones, most monomials), and when the proof is
+    out of reach modulo PRIME (a denominator divisible by PRIME, partials
+    dependent modulo PRIME, a rank short of the bound).  Neither case can
+    give a wrong answer, and both routes give the same generators.
     """
     if form.is_zero():
         raise ValueError("the zero form has no apolar ideal in this toolkit")
@@ -350,13 +348,13 @@ def apolar_ideal(form: Polynomial) -> HomogeneousIdeal:
 
     low = next((i for i in range(1, d + 1) if hf.values[i] < ring_dimension(n, i)),
                None)
-    components: list[list[dict[int, int]]] = [[]]
-    if low is not None:
-        components = [[] for _ in range(low)] + [kernel(low)]
-        if not all(_no_generator_in_degree(form, hf.values, i)
-                   for i in range(low + 1, d + 1)):
-            components += [kernel(i) for i in range(low + 1, d + 1)]
-    gens = _generators_from_components(components, n)
+    if low is None:
+        gens = []
+    elif all(_no_generator_in_degree(form, hf.values, i) for i in range(low + 1, d + 1)):
+        gens = [_monic(n, low, r) for r in kernel(low)]
+    else:
+        gens = _generators_from_components(
+            [[] for _ in range(low)] + [kernel(i) for i in range(low, d + 1)], n)
     gens.extend(_top_degree_generators(form, hf))
     ideal = HomogeneousIdeal(gens, n, truncation_bound=d + 1)
     ideal._hilbert = hf

@@ -30,7 +30,7 @@ from operator import mul
 from . import linalg
 from .apolar import apolar_ideal
 from .poly import (MAX_MONOMIAL_ENTRIES, AmbientMismatchError, LinearChange,
-                   LinearForm, Polynomial, _comb_exceeds, _signed_sum)
+                   LinearForm, Polynomial, _comb_exceeds, _number_text, _signed_sum)
 
 
 class NeedsFieldExtension(Exception):
@@ -307,8 +307,8 @@ class WaringDecomposition:
         return {
             "degree": self.degree,
             "variables": self.nvars,
-            "terms": [{"coefficient": str(c),
-                       "form": [str(v) for v in f.coeffs]}
+            "terms": [{"coefficient": _number_text(c.numerator, c.denominator),
+                       "form": [_number_text(v.numerator, v.denominator) for v in f.coeffs]}
                       for c, f in self.terms],
         }
 

@@ -91,21 +91,21 @@ def _shift_table(nvars: int, degree: int) -> tuple[tuple[int, ...], ...]:
 def _component(prev: RowSpan, nvars: int, degree: int, rows,
                full: int) -> tuple[RowSpan, list[dict[int, int]]]:
     """Span of T_1 times ``prev`` (the component one degree lower; RowSpan(0)
-    for none) plus ``rows``, with the residuals by which ``rows`` enlarged
-    it.  Insertion stops once the span has dimension ``full``, since every
-    later row would reduce to zero."""
+    for none) plus ``rows``, with the generator rule's picks: each row, as
+    given, that enlarged the span of T_1 * prev plus the rows kept before it.
+    Insertion stops once the span has dimension ``full``, since every later
+    row would reduce to zero."""
     span = RowSpan(ring_dimension(nvars, degree))
     shift = _shift_table(nvars, degree)
     shifted = ({shift[c][j]: v for c, v in row.items()}
                for row in prev.basis_rows() for j in range(nvars))
-    residuals = []
+    kept = []
     for given, row in chain(((False, r) for r in shifted), ((True, r) for r in rows)):
         if span.dimension == full:
             break
-        residual = span.insert(row)
-        if given and residual is not None:
-            residuals.append(residual)
-    return span, residuals
+        if span.insert(row) is not None and given:
+            kept.append(row)
+    return span, kept
 
 
 def _graded_spans(ideal: HomogeneousIdeal, top: int) -> list[RowSpan]:
@@ -180,15 +180,17 @@ def ideal_sum(a: HomogeneousIdeal, b: HomogeneousIdeal) -> HomogeneousIdeal:
 
 def _generators_from_components(components: list[list[dict[int, int]]],
                                 nvars: int) -> list[Polynomial]:
-    """Minimal generators of an ideal whose degree-i component is spanned by
-    components[i].  Each component must contain T_1 times the previous one,
-    and its rows must be independent: a degree is complete once its span
-    has len(components[i]) rows, and nothing after that is reduced."""
+    """Minimal generators of an ideal whose degree-i component has the
+    canonical basis components[i]: each row, monic in its first monomial,
+    that enlarges the span of T_1 times the degree below plus the rows kept
+    before it (_component).  Each component must contain T_1 times the
+    previous one, and its rows must be independent: a degree is complete
+    once its span has len(components[i]) rows, and nothing after is reduced."""
     gens: list[Polynomial] = []
     span = RowSpan(0)
     for i, rows in enumerate(components):
-        span, residuals = _component(span, nvars, i, rows, len(rows))
-        gens.extend(_monic(nvars, i, r) for r in residuals)
+        span, kept = _component(span, nvars, i, rows, len(rows))
+        gens.extend(_monic(nvars, i, r) for r in kept)
     return gens
 
 

@@ -304,13 +304,29 @@ class Polynomial:
         return f"Polynomial({self.nvars}, {self.to_string()!r})"
 
 
+def _number_text(num: int, den: int = 1) -> str:
+    """num/den in decimal, "num" when den is 1, for ints of any length:
+    str() refuses more than sys.get_int_max_str_digits() digits (4300 by
+    default, 640 at least), so a longer int is split at a power of ten,
+    about halfway, and joined."""
+    if den != 1:
+        return f"{_number_text(num)}/{_number_text(den)}"
+    if num < 0:
+        return "-" + _number_text(-num)
+    if num.bit_length() <= 2000:  # at most 603 digits
+        return str(num)
+    k = num.bit_length() * 3 // 20
+    high, low = divmod(num, 10 ** k)
+    return _number_text(high) + _number_text(low).zfill(k)
+
+
 def _signed_sum(terms: Sequence[tuple[int, str]], den: int = 1) -> str:
     """The text of sum (v/den)*body over (v, body), body '' for 1: v/den in lowest terms,
     unit magnitudes left out before a body, a sign on every term but a positive first."""
     out = ""
     for v, body in terms:
         g = gcd(v, den)
-        mag = str(abs(v) // g) if g == den else f"{abs(v) // g}/{den // g}"
+        mag = _number_text(abs(v) // g, den // g)
         if not body:
             body = mag
         elif mag != "1":

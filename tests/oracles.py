@@ -27,11 +27,14 @@ before it ran on integer terms over one denominator (diff_once is its old
 differentiate), and substitute_by_fractions composes with them alone.
 dual_system_rank keeps the numbering of the Macaulay-dual system's
 unknowns that the package once used, block 0 first, and ranks it with
-rank_mod_prime.  certificate_by_ideals is the one exception to the rule above: it keeps the
-route the avoidance and colon certificates once took through the package's
-own ideal calculus (apolar ideal, colon, sum, graded spans), so it checks
-the rank-based slice formula against a different computation, not against
-different code.
+rank_mod_prime.  apolar_generators_by_sweep states the apolar generator
+rule on the oracle's own catalecticants (apply_operator), kernels (kernel)
+and sparse Fraction echelon (_enlarges).  certificate_by_ideals is the
+one exception to the rule above: it keeps the route the avoidance and
+colon certificates once took through the package's own ideal calculus
+(apolar ideal, colon, sum, graded spans), so it checks the rank-based
+slice formula against a different computation, not against different
+code.
 """
 
 from __future__ import annotations
@@ -412,19 +415,58 @@ def certificate_by_ideals(form, hyperplane, divisor=None):
     return hf.values, hf.total()
 
 
+def _enlarges(echelon: dict, vec: dict) -> bool:
+    """Reduce a sparse Fraction vector {column: entry} against echelon rows
+    {pivot: row with 1 at its pivot and nothing before it}; when something
+    is left, store it, scaled to 1 at its lead, and return True."""
+    vec = dict(vec)
+    while pivots := [c for c in vec if c in echelon]:
+        pc = min(pivots)
+        f = vec[pc]
+        for c, b in echelon[pc].items():
+            x = vec.get(c, 0) - f * b
+            if x:
+                vec[c] = x
+            else:
+                vec.pop(c, None)
+    if not vec:
+        return False
+    lead = min(vec)
+    echelon[lead] = {c: x / vec[lead] for c, x in vec.items()}
+    return True
+
+
 def apolar_generators_by_sweep(form) -> list:
-    """Term dicts of the minimal apolar generators as the package once found
-    them: the kernels of Cat_1..Cat_d swept bottom-up by the package's own
-    _generators_from_components, so every degree is checked by elimination,
-    then the degree-(d+1) generators of the (ell, mu) system.  Like
-    certificate_by_ideals, this keeps a route of the package's, not an
-    independent computation."""
-    from apolarity.apolar import catalecticant
-    from apolarity.ideals import _generators_from_components
+    """Term dicts of the minimal apolar generators by one rule, from the
+    oracle's own catalecticants (apply_operator) and kernels (kernel): in
+    each degree i = 1..d, every canonical vector of ker Cat_i, monic in its
+    first monomial, that raises the rank of T_1 times ker Cat_{i-1} plus the
+    vectors kept before it; then the degree-(d+1) generators of the
+    (ell, mu) system.  A degree is complete once that rank reaches
+    dim ker Cat_i."""
     d, n = form.homogeneous_degree(), form.nvars
-    components = [[]] + [catalecticant(form, i).kernel() for i in range(1, d + 1)]
-    return ([g.terms for g in _generators_from_components(components, n)]
-            + top_degree_generators(form.terms, n, d))
+    terms = {e: Fraction(c) for e, c in form.terms.items()}
+    out, below = [], []
+    for i in range(1, d + 1):
+        cols = monomials_recursive(n, i)
+        index = {m: c for c, m in enumerate(cols)}
+        rows = {m: r for r, m in enumerate(monomials_recursive(n, d - i))}
+        cat = [[Fraction(0)] * len(cols) for _ in rows]
+        for c, alpha in enumerate(cols):
+            for exps, v in apply_operator({alpha: 1}, terms).items():
+                cat[rows[exps]][c] = v
+        vectors = [{c: x for c, x in enumerate(vec) if x} for vec in kernel(cat, len(cols))]
+        echelon: dict = {}
+        for op in below:  # T_1 * (ker Cat_{i-1}), in degree i
+            for j in range(n):
+                if len(echelon) < len(vectors):
+                    _enlarges(echelon, {index[m]: x for m, x in
+                                        _times_variable(op, j, 1).items()})
+        for vec in vectors:
+            if len(echelon) < len(vectors) and _enlarges(echelon, vec):
+                out.append({cols[c]: x / vec[min(vec)] for c, x in vec.items()})
+        below = [{cols[c]: x for c, x in vec.items()} for vec in vectors]
+    return out + top_degree_generators(form.terms, n, d)
 
 
 def _ambient_mismatch(message: str) -> Exception:

@@ -148,6 +148,33 @@ def test_exact_spans_only_for_catalecticants_short_of_full_rank(monkeypatch):
         assert apolar_ideal(scaled).generators == ideal.generators
 
 
+def test_proven_route_reads_the_generators_off_one_kernel(monkeypatch):
+    """On the dense inputs above every degree above i0 is proven free of new
+    generators, so apolar_ideal returns the canonical kernel vectors of
+    Cat_i0, monic in their first monomials, without the sweep and without
+    any span of the ideals module."""
+    def refuse(*args):
+        raise AssertionError("the proven route ran the exact sweep")
+
+    built = []
+
+    class CountedSpan(ideals.RowSpan):
+        def __init__(self, ncols):
+            built.append(ncols)
+            super().__init__(ncols)
+
+    monkeypatch.setattr(apolar, "_generators_from_components", refuse)
+    monkeypatch.setattr(ideals, "RowSpan", CountedSpan)
+    rng = random.Random(43)
+    for nv, d, low in ((5, 3, 2), (4, 4, 3)):
+        form = _dense_form(rng, nv, d)
+        cat = catalecticant(form, low)
+        assert [g.terms for g in apolar_ideal(form).generators] == [
+            {cat.col_monomials[c]: Fraction(v, vec[min(vec)]) for c, v in vec.items()}
+            for vec in cat.kernel()]
+    assert built == []
+
+
 def test_essential_variables():
     assert essential_variables(parse("x0^3 + x1^3", nvars=4)) == 2
     assert essential_variables(parse("x0^2*x1 + x0*x2^2")) == 3

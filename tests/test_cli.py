@@ -1,3 +1,4 @@
+import decimal
 import json
 import time
 
@@ -228,6 +229,53 @@ def test_verify_rejects_malformed_decomposition(capsys, tmp_path, payload):
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def _power_of_two(e: int) -> str:
+    """2^e in decimal by the decimal module, whose text has no digit limit."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = e // 3 + 10
+        return format(decimal.Decimal(2) ** e, "f")
+
+
+def test_verify_prints_a_residual_past_the_string_digit_limit(capsys, tmp_path):
+    """(2*x0)^100000 has a 30103-digit coefficient, past the 4300 digits
+    that str() takes by default: the residual still prints, and the call
+    exits 1."""
+    target = tmp_path / "dec.json"
+    target.write_text('{"degree": 100000, "variables": 1, '
+                      '"terms": [{"coefficient": "1", "form": ["2"]}]}')
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", "--vars", "1", "x0^3", str(target))
+    assert time.perf_counter() - start < 2
+    assert code == 1 and err == ""
+    assert out == f"verified: False\nresidual: -{_power_of_two(100000)}*x0^100000 + x0^3\n"
+
+
+@pytest.mark.parametrize("args", [
+    ("analyze", "x0", "(10^5000)*x1^2+x2^2+x0*x1"),
+    ("analyze", "--json", "x0", "(10^5000)*x1^2+x2^2+x0*x1"),
+    ("decompose", "--json", "x0", "x0*x1 + (10^5000)*x2^2"),
+], ids=["analyze-text", "analyze-json", "decompose-json"])
+def test_reports_print_integers_past_the_string_digit_limit(capsys, args):
+    """A 5001-digit coefficient, built by the parser as a power, prints in
+    the form, the report and the witness's JSON terms."""
+    start = time.perf_counter()
+    code, out, err = run(capsys, *args)
+    assert time.perf_counter() - start < 2
+    assert code == 0 and err == ""
+    assert "1" + "0" * 5000 + "*x" in out
+    if "--json" in args:
+        json.loads(out)
+
+
+def test_decimal_literal_past_the_string_digit_limit_is_an_input_error(capsys):
+    """The parser reads a literal through int(), which keeps its limit."""
+    start = time.perf_counter()
+    code, out, err = run(capsys, "analyze", "x0", "1" + "0" * 4400 + "*x1^2+x2^2+x0*x1")
+    assert time.perf_counter() - start < 2
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_unknown_command_is_usage_error(capsys):

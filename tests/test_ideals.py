@@ -3,12 +3,13 @@ from fractions import Fraction
 
 import pytest
 
+from apolarity import ideals
 from apolarity.apolar import apolar_ideal
 from apolarity.ideals import (HilbertFunction, HomogeneousIdeal, graded_basis,
                               hilbert_function, ideal_colon, ideal_contains,
                               ideal_equal, ideal_sum, is_nonzerodivisor,
                               ring_dimension)
-from apolarity.poly import AmbientMismatchError, Polynomial, parse
+from apolarity.poly import AmbientMismatchError, Polynomial, monomials, parse
 from oracles import dim_forms
 
 
@@ -114,6 +115,35 @@ def test_ideal_colon_membership_property():
             prod = g * c
             if prod.homogeneous_degree() < ideal.truncation_bound:
                 assert ideal_contains(ideal, prod)
+
+
+def test_colon_generators_are_monic_canonical_rows():
+    """Every generator of (I : g) is a row of the canonical (RREF) basis of
+    its component, the preimage of I under g, monic in its first monomial.
+    In degree 2 of the fixture, T_1*(d0 - d2) has a row leading at d0^2, so
+    the RREF row d0^2 is kept as it is, not as its residual d2^2."""
+    fixture = ideal_colon(apolar_ideal(parse("x0^2*x1 + x0*x1*x2")), parse("d0 - d2"))
+    assert [g.to_string("d") for g in fixture.generators] == ["d0 - d2", "d0^2", "d1^2"]
+    rng = random.Random(29)
+    forms = [parse("x0^2*x2 + x0*x1^2"), parse("x0^2*x1 + x0*x1*x2")] + [
+        Polynomial(3, {m: Fraction(rng.randint(-3, 3)) for m in monomials(3, 3)})
+        for _ in range(6)]
+    divisors = [parse(t, nvars=3) for t in ("d0", "d0 - d2", "d0 + d1", "d1^2 - d0*d2")]
+    degrees = set()
+    for form in forms:
+        ideal = apolar_ideal(form)
+        for g in divisors:
+            try:
+                colon = ideal_colon(ideal, g)
+            except ValueError:
+                continue
+            top = ideal.truncation_bound - g.homogeneous_degree()
+            spans = ideals._colon_spans(ideal, g, top)
+            for gen in colon.generators:
+                i = gen.homogeneous_degree()
+                assert gen in [ideals._monic(3, i, row) for row in spans[i].canonical_rows()]
+            degrees.add(frozenset(gen.homogeneous_degree() for gen in colon.generators))
+    assert any(len(ds) > 1 for ds in degrees)
 
 
 def test_ideal_equal():
