@@ -44,6 +44,9 @@ rank mod PRIME <= rank over Q <= dim S_i: dim S_i rows independent modulo
 PRIME prove HF(i) = dim S_i.  Only the catalecticants that fall short are
 eliminated exactly, and they include every one whose kernel apolar_ideal
 takes: HF(i) < dim S_i for all i >= i0, as the ideal is nonzero in degree i0.
+
+PRIME is linalg.PRIME, 2^31 - 1, and linalg.independent picks the rows
+that are independent modulo it, as it does for poly.LinearChange.
 """
 
 from __future__ import annotations
@@ -56,11 +59,9 @@ from typing import Iterator
 
 from .ideals import (HilbertFunction, HomogeneousIdeal, monomial_index,
                      ring_dimension, _generators_from_components, _monic)
-from .linalg import ModularSpan, RowSpan, kernel_basis, rank
+from .linalg import PRIME, ModularSpan, RowSpan, independent, kernel_basis, rank
 from .poly import (MAX_MONOMIAL_ENTRIES, AmbientMismatchError, Exponent,
                    LinearForm, Polynomial, _comb_exceeds)
-
-PRIME = 2**31 - 1  # the modulus of the ranks that prove "no new generator"
 
 
 def _images(alpha: Exponent, terms) -> Iterator[tuple[Exponent, int]]:
@@ -209,7 +210,7 @@ def _hilbert_and_spans(form: Polynomial) -> tuple[HilbertFunction, dict[int, Row
                              "variables are too large to build")
     full = [ring_dimension(n, i) for i in range(d // 2 + 1)]
     spans = {i: _catalecticant_span(form, i) for i in range(d // 2 + 1)
-             if _independent(_partials_mod_prime(form, i, by_row=True), full[i], full[i]) is None}
+             if independent(_partials_mod_prime(form, i, by_row=True), full[i], full[i]) is None}
     ranks = [spans[i].dimension if i in spans else full[i] for i in range(d // 2 + 1)]
     return HilbertFunction(tuple(ranks[min(i, d - i)] for i in range(d + 1))), spans
 
@@ -235,19 +236,6 @@ def _partials_mod_prime(form: Polynomial, j: int,
     return list(vectors.values())
 
 
-def _independent(vectors: list[dict[int, int]] | None, ncols: int,
-                 h: int) -> list[dict[int, int]] | None:
-    """The first h vectors that are independent modulo PRIME, hence over Q;
-    None when fewer than h are (or vectors is None)."""
-    span, chosen = ModularSpan(ncols, PRIME), []
-    for vector in vectors or ():
-        if len(chosen) == h:
-            break
-        if span.insert(vector):
-            chosen.append(vector)
-    return chosen if len(chosen) == h else None
-
-
 def _no_generator_in_degree(form: Polynomial, hf: tuple[int, ...], i: int) -> bool:
     """True only when the Macaulay-dual system of degree i (module docstring)
     reaches rank n * HF(i-1) - HF(i) modulo PRIME, which proves that T_1 times
@@ -261,8 +249,8 @@ def _no_generator_in_degree(form: Polynomial, hf: tuple[int, ...], i: int) -> bo
     if target <= 0:
         return True
     monos, _ = monomial_index(n, i - 1)
-    chosen = _independent(_partials_mod_prime(form, form.homogeneous_degree() - i + 1),
-                          len(monos), h)
+    chosen = independent(_partials_mod_prime(form, form.homogeneous_degree() - i + 1),
+                         len(monos), h)
     if chosen is None:
         return False
     basis = [{monos[g]: v for g, v in b.items()} for b in chosen]

@@ -30,7 +30,8 @@ from operator import mul
 from . import linalg
 from .apolar import apolar_ideal
 from .poly import (MAX_MONOMIAL_ENTRIES, AmbientMismatchError, LinearChange,
-                   LinearForm, Polynomial, _comb_exceeds, _number_text, _signed_sum)
+                   LinearForm, Polynomial, _comb_exceeds, _number_text, _number_value,
+                   _signed_sum)
 
 
 class NeedsFieldExtension(Exception):
@@ -332,7 +333,7 @@ class WaringDecomposition:
             raise ValueError(f"a degree-{degree} power sum in {nvars} variables may "
                              f"expand past {MAX_MONOMIAL_ENTRIES} exponent entries")
         try:
-            terms = [(Fraction(t["coefficient"]), LinearForm(Fraction(v) for v in t["form"]))
+            terms = [(_number_value(t["coefficient"]), LinearForm(map(_number_value, t["form"])))
                      for t in data["terms"]]
         except KeyError as exc:
             raise ValueError(f"the decomposition has no field {exc}") from None
@@ -491,26 +492,34 @@ def _pinch_inverse(n: int) -> list[tuple[int, int]]:
     return [next((j, d // v) for j, v in enumerate(row) if v) for row in pinch]
 
 
-def _pinch_scale(rc: ReducibleCubic, m, cols) -> tuple[int, int] | None:
-    """(a, a_den), the scale a/a_den with a_den > 0, when the change with
-    columns C carries L*Q onto the normal form x0*P: l^T C = (a/a_den)*e_0^T
-    with a != 0, and C^T M C = P*a_den/a; None otherwise.
+def _carried_change(rc: ReducibleCubic, m, cols) -> LinearChange | None:
+    """The change with columns C, with its inverse, when it carries L*Q onto
+    the normal form x0*P: l^T C = (a/a_den)*e_0^T with a != 0, and
+    C^T M C = P*a_den/a; None otherwise.
     M, the matrix of Q, and C come cleared, m = (d_m*M, d_m) and
-    cols = (d_c*C, d_c), and the second identity is checked in ints as
-    a*G = P*a_den*d_m*d_c^2, G the Gram product of the two integer matrices.
-    This is exactly substitute(L*Q, C) == normal_form(n): x0 divides
+    cols = (d_c*C, d_c).  One integer product K = (d_c*C)^T (d_m*M) gives
+    both the check, a*K*(d_c*C) = P*a_den*d_m*d_c^2, and the inverse: P has
+    rank n+1 with one nonzero entry per row, so (a/a_den)*P^-1*C^T*M*C = I
+    and C^-1 = a*P^-1*K over a_den*d_c*d_m, without elimination.
+    The check is exactly substitute(L*Q, C) == normal_form(n): x0 divides
     (L o C)*(Q o C) and cannot divide Q o C = x0*L', for P = (L o C)*L'
     would then be reducible, while P has rank n+1 >= 3; so L o C is x0
     times the scale and Q o C is P over it."""
     (m_int, d_m), (c_int, d_c) = m, cols
-    a, *rest = [sum(c * v for c, v in zip(rc.linear._ints, col)) for col in c_int]
+    a, *rest = [sum(map(mul, rc.linear._ints, col)) for col in c_int]
     if a == 0 or any(rest):
         return None
     a_den = rc.linear._den * d_c
-    pinch, d_p = _pinch_ints(len(c_int) - 1)
-    return (a, a_den) if all(a * v * d_p == p * a_den * d_m * d_c * d_c
-                             for row, prow in zip(linalg.gram(m_int, c_int), pinch)
-                             for v, p in zip(row, prow)) else None
+    n = len(c_int) - 1
+    pinch, d_p = _pinch_ints(n)
+    # row j of K pairs column j of C with the rows of M = M^T
+    ctm = [[sum(map(mul, col, row)) for row in m_int] for col in c_int]
+    target = a_den * d_m * d_c * d_c
+    if not all(a * sum(map(mul, ctm_row, col)) * d_p == p * target
+               for ctm_row, prow in zip(ctm, pinch) for col, p in zip(c_int, prow)):
+        return None
+    inverse = [[a * w * v for v in ctm[j]] for j, w in _pinch_inverse(n)]
+    return LinearChange._from_pair((list(zip(*c_int)), d_c), (inverse, a_den * d_c * d_m))
 
 
 def normalize_tangent_product(rc: ReducibleCubic) -> LinearChange:
@@ -535,10 +544,10 @@ def normalize_tangent_product(rc: ReducibleCubic) -> LinearChange:
     congruence comes back as integer columns over one denominator, and
     C = T*U/l'_k over one denominator.
 
-    The self-check proves l^T C = a*e_0^T and C^T M C = P/a.  P has rank
-    n+1 (one nonzero entry per row), so a*P^-1*C^T*M*C = I and
-    C^-1 = a*P^-1*C^T*M exactly: the change's inverse is one integer product
-    of the cleared C and M over one denominator, without elimination."""
+    The self-check, _carried_change, proves l^T C = a*e_0^T and
+    C^T M C = P/a, so C^-1 = a*P^-1*C^T*M exactly: the change's inverse is
+    read off the product that check forms, without elimination, as for a
+    change that decompose_type_c is given."""
     nv = rc.nvars
     n = nv - 1
     qa, qd = _quadric_ints(rc.quadric)
@@ -597,13 +606,10 @@ def normalize_tangent_product(rc: ReducibleCubic) -> LinearChange:
         cols.append(([v // common for v in x], den // common))
     d_c = lcm(*(den for _, den in cols))
     c_int = [[v * (d_c // den) for v in x] for x, den in cols]
-    a, a_den = _pinch_scale(rc, (qa, qd), (c_int, d_c)) or (0, 1)
-    if not a:
+    change = _carried_change(rc, (qa, qd), (c_int, d_c))
+    if change is None:
         raise RuntimeError("internal: normalization self-check failed")
-    # row j of (d_c*C)^T (d_m*M) pairs column j of C with the rows of M = M^T
-    ctm = [[sum(x * y for x, y in zip(col, row) if x) for row in qa] for col in c_int]
-    inverse = [[a * w * v for v in ctm[j]] for j, w in _pinch_inverse(n)]
-    return LinearChange._from_pair((list(zip(*c_int)), d_c), (inverse, a_den * d_c * qd))
+    return change
 
 
 def decompose_type_c(rc: ReducibleCubic,
@@ -612,25 +618,28 @@ def decompose_type_c(rc: ReducibleCubic,
 
     When no change of coordinates is supplied one is constructed over the
     rationals (NeedsFieldExtension when none exists); a supplied change must
-    carry the cubic exactly onto the normal form.
+    carry the cubic exactly onto the normal form.  Its check, _carried_change,
+    also gives its inverse from the pinch identity, and the witness is
+    lifted through that: no elimination runs.
     """
     n = rc.nvars - 1
-    carried = (change is not None and n >= 2 and change.nvars == rc.nvars
-               and _pinch_scale(rc, _quadric_ints(rc.quadric),
-                                (list(zip(*change._rows)), change._den)) is not None)
-    if not carried:
+    carried = None
+    if change is not None and n >= 2 and change.nvars == rc.nvars:
+        carried = _carried_change(rc, _quadric_ints(rc.quadric),
+                                  (list(zip(*change._rows)), change._den))
+    if carried is None:
         # only TypeC products reach the normal form, so a change that
         # carries the cubic there has already established the class
         ctype = classify(rc)
         if ctype.kind is not CubicKind.TYPE_C:
             raise ValueError(f"decomposition by normal form needs TypeC, got {ctype}")
     if change is None:
-        change = normalize_tangent_product(rc)
+        carried = normalize_tangent_product(rc)
     elif change.nvars != rc.nvars:
         raise InvalidChange("change of coordinates has the wrong size")
-    elif not carried:
+    elif carried is None:
         raise InvalidChange("the change does not carry the cubic to the normal form")
-    return _lift(rc.form(), decompose_type_c_normal(n), change, "tangent")
+    return _lift(rc.form(), decompose_type_c_normal(n), carried, "tangent")
 
 
 def _lift(form: Polynomial, dec: WaringDecomposition, change: LinearChange,

@@ -21,8 +21,11 @@ ModularSpan is the one elimination engine modulo a prime, on integer rows
 as they come.  It never stands in for RowSpan: it bounds ranks from below,
 as a matrix with entries in Z localized at p has rank modulo p at most its
 rank over Q, so a rank modulo p that reaches a known upper bound proves the
-rank over Q.  Its kernel_rows() serve the lattice minimization of the pinch
-normalization.
+rank over Q.  independent() is the one modular-rank helper, modulo PRIME:
+it proves the Hilbert function and the missing generators in apolar, and
+it proves a poly.LinearChange invertible, n rows independent modulo PRIME
+being independent over Q.  Its kernel_rows() serve the lattice minimization
+of the pinch normalization.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from operator import mul
 
 SparseRow = dict[int, int]
 CONTENT_EVERY = 8  # cancellations between content reductions of one row
+PRIME = 2**31 - 1  # the modulus of the ranks that prove independence over Q
 
 
 def _span(rows, ncols: int | None = None) -> RowSpan:
@@ -272,3 +276,16 @@ class ModularSpan:
         free = [c for c in range(ncols) if c not in reduced]
         return [[-reduced[c][f] % p if c in reduced else int(c == f) for c in range(ncols)]
                 for f in free], free
+
+
+def independent(vectors: list[dict[int, int]] | None, ncols: int,
+                h: int) -> list[dict[int, int]] | None:
+    """The first h integer vectors that are independent modulo PRIME, hence
+    over Q; None when fewer than h are (or vectors is None)."""
+    span, chosen = ModularSpan(ncols, PRIME), []
+    for vector in vectors or ():
+        if len(chosen) == h:
+            break
+        if span.insert(vector):
+            chosen.append(vector)
+    return chosen if len(chosen) == h else None

@@ -8,9 +8,9 @@ variables uses exponent tuples of that length.  Text form uses ``x0, x1,
 ...`` (or ``d0, d1, ...`` for operators in the dual ring); the canonical
 term order is graded lexicographic, highest degree first.
 
-LinearForm, LinearChange (its matrix and its inverse) and the coefficients
-of cubics.WaringDecomposition hold integers over one denominator likewise;
-their constructors clear rational input once.
+LinearForm, LinearChange (its matrix and, once built, its inverse) and the
+coefficients of cubics.WaringDecomposition hold integers over one
+denominator likewise; their constructors clear rational input once.
 
 Arithmetic and printing build no Fraction: +, -, scale and differentiate
 run term by term on the ints, * on packed keys (_packed) of the variables
@@ -320,6 +320,29 @@ def _number_text(num: int, den: int = 1) -> str:
     return _number_text(high) + _number_text(low).zfill(k)
 
 
+_NUMBER_RE = re.compile(r"(-?)(\d+)(?:/(\d+))?")
+
+
+def _digits_value(digits: str) -> int:
+    """int(digits) for a digit string of any length, split as _number_text
+    joins: about halfway, until each piece is short enough for int()."""
+    if len(digits) <= 600:
+        return int(digits)
+    k = len(digits) // 2
+    return _digits_value(digits[:-k]) * 10 ** k + _digits_value(digits[-k:])
+
+
+def _number_value(text) -> Fraction:
+    """The rational that _number_text spells as "p" or "p/q", read at any
+    length; other text and JSON numbers go to Fraction as they are."""
+    m = _NUMBER_RE.fullmatch(text) if isinstance(text, str) else None
+    if m is None:
+        return Fraction(text)
+    sign, num, den = m.groups()
+    value = Fraction(_digits_value(num), _digits_value(den or "1"))
+    return -value if sign else value
+
+
 def _signed_sum(terms: Sequence[tuple[int, str]], den: int = 1) -> str:
     """The text of sum (v/den)*body over (v, body), body '' for 1: v/den in lowest terms,
     unit magnitudes left out before a body, a sign on every term but a positive first."""
@@ -418,12 +441,17 @@ def _mat_mul(a, b) -> tuple[list[list[int]], int]:
 @dataclass
 class LinearChange:
     """An invertible substitution: old variable i becomes sum_j matrix[i][j] * new_j.
-    The matrix and its inverse are held as (_rows, _den) and _inv, integer
-    rows over their least denominators, so == compares values."""
+    The matrix is held as (_rows, _den), integer rows over their least
+    denominator, so == compares values.  The constructor proves the change
+    invertible without inverting it: n integer rows independent modulo
+    linalg.PRIME are independent over Q, and only rows that are dependent
+    there go to elimination, which raises on a singular matrix.  The inverse,
+    held alike as _inv, is built on first use (_inverse_pair) and then kept,
+    unless a constructor such as _from_pair was given it."""
 
     _rows: tuple[tuple[int, ...], ...]
     _den: int
-    _inv: tuple = field(compare=False, repr=False)
+    _inv: tuple | None = field(compare=False, repr=False)
 
     def __init__(self, matrix: Iterable[Iterable[Scalar]]):
         rows, den = linalg.cleared_rows(
@@ -431,12 +459,21 @@ class LinearChange:
              for row in matrix])
         if any(len(row) != len(rows) for row in rows):
             raise ValueError("change of coordinates must be square")
-        inv = linalg.inverse(rows)
-        if inv is None:
-            raise ValueError("change of coordinates is singular")
-        # (R/den)^-1 = den * R^-1 = den*I/D
-        self._rows, self._den = tuple(map(tuple, rows)), den
-        self._inv = _lowest([[v * den for v in row] for row in inv[0]], inv[1])
+        self._rows, self._den, self._inv = tuple(map(tuple, rows)), den, None
+        if linalg.independent([{j: v for j, v in enumerate(row) if v} for row in rows],
+                              len(rows), len(rows)) is None:
+            self._inverse_pair()
+
+    def _inverse_pair(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """The inverse as (integer rows, least denominator), by elimination
+        on first use; raises ValueError if the matrix is singular."""
+        if self._inv is None:
+            inv = linalg.inverse(self._rows)
+            if inv is None:
+                raise ValueError("change of coordinates is singular")
+            # (R/den)^-1 = den * R^-1 = den*I/D
+            self._inv = _lowest([[v * self._den for v in row] for row in inv[0]], inv[1])
+        return self._inv
 
     @property
     def matrix(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -455,12 +492,17 @@ class LinearChange:
     def _from_pair(cls, matrix, inverse) -> LinearChange:
         """A change from its matrix and that matrix's inverse, each given as
         (integer rows, denominator > 0), taken as given: no elimination runs."""
+        return cls._held(_lowest(*matrix), _lowest(*inverse))
+
+    @classmethod
+    def _held(cls, matrix, inverse) -> LinearChange:
+        """_from_pair for pairs already over their least denominators."""
         out = object.__new__(cls)
-        (out._rows, out._den), out._inv = _lowest(*matrix), _lowest(*inverse)
+        (out._rows, out._den), out._inv = matrix, inverse
         return out
 
     def inverse(self) -> LinearChange:
-        return LinearChange._from_pair(self._inv, (self._rows, self._den))
+        return LinearChange._held(self._inverse_pair(), (self._rows, self._den))
 
     def compose(self, other: LinearChange) -> LinearChange:
         """Matrix product self*other: substituting by the result equals
@@ -470,7 +512,7 @@ class LinearChange:
             raise AmbientMismatchError("change sizes differ")
         return LinearChange._from_pair(
             _mat_mul((self._rows, self._den), (other._rows, other._den)),
-            _mat_mul(other._inv, self._inv))
+            _mat_mul(other._inverse_pair(), self._inverse_pair()))
 
 
 def substitute(p: Polynomial, change: LinearChange) -> Polynomial:

@@ -278,6 +278,31 @@ def test_decimal_literal_past_the_string_digit_limit_is_an_input_error(capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_witness_past_the_string_digit_limit_round_trips(capsys, tmp_path):
+    """decompose -o writes forms with 5001- and 5002-digit entries, one of
+    them negative, and verify reads them back: numbers are read in pieces
+    that int() takes.  A malformed long number still exits 2."""
+    target = tmp_path / "w.json"
+    start = time.perf_counter()
+    code, _, err = run(capsys, "decompose", "x0", "x0*x1 + (10^10000)*x2^2",
+                       "-o", str(target))
+    assert code == 0 and err == ""
+    payload = json.loads(target.read_text())
+    entries = [v for t in payload["terms"] for v in t["form"]]
+    assert "1" + "0" * 5000 in entries and "-1" + "0" * 5000 in entries
+    code, out, err = run(capsys, "verify", "x0*(x0*x1 + (10^10000)*x2^2)", str(target))
+    assert time.perf_counter() - start < 2
+    assert (code, out, err) == (0, "verified: True\n", "")
+    code, out, err = run(capsys, "verify", "x0*(x0*x1 + (10^10000)*x2^2 + x1^2)",
+                         str(target))
+    assert code == 1 and out.startswith("verified: False\nresidual: ")
+    payload["terms"][0]["coefficient"] = "1" + "0" * 5000 + "x"
+    target.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "verify", "x0*(x0*x1 + (10^10000)*x2^2)", str(target))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_unknown_command_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

@@ -637,6 +637,38 @@ def test_decompose_type_c_with_explicit_change():
         decompose_type_c(rc, change=LinearChange.identity(5))
 
 
+def test_supplied_change_is_inverted_without_elimination(monkeypatch):
+    """On seeded dense changes of the pinch pair, n = 2..6, building
+    LinearChange(inverse) and decompose_type_c with it call no
+    linalg.inverse and build no RowSpan: the change is proven invertible
+    modulo PRIME and its inverse is read off the pinch identity.  The
+    witness equals _lift through the change inverted by elimination."""
+    rng = random.Random(2406)
+    cases = []
+    for n in range(2, 7):
+        for _ in range(4):
+            mat = _random_change(rng, n + 1)
+            pair = normal_form_pair(n)
+            rc = ReducibleCubic(
+                LinearForm.from_polynomial(substitute(pair.linear.to_polynomial(), mat)),
+                substitute(pair.quadric, mat))
+            exact = LinearChange(mat.inverse().matrix)
+            exact._inverse_pair()  # by elimination
+            expected = cubics._lift(rc.form(), decompose_type_c_normal(n), exact, "tangent")
+            cases.append((rc, mat.inverse().matrix, expected))
+    calls = []
+    real_init = linalg.RowSpan.__init__
+    monkeypatch.setattr(linalg, "inverse", lambda mat: calls.append(("inverse", mat)))
+    monkeypatch.setattr(linalg.RowSpan, "__init__",
+                        lambda span, ncols: calls.append(("RowSpan", ncols))
+                        or real_init(span, ncols))
+    for rc, inv, expected in cases:
+        witness = decompose_type_c(rc, change=LinearChange(inv))
+        assert calls == []
+        assert witness == expected and witness._terms == expected._terms
+        assert len(witness) == 2 * rc.nvars - 1
+
+
 def test_form_matches_the_fraction_product():
     """ReducibleCubic.form() multiplies the cleared factors in ints: against
     the Fraction product on seeded factors with denominators up to 10^30+3,

@@ -541,6 +541,68 @@ def test_linear_change_matches_the_fraction_rref():
             _assert_lowest(*ab._inv)
 
 
+def _counting_inverse(monkeypatch):
+    """linalg.inverse, recording each matrix it is called on."""
+    calls, real = [], poly.linalg.inverse
+    monkeypatch.setattr(poly.linalg, "inverse", lambda mat: calls.append(mat) or real(mat))
+    return calls
+
+
+def test_linear_change_builds_its_inverse_on_first_use(monkeypatch):
+    """A dense matrix whose rows are independent modulo PRIME is proven
+    invertible without elimination; ==, inverse(), compose and lowest terms
+    hold before the inverse is built and after, and it is built once."""
+    calls = _counting_inverse(monkeypatch)
+    rng = random.Random(1610)
+    for n in (1, 2, 3, 4, 5):
+        ma, mb = ([[_core_coefficient(rng) for _ in range(n)] for _ in range(n)]
+                  for _ in range(2))
+        a, b, built = LinearChange(ma), LinearChange(mb), LinearChange(ma)
+        assert calls == [] and a._inv is None and b._inv is None
+        assert built.inverse().inverse() == built and len(calls) == 1
+        assert a == built and built == a and a != b
+        _assert_lowest(a._rows, a._den)
+        ab = a.compose(b)  # builds both inverses
+        assert len(calls) == 3 and ab._inv is not None
+        prod = [[sum(ma[i][k] * mb[k][j] for k in range(n)) for j in range(n)]
+                for i in range(n)]
+        assert ab == LinearChange(prod)
+        assert [list(row) for row in ab.inverse().matrix] == _oracle_inverse(prod)
+        for change, m in ((a, ma), (b, mb), (built, ma)):
+            assert [list(row) for row in change.inverse().matrix] == _oracle_inverse(m)
+            assert change.inverse().inverse() == change
+            _assert_lowest(*change._inv)
+        assert len(calls) == 3  # each inverse was kept
+        calls.clear()
+
+
+@pytest.mark.parametrize("matrix", [
+    [[poly.linalg.PRIME, 0], [0, 1]],
+    [[1, 1], [1, 1 + poly.linalg.PRIME]],
+    [[2, 3, 5], [4, 6, 10 + poly.linalg.PRIME], [1, 0, 0]],
+    [[Fraction(poly.linalg.PRIME, 7), Fraction(1, 3)], [0, Fraction(5, 2)]],
+], ids=["diagonal", "rows-equal-mod-prime", "three-rows", "rational"])
+def test_linear_change_singular_modulo_the_prime_falls_back(monkeypatch, matrix):
+    """Rows dependent modulo PRIME but independent over Q go to elimination
+    at construction, once; the inverse is the Fraction Gauss-Jordan one."""
+    calls = _counting_inverse(monkeypatch)
+    change = LinearChange(matrix)
+    assert len(calls) == 1 and change._inv is not None
+    assert [list(row) for row in change.inverse().matrix] == _oracle_inverse(matrix)
+    assert change.inverse().inverse() == change and len(calls) == 1
+    _assert_lowest(*change._inv)
+
+
+@pytest.mark.parametrize("matrix", [
+    [[0]], [[1, 2], [2, 4]], [[poly.linalg.PRIME, 1], [0, 0]],
+    [[Fraction(1, 2), 1, 3], [1, 2, 6], [0, 5, 7]],
+])
+def test_singular_linear_change_raises_at_construction(matrix):
+    assert _oracle_inverse(matrix) is None
+    with pytest.raises(ValueError, match="singular"):
+        LinearChange(matrix)
+
+
 def test_witnesses_assemble_and_compose_as_the_fraction_loops():
     rng = random.Random(1607)
     for _ in range(30):

@@ -21,7 +21,7 @@ from apolarity import (LinearChange, LinearForm, NeedsFieldExtension, Polynomial
 from apolarity import linalg, quadratic
 from apolarity.lattice import _isotropic_mod, _minimize, diagonalize
 from apolarity.cli import main
-from apolarity.cubics import _pinch_scale, quadric_matrix
+from apolarity.cubics import _carried_change, _quadric_ints, quadric_matrix
 from apolarity.linalg import inverse, rank
 from oracles import bareiss_rank, diagonalize_by_fractions, gram_by_fractions
 from test_golden_cli import LATTICE_5, LATTICE_7
@@ -163,15 +163,31 @@ def _normalization_inputs():
         yield ReducibleCubic.from_polynomials(parse(linear, nvars=q.nvars), q)
 
 
+def _eliminated_inverse(change):
+    rows, den = inverse([list(row) for row in change.matrix])
+    return [[Fraction(v, den) for v in row] for row in rows]
+
+
 def test_normalization_inverse_is_exact():
     """The change's inverse, a*P^-1*C^T*M from the pinch identity, is the
-    inverse that elimination gives."""
+    inverse that elimination gives: for the change normalize_tangent_product
+    builds, and, through cubics._carried_change, for the same change
+    supplied afresh, with L*Q or with L*Q refactored as (a*L)*(Q/a)."""
+    rng = random.Random(3001)
     for rc in _normalization_inputs():
         change = normalize_tangent_product(rc)
-        rows, den = inverse([list(row) for row in change.matrix])
-        assert [list(row) for row in change.inverse().matrix] == \
-            [[Fraction(v, den) for v in row] for row in rows]
-        assert all(type(v) is Fraction for row in change.inverse().matrix for v in row)
+        a = rng.choice([2, -1, Fraction(3, 7)])
+        rescaled = ReducibleCubic(LinearForm(a * v for v in rc.linear.coeffs),
+                                  rc.quadric * (1 / Fraction(a)))
+        for cubic, supplied in ((rc, change), (rc, LinearChange(change.matrix)),
+                                (rescaled, LinearChange(change.matrix))):
+            carried = _carried_change(cubic, _quadric_ints(cubic.quadric),
+                                      linalg.cleared_rows(list(zip(*supplied.matrix))))
+            assert carried == supplied and carried._inv is not None
+            expected = _eliminated_inverse(supplied)
+            assert [list(row) for row in carried.inverse().matrix] == expected
+            assert all(type(v) is Fraction for row in carried.inverse().matrix for v in row)
+        assert [list(row) for row in change.inverse().matrix] == _eliminated_inverse(change)
 
 
 def test_normalization_builds_its_change_without_elimination(monkeypatch):
@@ -330,12 +346,13 @@ def _pinch_isometry(n: int, t: int) -> LinearChange:
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_pinch_form_test_matches_substitution(n):
-    """cubics._pinch_scale against the reference
+    """cubics._carried_change against the reference
     substitute(L*Q, C) == normal_form(n): on normalizations, on the same
     changes with one entry perturbed, composed with a perturbed identity
     (which keeps L o C = a*x0) or with an isometry of the pinch quadric
     moving x0 (which keeps C^T M C = P/a), and on L*Q refactored as
-    (a*L)*(Q/a)."""
+    (a*L)*(Q/a).  A change it accepts is C, with the inverse that
+    elimination gives."""
     rng = random.Random(2000 + n)
     outcomes = []
     for _ in range(3):
@@ -354,9 +371,13 @@ def test_pinch_form_test_matches_substitution(n):
                              (rc, change.compose(_pinch_isometry(n, rng.randint(1, 3)))),
                              (rescaled, change)]:
             expected = substitute(cubic.form(), moved) == normal_form(n)
-            scale = _pinch_scale(cubic, linalg.cleared_rows(quadric_matrix(cubic.quadric)),
-                                 linalg.cleared_rows(list(zip(*moved.matrix))))
-            assert (scale is not None) == expected
+            carried = _carried_change(cubic, linalg.cleared_rows(quadric_matrix(cubic.quadric)),
+                                      linalg.cleared_rows(list(zip(*moved.matrix))))
+            assert (carried is not None) == expected
+            if carried is not None:
+                assert carried == moved
+                assert [list(row) for row in carried.inverse().matrix] == \
+                    _eliminated_inverse(moved)
             outcomes.append(expected)
     assert outcomes[:5] == [True, False, False, False, True]
 
