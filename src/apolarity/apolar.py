@@ -38,8 +38,9 @@ and elimination fills in blocks m and 0 alone.  A rank does not depend on
 the order of the columns, so neither does any verdict.
 
 The Hilbert function needs no exact elimination where a catalecticant has
-full column rank.  For i <= d/2, Cat_i has dim S_i columns and at least as
-many rows, and D*Cat_i is an integer matrix (D the form's denominator), so
+full column rank.  HF(0) = 1: Cat_0 of a nonzero form is its coefficient
+column.  For 0 < i <= d/2, Cat_i has dim S_i columns and at least as many
+rows, and D*Cat_i is an integer matrix (D the form's denominator), so
 rank mod PRIME <= rank over Q <= dim S_i: dim S_i rows independent modulo
 PRIME prove HF(i) = dim S_i.  Only the catalecticants that fall short are
 eliminated exactly, and they include every one whose kernel apolar_ideal
@@ -64,28 +65,27 @@ from .poly import (MAX_MONOMIAL_ENTRIES, AmbientMismatchError, Exponent,
                    LinearForm, Polynomial, _comb_exceeds)
 
 
-def _images(alpha: Exponent, terms) -> Iterator[tuple[Exponent, int]]:
-    """d^alpha applied to each term c*x^beta with beta >= alpha:
-    (beta - alpha, c * prod_k perm(beta_k, alpha_k))."""
-    for beta, c in terms:
-        if all(b >= a for b, a in zip(beta, alpha)):
-            for b, a in zip(beta, alpha):
-                c *= perm(b, a)
-            yield tuple(b - a for b, a in zip(beta, alpha)), c
-
-
 def apolar_apply(op: Polynomial, form: Polynomial) -> Polynomial:
-    """Apply a dual-ring operator to a form by differentiation.  With
-    op = A/a and form = B/b, integer terms over their denominators, the
-    terms of A applied to B accumulate as ints through _images, over a*b."""
+    """Apply a dual-ring operator to a form by differentiation: A/a to B/b,
+    integer terms over their denominators, as ints over a*b.  A term of A
+    reads each term of B on its own support, so d_k costs one exponent."""
     if op.nvars != form.nvars:
         raise AmbientMismatchError(
             f"operator in {op.nvars} variables, form in {form.nvars}")
     form_terms = form._ints.items()
     terms: dict[Exponent, int] = {}
-    for alpha, c in op._ints.items():
-        for exps, v in _images(alpha, form_terms):
-            terms[exps] = terms.get(exps, 0) + c * v
+    for alpha, a in op._ints.items():
+        support = [(k, e) for k, e in enumerate(alpha) if e]
+        for beta, c in form_terms:
+            exps, w = list(beta), a * c
+            for k, e in support:
+                if beta[k] < e:
+                    break
+                exps[k] -= e
+                w *= perm(beta[k], e)
+            else:
+                exps = tuple(exps)
+                terms[exps] = terms.get(exps, 0) + w
     return Polynomial._make(form.nvars, terms, op._den * form._den)
 
 
@@ -195,12 +195,12 @@ def _catalecticant_span(form: Polynomial, i: int) -> RowSpan:
 
 
 def _hilbert_and_spans(form: Polynomial) -> tuple[HilbertFunction, dict[int, RowSpan]]:
-    """The Hilbert function, with the exact spans of those Cat_i, i <= d/2,
-    whose rank modulo PRIME falls short of dim S_i (module docstring), by i.
-    Cat_{d-i} is the transpose of Cat_i up to nonzero factorial scalings of
-    its rows and columns, so only the ranks for i <= d/2 are computed.
-    Raises ValueError, before listing a monomial, when they and the d+1
-    values pass MAX_MONOMIAL_ENTRIES cells (each has at least one)."""
+    """The Hilbert function, and the exact spans, by i, of those Cat_i,
+    0 < i <= d/2, whose rank modulo PRIME falls short of dim S_i (module
+    docstring).  Cat_{d-i} is the transpose of Cat_i up to nonzero factorial
+    scalings of its rows and columns, so only ranks for i <= d/2 are
+    computed.  Raises ValueError, before listing a monomial, when they and
+    the d+1 values pass MAX_MONOMIAL_ENTRIES cells (each has at least one)."""
     d, n, limit = form.homogeneous_degree(), form.nvars, MAX_MONOMIAL_ENTRIES
     cells = d + 1 + d // 2 + 1
     for i in range(d // 2 + 1):  # Cat_i: columns comb(n-1+i, i) <= rows comb(n-1+d-i, d-i)
@@ -209,7 +209,7 @@ def _hilbert_and_spans(form: Polynomial) -> tuple[HilbertFunction, dict[int, Row
             raise ValueError(f"the catalecticants of a degree-{d} form in {n} "
                              "variables are too large to build")
     full = [ring_dimension(n, i) for i in range(d // 2 + 1)]
-    spans = {i: _catalecticant_span(form, i) for i in range(d // 2 + 1)
+    spans = {i: _catalecticant_span(form, i) for i in range(1, d // 2 + 1)
              if independent(_partials_mod_prime(form, i, by_row=True), full[i], full[i]) is None}
     ranks = [spans[i].dimension if i in spans else full[i] for i in range(d // 2 + 1)]
     return HilbertFunction(tuple(ranks[min(i, d - i)] for i in range(d + 1))), spans

@@ -281,10 +281,11 @@ class ModularSpan:
 def independent(vectors: list[dict[int, int]] | None, ncols: int,
                 h: int) -> list[dict[int, int]] | None:
     """The first h integer vectors that are independent modulo PRIME, hence
-    over Q; None when fewer than h are (or vectors is None)."""
-    span, chosen = ModularSpan(ncols, PRIME), []
-    for vector in vectors or ():
-        if len(chosen) == h:
+    over Q; None when fewer than h are (or vectors is None), as soon as the
+    vectors not yet read cannot make up the difference."""
+    span, chosen, vectors = ModularSpan(ncols, PRIME), [], vectors or []
+    for t, vector in enumerate(vectors):
+        if len(chosen) == h or len(chosen) + len(vectors) - t < h:
             break
         if span.insert(vector):
             chosen.append(vector)

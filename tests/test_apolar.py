@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -114,6 +115,10 @@ def test_apolar_hilbert_against_bareiss():
         oracle = [bareiss_rank(catalecticant(form, i).entries) for i in range(d + 1)]
         assert apolar_hilbert(form).values == tuple(oracle), form
         assert essential_variables(form) == oracle[1], form
+    # constant forms: HF(0) = 1 whatever divides the constant
+    for form in (Polynomial.constant(3, 5), Polynomial.constant(2, p),
+                 Polynomial.constant(2, Fraction(3, p))):
+        assert apolar_hilbert(form).values == (bareiss_rank(catalecticant(form, 0).entries),)
 
 
 def _dense_form(rng, nv, d):
@@ -125,15 +130,21 @@ def test_exact_spans_only_for_catalecticants_short_of_full_rank(monkeypatch):
     """On dense forms every Cat_i with i <= d/2 has full rank modulo the
     prime, so the only exact span is that of Cat_i0, whose kernel gives the
     generators.  Scaled by the prime, no entry survives modulo it, and
-    _hilbert_and_spans eliminates every Cat_i with i <= d/2 exactly."""
-    built = []
-    span_of = apolar._catalecticant_span
+    _hilbert_and_spans eliminates every Cat_i with 0 < i <= d/2 exactly.
+    HF(0) = 1 of a nonzero form takes neither a span nor a modular rank."""
+    built, partials = [], []
+    span_of, partials_of = apolar._catalecticant_span, apolar._partials_mod_prime
 
     def spy(form, i):
         built.append(i)
         return span_of(form, i)
 
+    def partials_spy(form, j, by_row=False):
+        partials.append(j)
+        return partials_of(form, j, by_row)
+
     monkeypatch.setattr(apolar, "_catalecticant_span", spy)
+    monkeypatch.setattr(apolar, "_partials_mod_prime", partials_spy)
     rng = random.Random(43)
     for nv, d, low in ((5, 3, 2), (4, 4, 3)):
         form = _dense_form(rng, nv, d)
@@ -143,9 +154,10 @@ def test_exact_spans_only_for_catalecticants_short_of_full_rank(monkeypatch):
         scaled = form.scale(apolar.PRIME)
         built.clear()
         hf, spans = apolar._hilbert_and_spans(scaled)
-        assert built == list(range(d // 2 + 1)) == sorted(spans)
+        assert built == list(range(1, d // 2 + 1)) == sorted(spans)
         assert hf == apolar_hilbert(form)
         assert apolar_ideal(scaled).generators == ideal.generators
+    assert partials and 0 not in partials
 
 
 def test_proven_route_reads_the_generators_off_one_kernel(monkeypatch):
@@ -328,10 +340,12 @@ def test_ring_dimension_consistency():
 
 
 def test_apply_matches_the_fraction_loop():
-    """apolar_apply clears the operator and the form once: against the
-    Fraction loop it replaced, on seeded forms of degree 2-5 and operators
-    of degree 1-3 with denominators up to 10^30+3, and on pairs whose
-    images cancel to zero, in full or in part."""
+    """apolar_apply clears the operator and the form once and reads each
+    form term on an operator term's support alone: against the Fraction
+    loop, on seeded forms of degree 2-5 and operators of degree 1-3 with
+    denominators up to 10^30+3, on pairs whose images cancel to zero, in
+    full or in part, on operators and forms of mixed degree, and on sparse
+    forms of degree 10^5 against their derivatives written out."""
     rng = random.Random(52)
     big = 10 ** 30 + 3
 
@@ -359,6 +373,42 @@ def test_apply_matches_the_fraction_loop():
         assert apolar_apply(killer, shifted).is_zero()
         op = killer + rational(nv, killer.homogeneous_degree(), 0.6)
         assert apolar_apply(op, shifted).terms == apply_by_fractions(op.terms, shifted.terms)
+    # operators mixing degrees 0-3, a constant term included, on forms of
+    # mixed degree 0-5 in 1-6 variables that leave some variables unused, so
+    # that some operator terms exceed some form terms in degree
+    for _ in range(60):
+        nv = rng.randint(1, 6)
+        used = rng.sample(range(nv), rng.randint(1, nv))
+        form = Polynomial.zero(nv)
+        for d in rng.sample(range(6), rng.randint(1, 3)):
+            part = rational(len(used), d, 0.5)
+            form = form + Polynomial(nv, {tuple(m[used.index(k)] if k in used else 0
+                                                for k in range(nv)): c
+                                          for m, c in part.terms.items()})
+        op = rational(nv, 0, 1.0)
+        for d in rng.sample(range(1, 4), rng.randint(1, 3)):
+            op = op + rational(nv, d, 0.5)
+        assert any(sum(m) == 0 for m in op.terms)
+        out = apolar_apply(op, form)
+        assert out.terms == apply_by_fractions(op.terms, form.terms), (op, form)
+    # sparse forms of degree 10^5 in 3 variables, against their derivatives
+    # written out by hand; each pair takes well under a second
+    n, h = 100000, 50000
+    sparse = parse(f"x0^{n} + x1^{n} + x0^{h}*x2^{h}")
+    expected = {
+        "d0": {(n - 1, 0, 0): n, (h - 1, 0, h): h},
+        "d0*d2": {(h - 1, 0, h - 1): h * h},
+        "d0 - d1 + 2*d2^2": {(n - 1, 0, 0): n, (h - 1, 0, h): h, (0, n - 1, 0): -n,
+                             (h, 0, h - 2): 2 * h * (h - 1)},
+    }
+    for text, terms in expected.items():
+        start = time.perf_counter()
+        out = apolar_apply(parse(text, nvars=3), sparse)
+        assert time.perf_counter() - start < 1.0, text
+        assert out.terms == terms, text
+    powers = parse(f"x0^{n} + x1^{n} + x2^{n}").scale(Fraction(3, 7))
+    out = apolar_apply(parse("d0", nvars=3), powers)
+    assert out.terms == {(n - 1, 0, 0): Fraction(3 * n, 7)}
 
 
 def _agreement_inputs(rng):

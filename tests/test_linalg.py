@@ -289,6 +289,49 @@ def test_modular_span_rank_is_the_rank_mod_p_and_bounds_the_rank_over_q():
     assert span.insert({0: 2, 1: 4}) and span.dimension == 2
 
 
+def test_independent_gives_up_once_the_rest_cannot_reach_h(monkeypatch):
+    """independent answers as a scan over every vector would: the first h
+    vectors that raise the rank modulo PRIME (a dense oracle on prefixes),
+    or None when fewer than h do, on seeded full-rank and rank-deficient
+    inputs.  It stops inserting once the vectors chosen plus those left
+    fall short of h: a dense rank-one square matrix takes 2 inserts."""
+    p = linalg.PRIME
+    rng = random.Random(13)
+    for _ in range(60):
+        nrows, ncols, r = rng.randint(0, 7), rng.randint(1, 6), rng.randint(0, 6)
+        left = [[rng.choice((0, 1, -1, p, rng.randint(-9, 9))) for _ in range(r)]
+                for _ in range(nrows)]
+        right = [[rng.randint(-9, 9) for _ in range(ncols)] for _ in range(r)]
+        m = [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)] if r else
+             [0] * ncols for row in left]
+        vectors = [{c: v for c, v in enumerate(row) if v} for row in m]
+        raised = [t for t in range(nrows)
+                  if rank_mod_prime(m[:t + 1], p) > rank_mod_prime(m[:t], p)]
+        for h in range(ncols + 2):
+            expected = [vectors[t] for t in raised[:h]] if len(raised) >= h else None
+            assert linalg.independent(vectors, ncols, h) == expected, (m, h)
+    assert linalg.independent(None, 3, 1) is None
+    assert linalg.independent([], 3, 0) == []
+
+    inserts = []
+
+    class Counted(ModularSpan):
+        def insert(self, row):
+            inserts.append(row)
+            return super().insert(row)
+
+    monkeypatch.setattr(linalg, "ModularSpan", Counted)
+    for n in (3, 6, 9):
+        u = [rng.choice((-1, 1)) * rng.randint(1, 9) for _ in range(n)]
+        vectors = [{c: a * b for c, b in enumerate(u)} for a in u]
+        inserts.clear()
+        assert linalg.independent(vectors, n, n) is None
+        assert len(inserts) == 2
+        inserts.clear()
+        assert linalg.independent(vectors, n, 1) == vectors[:1]
+        assert len(inserts) == 1
+
+
 def test_gram_matches_the_fraction_loop():
     """gram on integer input, with entries up to 10^30, zero and unit
     vectors, and a pairing that cancels to zero (the last check), gives the
