@@ -667,17 +667,22 @@ class BinaryDecomposition:
 
 
 def _squarefree(p: list[int]) -> bool:
-    """Whether p (coefficients from the constant up, leading one nonzero) is
-    squarefree.  gcd(p, p') is constant exactly when the resultant of p and
-    p' is nonzero, i.e. when their (2m-1)-square Sylvester matrix has full
-    rank, m being the degree of p."""
+    """Whether p (integer coefficients, ints or integral Fractions, from the
+    constant up, leading one nonzero) is squarefree.  gcd(p, p') is constant
+    exactly when the resultant of p and p' is nonzero, i.e. when their
+    (2m-1)-square Sylvester matrix has full rank, m being the degree of p.
+    Rows independent modulo linalg.PRIME prove that rank; the exact rank is
+    taken only when they are not."""
     m = len(p) - 1
     if m < 1:
         return True
+    p = [int(c) for c in p]
     dp = [c * i for i, c in enumerate(p) if i]
     rows = [[0] * i + p + [0] * (m - 2 - i) for i in range(m - 1)]
     rows += [[0] * i + dp + [0] * (m - 1 - i) for i in range(m)]
-    return linalg.rank(rows) == 2 * m - 1
+    return (linalg.independent([{j: v for j, v in enumerate(row) if v} for row in rows],
+                               2 * m - 1, 2 * m - 1) is not None
+            or linalg.rank(rows) == 2 * m - 1)
 
 
 def _split(g: Polynomial) -> tuple[bool, list[LinearForm] | None]:

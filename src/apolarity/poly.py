@@ -22,9 +22,12 @@ substitute.  Power sums, which WaringDecomposition.expand and
 cubics.verify_decomposition expand, take each output monomial once by the
 multinomial theorem in WaringDecomposition._power_sum instead.
 
-parse refuses, with PolynomialSyntaxError, text that could build more than
-MAX_MONOMIAL_ENTRIES exponent entries: too many literals for the ambient,
-or a power or product with too many possible terms.
+parse reads text in time linear in its length: a sum goes into one dict
+of ints over one denominator, a product of literals and variables into one
+exponent map, and only parenthesized sums, and products and powers of them,
+run on Polynomial arithmetic.  It refuses, with PolynomialSyntaxError, text
+that could build more than MAX_MONOMIAL_ENTRIES exponent entries: too many
+literals for the ambient, or a power or product with too many possible terms.
 
 Everything here is exact.  No floats enter at any point.
 """
@@ -42,8 +45,11 @@ from . import linalg
 
 Exponent = tuple[int, ...]
 Scalar = Fraction | int
+_Monomial = tuple[int, int, dict[int, int]]  # num/den * prod x_j^e over {j: e}, in parse
 
-_TOKEN_RE = re.compile(r"\s*(?:(?P<var>[xd]_?(?P<idx>\d+))|(?P<int>\d+)|(?P<op>[-+*^()/]))")
+# every character but trailing whitespace is in a token, "bad" if in no other
+_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<var>[xd]_?(?P<idx>\d+))|(?P<int>\d+)|(?P<op>[-+*^()/])|(?P<bad>\S))")
 
 # Deepest parenthesis nesting the parser accepts.  Each level costs five
 # Python frames, so this keeps well inside the interpreter's recursion limit.
@@ -584,66 +590,83 @@ def _comb_exceeds(n: int, k: int, limit: int) -> bool:
 
 def _tokenize(text: str) -> list[tuple[str, object, int]]:
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            at = len(text) - len(stripped)
-            raise PolynomialSyntaxError(f"unexpected character {stripped[0]!r}", at)
-        if m.group("var"):
-            prefix = m.group("var")[0]
-            tokens.append(("var", (prefix, int(m.group("idx"))), m.start("var")))
-        elif m.group("int"):
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "var":
+            tokens.append(("var", (m.group("var")[0], int(m.group("idx"))), m.start("var")))
+        elif kind == "int":
             tokens.append(("int", int(m.group("int")), m.start("int")))
-        elif m.group("op"):
+        elif kind == "op":
             tokens.append((m.group("op"), None, m.start("op")))
-        pos = m.end()
+        else:
+            raise PolynomialSyntaxError(f"unexpected character {m.group('bad')!r}",
+                                        m.start("bad"))
     return tokens
 
 
 class _Parser:
     """Recursive-descent parser for +, -, *, ^ over rational literals and
     indexed variables.  No implicit multiplication, no division operator:
-    '/' may only separate two integer literals."""
+    '/' may only separate two integer literals.  A product of literals and
+    variables stays a _Monomial; expr adds terms into one dict of ints over
+    one denominator, rescaled only when a term brings a new one."""
 
     def __init__(self, tokens: list[tuple[str, object, int]], nvars: int, textlen: int):
-        self.tokens = tokens
+        self.tokens = tokens + [(None, None, textlen)]
         self.i = 0
         self.nvars = nvars
-        self.textlen = textlen
-        self.prefixes: set[str] = set()
         self.depth = 0
         # the most terms one polynomial may have: each holds an exponent
         # tuple of nvars entries
         self.budget = MAX_MONOMIAL_ENTRIES // max(nvars, 1)
 
     def peek(self) -> str | None:
-        return self.tokens[self.i][0] if self.i < len(self.tokens) else None
+        return self.tokens[self.i][0]
 
     def pos(self) -> int:
-        return self.tokens[self.i][2] if self.i < len(self.tokens) else self.textlen
+        return self.tokens[self.i][2]
 
     def take(self) -> tuple[str, object, int]:
         tok = self.tokens[self.i]
         self.i += 1
         return tok
 
-    def expr(self) -> Polynomial:
-        result = self.term()
-        while self.peek() in ("+", "-"):
-            op, _, _ = self.take()
-            rhs = self.term()
-            result = result + rhs if op == "+" else result - rhs
-        return result
+    def terms(self, t: Polynomial | _Monomial) -> tuple[Mapping[Exponent, int], int]:
+        """The integer terms and the denominator of a Polynomial or monomial."""
+        if isinstance(t, Polynomial):
+            return t._ints, t._den
+        key = [0] * self.nvars
+        for j, e in t[2].items():
+            key[j] = e
+        return {tuple(key): t[0]}, t[1]
 
-    def term(self) -> Polynomial:
+    def expr(self) -> Polynomial:
+        ints: dict[Exponent, int] = {}
+        den, sign = 1, 1
+        while True:
+            terms, tden = self.terms(self.term())
+            if den % tden:
+                m = lcm(den, tden) // den
+                ints, den = {e: v * m for e, v in ints.items()}, den * m
+            scale = sign * (den // tden)
+            for e, v in terms.items():
+                ints[e] = ints.get(e, 0) + v * scale
+            if self.peek() not in ("+", "-"):
+                return Polynomial._make(self.nvars, ints, den)
+            sign = 1 if self.take()[0] == "+" else -1
+
+    def term(self) -> Polynomial | _Monomial:
         result = self.factor()
         while self.peek() == "*":
             _, _, at = self.take()
             rhs = self.factor()
+            if isinstance(result, tuple) and isinstance(rhs, tuple):
+                # a monomial has at most one term, within any budget
+                for j, e in rhs[2].items():
+                    result[2][j] = result[2].get(j, 0) + e
+                result = result[0] * rhs[0], result[1] * rhs[1], result[2]
+                continue
+            result, rhs = (Polynomial._make(self.nvars, *self.terms(p)) for p in (result, rhs))
             if len(result._ints) * len(rhs._ints) > self.budget:
                 self.check_size(result.degree() + rhs.degree(), at)
             result = result * rhs
@@ -657,32 +680,32 @@ class _Parser:
                 f"the expression may expand past {MAX_MONOMIAL_ENTRIES} exponent "
                 f"entries in {self.nvars} variables", at)
 
-    def factor(self) -> Polynomial:
+    def factor(self) -> Polynomial | _Monomial:
         sign = 1
         while self.peek() in ("+", "-"):
-            op, _, _ = self.take()
-            if op == "-":
+            if self.take()[0] == "-":
                 sign = -sign
         p = self.primary()
-        return p if sign > 0 else -p
+        return p if sign > 0 else -p if isinstance(p, Polynomial) else (-p[0], p[1], p[2])
 
-    def primary(self) -> Polynomial:
+    def primary(self) -> Polynomial | _Monomial:
         p = self.atom()
         if self.peek() == "^":
             self.take()
             if self.peek() != "int":
                 raise PolynomialSyntaxError("exponent must be an integer literal", self.pos())
             _, k, at = self.take()
+            if isinstance(p, tuple):
+                return p[0] ** k, p[1] ** k, {j: e * k for j, e in p[2].items()}
             # p^k has at most comb(t+k-1, k) terms, t those of p
             if _comb_exceeds(len(p._ints) + k - 1, k, self.budget):
                 self.check_size(k * p.degree(), at)
             p = p ** k
         return p
 
-    def atom(self) -> Polynomial:
-        kind = self.peek()
+    def atom(self) -> Polynomial | _Monomial:
+        kind, value, at = self.take()
         if kind == "int":
-            _, num, _ = self.take()
             den = 1
             if self.peek() == "/":
                 self.take()
@@ -691,16 +714,13 @@ class _Parser:
                 _, den, at = self.take()
                 if den == 0:
                     raise PolynomialSyntaxError("zero denominator", at)
-            return Polynomial._make(self.nvars, {(0,) * self.nvars: num}, den)
+            return value, den, {}
         if kind == "var":
-            _, (prefix, idx), at = self.take()
-            self.prefixes.add(prefix)
-            if idx >= self.nvars:
+            if value[1] >= self.nvars:
                 raise PolynomialSyntaxError(
-                    f"variable index {idx} exceeds ambient of {self.nvars} variables", at)
-            return Polynomial.variable(self.nvars, idx)
+                    f"variable index {value[1]} exceeds ambient of {self.nvars} variables", at)
+            return 1, 1, {value[1]: 1}
         if kind == "(":
-            _, _, at = self.take()
             if self.depth == MAX_NESTING:
                 raise PolynomialSyntaxError(
                     f"parentheses nested deeper than {MAX_NESTING}", at)
@@ -711,7 +731,7 @@ class _Parser:
             self.take()
             self.depth -= 1
             return p
-        raise PolynomialSyntaxError("expected a literal, variable, or '('", self.pos())
+        raise PolynomialSyntaxError("expected a literal, variable, or '('", at)
 
 
 def parse(text: str, nvars: int | None = None) -> Polynomial:
@@ -735,8 +755,9 @@ def parse(text: str, nvars: int | None = None) -> Polynomial:
             atoms[0] if atoms else 0)
     parser = _Parser(tokens, nvars, len(text))
     p = parser.expr()
-    if parser.i < len(parser.tokens):
+    if parser.peek() is not None:
         raise PolynomialSyntaxError("trailing input", parser.pos())
-    if len(parser.prefixes) > 1:
+    # the parse read every token, so these are the prefixes of its variables
+    if len({value[0] for kind, value, _ in tokens if kind == "var"}) > 1:
         raise PolynomialSyntaxError("cannot mix x- and d-variables in one expression", 0)
     return p

@@ -29,20 +29,27 @@ dual_system_rank keeps the numbering of the Macaulay-dual system's
 unknowns that the package once used, block 0 first, and ranks it with
 rank_mod_prime.  apolar_generators_by_sweep states the apolar generator
 rule on the oracle's own catalecticants (apply_operator), kernels (kernel)
-and sparse Fraction echelon (_enlarges).  certificate_by_ideals is the
-one exception to the rule above: it keeps the route the avoidance and
+and sparse Fraction echelon (_enlarges).  Two functions are exceptions to
+the rule above.  certificate_by_ideals keeps the route the avoidance and
 colon certificates once took through the package's own ideal calculus
 (apolar ideal, colon, sum, graded spans), so it checks the rank-based
 slice formula against a different computation, not against different
-code.
+code.  parse_by_polynomials is the text parser as it was before it read
+text at linear cost: it folds a sum term by term with Polynomial.__add__
+and builds every literal, variable and monomial as a Polynomial, with the
+same guards, messages and positions that poly.parse keeps.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, isqrt, perm
+
+from apolarity import poly
+from apolarity.poly import MAX_NESTING, Polynomial, PolynomialSyntaxError, _comb_exceeds
 
 
 def diff_once(terms: dict, var: int) -> dict:
@@ -705,3 +712,172 @@ def dual_system_rank(terms: dict, nvars: int, degree: int, hf, i: int, p: int):
                     row[m * h + k] = -int(derivative[j][k].get(g, 0)) % p
                 rows.append(row)
     return rank_mod_prime(rows, p)
+
+
+# -- the text parser that folded sums and built monomials by Polynomial arithmetic --
+
+# parse_by_polynomials's budget of exponent entries; a test that lowers
+# poly.MAX_MONOMIAL_ENTRIES lowers this one with it
+MAX_MONOMIAL_ENTRIES = poly.MAX_MONOMIAL_ENTRIES
+
+_TOKEN_RE = re.compile(r"\s*(?:(?P<var>[xd]_?(?P<idx>\d+))|(?P<int>\d+)|(?P<op>[-+*^()/]))")
+
+
+def _tokenize(text: str) -> list[tuple[str, object, int]]:
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if not m:
+            stripped = text[pos:].lstrip()
+            if not stripped:
+                break
+            at = len(text) - len(stripped)
+            raise PolynomialSyntaxError(f"unexpected character {stripped[0]!r}", at)
+        if m.group("var"):
+            prefix = m.group("var")[0]
+            tokens.append(("var", (prefix, int(m.group("idx"))), m.start("var")))
+        elif m.group("int"):
+            tokens.append(("int", int(m.group("int")), m.start("int")))
+        elif m.group("op"):
+            tokens.append((m.group("op"), None, m.start("op")))
+        pos = m.end()
+    return tokens
+
+
+class _Parser:
+    """Recursive-descent parser for +, -, *, ^ over rational literals and
+    indexed variables.  No implicit multiplication, no division operator:
+    '/' may only separate two integer literals."""
+
+    def __init__(self, tokens: list[tuple[str, object, int]], nvars: int, textlen: int):
+        self.tokens = tokens
+        self.i = 0
+        self.nvars = nvars
+        self.textlen = textlen
+        self.prefixes: set[str] = set()
+        self.depth = 0
+        # the most terms one polynomial may have: each holds an exponent
+        # tuple of nvars entries
+        self.budget = MAX_MONOMIAL_ENTRIES // max(nvars, 1)
+
+    def peek(self) -> str | None:
+        return self.tokens[self.i][0] if self.i < len(self.tokens) else None
+
+    def pos(self) -> int:
+        return self.tokens[self.i][2] if self.i < len(self.tokens) else self.textlen
+
+    def take(self) -> tuple[str, object, int]:
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok
+
+    def expr(self) -> Polynomial:
+        result = self.term()
+        while self.peek() in ("+", "-"):
+            op, _, _ = self.take()
+            rhs = self.term()
+            result = result + rhs if op == "+" else result - rhs
+        return result
+
+    def term(self) -> Polynomial:
+        result = self.factor()
+        while self.peek() == "*":
+            _, _, at = self.take()
+            rhs = self.factor()
+            if len(result._ints) * len(rhs._ints) > self.budget:
+                self.check_size(result.degree() + rhs.degree(), at)
+            result = result * rhs
+        return result
+
+    def check_size(self, degree: int, at: int) -> None:
+        """Refuse a result that may have more terms than the budget allows,
+        bounded by the monomials of degree at most `degree`."""
+        if _comb_exceeds(self.nvars + degree, degree, self.budget):
+            raise PolynomialSyntaxError(
+                f"the expression may expand past {MAX_MONOMIAL_ENTRIES} exponent "
+                f"entries in {self.nvars} variables", at)
+
+    def factor(self) -> Polynomial:
+        sign = 1
+        while self.peek() in ("+", "-"):
+            op, _, _ = self.take()
+            if op == "-":
+                sign = -sign
+        p = self.primary()
+        return p if sign > 0 else -p
+
+    def primary(self) -> Polynomial:
+        p = self.atom()
+        if self.peek() == "^":
+            self.take()
+            if self.peek() != "int":
+                raise PolynomialSyntaxError("exponent must be an integer literal", self.pos())
+            _, k, at = self.take()
+            # p^k has at most comb(t+k-1, k) terms, t those of p
+            if _comb_exceeds(len(p._ints) + k - 1, k, self.budget):
+                self.check_size(k * p.degree(), at)
+            p = p ** k
+        return p
+
+    def atom(self) -> Polynomial:
+        kind = self.peek()
+        if kind == "int":
+            _, num, _ = self.take()
+            den = 1
+            if self.peek() == "/":
+                self.take()
+                if self.peek() != "int":
+                    raise PolynomialSyntaxError("denominator must be an integer literal", self.pos())
+                _, den, at = self.take()
+                if den == 0:
+                    raise PolynomialSyntaxError("zero denominator", at)
+            return Polynomial._make(self.nvars, {(0,) * self.nvars: num}, den)
+        if kind == "var":
+            _, (prefix, idx), at = self.take()
+            self.prefixes.add(prefix)
+            if idx >= self.nvars:
+                raise PolynomialSyntaxError(
+                    f"variable index {idx} exceeds ambient of {self.nvars} variables", at)
+            return Polynomial.variable(self.nvars, idx)
+        if kind == "(":
+            _, _, at = self.take()
+            if self.depth == MAX_NESTING:
+                raise PolynomialSyntaxError(
+                    f"parentheses nested deeper than {MAX_NESTING}", at)
+            self.depth += 1
+            p = self.expr()
+            if self.peek() != ")":
+                raise PolynomialSyntaxError("expected ')'", self.pos())
+            self.take()
+            self.depth -= 1
+            return p
+        raise PolynomialSyntaxError("expected a literal, variable, or '('", self.pos())
+
+
+def parse_by_polynomials(text: str, nvars: int | None = None) -> Polynomial:
+    """Parse polynomial text over variables x0..x{n-1} (or d0.. in the dual ring).
+
+    When nvars is omitted the ambient is inferred as highest index + 1.
+    Mixing x- and d-variables in one expression is rejected.
+    """
+    tokens = _tokenize(text)
+    if not tokens:
+        raise PolynomialSyntaxError("empty input", 0)
+    if nvars is None:
+        indices = [tok[1][1] for tok in tokens if tok[0] == "var"]
+        nvars = max(indices) + 1 if indices else 1
+    # every literal and variable becomes a polynomial with one exponent tuple
+    atoms = [at for kind, _, at in tokens if kind in ("int", "var")]
+    if len(atoms) * nvars > MAX_MONOMIAL_ENTRIES:
+        raise PolynomialSyntaxError(
+            f"{len(atoms)} literals and variables in {nvars} variables would "
+            f"build more than {MAX_MONOMIAL_ENTRIES} exponent entries",
+            atoms[0] if atoms else 0)
+    parser = _Parser(tokens, nvars, len(text))
+    p = parser.expr()
+    if parser.i < len(parser.tokens):
+        raise PolynomialSyntaxError("trailing input", parser.pos())
+    if len(parser.prefixes) > 1:
+        raise PolynomialSyntaxError("cannot mix x- and d-variables in one expression", 0)
+    return p

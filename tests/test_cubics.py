@@ -1005,6 +1005,71 @@ def test_squarefree_matches_euclid_on_random_polynomials():
         assert _squarefree(p) == squarefree_euclid(p), p
 
 
+def _sylvester_full_rank(p):
+    """The exact-rank answer: the Sylvester matrix of p and p' has full
+    rank, by Bareiss elimination."""
+    m = len(p) - 1
+    if m < 1:
+        return True
+    dp = [c * i for i, c in enumerate(p) if i]
+    rows = [[0] * i + p + [0] * (m - 2 - i) for i in range(m - 1)]
+    rows += [[0] * i + dp + [0] * (m - 1 - i) for i in range(m)]
+    return bareiss_rank(rows) == 2 * m - 1
+
+
+def _poly_product(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def test_squarefree_is_proven_modulo_the_prime_and_exact_when_that_falls_short(monkeypatch):
+    """_squarefree gives the exact-rank answer on seeded squarefree and
+    non-squarefree integer polynomials; the squarefree ones of this seed are
+    proven modulo linalg.PRIME with no exact rank, and those that are
+    squarefree over Q but not modulo PRIME take the exact rank."""
+    rng = random.Random(4026)
+    squarefree, repeated = [], []
+    for _ in range(40):
+        p = [rng.randint(-9, 9) for _ in range(rng.randint(2, 25))]
+        p[-1] = p[-1] or 1
+        (squarefree if squarefree_euclid(p) else repeated).append(p)
+        q = [rng.randint(-5, 5) for _ in range(rng.randint(2, 6))]
+        q[-1] = q[-1] or 1
+        repeated.append(_poly_product(p, _poly_product(q, q)))
+    prime = linalg.PRIME
+    falls_short = [[-prime, 0, 1], _poly_product([-prime, 1], [0, 3, 1]),
+                   _poly_product([prime + 1, 1], [1, 1])]
+    assert len(squarefree) > 20 and len(repeated) >= 40
+    ranks = []
+    rank = linalg.rank
+    monkeypatch.setattr(linalg, "rank", lambda rows: ranks.append(1) or rank(rows))
+    for p in squarefree:
+        assert _squarefree(p) is True is _sylvester_full_rank(p), p
+    assert ranks == []
+    for p in repeated + falls_short:
+        assert _squarefree(p) is _sylvester_full_rank(p), p
+    assert len(ranks) == len(repeated) + len(falls_short)
+    assert [_squarefree(p) for p in falls_short] == [True, True, True]
+
+
+def test_decompose_binary_of_degree_40_is_fast():
+    """A random binary form of degree 40: its lower apolar generator has
+    coefficients of hundreds of bits, and exact elimination on their
+    Sylvester matrix once took seconds.  The answer is the one that route
+    gave: rank 21 from generators of degrees 21 and 21, the lower one
+    squarefree and not split over Q."""
+    rng = random.Random(7)
+    form = Polynomial(2, {(i, 40 - i): rng.randint(-9, 9) for i in range(41)})
+    start = time.perf_counter()
+    result = decompose_binary(form)
+    assert time.perf_counter() - start < 1
+    assert (result.rank, result.generator_degrees, result.lower_squarefree,
+            result.decomposition) == (21, (21, 21), True, None)
+
+
 def test_split_against_sympy():
     sympy = pytest.importorskip("sympy")
     a, b, t = sympy.symbols("a b t")

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -11,10 +12,12 @@ from apolarity.cubics import ReducibleCubic, WaringDecomposition, verify_decompo
 from apolarity.poly import (MAX_NESTING, AmbientMismatchError, LinearChange,
                             LinearForm, Polynomial, PolynomialSyntaxError,
                             monomials, parse, substitute)
+import oracles
 from oracles import (_rref_fractions, add_by_fractions, apply_by_fractions,
                      assemble_by_fractions, compose_by_fractions, diff_once, dim_forms,
                      evaluate, expand_power, monomials_recursive, mul_by_fractions,
-                     product_by_fractions, scale_by_fractions, substitute_by_fractions)
+                     parse_by_polynomials, product_by_fractions, scale_by_fractions,
+                     substitute_by_fractions)
 
 
 def test_parse_round_trip():
@@ -468,6 +471,146 @@ def test_parse_expands_a_large_power_of_a_sum():
     for _ in range(11):
         expected = mul_by_fractions(expected, base)
     assert parse("(x0+x1+x2+x3)^12").terms == expected
+
+
+# -- parsing at linear cost, against the parser it replaced ---------------------
+
+def _text_sum(rng, nvars, prefix, depth):
+    """Random valid text: a sum of products of p/q literals, variables
+    (some written with '_'), their powers and, while depth lasts,
+    parenthesized sums and their powers, with repeated signs and uneven
+    spacing."""
+    space = lambda: rng.choice(["", " ", " ", "  ", "\t"])
+    out = rng.choice(["", "", "-", "+", "- -", "-+"])
+    for t in range(rng.randint(1, 4)):
+        if t:
+            out += space() + rng.choice(["+", "-", "+", "- -", "+ +-"]) + space()
+        factors = []
+        for _ in range(rng.randint(1, 3)):
+            kind = rng.random()
+            if kind < 0.3:
+                f = str(rng.randint(0, 20))
+                if rng.random() < 0.4:
+                    f += "/" + str(rng.randint(1, 12))
+            elif kind < 0.8 or not depth:
+                f = prefix + rng.choice(["", "", "_"]) + str(rng.randrange(nvars))
+            else:
+                f = "(" + space() + _text_sum(rng, nvars, prefix, depth - 1) + space() + ")"
+            if rng.random() < 0.3:
+                f += space() + "^" + space() + str(rng.randint(0, 4 if f[0] != "(" else 3))
+            factors.append(rng.choice(["", "-", "--"]) + f if rng.random() < 0.2 else f)
+        out += (space() + "*" + space()).join(factors)
+    return out
+
+
+_FUZZ_CHARS = "xd_0123456789+-*^/()  @.,\t\u00a0\u0663\u00e9"
+
+
+def _fuzzed(rng, text):
+    """text cut at a random point, or with one to three characters inserted,
+    deleted or replaced."""
+    if rng.random() < 0.3:
+        return text[:rng.randint(0, len(text))]
+    chars = list(text)
+    for _ in range(rng.randint(1, 3)):
+        at, op = rng.randint(0, len(chars)), rng.random()
+        if op < 0.4 or at == len(chars):
+            chars.insert(at, rng.choice(_FUZZ_CHARS))
+        elif op < 0.7:
+            del chars[at]
+        else:
+            chars[at] = rng.choice(_FUZZ_CHARS)
+    return "".join(chars)
+
+
+def _parse_outcome(parse_fn, text, nvars):
+    try:
+        return parse_fn(text, nvars)
+    except Exception as exc:  # every exception is compared, not only syntax errors
+        return type(exc), str(exc), getattr(exc, "position", None)
+
+
+def _assert_parsers_agree(rng, count):
+    kept = 0
+    while kept < count:
+        nvars = rng.randint(1, 6)
+        text = _text_sum(rng, nvars, rng.choice("xxd"), rng.randint(0, 3))
+        if rng.random() < 0.5:
+            text = _fuzzed(rng, text)
+        # a power above 99 of a sum builds a large polynomial on both sides
+        # alike; the entry budget tests cover large powers
+        if re.search(r"\^\s*\d{3}", text):
+            continue
+        explicit = rng.choice([None, None, nvars, nvars + rng.randint(1, 3), max(nvars - 1, 1)])
+        new, old = (_parse_outcome(parse, text, explicit),
+                    _parse_outcome(parse_by_polynomials, text, explicit))
+        assert new == old, (text, explicit)  # == compares the ambient too
+        kept += 1
+
+
+def test_parse_matches_the_polynomial_fold_on_random_and_fuzzed_text():
+    """parse gives the Polynomial that the parser it replaced gave, or the
+    same exception, message and position, on seeded random texts and their
+    cut and fuzzed variants."""
+    _assert_parsers_agree(random.Random(2606), 3000)
+    for text in ["(" * MAX_NESTING + "x0 + 1" + ")" * MAX_NESTING,
+                 "2*(" + "(" * MAX_NESTING + "x0" + ")" * MAX_NESTING + ")",
+                 "x0 + d1", "d2*d0 - 3/4", "x0 x1", "1/0*x0", "x0^x1", "x3", "",
+                 "   ", "\u00a0x0 + @", "x_12 - x0^0", "0^0", "(x0 - x0)*(x1 + 1)^3",
+                 "2/4*x0 + 1/6*x1 - 1/3*x1", "x0^2^3", "2/3/4", "()", "-(x0 + x1)^2"]:
+        for nvars in (None, 3, 13):
+            new, old = (_parse_outcome(parse, text, nvars),
+                        _parse_outcome(parse_by_polynomials, text, nvars))
+            assert new == old, (text, nvars)
+
+
+def test_parse_matches_the_polynomial_fold_under_a_small_budget(monkeypatch):
+    """The same comparison with MAX_MONOMIAL_ENTRIES lowered to 100 on both
+    sides, so that the entry budget and check_size refuse often."""
+    monkeypatch.setattr(poly, "MAX_MONOMIAL_ENTRIES", 100)
+    monkeypatch.setattr(oracles, "MAX_MONOMIAL_ENTRIES", 100)
+    _assert_parsers_agree(random.Random(2607), 1500)
+    for text in ["(x0 + x1 + x2)^10", "(x0 + x1)^9*(x0 + x1)^9", "x0*(x0 + x1)^9*x1",
+                 "(1 + x0)^20*(1 + x0)^20", "0*(x0 + x1 + x2)^4*(x1 + x2)^5"]:
+        assert _parse_outcome(parse, text, None) == _parse_outcome(
+            parse_by_polynomials, text, None), text
+
+
+def _monomial_text(rng, nvars, degree, count):
+    """A sum of count distinct monomials of the degree with p/q
+    coefficients, no parentheses, and the term dict it spells."""
+    terms, parts = {}, []
+    for exps in monomials(nvars, degree)[:count]:
+        c = Fraction(rng.choice([-1, 1]) * rng.randint(1, 99), rng.randint(1, 9))
+        factors = [f"x{j}^{e}" if e > 1 else f"x{j}" for j, e in enumerate(exps) if e]
+        parts.append(f"{c.numerator}/{c.denominator}*" + "*".join(factors))
+        terms[exps] = c
+    return " + ".join(parts), terms
+
+
+def test_parse_of_monomial_terms_builds_no_polynomial_arithmetic(monkeypatch):
+    """A sum of monomial terms with no parentheses reaches neither
+    Polynomial.__mul__ nor __add__; the parser it replaced, counted the same
+    way, calls them once per '*' and once per term."""
+    text, terms = _monomial_text(random.Random(2608), 7, 4, 210)
+    calls = []
+    for name in ("__mul__", "__add__"):
+        original = getattr(Polynomial, name)
+        monkeypatch.setattr(Polynomial, name, lambda a, b, f=original: calls.append(1) or f(a, b))
+    assert parse(text) == Polynomial(7, terms)
+    assert calls == []
+    assert parse_by_polynomials(text) == Polynomial(7, terms)
+    assert len(calls) > 1000
+
+
+def test_parse_is_linear_in_the_text():
+    """12000 terms of degree 4 in 22 variables, about 300 kB of text, parse
+    in well under the seconds a fold of sums would take."""
+    text, terms = _monomial_text(random.Random(2609), 22, 4, 12000)
+    start = time.perf_counter()
+    p = parse(text)
+    assert time.perf_counter() - start < 2
+    assert p == Polynomial(22, terms)
 
 
 # -- linear forms, changes and witnesses on the integer core --------------------
