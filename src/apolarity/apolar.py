@@ -48,6 +48,17 @@ takes: HF(i) < dim S_i for all i >= i0, as the ideal is nonzero in degree i0.
 
 PRIME is linalg.PRIME, 2^31 - 1, and linalg.independent picks the rows
 that are independent modulo it, as it does for poly.LinearChange.
+
+One rule gives HF of every quotient T/((F_perp : g) + <h_1..h_k>) that the
+certificates slice.  (F_perp : g) = G_perp, G = g o F (G = F with no g), and
+D -> D o G maps T_i onto the i-th partials of G with kernel G_perp_i and
+h_j x^beta to d^beta(h_j o G).  So, with e_j = deg h_j and 0 after deg G,
+
+    HF(i) = HF_G(i) - dim span{d^beta(h_j o G) : all j, |beta| = i - e_j},
+
+a rank of the stacked columns of the Cat_{i-e_j}(h_j o G).  For one operator
+h it is the exact sequence 0 -> T/(G_perp : h)(-e) -> T/G_perp ->
+T/(G_perp + <h>) -> 0: HF_G(i) - HF_{h o G}(i - e).
 """
 
 from __future__ import annotations
@@ -210,7 +221,7 @@ def _hilbert_and_spans(form: Polynomial) -> tuple[HilbertFunction, dict[int, Row
                              "variables are too large to build")
     full = [ring_dimension(n, i) for i in range(d // 2 + 1)]
     spans = {i: _catalecticant_span(form, i) for i in range(1, d // 2 + 1)
-             if independent(_partials_mod_prime(form, i, by_row=True), full[i], full[i]) is None}
+             if independent(_partials(form, i, by_row=True), full[i], full[i]) is None}
     ranks = [spans[i].dimension if i in spans else full[i] for i in range(d // 2 + 1)]
     return HilbertFunction(tuple(ranks[min(i, d - i)] for i in range(d + 1))), spans
 
@@ -220,14 +231,39 @@ def apolar_hilbert(form: Polynomial) -> HilbertFunction:
     return _hilbert_and_spans(form)[0]
 
 
-def _partials_mod_prime(form: Polynomial, j: int,
-                        by_row: bool = False) -> list[dict[int, int]] | None:
+def quotient_hilbert(form: Polynomial, operators=(), divisor: Polynomial | None = None,
+                     form_hilbert: HilbertFunction | None = None) -> HilbertFunction:
+    """HF of T/((F_perp : g) + <h_1..h_k>) as deg F + 1 values, g the divisor
+    (none: F_perp itself), by the quotient rule of the module docstring.
+    The divisor is checked as ideal_colon checks it, the operators as the
+    HomogeneousIdeal constructor checks generators, and each is applied once.
+    form_hilbert, when given with no divisor, must be apolar_hilbert(form)."""
+    d = form.homogeneous_degree()
+    if divisor is not None:
+        if divisor.nvars != form.nvars:
+            raise AmbientMismatchError("divisor ambient differs from the ideal's")
+        if divisor.is_zero() or not divisor.is_homogeneous():
+            raise ValueError("divisor must be a nonzero homogeneous element")
+        form, form_hilbert = apolar_apply(divisor, form), None
+        if form.is_zero():
+            raise ValueError("divisor lies in the ideal; the colon is the unit ideal")
+    images = [(h.homogeneous_degree(), apolar_apply(h, form))
+              for h in (HomogeneousIdeal(operators).generators if operators else ())]
+    values = list((form_hilbert or apolar_hilbert(form)).values)
+    for i, full in enumerate(values):
+        span = RowSpan(ring_dimension(form.nvars, len(values) - 1 - i))
+        for vector in (v for e, image in images if e <= i for v in _partials(image, i - e)):
+            if span.dimension == full:
+                break
+            span.insert(vector)
+        values[i] -= span.dimension
+    return HilbertFunction(tuple(values + [0] * (d + 1 - len(values))))
+
+
+def _partials(form: Polynomial, j: int, by_row: bool = False) -> list[dict[int, int]]:
     """The nonzero j-th partials D * d^alpha F as integer vectors keyed by the
-    index of their monomials, for ModularSpan to read modulo PRIME: D, the
-    form's denominator, is a unit there unless PRIME divides it; then None.
-    by_row: the rows of D*Cat_j instead."""
-    if form._den % PRIME == 0:
-        return None
+    index of their monomials, D the form's denominator; by_row: the rows of
+    D*Cat_j instead."""
     vectors: dict[int, dict[int, int]] = {}
     for col, row, v in _entries(form, j):
         if by_row:
@@ -249,8 +285,8 @@ def _no_generator_in_degree(form: Polynomial, hf: tuple[int, ...], i: int) -> bo
     if target <= 0:
         return True
     monos, _ = monomial_index(n, i - 1)
-    chosen = independent(_partials_mod_prime(form, form.homogeneous_degree() - i + 1),
-                         len(monos), h)
+    chosen = independent(_partials(form, form.homogeneous_degree() - i + 1),
+                         len(monos), h) if form._den % PRIME else None
     if chosen is None:
         return False
     basis = [{monos[g]: v for g, v in b.items()} for b in chosen]

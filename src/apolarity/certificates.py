@@ -3,9 +3,10 @@
 Lower bounds come from two sources: catalecticant ranks, and the length of
 the scheme cut out by the apolar ideal on a hyperplane that the annihilated
 points avoid.  The latter is packaged as AvoidanceCertificate so every
-number quoted in a bound is recomputable.  Upper bounds come from the class
-table for reducible cubics and, when a constructor applies, from an explicit
-verified power sum.
+number quoted in a bound is recomputable; its Hilbert functions, like every
+other here, are apolar.quotient_hilbert's catalecticant ranks.  Upper bounds
+come from the class table for reducible cubics and, when a constructor
+applies, from an explicit verified power sum.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import comb
 
-from .apolar import apolar_apply, apolar_hilbert, apolar_ideal
+from .apolar import apolar_apply, apolar_hilbert, apolar_ideal, quotient_hilbert
 from .cubics import (CubicKind, CubicType, LinearChange, NeedsFieldExtension,
                      NormalizationUndecided, ReducibleCubic, WaringDecomposition,
                      _lift, _quadric_ints, classify, decompose_binary,
@@ -89,23 +90,6 @@ class AvoidanceCertificate:
         return f"rank >= {self.total_bound} ({', '.join(parts)})"
 
 
-def _slice_hilbert(form_hilbert: HilbertFunction, residual: Polynomial,
-                   length: int) -> HilbertFunction:
-    """HF of T/(F_perp + <l>) from catalecticant ranks alone, given
-    form_hilbert = HF_F and residual = l o F.
-
-    Multiplication by l gives the exact sequence
-    0 -> T/(F_perp : l)(-1) -> T/F_perp -> T/(F_perp + <l>) -> 0, and
-    (F_perp : l) = (l o F)_perp, so HF(i) = HF_F(i) - HF_{l o F}(i - 1); the
-    second term vanishes when l o F = 0.  Values are padded with zeros to
-    the given length.
-    """
-    shifted = (0,) + (apolar_hilbert(residual).values if not residual.is_zero() else ())
-    values = [v - (shifted[i] if i < len(shifted) else 0)
-              for i, v in enumerate(form_hilbert.values)]
-    return HilbertFunction(tuple(values + [0] * (length - len(values))))
-
-
 def avoidance_lower_bound(form: Polynomial, hyperplane: Polynomial,
                           form_hilbert: HilbertFunction | None = None
                           ) -> AvoidanceCertificate:
@@ -113,21 +97,17 @@ def avoidance_lower_bound(form: Polynomial, hyperplane: Polynomial,
 
     Requires the linear operator l not to annihilate the form; each summand
     of the Hilbert function of T/(F_perp + <l>) then counts toward any
-    apolar point set that avoids the hyperplane.  That Hilbert function
-    comes from the exact sequence
-    0 -> T/(F_perp : l)(-1) -> T/F_perp -> T/(F_perp + <l>) -> 0 with
-    (F_perp : l) = (l o F)_perp: HF(i) = HF_F(i) - HF_{l o F}(i - 1), two
-    lists of catalecticant ranks.  form_hilbert, when given, must be
+    apolar point set that avoids the hyperplane.  That Hilbert function is
+    quotient_hilbert's, HF_F(i) - HF_{l o F}(i - 1), and it equals HF_F
+    exactly when l o F = 0.  form_hilbert, when given, must be
     apolar_hilbert(form); callers that have it save recomputing it.
     """
     _check_dual_linear(form, hyperplane)
-    residual = apolar_apply(hyperplane, form)
-    if residual.is_zero():
+    form_hilbert = form_hilbert or apolar_hilbert(form)
+    hf = quotient_hilbert(form, [hyperplane], form_hilbert=form_hilbert)
+    if hf == form_hilbert:
         raise ValueError("the hyperplane operator annihilates the form; "
                          "the avoidance bound does not apply")
-    if form_hilbert is None:
-        form_hilbert = apolar_hilbert(form)
-    hf = _slice_hilbert(form_hilbert, residual, len(form_hilbert.values))
     return AvoidanceCertificate(
         hyperplane=hyperplane,
         hilbert=hf,
@@ -143,23 +123,14 @@ def colon_refinement(form: Polynomial, hyperplane: Polynomial,
     scheme before slicing, and credited back via removed_points when the
     caller has certified how many there are (rank >= sum HF + removed).
 
-    (F_perp : g) = (g o F)_perp, so the slice is that of g o F, padded to
-    the length deg F + 1 of F's own Hilbert function.
+    The slice is quotient_hilbert's HF of T/((F_perp : g) + <l>): with
+    (F_perp : g) = (g o F)_perp, that of g o F, as deg F + 1 values.
     """
     _check_dual_linear(form, hyperplane)
     if apolar_apply(hyperplane, form).is_zero():
         raise ValueError("the hyperplane operator annihilates the form; "
                          "the avoidance bound does not apply")
-    d = form.homogeneous_degree()
-    if divisor.nvars != form.nvars:
-        raise AmbientMismatchError("divisor ambient differs from the ideal's")
-    if divisor.is_zero() or not divisor.is_homogeneous():
-        raise ValueError("divisor must be a nonzero homogeneous element")
-    residual = apolar_apply(divisor, form)
-    if residual.is_zero():
-        raise ValueError("divisor lies in the ideal; the colon is the unit ideal")
-    hf = _slice_hilbert(apolar_hilbert(residual), apolar_apply(hyperplane, residual),
-                        d + 1)
+    hf = quotient_hilbert(form, [hyperplane], divisor)
     return AvoidanceCertificate(
         hyperplane=hyperplane,
         hilbert=hf,
@@ -231,7 +202,7 @@ def tangent_plane_certificate(form: Polynomial | None = None) -> ClaimChainCerti
         "the apolar ideal is <d0*d2 - d1^2, d1*d2, d2^2, d0^3, d0^2*d1, d1^3>",
         holds))
 
-    hf_slice = hilbert_function(ideal_sum(ideal, HomogeneousIdeal([d2])))
+    hf_slice = quotient_hilbert(form, [d2], form_hilbert=hilbert_function(ideal))
     holds = hf_slice.values == (1, 2, 2, 0)
     claims.append(CertificateClaim(
         "slice",
@@ -262,8 +233,8 @@ def tangent_plane_certificate(form: Polynomial | None = None) -> ClaimChainCerti
     colon_expected = HomogeneousIdeal([d2, d0 * d0, d1 * d1], truncation_bound=4)
     hf_refined = None
     try:
+        hf_refined = quotient_hilbert(form, [d2], d1)
         refined = ideal_sum(ideal_colon(ideal, d1), HomogeneousIdeal([d2]))
-        hf_refined = hilbert_function(refined)
         holds = ideal_equal(refined, colon_expected) and hf_refined.values == (1, 2, 1, 0)
         detail = f"computed {hf_refined}"
     except ValueError as exc:

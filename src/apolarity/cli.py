@@ -19,14 +19,14 @@ import re
 import sys
 from functools import lru_cache
 
-from .apolar import apolar_hilbert, apolar_ideal
+from .apolar import apolar_ideal, quotient_hilbert
 from .certificates import (avoidance_lower_bound, colon_refinement,
                            rank_report, tangent_plane_certificate)
 from .cubics import (NeedsFieldExtension, NormalizationUndecided, ReducibleCubic,
                      WaringDecomposition, decompose_binary, decompose_type_c,
                      decompose_type_c_normal, normal_form,
                      verify_decomposition)
-from .ideals import HomogeneousIdeal, hilbert_function, ideal_colon, ideal_sum
+from .ideals import hilbert_function
 from .poly import (AmbientMismatchError, LinearForm, Polynomial,
                    PolynomialSyntaxError, parse)
 
@@ -238,17 +238,9 @@ def _cmd_certify(args) -> int:
 
 def _cmd_hilbert(args) -> int:
     [form] = _parse_together([args.form], args.vars)
-    if not args.plus and not args.colon:
-        hf = apolar_hilbert(form)
-    else:
-        ideal = apolar_ideal(form)
-        if args.colon:
-            divisor = parse(args.colon, nvars=form.nvars)
-            ideal = ideal_colon(ideal, divisor)
-        if args.plus:
-            extra = [parse(t, nvars=form.nvars) for t in args.plus]
-            ideal = ideal_sum(ideal, HomogeneousIdeal(extra))
-        hf = hilbert_function(ideal)
+    divisor = parse(args.colon, nvars=form.nvars) if args.colon else None
+    hf = quotient_hilbert(form, [parse(t, nvars=form.nvars) for t in args.plus or ()],
+                          divisor)
     payload = {"values": list(hf.values), "total": hf.total()}
     _emit(args, payload, [f"HF = {hf}", f"total = {hf.total()}"])
     return EXIT_OK

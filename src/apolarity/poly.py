@@ -298,7 +298,7 @@ class Polynomial:
     def to_string(self, prefix: str = "x") -> str:
         terms = []
         for exps in sorted(self._ints, key=grlex_key):
-            factors = [f"{prefix}{j}^{e}" if e > 1 else f"{prefix}{j}"
+            factors = [f"{prefix}{j}^{_number_text(e)}" if e > 1 else f"{prefix}{j}"
                        for j, e in enumerate(exps) if e]
             terms.append((self._ints[exps], "*".join(factors)))
         return _signed_sum(terms, self._den) or "0"
@@ -593,9 +593,10 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
         if kind == "var":
-            tokens.append(("var", (m.group("var")[0], int(m.group("idx"))), m.start("var")))
+            index = _digits_value(m.group("idx"))
+            tokens.append(("var", (m.group("var")[0], index), m.start("var")))
         elif kind == "int":
-            tokens.append(("int", int(m.group("int")), m.start("int")))
+            tokens.append(("int", _digits_value(m.group("int")), m.start("int")))
         elif kind == "op":
             tokens.append((m.group("op"), None, m.start("op")))
         else:
@@ -717,8 +718,8 @@ class _Parser:
             return value, den, {}
         if kind == "var":
             if value[1] >= self.nvars:
-                raise PolynomialSyntaxError(
-                    f"variable index {value[1]} exceeds ambient of {self.nvars} variables", at)
+                raise PolynomialSyntaxError(f"variable index {_number_text(value[1])} exceeds "
+                                            f"ambient of {self.nvars} variables", at)
             return 1, 1, {value[1]: 1}
         if kind == "(":
             if self.depth == MAX_NESTING:
@@ -750,7 +751,7 @@ def parse(text: str, nvars: int | None = None) -> Polynomial:
     atoms = [at for kind, _, at in tokens if kind in ("int", "var")]
     if len(atoms) * nvars > MAX_MONOMIAL_ENTRIES:
         raise PolynomialSyntaxError(
-            f"{len(atoms)} literals and variables in {nvars} variables would "
+            f"{len(atoms)} literals and variables in {_number_text(nvars)} variables would "
             f"build more than {MAX_MONOMIAL_ENTRIES} exponent entries",
             atoms[0] if atoms else 0)
     parser = _Parser(tokens, nvars, len(text))

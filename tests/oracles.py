@@ -29,13 +29,14 @@ dual_system_rank keeps the numbering of the Macaulay-dual system's
 unknowns that the package once used, block 0 first, and ranks it with
 rank_mod_prime.  apolar_generators_by_sweep states the apolar generator
 rule on the oracle's own catalecticants (apply_operator), kernels (kernel)
-and sparse Fraction echelon (_enlarges).  Two functions are exceptions to
-the rule above.  certificate_by_ideals keeps the route the avoidance and
-colon certificates once took through the package's own ideal calculus
-(apolar ideal, colon, sum, graded spans), so it checks the rank-based
-slice formula against a different computation, not against different
-code.  parse_by_polynomials is the text parser as it was before it read
-text at linear cost: it folds a sum term by term with Polynomial.__add__
+and sparse Fraction echelon (_enlarges).  Three functions are exceptions
+to the rule above.  certificate_by_ideals and quotient_hilbert_by_ideals
+keep the routes the avoidance and colon certificates and the hilbert
+command once took through the package's own ideal calculus (apolar ideal,
+colon, sum, graded spans), so they check the rank-based quotient rule
+against a different computation, not against different code.
+parse_by_polynomials is the text parser as it was before it read text at
+linear cost: it folds a sum term by term with Polynomial.__add__
 and builds every literal, variable and monomial as a Polynomial, with the
 same guards, messages and positions that poly.parse keeps.
 """
@@ -420,6 +421,24 @@ def certificate_by_ideals(form, hyperplane, divisor=None):
         ideal = ideal_colon(ideal, divisor)
     hf = hilbert_function(ideal_sum(ideal, HomogeneousIdeal([hyperplane])))
     return hf.values, hf.total()
+
+
+def quotient_hilbert_by_ideals(form, operators=(), divisor=None):
+    """HF of T/((F_perp : g) + <h_1..h_k>) as the hilbert command once
+    computed it: the carried values of apolar_hilbert with no operator and
+    no divisor, else apolar_ideal, ideal_colon, ideal_sum and the graded
+    spans of hilbert_function, with their input checks in that order."""
+    from apolarity.apolar import apolar_hilbert, apolar_ideal
+    from apolarity.ideals import (HomogeneousIdeal, hilbert_function,
+                                  ideal_colon, ideal_sum)
+    if not operators and divisor is None:
+        return apolar_hilbert(form)
+    ideal = apolar_ideal(form)
+    if divisor is not None:
+        ideal = ideal_colon(ideal, divisor)
+    if operators:
+        ideal = ideal_sum(ideal, HomogeneousIdeal(operators))
+    return hilbert_function(ideal)
 
 
 def _enlarges(echelon: dict, vec: dict) -> bool:

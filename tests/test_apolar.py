@@ -133,7 +133,7 @@ def test_exact_spans_only_for_catalecticants_short_of_full_rank(monkeypatch):
     _hilbert_and_spans eliminates every Cat_i with 0 < i <= d/2 exactly.
     HF(0) = 1 of a nonzero form takes neither a span nor a modular rank."""
     built, partials = [], []
-    span_of, partials_of = apolar._catalecticant_span, apolar._partials_mod_prime
+    span_of, partials_of = apolar._catalecticant_span, apolar._partials
 
     def spy(form, i):
         built.append(i)
@@ -144,7 +144,7 @@ def test_exact_spans_only_for_catalecticants_short_of_full_rank(monkeypatch):
         return partials_of(form, j, by_row)
 
     monkeypatch.setattr(apolar, "_catalecticant_span", spy)
-    monkeypatch.setattr(apolar, "_partials_mod_prime", partials_spy)
+    monkeypatch.setattr(apolar, "_partials", partials_spy)
     rng = random.Random(43)
     for nv, d, low in ((5, 3, 2), (4, 4, 3)):
         form = _dense_form(rng, nv, d)

@@ -5,7 +5,7 @@ import time
 import pytest
 
 from apolarity import ideals, poly
-from apolarity.apolar import catalecticant
+from apolarity.apolar import apolar_ideal, catalecticant
 from apolarity.cli import main
 from apolarity.poly import parse
 
@@ -177,11 +177,16 @@ def test_dense_matrices_past_the_size_budget_are_input_errors(capsys,
     with pytest.raises(ValueError, match="too large to build"):
         catalecticant(parse("x0^4 + x79^4"), 2)
     # the preimage systems of the plane cubic's colon by d1 have 3, 36 and
-    # 150 cells in degrees 0, 1 and 2
+    # 150 cells in degrees 0, 1 and 2; the library's ideal_colon builds them
     monkeypatch.setattr(ideals, "MAX_MONOMIAL_ENTRIES", 100)
-    code, out, err = run(capsys, "hilbert", "x0^2*x2 + x0*x1^2", "--colon", "d1")
-    assert code == 2 and out == ""
-    assert "degree-2 colon system of 10 x 15 entries is too large" in err
+    with pytest.raises(ValueError,
+                       match="degree-2 colon system of 10 x 15 entries is too large"):
+        ideals.ideal_colon(apolar_ideal(parse(PLANE)), parse("d1", nvars=3))
+    # hilbert reads catalecticants of g o F (a quartic) or of F (a quintic) in
+    # 80 variables, and Cat_2 of either passes the budget
+    for flag in ("--colon", "--plus"):
+        code, out, err = run(capsys, "hilbert", "x0^5 + x79^5", flag, "d0")
+        assert code == 2 and out == "" and "too large to build" in err
 
 
 def test_text_past_the_parser_budget_is_an_input_error(capsys, monkeypatch):
@@ -269,11 +274,16 @@ def test_reports_print_integers_past_the_string_digit_limit(capsys, args):
         json.loads(out)
 
 
-def test_decimal_literal_past_the_string_digit_limit_is_an_input_error(capsys):
-    """The parser reads a literal through int(), which keeps its limit."""
+def test_decimal_literal_past_the_string_digit_limit_is_read(capsys):
+    """The parser reads literals and variable indices in pieces that int()
+    takes, so a 4401-digit coefficient is read and printed back in full,
+    and a 5000-digit index is an input error, not a traceback."""
     start = time.perf_counter()
-    code, out, err = run(capsys, "analyze", "x0", "1" + "0" * 4400 + "*x1^2+x2^2+x0*x1")
+    big = "1" + "0" * 4400
+    code, out, err = run(capsys, "analyze", "x0", big + "*x1^2+x2^2+x0*x1")
     assert time.perf_counter() - start < 2
+    assert code == 0 and err == "" and f"{big}*x0*x1^2" in out
+    code, out, err = run(capsys, "hilbert", "x" + "7" * 5000 + "^3")
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
 

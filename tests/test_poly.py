@@ -28,6 +28,17 @@ def test_parse_round_trip():
         assert parse(text).to_string() == text
 
 
+def test_parse_reads_back_numbers_of_any_length():
+    """Literals, exponents and variable indices are read in pieces that
+    int() takes, and printed the same way, so to_string round trips past
+    the 4300-digit limit and a 5000-digit index is a syntax error."""
+    for form in (parse("x0*x1 + (10^5000)*x2^2"), parse("x0^" + "9" * 5000)):
+        assert parse(form.to_string()) == form
+    for nvars in (None, 3):
+        with pytest.raises(PolynomialSyntaxError):
+            parse("x" + "7" * 5000 + "^3", nvars=nvars)
+
+
 def test_parse_accepts_operator_variables():
     p = parse("d0*d2 - d1^2")
     assert p.nvars == 3
