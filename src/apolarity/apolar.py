@@ -236,7 +236,8 @@ def quotient_hilbert(form: Polynomial, operators=(), divisor: Polynomial | None 
     """HF of T/((F_perp : g) + <h_1..h_k>) as deg F + 1 values, g the divisor
     (none: F_perp itself), by the quotient rule of the module docstring.
     The divisor is checked as ideal_colon checks it, the operators as the
-    HomogeneousIdeal constructor checks generators, and each is applied once.
+    HomogeneousIdeal constructor checks generators in the form's ambient (a
+    zero operator drops out), and each is applied once.
     form_hilbert, when given with no divisor, must be apolar_hilbert(form)."""
     d = form.homogeneous_degree()
     if divisor is not None:
@@ -248,7 +249,7 @@ def quotient_hilbert(form: Polynomial, operators=(), divisor: Polynomial | None 
         if form.is_zero():
             raise ValueError("divisor lies in the ideal; the colon is the unit ideal")
     images = [(h.homogeneous_degree(), apolar_apply(h, form))
-              for h in (HomogeneousIdeal(operators).generators if operators else ())]
+              for h in HomogeneousIdeal(operators, form.nvars).generators]
     values = list((form_hilbert or apolar_hilbert(form)).values)
     for i, full in enumerate(values):
         span = RowSpan(ring_dimension(form.nvars, len(values) - 1 - i))

@@ -20,8 +20,7 @@ from .cubics import (CubicKind, CubicType, LinearChange, NeedsFieldExtension,
                      _lift, _quadric_ints, classify, decompose_binary,
                      decompose_type_c_normal, normalize_tangent_product)
 from .ideals import (HilbertFunction, HomogeneousIdeal, graded_basis,
-                     hilbert_function, ideal_colon, ideal_contains, ideal_equal,
-                     ideal_sum)
+                     hilbert_function, ideal_colon, ideal_equal, ideal_sum)
 from .linalg import RowSpan, kernel_basis
 from .poly import AmbientMismatchError, LinearForm, Polynomial, parse, substitute
 
@@ -215,7 +214,8 @@ def tangent_plane_certificate(form: Polynomial | None = None) -> ClaimChainCerti
         "the degree-2 part of the apolar ideal is spanned by the three quadrics",
         holds))
 
-    holds = ideal_contains(ideal, d2 * d2) and ideal_contains(ideal, d1 * d2)
+    # F_perp = {D : D o F = 0}, so membership asks the form
+    holds = all(apolar_apply(op, form).is_zero() for op in (d2 * d2, d1 * d2))
     claims.append(CertificateClaim(
         "pencil",
         "the pencil <d2^2, d1*d2> lies in the ideal and has fixed line d2 = 0",
@@ -223,7 +223,7 @@ def tangent_plane_certificate(form: Polynomial | None = None) -> ClaimChainCerti
 
     conic = d0 * d2 - d1 * d1
     restricted = Polynomial(3, {e: c for e, c in conic.terms.items() if e[2] == 0})
-    holds = ideal_contains(ideal, conic) and restricted == -(d1 * d1)
+    holds = apolar_apply(conic, form).is_zero() and restricted == -(d1 * d1)
     claims.append(CertificateClaim(
         "conics",
         "the residual conics restrict to -d1^2 on the line, meeting it only "

@@ -7,6 +7,12 @@ Graded components are computed by exact linear algebra on monomial
 coordinates; no Groebner bases anywhere.  The component of degree i is the
 span of T_1 times the component of degree i-1 plus the degree-i generators,
 which is why sweeps run bottom-up.
+
+The colon (I : g), g of degree e, comes by duality.  I_{i+e} is the
+orthogonal, in coefficient coordinates, of its kernel vectors k, and
+(D*g).k = D.(g^T k) with (g^T k)_alpha = sum_gamma g_gamma k_(alpha+gamma).
+So D*g lies in I_{i+e} iff D is orthogonal to every g^T k: (I : g)_i is the
+kernel of the span of the g^T k.
 """
 
 from __future__ import annotations
@@ -15,10 +21,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 from math import comb
+from operator import sub
 
-from .linalg import RowSpan, kernel_basis
-from .poly import (MAX_MONOMIAL_ENTRIES, AmbientMismatchError, Exponent,
-                   Polynomial, monomials)
+from .linalg import RowSpan
+from .poly import AmbientMismatchError, Exponent, Polynomial, monomials
 
 
 def ring_dimension(nvars: int, degree: int) -> int:
@@ -196,39 +202,28 @@ def _generators_from_components(components: list[list[dict[int, int]]],
 
 def _colon_spans(ideal: HomogeneousIdeal, divisor: Polynomial,
                  top: int) -> list[RowSpan]:
-    """Row spans of (ideal : divisor) for degrees 0..top, by definition:
-    the degree-i component is the preimage of the ideal under multiplication
-    by the divisor.  Raises ValueError, before allocating, when a preimage
-    system would have more than MAX_MONOMIAL_ENTRIES cells."""
+    """Row spans of (ideal : divisor) for degrees 0..top, by duality (module
+    docstring): the degree-i component is the kernel of the span of the
+    contractions g^T k of the kernel vectors k of the ideal's degree-(i+e)
+    component, a full one having none."""
     n = ideal.nvars
     e = divisor.homogeneous_degree()
+    terms = divisor._ints.items()  # its scale does not move a span
     ideal_spans = _graded_spans(ideal, top + e)
     out: list[RowSpan] = []
     for i in range(top + 1):
-        monos_i, _ = monomial_index(n, i)
-        monos_t, index_t = monomial_index(n, i + e)
-        dim_i, dim_t = len(monos_i), len(monos_t)
-        bound = ideal.truncation_bound
-        if bound is not None and i + e >= bound:
-            preimage = ({c: 1} for c in range(dim_i))
-        else:
-            basis = ideal_spans[i + e].canonical_rows()
-            # kernel of [ mult-by-divisor | -ideal-basis ] gives the preimage;
-            # the divisor's integer terms scale the first block and not its span
-            width = dim_i + len(basis)
-            if dim_t * width > MAX_MONOMIAL_ENTRIES:
-                raise ValueError(f"the degree-{i} colon system of {dim_t} x "
-                                 f"{width} entries is too large to build")
-            rows = [[0] * width for _ in range(dim_t)]
-            for c, mono in enumerate(monos_i):
-                for exps, v in divisor._ints.items():
-                    rows[index_t[tuple(a + b for a, b in zip(exps, mono))]][c] = v
-            for k, brow in enumerate(basis):
-                for col, val in brow.items():
-                    rows[col][dim_i + k] = -val
-            preimage = ({c: v for c, v in vec.items() if c < dim_i}
-                        for vec in kernel_basis(rows, width))
-        out.append(_component(RowSpan(0), n, i, preimage, dim_i)[0])
+        _, index = monomial_index(n, i)
+        monos_t, _ = monomial_index(n, i + e)
+        dual = RowSpan(len(index))
+        for k in ideal_spans[i + e].kernel_rows():
+            row: dict[int, int] = {}
+            for c, v in k.items():  # (g^T k)_alpha = sum_gamma g_gamma k_(alpha+gamma)
+                for gamma, w in terms:
+                    alpha = tuple(map(sub, monos_t[c], gamma))
+                    if min(alpha) >= 0:
+                        row[index[alpha]] = row.get(index[alpha], 0) + w * v
+            dual.insert(row)
+        out.append(_component(RowSpan(0), n, i, dual.kernel_rows(), len(index))[0])
     return out
 
 
@@ -267,7 +262,8 @@ def is_nonzerodivisor(ideal: HomogeneousIdeal, divisor: Polynomial,
         through_degree = ideal.truncation_bound - 2
     colon = _colon_spans(ideal, divisor, through_degree)
     mine = _graded_spans(ideal, through_degree)
-    return all(colon[i].canonical_rows() == mine[i].canonical_rows()
+    # I_i lies in (I : g)_i, so equal dimensions mean equal components
+    return all(colon[i].dimension == mine[i].dimension
                for i in range(through_degree + 1))
 
 

@@ -57,9 +57,9 @@ MAX_NESTING = 100
 
 # Most exponent entries (monomials times variables, about 100 MB of tuples)
 # that monomials() lists for one degree or that parse() builds for one
-# polynomial, and most cells of a dense matrix that apolar.catalecticant or
-# ideals._colon_spans allocates.  Dense work on a degree that large would
-# exhaust memory long before it ended.
+# polynomial, and most cells of the dense matrix apolar.catalecticant
+# allocates.  Dense work on a degree that large would exhaust memory long
+# before it ended.
 MAX_MONOMIAL_ENTRIES = 10 ** 7
 
 

@@ -29,12 +29,17 @@ dual_system_rank keeps the numbering of the Macaulay-dual system's
 unknowns that the package once used, block 0 first, and ranks it with
 rank_mod_prime.  apolar_generators_by_sweep states the apolar generator
 rule on the oracle's own catalecticants (apply_operator), kernels (kernel)
-and sparse Fraction echelon (_enlarges).  Three functions are exceptions
+and sparse Fraction echelon (_enlarges).  Five functions are exceptions
 to the rule above.  certificate_by_ideals and quotient_hilbert_by_ideals
 keep the routes the avoidance and colon certificates and the hilbert
 command once took through the package's own ideal calculus (apolar ideal,
 colon, sum, graded spans), so they check the rank-based quotient rule
 against a different computation, not against different code.
+colon_spans_by_preimage and is_nonzerodivisor_by_preimage keep the colon
+ideal as the package computed it before it went by duality: per degree,
+the kernel of the dense preimage system [multiplication by g | -basis of
+I_{i+e}], on the package's graded spans and kernel_basis, with its own
+budget of cells (COLON_SYSTEM_ENTRIES).
 parse_by_polynomials is the text parser as it was before it read text at
 linear cost: it folds a sum term by term with Polynomial.__add__
 and builds every literal, variable and monomial as a Polynomial, with the
@@ -439,6 +444,64 @@ def quotient_hilbert_by_ideals(form, operators=(), divisor=None):
     if operators:
         ideal = ideal_sum(ideal, HomogeneousIdeal(operators))
     return hilbert_function(ideal)
+
+
+# colon_spans_by_preimage's budget of dense cells, once ideals' own
+COLON_SYSTEM_ENTRIES = 10 ** 7
+
+
+def colon_spans_by_preimage(ideal, divisor, top: int) -> list:
+    """Row spans of (ideal : divisor) for degrees 0..top, by definition:
+    the degree-i component is the preimage of the ideal under multiplication
+    by the divisor.  Raises ValueError, before allocating, when a preimage
+    system would have more than COLON_SYSTEM_ENTRIES cells."""
+    from apolarity.ideals import _component, _graded_spans, monomial_index
+    from apolarity.linalg import RowSpan, kernel_basis
+    n = ideal.nvars
+    e = divisor.homogeneous_degree()
+    ideal_spans = _graded_spans(ideal, top + e)
+    out: list[RowSpan] = []
+    for i in range(top + 1):
+        monos_i, _ = monomial_index(n, i)
+        monos_t, index_t = monomial_index(n, i + e)
+        dim_i, dim_t = len(monos_i), len(monos_t)
+        bound = ideal.truncation_bound
+        if bound is not None and i + e >= bound:
+            preimage = ({c: 1} for c in range(dim_i))
+        else:
+            basis = ideal_spans[i + e].canonical_rows()
+            # kernel of [ mult-by-divisor | -ideal-basis ] gives the preimage;
+            # the divisor's integer terms scale the first block and not its span
+            width = dim_i + len(basis)
+            if dim_t * width > COLON_SYSTEM_ENTRIES:
+                raise ValueError(f"the degree-{i} colon system of {dim_t} x "
+                                 f"{width} entries is too large to build")
+            rows = [[0] * width for _ in range(dim_t)]
+            for c, mono in enumerate(monos_i):
+                for exps, v in divisor._ints.items():
+                    rows[index_t[tuple(a + b for a, b in zip(exps, mono))]][c] = v
+            for k, brow in enumerate(basis):
+                for col, val in brow.items():
+                    rows[col][dim_i + k] = -val
+            preimage = ({c: v for c, v in vec.items() if c < dim_i}
+                        for vec in kernel_basis(rows, width))
+        out.append(_component(RowSpan(0), n, i, preimage, dim_i)[0])
+    return out
+
+
+def is_nonzerodivisor_by_preimage(ideal, divisor, through_degree=None) -> bool:
+    """ideals.is_nonzerodivisor as it was on colon_spans_by_preimage: the
+    canonical rows of (I : g) and of I agree in every degree of the window,
+    bound-2 by default."""
+    from apolarity.ideals import _graded_spans
+    if through_degree is None:
+        if ideal.truncation_bound is None:
+            raise ValueError("supply through_degree for an unbounded ideal")
+        through_degree = ideal.truncation_bound - 2
+    colon = colon_spans_by_preimage(ideal, divisor, through_degree)
+    mine = _graded_spans(ideal, through_degree)
+    return all(colon[i].canonical_rows() == mine[i].canonical_rows()
+               for i in range(through_degree + 1))
 
 
 def _enlarges(echelon: dict, vec: dict) -> bool:

@@ -169,19 +169,19 @@ def test_huge_variable_index_is_handled(capsys):
     assert code == 0 or "error" in err
 
 
-def test_dense_matrices_past_the_size_budget_are_input_errors(capsys,
-                                                             monkeypatch):
+def test_dense_matrices_past_the_size_budget_are_input_errors(capsys):
     # Cat_2 of a quartic in 80 variables would have 3240^2 > 10^7 cells
     code, out, err = run(capsys, "apolar", "x0^4 + x79^4")
     assert code == 2 and out == "" and "error" in err
     with pytest.raises(ValueError, match="too large to build"):
         catalecticant(parse("x0^4 + x79^4"), 2)
-    # the preimage systems of the plane cubic's colon by d1 have 3, 36 and
-    # 150 cells in degrees 0, 1 and 2; the library's ideal_colon builds them
-    monkeypatch.setattr(ideals, "MAX_MONOMIAL_ENTRIES", 100)
+    # the colon by d0 of the apolar ideal of x0^2 in 90 variables (bound 3)
+    # reads that ideal's degree-3 component, whose 125580 monomials pass the
+    # listing budget: ideal_colon refuses before it eliminates anything there
+    ideal = apolar_ideal(parse("x0^2", nvars=90))
     with pytest.raises(ValueError,
-                       match="degree-2 colon system of 10 x 15 entries is too large"):
-        ideals.ideal_colon(apolar_ideal(parse(PLANE)), parse("d1", nvars=3))
+                       match="125580 monomials of degree 3 in 90 variables are too many"):
+        ideals.ideal_colon(ideal, parse("d0", nvars=90))
     # hilbert reads catalecticants of g o F (a quartic) or of F (a quintic) in
     # 80 variables, and Cat_2 of either passes the budget
     for flag in ("--colon", "--plus"):
@@ -382,6 +382,15 @@ def test_hilbert_plain_and_modified(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["values"] == [1, 2, 1, 0] and data["total"] == 4
+
+
+def test_adding_the_zero_operator_leaves_the_hilbert_function(capsys):
+    """--plus 0 adds nothing to the ideal, alone, twice or beside a divisor."""
+    for extra in ([], ["--colon", "d1"]):
+        plain = run(capsys, "hilbert", PLANE, *extra)
+        assert plain[0] == 0
+        for zeros in (["--plus", "0"], ["--plus", "0", "--plus", "0*d2"]):
+            assert run(capsys, "hilbert", PLANE, *extra, *zeros) == plain
 
 
 def test_double_dash_passes_a_leading_minus_form(capsys):

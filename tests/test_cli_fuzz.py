@@ -14,7 +14,7 @@ A third sends 200 calls drawn like the first, but whose malformed text may
 also have a digit, a variable letter or "^" inserted anywhere: indices,
 exponents and powers then grow as written, and the parser's size budget
 (poly.MAX_MONOMIAL_ENTRIES, lowered to 10^5 here together with the dense
-budgets of apolar and ideals) must turn what is too large into exit 2.
+budget of apolar's catalecticants) must turn what is too large into exit 2.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from apolarity import apolar, ideals, poly  # noqa: E402
+from apolarity import apolar, poly  # noqa: E402
 from apolarity.cli import main  # noqa: E402
 
 SYMBOLS = "*+-()/ #"
@@ -141,7 +141,7 @@ def test_mistyped_input_exits_with_a_documented_code(argv):
     out, err = io.StringIO(), io.StringIO()
     with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(err):
-        for module in (poly, apolar, ideals):
+        for module in (poly, apolar):
             mp.setattr(module, "MAX_MONOMIAL_ENTRIES", 10 ** 5)
         try:
             code = main(argv)
