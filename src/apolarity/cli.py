@@ -58,62 +58,74 @@ def _product(args) -> ReducibleCubic:
     return ReducibleCubic(LinearForm.from_polynomial(lin), quad)
 
 
-def _emit(args, payload: dict, text_lines: list[str]) -> None:
+def _emit(args, payload, lines) -> None:
+    """Print the JSON payload under --json, the text lines otherwise.  Both
+    come as zero-argument builders, and only the one printed is called."""
     if args.json:
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(payload(), indent=2))
     else:
-        for line in text_lines:
+        for line in lines():
             print(line)
+
+
+def _write_witness(path: str, dec: WaringDecomposition) -> dict:
+    """Write dec.to_json_dict() to path in one write; returns the dict."""
+    witness = dec.to_json_dict()
+    with open(path, "w") as fh:
+        fh.write(json.dumps(witness, indent=2))
+    return witness
 
 
 def _cmd_analyze(args) -> int:
     rc = _product(args)
     report = rank_report(rc)
     kind = report.classification.kind.value if report.classification else "Binary"
-    certificates = []
-    if report.avoidance is not None:
-        a = report.avoidance
-        certificates.append({
+    form, a = report.form.to_string(), report.avoidance
+
+    def payload():
+        certificates = [] if a is None else [{
             "kind": "avoidance" if a.divisor is None else "colon-refinement",
             "hyperplane": a.hyperplane.to_string("d"),
             "hilbert": list(a.hilbert.values),
             "bound": a.total_bound,
             "condition": a.condition,
-        })
-    payload = {
-        "form": report.form.to_string(),
-        "type": kind,
-        "essential_variables": report.essential,
-        "catalecticant_bound": report.catalecticant_bound,
-        "lower": {"value": report.lower, "kind": report.lower_kind},
-        "upper": {"value": report.upper,
-                  "witness": report.witness.to_json_dict()
-                  if report.witness else None},
-        "exact": report.exact,
-        "generic_rank": report.generic_rank,
-        "certificates": certificates,
-        "notes": list(report.notes),
-    }
-    lines = [f"form: {report.form.to_string()}",
-             f"classification: {kind}"
-             + (f" (essential = {report.essential})"
-                if report.essential < rc.nvars else ""),
-             f"catalecticant bound: {report.catalecticant_bound}",
-             f"generic rank in this ambient: {report.generic_rank}"]
-    if report.exact:
-        lines.append(f"rank: {report.lower} (exact, by {report.lower_kind})")
-    else:
-        lines.append(f"rank bounds: [{report.lower}, {report.upper}] "
-                     f"(lower by {report.lower_kind})")
-    if report.witness is not None:
-        lines.append(f"witness: verified sum of {len(report.witness)} cubes")
-        lines.append("  " + report.witness.identity_string())
-    if report.avoidance is not None:
-        lines.append(f"conditional: {report.avoidance.summary()} for "
-                     "decompositions avoiding "
-                     f"{{{report.avoidance.hyperplane.to_string('d')} = 0}}")
-    for note in report.notes:
-        lines.append(f"note: {note}")
+        }]
+        return {
+            "form": form,
+            "type": kind,
+            "essential_variables": report.essential,
+            "catalecticant_bound": report.catalecticant_bound,
+            "lower": {"value": report.lower, "kind": report.lower_kind},
+            "upper": {"value": report.upper,
+                      "witness": report.witness.to_json_dict()
+                      if report.witness else None},
+            "exact": report.exact,
+            "generic_rank": report.generic_rank,
+            "certificates": certificates,
+            "notes": list(report.notes),
+        }
+
+    def lines():
+        out = [f"form: {form}",
+               f"classification: {kind}"
+               + (f" (essential = {report.essential})"
+                  if report.essential < rc.nvars else ""),
+               f"catalecticant bound: {report.catalecticant_bound}",
+               f"generic rank in this ambient: {report.generic_rank}"]
+        if report.exact:
+            out.append(f"rank: {report.lower} (exact, by {report.lower_kind})")
+        else:
+            out.append(f"rank bounds: [{report.lower}, {report.upper}] "
+                       f"(lower by {report.lower_kind})")
+        if report.witness is not None:
+            out.append(f"witness: verified sum of {len(report.witness)} cubes")
+            out.append("  " + report.witness.identity_string())
+        if a is not None:
+            out.append(f"conditional: {a.summary()} for decompositions avoiding "
+                       f"{{{a.hyperplane.to_string('d')} = 0}}")
+        out.extend(f"note: {note}" for note in report.notes)
+        return out
+
     _emit(args, payload, lines)
     return EXIT_OK
 
@@ -133,44 +145,53 @@ def _cmd_decompose(args) -> int:
             return _decompose_binary_out(args, form)
         dec = decompose_type_c(rc)
     ok, _ = verify_decomposition(form, dec)
-    payload = dec.to_json_dict()
-    payload["form"] = form.to_string()
-    payload["verified"] = ok
-    if args.output:
-        with open(args.output, "w") as fh:
-            json.dump(dec.to_json_dict(), fh, indent=2)
-    lines = [f"form: {form.to_string()}",
-             dec.identity_string(),
-             f"terms: {len(dec)}",
-             f"verified: {ok}"]
-    if args.output:
-        lines.append(f"wrote {args.output}")
-    _emit(args, payload, lines)
+    text = form.to_string()
+    witness = _write_witness(args.output, dec) if args.output else None
+
+    def lines():
+        out = [f"form: {text}", dec.identity_string(), f"terms: {len(dec)}",
+               f"verified: {ok}"]
+        if args.output:
+            out.append(f"wrote {args.output}")
+        return out
+
+    _emit(args, lambda: {**(witness or dec.to_json_dict()), "form": text, "verified": ok},
+          lines)
     return EXIT_OK if ok else EXIT_VERIFY
 
 
 def _decompose_binary_out(args, form: Polynomial) -> int:
     result = decompose_binary(form)
     dec = result.decomposition
-    payload = {
-        "form": form.to_string(),
-        "rank": result.rank,
-        "generator_degrees": list(result.generator_degrees),
-        "decomposition": dec.to_json_dict() if dec else None,
-    }
+    text = form.to_string()
+    witness = _write_witness(args.output, dec) if args.output and dec is not None else None
     da, db = result.generator_degrees
-    lines = [f"form: {form.to_string()}",
-             f"rank: {result.rank} (exact)",
-             f"apolar generator degrees: {da}, {db}"]
-    if dec is not None:
-        lines.append(dec.identity_string())
-        if args.output:
-            with open(args.output, "w") as fh:
-                json.dump(dec.to_json_dict(), fh, indent=2)
-            lines.append(f"wrote {args.output}")
-    else:  # nonexistence is proven when (F^perp)_rank is the lower generator's line
-        found = "" if result.lower_squarefree and da < db else " found among the apolar generators"
-        lines.append(f"no rational decomposition of this length{found}; rank is still exact")
+
+    def payload():
+        return {
+            "form": text,
+            "rank": result.rank,
+            "generator_degrees": list(result.generator_degrees),
+            "decomposition": (witness or dec.to_json_dict()) if dec else None,
+        }
+
+    def lines():
+        out = [f"form: {text}",
+               f"rank: {result.rank} (exact)",
+               f"apolar generator degrees: {da}, {db}"]
+        if dec is not None:
+            out.append(dec.identity_string())
+            if args.output:
+                out.append(f"wrote {args.output}")
+        else:  # nonexistence is proven when (F^perp)_rank is the lower generator's line
+            found = ("" if result.lower_squarefree and da < db
+                     else " found among the apolar generators")
+            out.append(f"no rational decomposition of this length{found}; "
+                       "rank is still exact")
+            if args.output:
+                out.append(f"nothing written to {args.output}: there is no witness to store")
+        return out
+
     _emit(args, payload, lines)
     return EXIT_OK
 
@@ -180,12 +201,9 @@ def _cmd_verify(args) -> int:
     with open(args.decomposition) as fh:
         dec = WaringDecomposition.from_json_dict(json.load(fh))
     ok, residual = verify_decomposition(form, dec)
-    payload = {"verified": ok, "residual": residual.to_string(),
-               "terms": len(dec)}
-    lines = [f"verified: {ok}"]
-    if not ok:
-        lines.append(f"residual: {residual.to_string()}")
-    _emit(args, payload, lines)
+    _emit(args,
+          lambda: {"verified": ok, "residual": residual.to_string(), "terms": len(dec)},
+          lambda: [f"verified: {ok}"] + ([] if ok else [f"residual: {residual.to_string()}"]))
     return EXIT_OK if ok else EXIT_VERIFY
 
 
@@ -195,21 +213,28 @@ def _cmd_certify(args) -> int:
         if args.form:
             [form] = _parse_together([args.form], args.vars or 3)
         cert = tangent_plane_certificate(form)
-        payload = {
-            "form": cert.form.to_string(),
-            "claims": [{"label": c.label, "description": c.description,
-                        "holds": c.holds, "detail": c.detail}
-                       for c in cert.claims],
-            "bound": cert.bound,
-            "statement": cert.statement,
-        }
-        lines = [f"form: {cert.form.to_string()}"]
-        for c in cert.claims:
-            mark = " ok " if c.holds else "FAIL"
-            extra = f"  [{c.detail}]" if c.detail and not c.holds else ""
-            lines.append(f"[{mark}] {c.label}: {c.description}{extra}")
-        lines.append(cert.statement)
-        _emit(args, payload, lines)
+        text = cert.form.to_string()
+
+        def chain_payload():
+            return {
+                "form": text,
+                "claims": [{"label": c.label, "description": c.description,
+                            "holds": c.holds, "detail": c.detail}
+                           for c in cert.claims],
+                "bound": cert.bound,
+                "statement": cert.statement,
+            }
+
+        def chain_lines():
+            out = [f"form: {text}"]
+            for c in cert.claims:
+                mark = " ok " if c.holds else "FAIL"
+                extra = f"  [{c.detail}]" if c.detail and not c.holds else ""
+                out.append(f"[{mark}] {c.label}: {c.description}{extra}")
+            out.append(cert.statement)
+            return out
+
+        _emit(args, chain_payload, chain_lines)
         return EXIT_OK if cert.verified else EXIT_VERIFY
     if not args.form or not args.hyperplane:
         raise ValueError("certify needs FORM and --hyperplane, or --chain")
@@ -221,18 +246,16 @@ def _cmd_certify(args) -> int:
                                 removed_points=args.removed)
     else:
         cert = avoidance_lower_bound(form, hyperplane)
-    payload = {
+    _emit(args, lambda: {
         "hyperplane": cert.hyperplane.to_string("d"),
         "hilbert": list(cert.hilbert.values),
         "bound": cert.bound,
         "removed_points": cert.removed_points,
         "total_bound": cert.total_bound,
         "condition": cert.condition,
-    }
-    lines = [f"hilbert function of the slice: {cert.hilbert}",
-             cert.summary(),
-             f"condition: {cert.condition}"]
-    _emit(args, payload, lines)
+    }, lambda: [f"hilbert function of the slice: {cert.hilbert}",
+                cert.summary(),
+                f"condition: {cert.condition}"])
     return EXIT_OK
 
 
@@ -241,8 +264,9 @@ def _cmd_hilbert(args) -> int:
     divisor = parse(args.colon, nvars=form.nvars) if args.colon else None
     hf = quotient_hilbert(form, [parse(t, nvars=form.nvars) for t in args.plus or ()],
                           divisor)
-    payload = {"values": list(hf.values), "total": hf.total()}
-    _emit(args, payload, [f"HF = {hf}", f"total = {hf.total()}"])
+    total = hf.total()
+    _emit(args, lambda: {"values": list(hf.values), "total": total},
+          lambda: [f"HF = {hf}", f"total = {total}"])
     return EXIT_OK
 
 
@@ -250,15 +274,16 @@ def _cmd_apolar(args) -> int:
     [form] = _parse_together([args.form], args.vars)
     ideal = apolar_ideal(form)
     hf = hilbert_function(ideal)
-    payload = {
-        "generators": [g.to_string("d") for g in ideal.generators],
-        "hilbert": list(hf.values),
-    }
-    lines = [f"apolar ideal of {form.to_string()}:"]
-    for g in sorted(ideal.generators, key=lambda p: p.homogeneous_degree()):
-        lines.append(f"  [{g.homogeneous_degree()}] {g.to_string('d')}")
-    lines.append(f"HF = {hf}")
-    _emit(args, payload, lines)
+
+    def lines():
+        out = [f"apolar ideal of {form.to_string()}:"]
+        for g in sorted(ideal.generators, key=lambda p: p.homogeneous_degree()):
+            out.append(f"  [{g.homogeneous_degree()}] {g.to_string('d')}")
+        out.append(f"HF = {hf}")
+        return out
+
+    _emit(args, lambda: {"generators": [g.to_string("d") for g in ideal.generators],
+                         "hilbert": list(hf.values)}, lines)
     return EXIT_OK
 
 

@@ -30,7 +30,7 @@ from operator import mul
 from . import linalg
 from .apolar import apolar_ideal
 from .poly import (MAX_MONOMIAL_ENTRIES, AmbientMismatchError, LinearChange,
-                   LinearForm, Polynomial, _comb_exceeds, _number_text, _number_value,
+                   LinearForm, Polynomial, _comb_exceeds, _number_pair, _number_text,
                    _signed_sum)
 
 
@@ -305,12 +305,19 @@ class WaringDecomposition:
             [(c, f"({form.to_string(prefix)})^{self.degree}") for c, form in self._terms])
 
     def to_json_dict(self) -> dict:
+        """Degree, variable count and terms, each coefficient and form entry
+        written as "p" or "p/q" in lowest terms straight from the integers
+        and their denominator."""
+        def text(v: int, den: int) -> str:
+            g = gcd(v, den)
+            return _number_text(v // g, den // g)
+
         return {
             "degree": self.degree,
             "variables": self.nvars,
-            "terms": [{"coefficient": _number_text(c.numerator, c.denominator),
-                       "form": [_number_text(v.numerator, v.denominator) for v in f.coeffs]}
-                      for c, f in self.terms],
+            "terms": [{"coefficient": text(c, self._den),
+                       "form": [text(v, f._den) for v in f._ints]}
+                      for c, f in self._terms],
         }
 
     @classmethod
@@ -319,7 +326,10 @@ class WaringDecomposition:
         on any other shape, on a number that is not a finite rational, on a
         degree or variable count that is not a JSON integer >= 0 or >= 1,
         and on an expansion that could pass MAX_MONOMIAL_ENTRIES exponent
-        entries, bounded as the parser bounds it."""
+        entries, bounded as the parser bounds it.  Numbers are read as
+        integer pairs (_number_pair), the coefficients cleared to one
+        denominator and each form to its own, and normalized as assemble
+        normalizes."""
         if not (isinstance(data, dict) and isinstance(data.get("terms"), list)
                 and all(isinstance(t, dict) and isinstance(t.get("form"), list)
                         for t in data["terms"])):
@@ -333,13 +343,18 @@ class WaringDecomposition:
             raise ValueError(f"a degree-{degree} power sum in {nvars} variables may "
                              f"expand past {MAX_MONOMIAL_ENTRIES} exponent entries")
         try:
-            terms = [(_number_value(t["coefficient"]), LinearForm(map(_number_value, t["form"])))
+            terms = [(_number_pair(t["coefficient"]), [_number_pair(v) for v in t["form"]])
                      for t in data["terms"]]
         except KeyError as exc:
             raise ValueError(f"the decomposition has no field {exc}") from None
         except (TypeError, ZeroDivisionError, OverflowError) as exc:
             raise ValueError(f"not a finite rational in the decomposition: {exc}") from None
-        return cls.assemble(degree, nvars, terms)
+        den = lcm(*(q for (_, q), _ in terms))
+        rows = []
+        for (p, q), form in terms:
+            d = lcm(*(b for _, b in form))
+            rows.append((p * (den // q), [a * (d // b) for a, b in form], d))
+        return cls._from_rows(degree, nvars, rows, den)
 
 
 def verify_decomposition(form: Polynomial,
@@ -381,22 +396,25 @@ def _direction(row: list[int] | tuple[int, ...]) -> tuple[int, ...]:
     return tuple(row) if g == 1 else tuple(v // g for v in row)
 
 
+def _pinch_monomials(n: int) -> list[tuple[int, ...]]:
+    """The exponents of x0*x1, x2*x3 (x2^2 when n = 2) and x4^2, ..., xn^2:
+    the monomials of the normal form's quadric, each with coefficient 1."""
+    if n < 2:
+        raise ValueError("the normal form needs ambient dimension n >= 2")
+    pairs = [(0, 1), (2, 2 if n == 2 else 3)] + [(i, i) for i in range(4, n + 1)]
+    return [tuple((k == i) + (k == j) for k in range(n + 1)) for i, j in pairs]
+
+
 def normal_form(n: int) -> Polynomial:
     """The tangent (pinch) normal form x0*(x0*x1 + x2*x3 + x4^2 + ... + xn^2);
     for n = 2 the degenerate-pair version x0*(x0*x1 + x2^2)."""
-    return normal_form_pair(n).form()
+    return Polynomial._make(n + 1, {(e[0] + 1,) + e[1:]: 1 for e in _pinch_monomials(n)})
 
 
 def normal_form_pair(n: int) -> ReducibleCubic:
     """The normal form as an explicit (hyperplane, quadric) pair."""
-    if n < 2:
-        raise ValueError("the normal form needs ambient dimension n >= 2")
-    nv = n + 1
-    x = [Polynomial.variable(nv, i) for i in range(nv)]
-    quadric = x[0] * x[1] + (x[2] ** 2 if n == 2 else x[2] * x[3])
-    for xi in x[4:]:
-        quadric = quadric + xi ** 2
-    return ReducibleCubic(LinearForm(_unit(nv, 0)), quadric)
+    quadric = Polynomial._make(n + 1, dict.fromkeys(_pinch_monomials(n), 1))
+    return ReducibleCubic(LinearForm._make(_unit(n + 1, 0)), quadric)
 
 
 def split_normal_form(n: int) -> Polynomial:

@@ -15,8 +15,9 @@ denominator likewise; their constructors clear rational input once.
 Arithmetic and printing build no Fraction: +, -, scale and differentiate
 run term by term on the ints, * on packed keys (_packed) of the variables
 that occur, ** through *.  Only terms, items(), coefficient(), coeffs,
-matrix, monic() and a decomposition's terms and to_json_dict build them;
-other modules read _ints, _den, _rows and _terms.  Every linear
+matrix, monic() and a decomposition's terms build them; other modules
+read _ints, _den, _rows and _terms, and a decomposition's JSON goes out
+and comes back in (_number_pair) as integers.  Every linear
 substitution runs in one integer kernel, _compose_packed, behind
 substitute.  Power sums, which WaringDecomposition.expand and
 cubics.verify_decomposition expand, take each output monomial once by the
@@ -338,15 +339,24 @@ def _digits_value(digits: str) -> int:
     return _digits_value(digits[:-k]) * 10 ** k + _digits_value(digits[-k:])
 
 
-def _number_value(text) -> Fraction:
-    """The rational that _number_text spells as "p" or "p/q", read at any
-    length; other text and JSON numbers go to Fraction as they are."""
-    m = _NUMBER_RE.fullmatch(text) if isinstance(text, str) else None
-    if m is None:
-        return Fraction(text)
-    sign, num, den = m.groups()
-    value = Fraction(_digits_value(num), _digits_value(den or "1"))
-    return -value if sign else value
+def _number_pair(value) -> tuple[int, int]:
+    """Integers (p, q), q > 0, of the rational that _number_text spells as
+    "p" or "p/q", read at any length and not reduced; other text and JSON
+    numbers go to Fraction as they are.  A zero q raises ZeroDivisionError
+    and a JSON boolean TypeError: true is not the number 1."""
+    if isinstance(value, str):
+        m = _NUMBER_RE.fullmatch(value)
+        if m is not None:
+            sign, num, den = m.groups()
+            q = _digits_value(den) if den else 1
+            if not q:
+                raise ZeroDivisionError(f"a zero denominator in {value[:40]!r}")
+            p = _digits_value(num)
+            return (-p if sign else p), q
+    elif isinstance(value, bool):
+        raise TypeError(f"{value!r} is a boolean, not a number")
+    value = Fraction(value)
+    return value.numerator, value.denominator
 
 
 def _signed_sum(terms: Sequence[tuple[int, str]], den: int = 1) -> str:

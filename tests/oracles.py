@@ -44,6 +44,11 @@ parse_by_polynomials is the text parser as it was before it read text at
 linear cost: it folds a sum term by term with Polynomial.__add__
 and builds every literal, variable and monomial as a Polynomial, with the
 same guards, messages and positions that poly.parse keeps.
+number_value_by_fractions, to_json_dict_by_fractions and
+from_json_dict_by_fractions are poly._number_value and
+WaringDecomposition.to_json_dict and from_json_dict as they were before
+witnesses went to and from JSON as integers: every number passed through
+a Fraction, and the read terms through LinearForm and assemble.
 """
 
 from __future__ import annotations
@@ -963,3 +968,60 @@ def parse_by_polynomials(text: str, nvars: int | None = None) -> Polynomial:
     if len(parser.prefixes) > 1:
         raise PolynomialSyntaxError("cannot mix x- and d-variables in one expression", 0)
     return p
+
+
+# -- a decomposition's JSON, written and read through Fraction --------------
+
+_NUMBER_RE = re.compile(r"(-?)(\d+)(?:/(\d+))?")
+
+
+def number_value_by_fractions(text) -> Fraction:
+    """The rational that _number_text spells as "p" or "p/q", read at any
+    length; other text and JSON numbers go to Fraction as they are."""
+    m = _NUMBER_RE.fullmatch(text) if isinstance(text, str) else None
+    if m is None:
+        return Fraction(text)
+    sign, num, den = m.groups()
+    value = Fraction(poly._digits_value(num), poly._digits_value(den or "1"))
+    return -value if sign else value
+
+
+def to_json_dict_by_fractions(self) -> dict:
+    return {
+        "degree": self.degree,
+        "variables": self.nvars,
+        "terms": [{"coefficient": poly._number_text(c.numerator, c.denominator),
+                   "form": [poly._number_text(v.numerator, v.denominator) for v in f.coeffs]}
+                  for c, f in self.terms],
+    }
+
+
+def from_json_dict_by_fractions(data):
+    """The decomposition of a to_json_dict payload.  Raises ValueError
+    on any other shape, on a number that is not a finite rational, on a
+    degree or variable count that is not a JSON integer >= 0 or >= 1,
+    and on an expansion that could pass MAX_MONOMIAL_ENTRIES exponent
+    entries, bounded as the parser bounds it."""
+    from apolarity.cubics import WaringDecomposition as cls
+    from apolarity.poly import LinearForm
+    _number_value = number_value_by_fractions
+    if not (isinstance(data, dict) and isinstance(data.get("terms"), list)
+            and all(isinstance(t, dict) and isinstance(t.get("form"), list)
+                    for t in data["terms"])):
+        raise ValueError('a decomposition is an object whose "terms" list '
+                         'holds objects with a "form" list')
+    degree, nvars = data.get("degree"), data.get("variables")
+    if type(degree) is not int or degree < 0 or type(nvars) is not int or nvars < 1:
+        raise ValueError('a decomposition needs an integer "degree" >= 0 '
+                         'and an integer "variables" >= 1')
+    if _comb_exceeds(nvars + degree - 1, degree, MAX_MONOMIAL_ENTRIES // nvars):
+        raise ValueError(f"a degree-{degree} power sum in {nvars} variables may "
+                         f"expand past {MAX_MONOMIAL_ENTRIES} exponent entries")
+    try:
+        terms = [(_number_value(t["coefficient"]), LinearForm(map(_number_value, t["form"])))
+                 for t in data["terms"]]
+    except KeyError as exc:
+        raise ValueError(f"the decomposition has no field {exc}") from None
+    except (TypeError, ZeroDivisionError, OverflowError) as exc:
+        raise ValueError(f"not a finite rational in the decomposition: {exc}") from None
+    return cls.assemble(degree, nvars, terms)

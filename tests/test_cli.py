@@ -7,6 +7,7 @@ import pytest
 from apolarity import ideals, poly
 from apolarity.apolar import apolar_ideal, catalecticant
 from apolarity.cli import main
+from apolarity.cubics import WaringDecomposition
 from apolarity.poly import parse
 
 
@@ -133,6 +134,20 @@ def test_decompose_binary_claims_nonexistence_only_when_proven(capsys, linear,
     assert out.splitlines()[-1] == line
 
 
+@pytest.mark.parametrize("flags", [(), ("--json",)], ids=["text", "json"])
+def test_decompose_binary_says_when_it_writes_no_file(capsys, tmp_path, flags):
+    """With no witness, -o writes nothing and the text says so; the rank
+    is still exact, so the call exits 0."""
+    target = tmp_path / "w.json"
+    code, out, err = run(capsys, "decompose", "x0", "x0^2 - 2*x1^2", "--vars", "2",
+                         "-o", str(target), *flags)
+    assert code == 0 and err == "" and not target.exists()
+    if flags:
+        assert json.loads(out)["decomposition"] is None
+    else:
+        assert out.splitlines()[-1] == f"nothing written to {target}: there is no witness to store"
+
+
 def test_decompose_requires_arguments(capsys):
     code, _, err = run(capsys, "decompose")
     assert code == 2
@@ -222,9 +237,11 @@ _CUBE = '"terms": [{"coefficient": "1", "form": ["1", "0", "0"]}]'
     '{"degree": 3, "variables": true, %s}' % _CUBE,
     '{"degree": 3, "variables": 0, "terms": []}',
     '{"degree": 100000, "variables": 3, %s}' % _CUBE,
+    # Fraction(True) is 1: read as numbers, these terms would be x0^3
+    '{"degree": 3, "variables": 3, "terms": [{"coefficient": true, "form": [true, false, false]}]}',
 ], ids=["zero-denominator", "top-level-array", "terms-not-a-list", "fractional-degree",
         "string-degree", "negative-degree", "missing-degree", "boolean-variables",
-        "no-variables", "degree-past-the-entry-budget"])
+        "no-variables", "degree-past-the-entry-budget", "boolean-coefficient"])
 def test_verify_rejects_malformed_decomposition(capsys, tmp_path, payload):
     target = tmp_path / "dec.json"
     target.write_text(payload)
@@ -495,3 +512,52 @@ def test_options_keep_their_meaning_beside_a_leading_minus(capsys, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["hilbert", "-q", "x0^3"])
     assert exc.value.code == 2
+
+
+def _spy(monkeypatch, owner, name):
+    """Count the calls of owner.name, which keeps working as before."""
+    calls = []
+    real = getattr(owner, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("argv", [
+    ("analyze", "x0", "x0*x1+x2^2"),
+    ("decompose", "--normal-form", "4"),
+    ("decompose", "x0", "x0*x1 + 4*x2^2"),
+    ("decompose", "--vars", "2", "2*x0 + x1", "x0^2 + 3*x1^2"),
+], ids=["analyze", "decompose-normal-form", "decompose-product", "decompose-binary"])
+def test_only_the_printed_output_is_built(capsys, monkeypatch, argv):
+    """--json builds no identity string, and text builds no JSON."""
+    identities = _spy(monkeypatch, WaringDecomposition, "identity_string")
+    dumps = _spy(monkeypatch, json, "dumps")
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0 and json.loads(out) and identities == [] and len(dumps) == 1
+    dumps.clear()
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and "*F = " in out and len(identities) == 1 and dumps == []
+
+
+@pytest.mark.parametrize("argv, key", [
+    (("decompose", "--normal-form", "4"), None),
+    (("decompose", "x0", "x0*x1 + (10^5000)*x2^2"), None),
+    (("decompose", "--vars", "2", "2*x0 + x1", "x0^2 + 3*x1^2"), "decomposition"),
+], ids=["normal-form", "long-entries", "binary"])
+def test_the_output_file_holds_the_witness_of_the_json_output(capsys, monkeypatch,
+                                                              tmp_path, argv, key):
+    """decompose --json -o FILE builds the witness once: the file's text is
+    json.dumps of the degree, variables and terms printed on stdout."""
+    target = tmp_path / "w.json"
+    built = _spy(monkeypatch, WaringDecomposition, "to_json_dict")
+    code, out, _ = run(capsys, *argv, "-o", str(target), "--json")
+    assert code == 0 and len(built) == 1
+    printed = json.loads(out)
+    printed = printed[key] if key else printed
+    witness = {k: printed[k] for k in ("degree", "variables", "terms")}
+    assert target.read_text() == json.dumps(witness, indent=2)

@@ -252,7 +252,11 @@ def test_normal_forms():
         squares = "".join(f" + x0*x{i}^2" for i in range(4, n + 1))
         pinch = "x0^2*x1 + " + ("x0*x2^2" if n == 2 else "x0*x2*x3" + squares)
         assert normal_form(n) == parse(pinch)
-        assert normal_form_pair(n).form() == normal_form(n)
+        # both are built from one list of quadric monomials
+        pair = normal_form_pair(n)
+        assert pair.form() == normal_form(n)
+        assert pair.linear == LinearForm([1] + [0] * n)
+        assert pair.quadric == parse(pinch.replace("x0*x", "x").replace("x0^2*x1", "x0*x1"))
         if n >= 3:
             split = "x0^2*x1 - x1*x2^2 + x1^2*x3" + "".join(
                 f" + x1*x{i}^2" for i in range(4, n + 1))
@@ -264,8 +268,9 @@ def test_normal_forms():
     assert split_normal_form(3) == parse("x0^2*x1 - x1*x2^2 + x1^2*x3")
     assert split_normal_form(5) == parse(
         "x0^2*x1 - x1*x2^2 + x1^2*x3 + x1*x4^2 + x1*x5^2")
-    with pytest.raises(ValueError):
-        normal_form(1)
+    for build in (normal_form, normal_form_pair):
+        with pytest.raises(ValueError):
+            build(1)
     pair = normal_form_pair(4)
     assert pair.form() == normal_form(4)
     assert classify(pair).kind is CubicKind.TYPE_C
