@@ -205,20 +205,27 @@ def _catalecticant_span(form: Polynomial, i: int) -> RowSpan:
     return span
 
 
-def _hilbert_and_spans(form: Polynomial) -> tuple[HilbertFunction, dict[int, RowSpan]]:
-    """The Hilbert function, and the exact spans, by i, of those Cat_i,
-    0 < i <= d/2, whose rank modulo PRIME falls short of dim S_i (module
-    docstring).  Cat_{d-i} is the transpose of Cat_i up to nonzero factorial
-    scalings of its rows and columns, so only ranks for i <= d/2 are
-    computed.  Raises ValueError, before listing a monomial, when they and
-    the d+1 values pass MAX_MONOMIAL_ENTRIES cells (each has at least one)."""
-    d, n, limit = form.homogeneous_degree(), form.nvars, MAX_MONOMIAL_ENTRIES
-    cells = d + 1 + d // 2 + 1
+def _check_catalecticant_budget(d: int, n: int) -> None:
+    """Raises ValueError when the catalecticants Cat_i, 0 <= i <= d/2, of a
+    degree-d form in n variables and its d+1 values pass MAX_MONOMIAL_ENTRIES
+    cells (each has at least one); no monomial is listed."""
+    limit, cells = MAX_MONOMIAL_ENTRIES, d + 1 + d // 2 + 1
     for i in range(d // 2 + 1):  # Cat_i: columns comb(n-1+i, i) <= rows comb(n-1+d-i, d-i)
         if (_comb_exceeds(n - 1 + d - i, d - i, limit)
                 or (cells := cells + comb(n - 1 + i, i) * comb(n - 1 + d - i, d - i) - 1) > limit):
             raise ValueError(f"the catalecticants of a degree-{d} form in {n} "
                              "variables are too large to build")
+
+
+def _hilbert_and_spans(form: Polynomial) -> tuple[HilbertFunction, dict[int, RowSpan]]:
+    """The Hilbert function, and the exact spans, by i, of those Cat_i,
+    0 < i <= d/2, whose rank modulo PRIME falls short of dim S_i (module
+    docstring).  Cat_{d-i} is the transpose of Cat_i up to nonzero factorial
+    scalings of its rows and columns, so only ranks for i <= d/2 are
+    computed.  Raises ValueError, before listing a monomial, past the
+    budget of _check_catalecticant_budget."""
+    d, n = form.homogeneous_degree(), form.nvars
+    _check_catalecticant_budget(d, n)
     full = [ring_dimension(n, i) for i in range(d // 2 + 1)]
     spans = {i: _catalecticant_span(form, i) for i in range(1, d // 2 + 1)
              if independent(_partials(form, i, by_row=True), full[i], full[i]) is None}

@@ -3,10 +3,12 @@
 Lower bounds come from two sources: catalecticant ranks, and the length of
 the scheme cut out by the apolar ideal on a hyperplane that the annihilated
 points avoid.  The latter is packaged as AvoidanceCertificate so every
-number quoted in a bound is recomputable; its Hilbert functions, like every
-other here, are apolar.quotient_hilbert's catalecticant ranks.  Upper bounds
-come from the class table for reducible cubics and, when a constructor
-applies, from an explicit verified power sum.
+number quoted in a bound is recomputable; its Hilbert functions are
+apolar.quotient_hilbert's catalecticant ranks.  A report on a product in
+three or more variables reads the form's own Hilbert function (1, e, e, 1)
+off classify's reduction instead (rank_report).  Upper bounds come from the
+class table for reducible cubics and, when a constructor applies, from an
+explicit verified power sum.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import comb
 
-from .apolar import apolar_apply, apolar_hilbert, apolar_ideal, quotient_hilbert
+from .apolar import (_check_catalecticant_budget, apolar_apply, apolar_hilbert,
+                     apolar_ideal, quotient_hilbert)
 from .cubics import (CubicKind, CubicType, LinearChange, NeedsFieldExtension,
                      NormalizationUndecided, ReducibleCubic, WaringDecomposition,
                      _lift, _quadric_ints, classify, decompose_binary,
@@ -98,8 +101,9 @@ def avoidance_lower_bound(form: Polynomial, hyperplane: Polynomial,
     of the Hilbert function of T/(F_perp + <l>) then counts toward any
     apolar point set that avoids the hyperplane.  That Hilbert function is
     quotient_hilbert's, HF_F(i) - HF_{l o F}(i - 1), and it equals HF_F
-    exactly when l o F = 0.  form_hilbert, when given, must be
-    apolar_hilbert(form); callers that have it save recomputing it.
+    exactly when l o F = 0.  form_hilbert, when given, must equal
+    apolar_hilbert(form); callers that have it, such as rank_report with
+    the values it reads off the class, save computing it.
     """
     _check_dual_linear(form, hyperplane)
     form_hilbert = form_hilbert or apolar_hilbert(form)
@@ -124,7 +128,11 @@ def colon_refinement(form: Polynomial, hyperplane: Polynomial,
 
     The slice is quotient_hilbert's HF of T/((F_perp : g) + <l>): with
     (F_perp : g) = (g o F)_perp, that of g o F, as deg F + 1 values.
+    A negative removed_points raises ValueError.
     """
+    if removed_points is not None and removed_points < 0:
+        raise ValueError(f"the number of removed points must be >= 0, "
+                         f"got {removed_points}")
     _check_dual_linear(form, hyperplane)
     if apolar_apply(hyperplane, form).is_zero():
         raise ValueError("the hyperplane operator annihilates the form; "
@@ -297,23 +305,37 @@ def rank_report(rc: ReducibleCubic) -> RankReport:
     """Best certified rank bracket for a product of a hyperplane and a quadric,
     with an explicit verified power sum whenever a constructor applies.
 
+    In three or more variables the Hilbert function of the apolar quotient
+    is read off the class, and no catalecticant is built: classify's
+    reduction has rank e, the number of essential variables, which is
+    HF(1) = rank Cat_1; Cat_2 is the transpose of Cat_1 up to nonzero
+    scalings of its rows and columns, so HF(2) = e; and HF(0) = HF(3) = 1
+    for a nonzero cubic.  So HF = (1, e, e, 1), and the catalecticant bound
+    is e.  A binary product keeps apolar_hilbert.  Either way a cubic whose
+    catalecticants would pass apolar's budget is refused, as apolar_hilbert
+    refuses it: near that size the tangent normalization alone can run for
+    minutes.
+
     Cones, repeated-factor products and binary input are compressed once to
     their essential core.  A core in three or more variables uses them all,
     so it is TypeA, TypeB or TypeC and runs the branch of an uncompressed
     product; its witness and slicer are carried back through the change."""
     form = rc.form()
     nv = rc.nvars
-    hf = apolar_hilbert(form)
-    cat = max(hf.values)
-    ess = hf.values[1]
     gen = generic_rank(nv - 1, 3)
     notes: list[str] = []
 
     if nv >= 3:
+        _check_catalecticant_budget(3, nv)
         ctype = classify(rc)
+        e = ctype.essential or nv
+        hf = HilbertFunction((1, e, e, 1))
     else:
         ctype = None
+        hf = apolar_hilbert(form)
         notes.append("binary ambient; ranks are exact by the two-generator rule")
+    cat = max(hf.values)
+    ess = hf.values[1]
 
     core, core_form, core_type, change = rc, form, ctype, None
     if ctype is None or ctype.kind in (CubicKind.CONE,

@@ -55,6 +55,9 @@ def _parse_together(texts: list[str], override: int | None) -> list[Polynomial]:
 
 def _product(args) -> ReducibleCubic:
     lin, quad = _parse_together([args.linear, args.quadric], args.vars)
+    if lin.nvars < 2:
+        raise ValueError("a product of a linear form and a quadric needs at "
+                         "least two variables")
     return ReducibleCubic(LinearForm.from_polynomial(lin), quad)
 
 
@@ -208,10 +211,13 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_certify(args) -> int:
+    if args.removed is not None and not args.colon:
+        raise ValueError("--removed counts the points removed by --colon, "
+                         "and --colon is missing")
     if args.chain:
         form = None
         if args.form:
-            [form] = _parse_together([args.form], args.vars or 3)
+            [form] = _parse_together([args.form], 3 if args.vars is None else args.vars)
         cert = tangent_plane_certificate(form)
         text = cert.form.to_string()
 

@@ -98,7 +98,11 @@ class ReducibleCubic:
 def _quadric_ints(q: Polynomial) -> tuple[list[list[int]], int]:
     """(A, D): the symmetric matrix M of q (off-diagonal entries halved) as
     the integer matrix A over D, the least common denominator of M: 2d when
-    an off-diagonal term of q = N/d is odd, else d, as gcd(d, N) = 1."""
+    an off-diagonal term of q = N/d is odd, else d, as gcd(d, N) = 1.
+    Raises ValueError, before allocating, past MAX_MONOMIAL_ENTRIES cells."""
+    if q.nvars * q.nvars > MAX_MONOMIAL_ENTRIES:
+        raise ValueError(f"the matrix of a quadric in {q.nvars} variables is "
+                         "too large to build")
     f = 2 if any(v % 2 for exps, v in q._ints.items() if max(exps) == 1) else 1
     a = [[0] * q.nvars for _ in range(q.nvars)]
     for exps, v in q._ints.items():
@@ -144,7 +148,9 @@ def classify(rc: ReducibleCubic) -> CubicType:
     cleared l, scales the rows and the last column of [M | l] by nonzero
     constants, which keeps the pivots and the zero test of l^T M^-1 l.  L
     divides Q exactly when Q vanishes on the hyperplane L = 0, that is when
-    the Gram matrix of A on an integer basis of it is zero.
+    the Gram matrix of A on an integer basis of it is zero.  That test runs
+    only when rank [M | l] <= 2: if Q = L*L', then M = (l*l'^T + l'*l^T)/2,
+    so every column of [M | l] lies in span(l, l').
     """
     if rc.nvars < 3:
         raise ValueError("the projective classification needs at least 3 "
@@ -153,9 +159,10 @@ def classify(rc: ReducibleCubic) -> CubicType:
     a, _ = _quadric_ints(rc.quadric)
     l = list(rc.linear._ints)
     red, pivots = linalg.rref([row + [c] for row, c in zip(a, l)])
-    k = next(i for i, c in enumerate(l) if c)
-    if not any(any(row) for row in linalg.gram(a, _hyperplane_basis(l, k))):
-        return CubicType(CubicKind.DEGENERATE_PRODUCT, len(pivots))
+    if len(pivots) <= 2:
+        k = next(i for i, c in enumerate(l) if c)
+        if not any(any(row) for row in linalg.gram(a, _hyperplane_basis(l, k))):
+            return CubicType(CubicKind.DEGENERATE_PRODUCT, len(pivots))
     if len(pivots) < nv:
         return CubicType(CubicKind.CONE, len(pivots))
     if pivots[-1] < nv:

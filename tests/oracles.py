@@ -29,7 +29,7 @@ dual_system_rank keeps the numbering of the Macaulay-dual system's
 unknowns that the package once used, block 0 first, and ranks it with
 rank_mod_prime.  apolar_generators_by_sweep states the apolar generator
 rule on the oracle's own catalecticants (apply_operator), kernels (kernel)
-and sparse Fraction echelon (_enlarges).  Five functions are exceptions
+and sparse Fraction echelon (_enlarges).  Six functions are exceptions
 to the rule above.  certificate_by_ideals and quotient_hilbert_by_ideals
 keep the routes the avoidance and colon certificates and the hilbert
 command once took through the package's own ideal calculus (apolar ideal,
@@ -39,7 +39,9 @@ colon_spans_by_preimage and is_nonzerodivisor_by_preimage keep the colon
 ideal as the package computed it before it went by duality: per degree,
 the kernel of the dense preimage system [multiplication by g | -basis of
 I_{i+e}], on the package's graded spans and kernel_basis, with its own
-budget of cells (COLON_SYSTEM_ENTRIES).
+budget of cells (COLON_SYSTEM_ENTRIES).  classify_by_gram is the package's
+classify as it was when it ran the Gram test for L | Q on every product,
+on the package's own reduction.
 parse_by_polynomials is the text parser as it was before it read text at
 linear cost: it folds a sum term by term with Polynomial.__add__
 and builds every literal, variable and monomial as a Polynomial, with the
@@ -718,6 +720,34 @@ def classify_by_fractions(linear, quadric_terms: dict, nvars: int) -> tuple:
         tangency = sum(c * row[nvars] for c, row in zip(l, red))
         return ("TypeC" if tangency == 0 else "TypeA"), None
     return "TypeB", None
+
+
+def classify_by_gram(rc):
+    """classify as it was before its divisibility test was gated on rank
+    [M | l] <= 2: the same integer reduction of [M | l], on the package's
+    rref, with the Gram test for L | Q run first on every product."""
+    from math import lcm
+
+    from apolarity import linalg
+    from apolarity.cubics import CubicKind, CubicType, _hyperplane_basis, _quadric_ints
+    if rc.nvars < 3:
+        raise ValueError("the projective classification needs at least 3 "
+                         "variables; binary forms go through decompose_binary")
+    nv = rc.nvars
+    a, _ = _quadric_ints(rc.quadric)
+    l = list(rc.linear._ints)
+    red, pivots = linalg.rref([row + [c] for row, c in zip(a, l)])
+    k = next(i for i, c in enumerate(l) if c)
+    if not any(any(row) for row in linalg.gram(a, _hyperplane_basis(l, k))):
+        return CubicType(CubicKind.DEGENERATE_PRODUCT, len(pivots))
+    if len(pivots) < nv:
+        return CubicType(CubicKind.CONE, len(pivots))
+    if pivots[-1] < nv:
+        den = lcm(*(row[i] for i, row in enumerate(red)))
+        tangency = sum(c * row.get(nv, 0) * (den // row[i])
+                       for i, (c, row) in enumerate(zip(l, red)))
+        return CubicType(CubicKind.TYPE_C if tangency == 0 else CubicKind.TYPE_A)
+    return CubicType(CubicKind.TYPE_B)
 
 
 def diagonalize_by_fractions(m) -> tuple[list, list]:

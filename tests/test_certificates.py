@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from apolarity import apolar, certificates
-from apolarity.apolar import apolar_apply, apolar_ideal, catalecticant
+from apolarity.apolar import (apolar_apply, apolar_hilbert, apolar_ideal,
+                              catalecticant)
 from apolarity.certificates import (_compressed_product, _compression_change,
                                     avoidance_lower_bound,
                                     catalecticant_lower_bound,
@@ -112,6 +113,16 @@ def test_colon_refinement_worked_cubic():
     # without the credit the bound stays at the sliced sum
     plain = colon_refinement(F, parse("x2", nvars=3), parse("x1", nvars=3))
     assert plain.total_bound == 4
+
+
+def test_colon_refinement_rejects_a_negative_count():
+    F = parse("x0^2*x2 + x0*x1^2")
+    with pytest.raises(ValueError, match="removed points must be >= 0, got -5"):
+        colon_refinement(F, parse("x2", nvars=3), parse("x1", nvars=3),
+                         removed_points=-5)
+    zero = colon_refinement(F, parse("x2", nvars=3), parse("x1", nvars=3),
+                            removed_points=0)
+    assert zero.total_bound == 4 and zero.summary() == "rank >= 4 (sum HF = 4)"
 
 
 def test_tangent_plane_certificate_passes():
@@ -358,10 +369,10 @@ def _dense_change(rng, nvars):
             continue
 
 
-def _pushed(rng, rc, nvars):
+def _pushed(rng, rc, nvars, change=None):
     """rc, written in the leading coordinates of nvars variables, after a
-    dense change of all of them."""
-    change = _dense_change(rng, nvars)
+    dense change of all of them (an integer one unless given)."""
+    change = change or _dense_change(rng, nvars)
     lin = parse(rc.linear.to_string(), nvars=nvars)
     quad = parse(rc.quadric.to_string(), nvars=nvars)
     return ReducibleCubic.from_polynomials(substitute(lin, change),
@@ -438,23 +449,113 @@ def test_compression_kernel_is_the_catalecticant_kernel():
                 for col in zip(*change.matrix)][e:] == kernel
 
 
+def _count_calls(monkeypatch, calls, module, name):
+    """Count the calls of module.name in calls[name]."""
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return original(*args, **kwargs)
+    monkeypatch.setattr(module, name, wrapper)
+
+
 def test_cone_report_runs_once(monkeypatch):
     # the golden input analyze-cone-dense: a dense TypeC cone, n = 3 at its core
     calls = Counter()
-
-    def counted(module, name):
-        original = getattr(module, name)
-
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
-        monkeypatch.setattr(module, name, wrapper)
-
-    counted(certificates, "rank_report")
-    counted(certificates, "avoidance_lower_bound")
-    counted(apolar, "catalecticant")
+    _count_calls(monkeypatch, calls, certificates, "rank_report")
+    _count_calls(monkeypatch, calls, certificates, "avoidance_lower_bound")
+    _count_calls(monkeypatch, calls, apolar, "catalecticant")
     report = certificates.rank_report(
         _product("x0 + x4", "(x0 + x4)*(x1 + 2*x4) + x2*x3"))
     assert report.avoidance.hilbert.values == (1, 3, 3, 0)
     assert calls["rank_report"] == calls["avoidance_lower_bound"] == 1
     assert calls["catalecticant"] <= 4
+
+
+# -- the Hilbert function of a report, read off its class ----------------------
+
+def _dense_rational_change(rng, nvars):
+    while True:
+        try:
+            return LinearChange([[Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3, 5)))
+                                  for _ in range(nvars)] for _ in range(nvars)])
+        except ValueError:
+            continue
+
+
+def _products_of_every_class(rng, n):
+    """Products in n+1 variables, each after a dense rational change: TypeA,
+    TypeB and TypeC; a cone over each of them in n variables (n >= 3) and
+    over a binary product; L*L' and a*L^2."""
+    nv = n + 1
+
+    def moved(rc):
+        return _pushed(rng, rc, nv, _dense_rational_change(rng, nv))
+    out = []
+    for kind in (CubicKind.TYPE_A, CubicKind.TYPE_B, CubicKind.TYPE_C):
+        out.append((kind.value, moved(_class_representative(kind, nv))))
+        if n >= 3:
+            out.append((f"cone over {kind.value}", moved(_class_representative(kind, n))))
+    out.append(("cone over binary", moved(_product("x0", "x0*x1 + x1^2", 2))))
+    lin = LinearForm([rng.randint(-3, 3) for _ in range(nv - 1)] + [1]).to_polynomial()
+    other = LinearForm([1] + [rng.randint(-3, 3) for _ in range(nv - 1)]).to_polynomial()
+    a = Fraction(rng.choice((-7, -2, 3, 5)), rng.choice((1, 2, 9)))
+    out.append(("L*L'", ReducibleCubic.from_polynomials(lin, lin * other)))
+    out.append(("a*L^2", ReducibleCubic.from_polynomials(lin, a * lin * lin)))
+    return out
+
+
+def test_report_hilbert_function_is_the_catalecticant_ranks(monkeypatch):
+    """rank_report reads HF = (1, e, e, 1) off classify in three or more
+    variables; its essential count, its catalecticant bound and the form
+    Hilbert function it hands avoidance_lower_bound agree with the ranks of
+    the catalecticants of the expanded form, for n = 2..8."""
+    handed = []
+    avoid = certificates.avoidance_lower_bound
+
+    def recorded(form, hyperplane, form_hilbert=None):
+        handed.append(form_hilbert)
+        return avoid(form, hyperplane, form_hilbert)
+    monkeypatch.setattr(certificates, "avoidance_lower_bound", recorded)
+    rng = random.Random(3003)
+    names, sliced = set(), 0
+    for n in range(2, 9):
+        for name, rc in _products_of_every_class(rng, n):
+            handed.clear()
+            report = rank_report(rc)
+            hf = apolar_hilbert(rc.form())
+            assert report.essential == hf.values[1], (n, name)
+            assert report.catalecticant_bound == max(hf.values), (n, name)
+            assert handed == ([hf] if report.avoidance is not None else []), (n, name)
+            if report.avoidance is not None:
+                assert report.avoidance.hilbert == avoid(report.form,
+                                                         report.avoidance.hyperplane).hilbert
+            names.add(name)
+            sliced += report.avoidance is not None
+    assert len(names) == 9 and sliced >= 7
+
+
+def test_report_builds_no_catalecticant_in_three_or_more_variables(monkeypatch):
+    """In three or more variables a report whose core keeps three or more
+    variables, or only one, calls neither apolar_hilbert nor catalecticant; a
+    binary report still calls apolar_hilbert once."""
+    calls = Counter()
+    for module, name in ((certificates, "apolar_hilbert"), (apolar, "apolar_hilbert"),
+                         (apolar, "catalecticant")):
+        _count_calls(monkeypatch, calls, module, name)
+    rng = random.Random(77)
+    products = [_pushed(rng, _class_representative(kind, e), nv,
+                        _dense_rational_change(rng, nv))
+                for kind in (CubicKind.TYPE_A, CubicKind.TYPE_B, CubicKind.TYPE_C)
+                for e, nv in ((3, 3), (4, 4), (3, 5))]
+    products.append(_product("x0 + x4", "(x0 + x4)*(x1 + 2*x4) + x2*x3"))
+    products.append(_product("x0 - x2", "3*x0^2 - 6*x0*x2 + 3*x2^2", 4))
+    for rc in products:
+        calls.clear()
+        report = rank_report(rc)
+        assert report.lower <= report.upper
+        assert calls == Counter(), rc
+    # decompose_binary's apolar ideal builds the catalecticants of a binary core
+    report = rank_report(_product("x0", "x0*x1", 2))
+    assert calls["apolar_hilbert"] == 1
+    assert (report.essential, report.catalecticant_bound) == (2, 2)

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from apolarity import ideals, poly
+from apolarity import cubics, ideals, poly
 from apolarity.apolar import apolar_ideal, catalecticant
 from apolarity.cli import main
 from apolarity.cubics import WaringDecomposition
@@ -378,6 +378,48 @@ def test_certify_colon_refinement(capsys):
 def test_certify_needs_hyperplane(capsys):
     code, _, err = run(capsys, "certify", "x0^2*x2 + x0*x1^2")
     assert code == 2 and "error" in err
+
+
+@pytest.mark.parametrize("flags, message", [
+    (("--colon", "x1", "--removed", "-5"), "removed points must be >= 0, got -5"),
+    (("--removed", "1"), "--colon is missing"),
+    (("--removed", "0", "--json"), "--colon is missing"),
+], ids=["negative", "without-colon", "zero-without-colon"])
+def test_certify_refuses_a_removed_count_it_cannot_use(capsys, flags, message):
+    code, out, err = run(capsys, "certify", "x0^2*x2 + x0*x1^2",
+                         "--hyperplane", "x2", *flags)
+    assert code == 2 and out == "" and message in err
+
+
+@pytest.mark.parametrize("nvars", ["0", "2"])
+def test_certify_chain_takes_vars_as_given(capsys, nvars):
+    code, out, err = run(capsys, "certify", "--chain", "x0^2*x2 + x0*x1^2",
+                         "--vars", nvars)
+    assert code == 2 and out == ""
+    assert err == f"error: --vars {nvars} is smaller than an index used in the input\n"
+
+
+@pytest.mark.parametrize("argv", [("analyze", "x0", "x0^2"),
+                                  ("decompose", "x0", "x0^2"),
+                                  ("analyze", "x0", "x0^2", "--vars", "1", "--json")],
+                         ids=lambda argv: " ".join(argv))
+def test_a_product_in_one_variable_is_an_input_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == ("error: a product of a linear form and a quadric needs at "
+                   "least two variables\n")
+
+
+def test_decompose_past_the_quadric_matrix_budget_is_an_input_error(capsys, monkeypatch):
+    """classify builds the dense matrix of the quadric, n^2 cells in n
+    variables, and refuses it past the budget before allocating (in 10^5
+    variables it would have 10^10 cells); the budget is lowered to 100."""
+    monkeypatch.setattr(cubics, "MAX_MONOMIAL_ENTRIES", 100)
+    code, out, err = run(capsys, "decompose", "x0", "x1^2", "--vars", "11")
+    assert code == 2 and out == ""
+    assert err == "error: the matrix of a quadric in 11 variables is too large to build\n"
+    code, out, err = run(capsys, "decompose", "x0", "x1^2", "--vars", "10")
+    assert code == 2 and out == "" and "needs TypeC, got Cone(essential=2)" in err
 
 
 def test_hilbert_plain_and_modified(capsys):

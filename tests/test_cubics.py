@@ -23,6 +23,7 @@ from apolarity.poly import (AmbientMismatchError, LinearChange, LinearForm,
                             Polynomial, monomials, parse, substitute)
 
 from oracles import (assemble_by_fractions, bareiss_rank, classify_by_fractions,
+                     classify_by_gram,
                      compose_by_fractions, diff_once, monomials_recursive,
                      power_sum_by_fractions, product_by_fractions,
                      rational_roots_by_deflation, residual_by_fractions,
@@ -222,6 +223,40 @@ def test_classify_eliminates_integer_rows_without_substitution(monkeypatch):
         assert len(reductions) == 1
         assert all(type(v) is int for row in reductions[0] for v in row)
     assert compositions == []
+
+
+def test_classify_matches_the_gram_oracle(monkeypatch):
+    """classify runs the Gram test for L | Q only when rank [M | l] <= 2 and
+    gives the class that classify_by_gram, which runs it on every product,
+    gives: on seeded products of every class, on L*L' and a*L^2, and on cones
+    of rank 2 that L does not divide, each after a dense rational change."""
+    rng = random.Random(1729)
+    products = [rc for nv in range(3, 8) for _ in range(3)
+                for _, rc in _seeded_products(rng, nv)]
+    for nv in range(3, 7):
+        x = [Polynomial.variable(nv, i) for i in range(nv)]
+        lin = sum((_rational(rng) * xi for xi in x), x[-1])
+        other = sum((_rational(rng) * xi for xi in x), x[0])
+        planted = [(lin, lin * other), (lin, _rational(rng, 9) * lin * lin),
+                   (x[0], x[1] * x[1]), (x[0] + x[1], 3 * x[0] * x[0]),
+                   (x[0], x[1] * x[1] - 2 * x[0] * x[1])]
+        for linear, quadric in planted:
+            change = _rational_change(rng, nv)
+            products.append(ReducibleCubic.from_polynomials(
+                substitute(linear, change), substitute(quadric, change)))
+    grams, gram = [], linalg.gram
+    monkeypatch.setattr(linalg, "gram", lambda g, v: grams.append(v) or gram(g, v))
+    seen = set()
+    for rc in products:
+        expected = classify_by_gram(rc)
+        grams.clear()
+        assert classify(rc) == expected
+        rank = rc.nvars if expected.essential is None else expected.essential
+        assert len(grams) == (rank <= 2)
+        seen.add((expected.kind, expected.essential if rank <= 2 else None))
+    assert {(CubicKind.DEGENERATE_PRODUCT, 1), (CubicKind.DEGENERATE_PRODUCT, 2),
+            (CubicKind.CONE, 2)} <= seen
+    assert {kind for kind, _ in seen} == set(CubicKind)
 
 
 def test_classify_repeated_factor_beats_cone():
